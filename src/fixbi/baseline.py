@@ -15,9 +15,9 @@ from .config import MetricsRow, TrainConfig
 from .core import LOG_CLAMP, NonFiniteLossError, _accuracy
 from .data import Dataset, one_hot, paired_minibatches
 from .models import (ClassifierModel, DomainDiscriminator, discriminator_logits,
-                     extract_features, forward, init_discriminator, init_model,
+                     forward, forward_logits, init_discriminator, init_model,
                      predict_labels)
-from .numerics import Tensor, affine, backward, grl, lr_schedule, sgd_step, softmax_t
+from .numerics import Tensor, backward, grl, lr_schedule, sgd_step, softmax_t
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -37,14 +37,24 @@ def _cross_entropy(probs: Tensor, labels_onehot) -> Tensor:
     return (labels_onehot * logp).sum() * (-1.0 / b)
 
 
+def _accuracies(model: ClassifierModel, source: Dataset,
+                target: Dataset) -> tuple[float, float]:
+    """(source accuracy, target accuracy) on the full sets."""
+    return (_accuracy(predict_labels(model, source.features), source.eval_labels()),
+            _accuracy(predict_labels(model, target.features), target.eval_labels()))
+
+
 def _eval_row(epoch: int, loss: float, model: ClassifierModel,
               source: Dataset, target_eval: Dataset, t0: float) -> MetricsRow:
-    src_acc = _accuracy(predict_labels(model, source.features), source.eval_labels())
-    tgt_acc = _accuracy(predict_labels(model, target_eval.features),
-                        target_eval.eval_labels())
+    src_acc, tgt_acc = _accuracies(model, source, target_eval)
     return MetricsRow(epoch=epoch, fm_sd=loss,
                       acc_src_sd=src_acc, acc_tgt_sd=tgt_acc, acc_tgt_ens=tgt_acc,
                       wall_ms=(time.perf_counter() - t0) * 1e3)
+
+
+def _result(model: ClassifierModel, history: list[MetricsRow], source: Dataset,
+            target_eval: Dataset) -> BaselineResult:
+    return BaselineResult(model, *_accuracies(model, source, target_eval), history)
 
 
 def train_source_only(cfg: TrainConfig, source: Dataset,
@@ -80,10 +90,7 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
         history.append(_eval_row(epoch, loss_sum / max(1, n_batches), model,
                                  source, target_eval, t0))
 
-    src_acc = _accuracy(predict_labels(model, source.features), source.eval_labels())
-    tgt_acc = _accuracy(predict_labels(model, target_eval.features),
-                        target_eval.eval_labels())
-    return BaselineResult(model, src_acc, tgt_acc, history)
+    return _result(model, history, source, target_eval)
 
 
 def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
@@ -96,23 +103,24 @@ def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
     extractor effectively descends class_loss - lambda * domain_loss while
     the discriminator descends domain_loss.
     """
-    feat_s = extract_features(model, xs)
-    feat_t = extract_features(model, xt)
-    logits = affine(feat_s, model.params["head.w"], model.params["head.b"])
-    class_loss = _cross_entropy(softmax_t(logits, 1.0), ys_onehot)
+    xs = np.asarray(xs, dtype=np.float64)
+    b_s = xs.shape[0]
+    x = np.concatenate([xs, np.asarray(xt, dtype=np.float64)])
+    b = x.shape[0]
+    # one extractor and one discriminator pass over the stacked [xs; xt]
+    # rows; target rows carry zero class labels, so the class loss sees
+    # only the source rows
+    feats, logits = forward_logits(model, x)
+    class_onehot = np.zeros((b, model.num_classes))
+    class_onehot[:b_s] = ys_onehot
+    log_p = softmax_t(logits, 1.0).clamp_min(LOG_CLAMP).log()
+    class_loss = (class_onehot * log_p).sum() * (-1.0 / b_s)
 
-    b_s = feat_s.data.shape[0]
-    b_t = feat_t.data.shape[0]
-    dom_s = softmax_t(discriminator_logits(disc, grl(feat_s, disc.grl_lambda)), 1.0)
-    dom_t = softmax_t(discriminator_logits(disc, grl(feat_t, disc.grl_lambda)), 1.0)
-    onehot_src = np.zeros((b_s, 2))
-    onehot_src[:, 0] = 1.0
-    onehot_tgt = np.zeros((b_t, 2))
-    onehot_tgt[:, 1] = 1.0
-    log_s = dom_s.clamp_min(LOG_CLAMP).log()
-    log_t = dom_t.clamp_min(LOG_CLAMP).log()
-    domain_loss = ((onehot_src * log_s).sum() + (onehot_tgt * log_t).sum()) \
-        * (-1.0 / (b_s + b_t))
+    dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)), 1.0)
+    dom_onehot = np.zeros((b, 2))
+    dom_onehot[:b_s, 0] = 1.0
+    dom_onehot[b_s:, 1] = 1.0
+    domain_loss = (dom_onehot * dom.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / b)
     return class_loss, domain_loss
 
 
@@ -147,8 +155,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
                 err = NonFiniteLossError("dann", epoch, it, value)
                 err.rows = history
                 raise err
-            grads_model = backward(loss, model.params)
-            grads_disc = backward(loss, disc.params)
+            grads_model, grads_disc = backward(loss, (model.params, disc.params))
             sgd_step(model.params, grads_model, lr, cfg.momentum, cfg.weight_decay)
             sgd_step(disc.params, grads_disc, lr, cfg.momentum, cfg.weight_decay)
             step += 1
@@ -156,9 +163,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
         history.append(_eval_row(epoch, loss_sum / max(1, n_batches), model,
                                  source, target, t0))
 
-    src_acc = _accuracy(predict_labels(model, source.features), source.eval_labels())
-    tgt_acc = _accuracy(predict_labels(model, target.features), target.eval_labels())
-    return BaselineResult(model, src_acc, tgt_acc, history)
+    return _result(model, history, source, target)
 
 
 def train_baseline(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:

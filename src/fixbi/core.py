@@ -30,8 +30,9 @@ import numpy as np
 
 from .config import MetricsRow, TrainConfig
 from .data import Dataset, one_hot, paired_minibatches
-from .models import (ClassifierModel, DualState, clone_model, ensemble_predict,
-                     forward, forward_logits, predict_labels, predict_probs)
+from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, clone_model,
+                     ensemble_labels, forward, forward_logits, predict_labels,
+                     predict_probs)
 from .numerics import (Array, Tensor, backward, lr_schedule, sgd_step,
                        softmax_t)
 
@@ -137,19 +138,19 @@ def adaptive_threshold(confidences) -> ThresholdStats:
     return ThresholdStats(tau, mean, std, num_above, conf.size - num_above)
 
 
-def loss_fm(model: ClassifierModel, batch: MixupBatch) -> Tensor:
-    """Cross-entropy against the mixed label, averaged over the batch."""
-    _check_simplex(batch.y_mix, "y_mix")
-    b = batch.x_mix.shape[0]
-    _, probs = forward(model, batch.x_mix)
+def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
+    """Cross-entropy of a model's T = 1 probabilities on a mixed batch
+    against the mixed labels (rows on the simplex, as :func:`mixup` builds
+    them), averaged over the batch."""
+    b = probs.data.shape[0]
     logp = probs.clamp_min(LOG_CLAMP).log()
-    return (batch.y_mix * logp).sum() * (-1.0 / b)
+    return (y_mix * logp).sum() * (-1.0 / b)
 
 
-def loss_bim(teacher_probs: Array, student: ClassifierModel, xt: Array,
-             tau: float) -> Tensor:
+def loss_bim(teacher_probs: Array, student_probs: Tensor, tau: float) -> Tensor:
     """Teach the student the teacher's confident argmax labels.
 
+    Both arguments are T = 1 probabilities on the same target batch.
     Samples whose teacher confidence is not strictly above ``tau``
     contribute zero. Teacher probabilities are plain arrays, so no gradient
     reaches the teacher.
@@ -163,48 +164,37 @@ def loss_bim(teacher_probs: Array, student: ClassifierModel, xt: Array,
     mask = np.zeros((b, c))
     selected = conf > tau
     mask[np.arange(b)[selected], labels[selected]] = 1.0
-    _, q = forward(student, xt)
-    logq = q.clamp_min(LOG_CLAMP).log()
+    logq = student_probs.clamp_min(LOG_CLAMP).log()
     return (mask * logq).sum() * (-1.0 / b)
 
 
-def loss_sp(model: ClassifierModel, xt: Array, tau: float) -> Tensor:
+def loss_sp(logits: Tensor, log_temperature: Tensor, tau: float) -> Tensor:
     """Push the probability of low-confidence top-1 predictions toward zero.
 
-    The gate compares the model's T = 1 confidence strictly against ``tau``;
-    the penalized probability itself uses the learnable temperature, so its
-    gradient also trains the temperature parameter.
+    The gate compares the confidence of the T = 1 probabilities of
+    ``logits`` strictly against ``tau``; the penalized probability is a
+    softmax of ``logits`` at the learnable temperature
+    ``exp(log_temperature)``, so its gradient also trains that parameter.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    xt = np.asarray(xt, dtype=np.float64)
-    b = xt.shape[0]
-    _, logits = forward_logits(model, xt)
-    plain = softmax_t(Tensor(logits.data), 1.0).data  # gate view, no gradient
-    conf = plain.max(axis=1)
-    labels = np.argmax(plain, axis=1)
-    mask = np.zeros_like(plain)
+    probs = softmax_t(logits.data, 1.0).data
+    b = probs.shape[0]
+    conf = probs.max(axis=1)
+    labels = np.argmax(probs, axis=1)
+    mask = np.zeros_like(probs)
     selected = conf < tau
     mask[np.arange(b)[selected], labels[selected]] = 1.0
 
-    temperature = model.params["log_temperature"].exp()
-    tempered = softmax_t(logits, temperature)
+    tempered = softmax_t(logits, log_temperature.exp())
     log_rest = (1.0 - tempered).clamp_min(LOG_CLAMP).log()
     return (mask * log_rest).sum() * (-1.0 / b)
 
 
-def loss_cr(sdm: ClassifierModel, tdm: ClassifierModel, xs: Array, ys: Array,
-            xt: Array, yt_pseudo: Array) -> Tensor:
-    """Squared-L2 disagreement of the two models on the half-half mixup.
-
-    The mixed labels are built for interface completeness but the objective
-    only consumes the mixed features; gradients flow into both models.
-    """
-    c = sdm.num_classes
-    batch = mixup(xs, one_hot(ys, c), xt, one_hot(yt_pseudo, c), 0.5)
-    b = batch.x_mix.shape[0]
-    _, p = forward(sdm, batch.x_mix)
-    _, q = forward(tdm, batch.x_mix)
+def loss_cr(p: Tensor, q: Tensor) -> Tensor:
+    """Squared-L2 disagreement of the two models' T = 1 probabilities on the
+    half-half mixup batch; gradients flow into both models."""
+    b = p.data.shape[0]
     d = p - q
     return (d * d).sum() * (1.0 / b)
 
@@ -264,12 +254,16 @@ def _evaluate(sdm: ClassifierModel, tdm: ClassifierModel, source: Dataset,
               target: Dataset) -> dict[str, float]:
     ys = source.eval_labels()
     yt = target.eval_labels()
+    # one forward per model on the target set serves both single-model
+    # accuracies and the ensemble rule
+    p_sd = predict_probs(sdm, target.features)
+    p_td = predict_probs(tdm, target.features)
     return {
         "acc_src_sd": _accuracy(predict_labels(sdm, source.features), ys),
         "acc_src_td": _accuracy(predict_labels(tdm, source.features), ys),
-        "acc_tgt_sd": _accuracy(predict_labels(sdm, target.features), yt),
-        "acc_tgt_td": _accuracy(predict_labels(tdm, target.features), yt),
-        "acc_tgt_ens": _accuracy(ensemble_predict(sdm, tdm, target.features), yt),
+        "acc_tgt_sd": _accuracy(np.argmax(p_sd, axis=1), yt),
+        "acc_tgt_td": _accuracy(np.argmax(p_td, axis=1), yt),
+        "acc_tgt_ens": _accuracy(ensemble_labels(p_sd, p_td), yt),
     }
 
 
@@ -321,9 +315,15 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             lam_sd, lam_td = ratio_rule_sample(
                 cfg.ratio_rule, cfg.alpha, (cfg.lambda_sd, cfg.lambda_td), ratio_rng)
 
-            # per-model view of the target batch, all from pre-update weights
-            probs_sd = predict_probs(sdm, batch.xt)
-            probs_td = predict_probs(tdm, batch.xt)
+            # one graph forward per model on the target batch, from the
+            # pre-update weights: its T = 1 probabilities give the gates and
+            # pseudo-labels as data and are the student input of matching;
+            # its logits feed self-penalization
+            _, logits_sd = forward_logits(sdm, batch.xt)
+            _, logits_td = forward_logits(tdm, batch.xt)
+            q_sd = softmax_t(logits_sd, 1.0)
+            q_td = softmax_t(logits_td, 1.0)
+            probs_sd, probs_td = q_sd.data, q_td.data
             if not np.isfinite(probs_sd).all():
                 raise NonFiniteLossError("target_probs_sd", epoch, it, float("nan"))
             if not np.isfinite(probs_td).all():
@@ -338,48 +338,44 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
 
             ys_hot = one_hot(batch.ys, sdm.num_classes)
 
-            def model_terms(model, pl, lam, stats):
+            def model_terms(model, pl, lam, stats, logits):
                 fm = sp = None
                 if cfg.loss_fm:
                     mixed = mixup(batch.xs, ys_hot, batch.xt,
                                   one_hot(pl, model.num_classes), lam)
-                    fm = loss_fm(model, mixed)
+                    fm = loss_fm(forward(model, mixed.x_mix)[1], mixed.y_mix)
                 if cfg.loss_sp:
-                    sp = loss_sp(model, batch.xt, stats.tau)
+                    sp = loss_sp(logits, model.params[LOG_TEMPERATURE], stats.tau)
                 return fm, sp
 
-            fm_sd, sp_sd = model_terms(sdm, pl_sd, lam_sd, stats_sd)
-            fm_td, sp_td = model_terms(tdm, pl_td, lam_td, stats_td)
+            fm_sd, sp_sd = model_terms(sdm, pl_sd, lam_sd, stats_sd, logits_sd)
+            fm_td, sp_td = model_terms(tdm, pl_td, lam_td, stats_td, logits_td)
 
             bim_sd = bim_td = cr = None
             if matching_open:
                 if cfg.loss_bim:
-                    bim_sd = loss_bim(probs_td, sdm, batch.xt, stats_td.tau)
-                    bim_td = loss_bim(probs_sd, tdm, batch.xt, stats_sd.tau)
+                    bim_sd = loss_bim(probs_td, q_sd, stats_td.tau)
+                    bim_td = loss_bim(probs_sd, q_td, stats_sd.tau)
                 if cfg.loss_cr:
-                    cr = loss_cr(sdm, tdm, batch.xs, batch.ys, batch.xt, pl_sd)
+                    x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
+                    cr = loss_cr(forward(sdm, x_half)[1], forward(tdm, x_half)[1])
 
+            total = None
             for name, term in (("fm_sd", fm_sd), ("fm_td", fm_td),
                                ("sp_sd", sp_sd), ("sp_td", sp_td),
                                ("bim_sd", bim_sd), ("bim_td", bim_td), ("cr", cr)):
                 if term is not None:
                     _check_finite(name, term.item(), epoch, it)
+                    total = term if total is None else total + term
 
-            def total_of(terms):
-                live = [t for t in terms if t is not None]
-                if not live:
-                    return None
-                acc = live[0]
-                for t in live[1:]:
-                    acc = acc + t
-                return acc
-
-            total_sd = total_of((fm_sd, sp_sd, bim_sd, cr))
-            total_td = total_of((fm_td, sp_td, bim_td, cr))
-            grads_sd = (backward(total_sd, sdm.params) if total_sd is not None
-                        else {n: np.zeros_like(t.data) for n, t in sdm.params.items()})
-            grads_td = (backward(total_td, tdm.params) if total_td is not None
-                        else {n: np.zeros_like(t.data) for n, t in tdm.params.items()})
+            # the two models' parameters are disjoint and teacher
+            # probabilities are constants, so one walk over the summed
+            # objective gives each model exactly its own gradients
+            if total is None:
+                grads_sd = {n: np.zeros_like(t.data) for n, t in sdm.params.items()}
+                grads_td = {n: np.zeros_like(t.data) for n, t in tdm.params.items()}
+            else:
+                grads_sd, grads_td = backward(total, (sdm.params, tdm.params))
             sgd_step(sdm.params, grads_sd, lr, cfg.momentum, cfg.weight_decay)
             sgd_step(tdm.params, grads_td, lr, cfg.momentum, cfg.weight_decay)
             step += 1

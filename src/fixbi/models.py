@@ -16,7 +16,7 @@ from .numerics import grl  # re-exported: reversal layer used by the DANN baseli
 __all__ = [
     "ClassifierModel", "DomainDiscriminator", "DualState",
     "init_model", "forward", "forward_logits", "grl",
-    "predict_labels", "ensemble_predict", "clone_model",
+    "predict_labels", "ensemble_predict", "ensemble_labels", "clone_model",
     "init_discriminator", "discriminator_logits",
     "save_checkpoint", "load_checkpoint", "CKPT_MAGIC",
 ]
@@ -123,8 +123,12 @@ def ensemble_predict(sdm: ClassifierModel, tdm: ClassifierModel, x) -> Array:
     if sdm.num_classes != tdm.num_classes:
         raise ValueError(
             f"models disagree on class count: {sdm.num_classes} vs {tdm.num_classes}")
-    summed = predict_probs(sdm, x) + predict_probs(tdm, x)
-    return np.argmax(summed, axis=1)
+    return ensemble_labels(predict_probs(sdm, x), predict_probs(tdm, x))
+
+
+def ensemble_labels(p_sd: Array, p_td: Array) -> Array:
+    """The ensemble rule on precomputed probabilities: argmax of their sum."""
+    return np.argmax(p_sd + p_td, axis=1)
 
 
 @dataclass

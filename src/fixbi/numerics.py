@@ -293,9 +293,13 @@ class ParamSet:
         return b"".join(t.data.tobytes() for t in self._params.values())
 
 
-def backward(loss: Tensor, params: ParamSet) -> GradMap:
+def backward(loss: Tensor,
+             params: ParamSet | tuple[ParamSet, ...]) -> GradMap | tuple[GradMap, ...]:
     """Exact reverse-mode gradients of a scalar ``loss`` for every parameter.
 
+    ``params`` is one :class:`ParamSet`, giving one :data:`GradMap`, or a
+    tuple of sets, giving a tuple of maps in the same order from a single
+    walk; each map is bit-identical to a separate call for its set.
     Parameters unreachable from ``loss`` get zero gradients. The walk is a
     deterministic reverse topological order, so repeated calls on identical
     graphs produce bit-identical results.
@@ -335,11 +339,16 @@ def backward(loss: Tensor, params: ParamSet) -> GradMap:
             else:
                 grads[key] = contrib
 
-    out: GradMap = {}
-    for name, t in params.items():
-        g = grads.get(id(t))
-        out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
-    return out
+    def collect(ps: ParamSet) -> GradMap:
+        out: GradMap = {}
+        for name, t in ps.items():
+            g = grads.get(id(t))
+            out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
+        return out
+
+    if isinstance(params, tuple):
+        return tuple(collect(ps) for ps in params)
+    return collect(params)
 
 
 def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from fixbi.models import ClassifierModel, init_model
-from fixbi.numerics import Array, ParamSet, backward
+from fixbi.core import loss_cr, loss_sp
+from fixbi.models import ClassifierModel, forward_logits, init_model
+from fixbi.numerics import Array, ParamSet, backward, softmax_t
 
 
 def finite_diff_grads(loss_fn, params: ParamSet, eps: float = 1e-5) -> dict[str, Array]:
@@ -55,6 +56,22 @@ def check_grads(loss_builder, params: ParamSet, eps: float = 1e-5,
     err = max_rel_error(analytic, numeric)
     assert err < tol, f"gradient mismatch: max rel error {err} >= {tol}"
     return err
+
+
+def probs_of(model: ClassifierModel, x):
+    """The model's T = 1 probabilities as a graph tensor."""
+    return softmax_t(forward_logits(model, x)[1], 1.0)
+
+
+def sp_of(model: ClassifierModel, x, tau: float):
+    """Self-penalization from one forward, as the training loop builds it."""
+    return loss_sp(forward_logits(model, x)[1], model.params["log_temperature"], tau)
+
+
+def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):
+    """Consistency regularization on the half-half mixup of ``xs`` and ``xt``."""
+    x_half = 0.5 * xs + 0.5 * xt
+    return loss_cr(probs_of(a, x_half), probs_of(b, x_half))
 
 
 def manual_model(w, b, theta: float = 0.0) -> ClassifierModel:

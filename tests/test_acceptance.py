@@ -15,15 +15,16 @@ import pytest
 
 from fixbi.baseline import dann_losses, dann_objective
 from fixbi.config import DatasetSpec, TrainConfig
-from fixbi.core import (adaptive_threshold, loss_bim, loss_cr, loss_fm,
-                        loss_sp, mixup, ratio_rule_sample, train_fixbi)
+from fixbi.core import (adaptive_threshold, loss_bim, loss_fm, mixup,
+                        ratio_rule_sample, train_fixbi)
 from fixbi.data import one_hot
 from fixbi.harness import execute, load_metrics_csv
 from fixbi.models import (ensemble_predict, init_discriminator, init_model,
                           predict_probs)
 from fixbi.numerics import backward
-from helpers import (ExactOracleCheck, finite_diff_grads, manual_model,
-                     max_rel_error, random_batch, random_model, safe_tau)
+from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, manual_model,
+                     max_rel_error, probs_of, random_batch, random_model,
+                     safe_tau, sp_of)
 
 GRAD_TOL = 1e-4
 FD_EPS = 1e-5
@@ -68,7 +69,8 @@ def test_criterion_01_gradient_suite():
         c = model.num_classes
         xs, ys, xt, yt = random_batch(rng, 4, 2, c)
         batch = mixup(xs, one_hot(ys, c), xt, one_hot(yt, c), float(rng.uniform()))
-        err = _grad_trial_ok(lambda: loss_fm(model, batch), model.params)
+        err = _grad_trial_ok(lambda: loss_fm(probs_of(model, batch.x_mix), batch.y_mix),
+                             model.params)
         worst["fm"] = max(worst["fm"], err)
 
     # bidirectional matching (teacher constant, student trained)
@@ -79,7 +81,7 @@ def test_criterion_01_gradient_suite():
         xt = rng.normal(size=(5, 2))
         teacher_probs = predict_probs(teacher, xt)
         tau = safe_tau(teacher_probs.max(axis=1))
-        err = _grad_trial_ok(lambda: loss_bim(teacher_probs, student, xt, tau),
+        err = _grad_trial_ok(lambda: loss_bim(teacher_probs, probs_of(student, xt), tau),
                              student.params)
         worst["bim"] = max(worst["bim"], err)
 
@@ -94,9 +96,9 @@ def test_criterion_01_gradient_suite():
         if (c_sorted[1:] - c_sorted[:-1]).max() < 2e-3:
             continue  # no clean gate position; FD invalid at the boundary
         tau = safe_tau(conf)
-        err = _grad_trial_ok(lambda: loss_sp(model, xt, tau), model.params)
+        err = _grad_trial_ok(lambda: sp_of(model, xt, tau), model.params)
         worst["sp"] = max(worst["sp"], err)
-        g_theta = backward(loss_sp(model, xt, tau), model.params)["log_temperature"]
+        g_theta = backward(sp_of(model, xt, tau), model.params)["log_temperature"]
         theta_grad_seen = theta_grad_seen or abs(float(g_theta[0])) > 1e-8
         done += 1
     assert theta_grad_seen, "temperature gradient path never exercised"
@@ -108,8 +110,8 @@ def test_criterion_01_gradient_suite():
         xs, ys, xt, yt = random_batch(rng, 4, 2, a.num_classes)
         worst["cr"] = max(
             worst["cr"],
-            _grad_trial_ok(lambda: loss_cr(a, b, xs, ys, xt, yt), a.params),
-            _grad_trial_ok(lambda: loss_cr(a, b, xs, ys, xt, yt), b.params))
+            _grad_trial_ok(lambda: cr_of(a, b, xs, xt), a.params),
+            _grad_trial_ok(lambda: cr_of(a, b, xs, xt), b.params))
 
     # adversarial objective: classifier params descend class - lambda*domain
     # (the reversal layer's effective objective), discriminator class + domain

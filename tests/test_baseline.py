@@ -9,8 +9,9 @@ from fixbi.baseline import (dann_losses, dann_objective, train_dann,
                             train_source_only)
 from fixbi.config import DatasetSpec, TrainConfig
 from fixbi.data import gen_blobs_shift
-from fixbi.models import init_discriminator, discriminator_logits
-from fixbi.numerics import Tensor, backward, sgd_step
+from fixbi.models import (discriminator_logits, extract_features,
+                          init_discriminator)
+from fixbi.numerics import Tensor, affine, backward, grl, sgd_step, softmax_t
 from helpers import random_batch, random_model
 
 
@@ -110,11 +111,81 @@ class TestDann:
         assert max_rel_error(analytic_disc,
                              finite_diff_grads(disc_target, disc.params)) < 1e-4
 
+    @staticmethod
+    def _two_pass_losses(model, disc, xs, ys_hot, xt):
+        """Reference: separate extractor and discriminator passes for the
+        source and the target batch."""
+        def log_probs(z):
+            return softmax_t(z, 1.0).clamp_min(1e-12).log()
+
+        feat_s = extract_features(model, xs)
+        feat_t = extract_features(model, xt)
+        logits = affine(feat_s, model.params["head.w"], model.params["head.b"])
+        class_loss = (ys_hot * log_probs(logits)).sum() * (-1.0 / len(xs))
+        log_s = log_probs(discriminator_logits(disc, grl(feat_s, disc.grl_lambda)))
+        log_t = log_probs(discriminator_logits(disc, grl(feat_t, disc.grl_lambda)))
+        domain_loss = (log_s * np.array([1.0, 0.0])).sum() + \
+            (log_t * np.array([0.0, 1.0])).sum()
+        return class_loss, domain_loss * (-1.0 / (len(xs) + len(xt)))
+
+    def test_stacked_losses_match_two_pass_reference(self):
+        rng = np.random.default_rng(22)
+        for trial in range(20):
+            model = random_model(rng)
+            disc = init_discriminator(model.feature_dim, 4, seed=trial,
+                                      grl_lambda=float(rng.uniform(0.1, 1.5)))
+            for _, t in disc.params.items():
+                t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+            xs, ys, xt, _ = random_batch(rng, int(rng.integers(1, 6)), 3, 3)
+            ys_hot = np.eye(3)[ys]
+            got = dann_losses(model, disc, xs, ys_hot, xt)
+            want = self._two_pass_losses(model, disc, xs, ys_hot, xt)
+            for g, w in zip(got, want):
+                assert abs(g.item() - w.item()) <= 1e-12
+            sets = (model.params, disc.params)
+            got_grads = backward(got[0] + got[1], sets)
+            want_grads = backward(want[0] + want[1], sets)
+            for gm, wm in zip(got_grads, want_grads):
+                for name in wm:
+                    assert np.abs(gm[name] - wm[name]).max() <= 1e-12, name
+
     def test_dann_beats_source_only_on_rotated_blobs(self, ordering_battery):
         cells = ordering_battery["seeds"].values()
         dann_accs = [r["dann"].target_acc for r in cells]
         src_accs = [r["source_only"].target_acc for r in cells]
         assert np.mean(dann_accs) >= np.mean(src_accs)
+
+
+@pytest.mark.parametrize("trainer", [train_dann, train_source_only])
+def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
+    import fixbi.baseline as baseline
+    import fixbi.models as models
+
+    counts: list[list[int]] = []  # [walks, forwards up to the walk]
+    batches, walk, extract = (baseline.paired_minibatches, baseline.backward,
+                              models.extract_features)
+
+    def counted_batches(*args):
+        for batch in batches(*args):
+            counts.append([0, 0])
+            yield batch
+
+    def counted_walk(loss, params):
+        counts[-1][0] += 1
+        return walk(loss, params)
+
+    def counted_extract(model, x):
+        if counts and counts[-1][0] == 0:
+            counts[-1][1] += 1
+        return extract(model, x)
+
+    monkeypatch.setattr(baseline, "paired_minibatches", counted_batches)
+    monkeypatch.setattr(baseline, "backward", counted_walk)
+    monkeypatch.setattr(models, "extract_features", counted_extract)
+    source, target = separable_pair()
+    trainer(blob_config(baseline_epochs=2), source, target)
+    assert len(counts) == 2 * (100 // 16)
+    assert all(c == [1, 1] for c in counts), counts
 
 
 class TestDiscriminatorOracle:

@@ -10,13 +10,13 @@ import pytest
 
 from fixbi.config import DatasetSpec, TrainConfig
 from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
-                        loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
-                        ratio_rule_sample, train_fixbi)
+                        loss_fm, mixup, pseudo_labels, ratio_rule_sample,
+                        train_fixbi)
 from fixbi.data import Dataset, one_hot
 from fixbi.models import ClassifierModel, clone_model, init_model
 from fixbi.numerics import ParamSet, backward
-from helpers import (check_grads, manual_model, random_batch, random_model,
-                     safe_tau)
+from helpers import (check_grads, cr_of, manual_model, probs_of, random_batch,
+                     random_model, safe_tau, sp_of)
 
 LN2 = math.log(2.0)
 
@@ -151,20 +151,21 @@ class TestLossFm:
         model = manual_model([[60.0, 0.0]], [0.0, 0.0])
         batch = mixup(np.array([[1.0]]), one_hot(np.array([0]), 2),
                       np.array([[1.0]]), one_hot(np.array([0]), 2), 1.0)
-        assert loss_fm(model, batch).item() == 0.0
+        assert loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item() == 0.0
 
     def test_uniform_prediction_gives_ln2(self):
         model = manual_model([[0.0, 0.0]], [0.0, 0.0])
         batch = mixup(np.array([[1.0]]), one_hot(np.array([0]), 2),
                       np.array([[0.5]]), one_hot(np.array([1]), 2), 1.0)
-        assert loss_fm(model, batch).item() == pytest.approx(LN2, abs=1e-12)
+        assert loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item() == \
+            pytest.approx(LN2, abs=1e-12)
 
     def test_lambda_one_reduces_to_source_cross_entropy(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, input_dim=2, widths=(4,), num_classes=3)
         xs, ys, xt, yt = random_batch(rng, 5, 2, 3)
         batch = mixup(xs, one_hot(ys, 3), xt, one_hot(yt, 3), 1.0)
-        got = loss_fm(model, batch).item()
+        got = loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item()
         from fixbi.models import predict_probs
         p = predict_probs(model, xs)
         want = -np.mean(np.log(p[np.arange(5), ys]))
@@ -175,7 +176,8 @@ class TestLossFm:
         model = random_model(rng)
         xs, ys, xt, yt = random_batch(rng, 4, 3, 3)
         batch = mixup(xs, one_hot(ys, 3), xt, one_hot(yt, 3), 0.7)
-        check_grads(lambda: loss_fm(model, batch), model.params)
+        check_grads(lambda: loss_fm(probs_of(model, batch.x_mix), batch.y_mix),
+                    model.params)
 
 
 class TestLossBim:
@@ -183,19 +185,22 @@ class TestLossBim:
         rng = np.random.default_rng(6)
         student = random_model(rng, input_dim=2, num_classes=2, widths=(3,))
         teacher_probs = np.array([[0.6, 0.4], [0.55, 0.45]])
-        out = loss_bim(teacher_probs, student, rng.normal(size=(2, 2)), tau=0.9)
+        out = loss_bim(teacher_probs, probs_of(student, rng.normal(size=(2, 2))),
+                       tau=0.9)
         assert out.item() == 0.0
         grads = backward(out, student.params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
     def test_confident_teacher_uniform_student_gives_ln2(self):
         student = manual_model([[0.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(np.array([[0.99, 0.01]]), student, np.array([[1.0]]), tau=0.5)
+        out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
+                       tau=0.5)
         assert out.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_student_matching_teacher_is_near_zero(self):
         student = manual_model([[60.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(np.array([[0.99, 0.01]]), student, np.array([[1.0]]), tau=0.5)
+        out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
+                       tau=0.5)
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -206,26 +211,27 @@ class TestLossBim:
         from fixbi.models import predict_probs
         teacher_probs = predict_probs(teacher, xt)
         tau = safe_tau(teacher_probs.max(axis=1))  # some selected, some not
-        check_grads(lambda: loss_bim(teacher_probs, student, xt, tau),
+        check_grads(lambda: loss_bim(teacher_probs, probs_of(student, xt), tau),
                     student.params)
 
     def test_tau_validation(self):
         student = manual_model([[0.0, 0.0]], [0.0, 0.0])
         with pytest.raises(ValueError):
-            loss_bim(np.array([[0.5, 0.5]]), student, np.array([[1.0]]), tau=1.5)
+            loss_bim(np.array([[0.5, 0.5]]), probs_of(student, np.array([[1.0]])),
+                     tau=1.5)
 
 
 class TestLossSp:
     def test_all_confident_is_exact_zero(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, input_dim=2, widths=(3,), num_classes=2)
-        out = loss_sp(model, rng.normal(size=(3, 2)), tau=0.0)
+        out = sp_of(model, rng.normal(size=(3, 2)), tau=0.0)
         assert out.item() == 0.0
 
     def test_uniform_low_confidence_closed_form(self):
         c = 4
         model = manual_model([[0.0] * c], [0.0] * c)
-        out = loss_sp(model, np.array([[1.0]]), tau=0.9)
+        out = sp_of(model, np.array([[1.0]]), tau=0.9)
         assert out.item() == pytest.approx(-math.log(1.0 - 1.0 / c), abs=1e-12)
 
     def test_gradient_including_temperature(self):
@@ -233,7 +239,7 @@ class TestLossSp:
         model = random_model(rng)
         xt = rng.normal(size=(6, 3))
         conf = pseudo_labels(model, xt)[1]
-        check_grads(lambda: loss_sp(model, xt, safe_tau(conf)), model.params)
+        check_grads(lambda: sp_of(model, xt, safe_tau(conf)), model.params)
 
     def test_temperature_gradient_hand_formula(self):
         # single selected sample: dL/dtheta from the closed form
@@ -247,7 +253,7 @@ class TestLossSp:
         a = y[top]
         da_dt = -a * (z[0, top] - float((y * z[0]).sum())) / (t * t)
         want = (1.0 / (1.0 - a)) * da_dt * t  # chain through T = exp(theta)
-        got = backward(loss_sp(model, xt, tau=1.0), model.params)["log_temperature"]
+        got = backward(sp_of(model, xt, tau=1.0), model.params)["log_temperature"]
         assert got[0] == pytest.approx(want, rel=1e-10)
 
 
@@ -257,29 +263,29 @@ class TestLossCr:
         model = random_model(rng)
         twin = clone_model(model)
         xs, ys, xt, yt = random_batch(rng, 4, 3, 3)
-        assert loss_cr(model, twin, xs, ys, xt, yt).item() == 0.0
+        assert cr_of(model, twin, xs, xt).item() == 0.0
 
     def test_opposite_onehot_predictions_give_two(self):
         a = manual_model([[60.0, 0.0]], [0.0, 0.0])
         b = manual_model([[0.0, 60.0]], [0.0, 0.0])
         xs = np.array([[1.0]])
         xt = np.array([[1.0]])
-        out = loss_cr(a, b, xs, np.array([0]), xt, np.array([1]))
+        out = cr_of(a, b, xs, xt)
         assert out.item() == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_under_model_swap(self):
         rng = np.random.default_rng(11)
         a, b = random_model(rng), random_model(rng)
         xs, ys, xt, yt = random_batch(rng, 5, 3, 3)
-        assert loss_cr(a, b, xs, ys, xt, yt).item() == \
-            pytest.approx(loss_cr(b, a, xs, ys, xt, yt).item(), rel=1e-15)
+        assert cr_of(a, b, xs, xt).item() == \
+            pytest.approx(cr_of(b, a, xs, xt).item(), rel=1e-15)
 
     def test_gradients_flow_into_both_models(self):
         rng = np.random.default_rng(12)
         a, b = random_model(rng), random_model(rng)
         xs, ys, xt, yt = random_batch(rng, 4, 3, 3)
-        check_grads(lambda: loss_cr(a, b, xs, ys, xt, yt), a.params)
-        check_grads(lambda: loss_cr(a, b, xs, ys, xt, yt), b.params)
+        check_grads(lambda: cr_of(a, b, xs, xt), a.params)
+        check_grads(lambda: cr_of(a, b, xs, xt), b.params)
 
 
 class TestRatioRuleSample:
@@ -403,6 +409,61 @@ class TestTrainFixbi:
         assert err.epoch >= 2
         assert len(err.rows) == err.epoch - 1
         assert all(r.epoch == i + 1 for i, r in enumerate(err.rows))
+
+
+class TestLoopShape:
+    """One reverse walk and the minimum of MLP forwards per iteration."""
+
+    @staticmethod
+    def _per_iteration_counts(monkeypatch, cfg):
+        import fixbi.core as core
+        import fixbi.models as models
+
+        events: list[tuple] = []
+        batches, walk, extract = (core.paired_minibatches, core.backward,
+                                  models.extract_features)
+
+        def counted_batches(*args):
+            for batch in batches(*args):
+                events.append(("iter", args[3]))
+                yield batch
+
+        def counted_walk(loss, params):
+            events.append(("walk",))
+            return walk(loss, params)
+
+        def counted_extract(model, x):
+            events.append(("fwd",))
+            return extract(model, x)
+
+        monkeypatch.setattr(core, "paired_minibatches", counted_batches)
+        monkeypatch.setattr(core, "backward", counted_walk)
+        monkeypatch.setattr(models, "extract_features", counted_extract)
+        source, target = tiny_pair()
+        init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+        train_fixbi(cfg, source, target, init)
+
+        # (epoch, walks, forwards up to the walk) per iteration; forwards
+        # after the walk are the end-of-epoch evaluation
+        out = []
+        for e in events:
+            if e[0] == "iter":
+                out.append([e[1], 0, 0])
+            elif out and e[0] == "walk":
+                out[-1][1] += 1
+            elif out and out[-1][1] == 0:
+                out[-1][2] += 1
+        return out
+
+    @pytest.mark.parametrize("pseudo,extra", [("live", 0), ("frozen-baseline", 1)])
+    def test_one_walk_and_four_or_six_forwards(self, monkeypatch, pseudo, extra):
+        cfg = tiny_config(pseudo_label_source=pseudo)
+        counts = self._per_iteration_counts(monkeypatch, cfg)
+        assert len(counts) == cfg.epochs * (16 // cfg.batch_size)
+        for epoch, walks, forwards in counts:
+            assert walks == 1
+            want = 4 if epoch <= cfg.warmup_epochs else 6
+            assert forwards == want + extra, (epoch, forwards)
 
 
 class TestExactOracleIteration:
