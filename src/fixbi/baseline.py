@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MetricsRow, TrainConfig
-from .core import LOG_CLAMP, NonFiniteLossError, _accuracy
+from .core import NonFiniteLossError
 from .data import Dataset, one_hot, paired_minibatches
-from .models import (ClassifierModel, DomainDiscriminator, discriminator_logits,
-                     forward, forward_logits, init_discriminator, init_model,
-                     predict_labels)
-from .numerics import Tensor, backward, grl, lr_schedule, sgd_step, softmax_t
+from .models import (ClassifierModel, DomainDiscriminator, accuracy,
+                     discriminator_logits, forward, forward_logits,
+                     init_discriminator, init_model, predict_labels)
+from .numerics import (Tensor, backward, grl, log_loss, lr_schedule, sgd_step,
+                       softmax_t)
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -31,17 +32,11 @@ class BaselineResult:
     history: list[MetricsRow] = field(default_factory=list)
 
 
-def _cross_entropy(probs: Tensor, labels_onehot) -> Tensor:
-    b = probs.data.shape[0]
-    logp = probs.clamp_min(LOG_CLAMP).log()
-    return (labels_onehot * logp).sum() * (-1.0 / b)
-
-
 def _accuracies(model: ClassifierModel, source: Dataset,
                 target: Dataset) -> tuple[float, float]:
     """(source accuracy, target accuracy) on the full sets."""
-    return (_accuracy(predict_labels(model, source.features), source.eval_labels()),
-            _accuracy(predict_labels(model, target.features), target.eval_labels()))
+    return (accuracy(predict_labels(model, source.features), source.eval_labels()),
+            accuracy(predict_labels(model, target.features), target.eval_labels()))
 
 
 def _eval_row(epoch: int, loss: float, model: ClassifierModel,
@@ -77,7 +72,8 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
                 start=1):
             lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
             _, probs = forward(model, batch.xs)
-            loss = _cross_entropy(probs, one_hot(batch.ys, model.num_classes))
+            loss = log_loss(probs, one_hot(batch.ys, model.num_classes),
+                            batch.xs.shape[0])
             value = loss.item()
             if not np.isfinite(value):
                 err = NonFiniteLossError("source_ce", epoch, it, value)
@@ -113,14 +109,13 @@ def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
     feats, logits = forward_logits(model, x)
     class_onehot = np.zeros((b, model.num_classes))
     class_onehot[:b_s] = ys_onehot
-    log_p = softmax_t(logits, 1.0).clamp_min(LOG_CLAMP).log()
-    class_loss = (class_onehot * log_p).sum() * (-1.0 / b_s)
+    class_loss = log_loss(softmax_t(logits, 1.0), class_onehot, b_s)
 
     dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)), 1.0)
     dom_onehot = np.zeros((b, 2))
     dom_onehot[:b_s, 0] = 1.0
     dom_onehot[b_s:, 1] = 1.0
-    domain_loss = (dom_onehot * dom.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / b)
+    domain_loss = log_loss(dom, dom_onehot, b)
     return class_loss, domain_loss
 
 

@@ -30,13 +30,12 @@ import numpy as np
 
 from .config import MetricsRow, TrainConfig
 from .data import Dataset, one_hot, paired_minibatches
-from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, clone_model,
-                     ensemble_labels, forward, forward_logits, predict_labels,
-                     predict_probs)
-from .numerics import (Array, Tensor, backward, lr_schedule, sgd_step,
-                       softmax_t)
-
-LOG_CLAMP = 1e-12
+from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
+                     clone_model, ensemble_labels, forward, forward_logits,
+                     predict_labels, predict_probs)
+from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
+                       sgd_step, softmax, softmax_t)
+from .numerics import LOG_CLAMP  # re-exported: the floor under every loss's log
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 
@@ -71,7 +70,9 @@ def _check_simplex(rows: Array, what: str) -> None:
         raise ValueError(f"{what} must be 2-D, got shape {rows.shape}")
     if (rows < 0).any():
         raise ValueError(f"{what} rows must be non-negative")
-    if rows.shape[0] and not np.allclose(rows.sum(axis=1), 1.0, atol=1e-9):
+    # np.allclose's own test at atol 1e-9 and its default rtol 1e-5;
+    # NaN and inf fail it
+    if not (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
         raise ValueError(f"{what} rows must sum to 1")
 
 
@@ -142,9 +143,7 @@ def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     """Cross-entropy of a model's T = 1 probabilities on a mixed batch
     against the mixed labels (rows on the simplex, as :func:`mixup` builds
     them), averaged over the batch."""
-    b = probs.data.shape[0]
-    logp = probs.clamp_min(LOG_CLAMP).log()
-    return (y_mix * logp).sum() * (-1.0 / b)
+    return log_loss(probs, y_mix, probs.data.shape[0])
 
 
 def loss_bim(teacher_probs: Array, student_probs: Tensor, tau: float) -> Tensor:
@@ -164,8 +163,7 @@ def loss_bim(teacher_probs: Array, student_probs: Tensor, tau: float) -> Tensor:
     mask = np.zeros((b, c))
     selected = conf > tau
     mask[np.arange(b)[selected], labels[selected]] = 1.0
-    logq = student_probs.clamp_min(LOG_CLAMP).log()
-    return (mask * logq).sum() * (-1.0 / b)
+    return log_loss(student_probs, mask, b)
 
 
 def loss_sp(logits: Tensor, log_temperature: Tensor, tau: float) -> Tensor:
@@ -178,7 +176,7 @@ def loss_sp(logits: Tensor, log_temperature: Tensor, tau: float) -> Tensor:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    probs = softmax_t(logits.data, 1.0).data
+    probs = softmax(logits.data)
     b = probs.shape[0]
     conf = probs.max(axis=1)
     labels = np.argmax(probs, axis=1)
@@ -187,8 +185,7 @@ def loss_sp(logits: Tensor, log_temperature: Tensor, tau: float) -> Tensor:
     mask[np.arange(b)[selected], labels[selected]] = 1.0
 
     tempered = softmax_t(logits, log_temperature.exp())
-    log_rest = (1.0 - tempered).clamp_min(LOG_CLAMP).log()
-    return (mask * log_rest).sum() * (-1.0 / b)
+    return log_loss(1.0 - tempered, mask, b)
 
 
 def loss_cr(p: Tensor, q: Tensor) -> Tensor:
@@ -246,10 +243,6 @@ def _check_finite(name: str, value: float, epoch: int, iteration: int) -> None:
         raise NonFiniteLossError(name, epoch, iteration, value)
 
 
-def _accuracy(pred: Array, truth: Array) -> float:
-    return float(np.mean(pred == truth)) if truth.size else 0.0
-
-
 def _evaluate(sdm: ClassifierModel, tdm: ClassifierModel, source: Dataset,
               target: Dataset) -> dict[str, float]:
     ys = source.eval_labels()
@@ -259,11 +252,11 @@ def _evaluate(sdm: ClassifierModel, tdm: ClassifierModel, source: Dataset,
     p_sd = predict_probs(sdm, target.features)
     p_td = predict_probs(tdm, target.features)
     return {
-        "acc_src_sd": _accuracy(predict_labels(sdm, source.features), ys),
-        "acc_src_td": _accuracy(predict_labels(tdm, source.features), ys),
-        "acc_tgt_sd": _accuracy(np.argmax(p_sd, axis=1), yt),
-        "acc_tgt_td": _accuracy(np.argmax(p_td, axis=1), yt),
-        "acc_tgt_ens": _accuracy(ensemble_labels(p_sd, p_td), yt),
+        "acc_src_sd": accuracy(predict_labels(sdm, source.features), ys),
+        "acc_src_td": accuracy(predict_labels(tdm, source.features), ys),
+        "acc_tgt_sd": accuracy(np.argmax(p_sd, axis=1), yt),
+        "acc_tgt_td": accuracy(np.argmax(p_td, axis=1), yt),
+        "acc_tgt_ens": accuracy(ensemble_labels(p_sd, p_td), yt),
     }
 
 

@@ -182,9 +182,8 @@ def save_csv(ds: Dataset, path, with_eval_labels: bool = False) -> None:
     """Write a dataset in the interchange format; row order preserved."""
     labels = ds.eval_labels() if with_eval_labels else ds.labels
     lines = [f"# classes={ds.num_classes} dim={ds.dim}"]
-    for i in range(ds.n):
-        feats = ",".join(repr(float(v)) for v in ds.features[i])
-        lines.append(f"{feats},{int(labels[i])}")
+    for row, label in zip(ds.features.tolist(), labels.astype(np.int64).tolist()):
+        lines.append(",".join(map(repr, row)) + f",{label}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -23,7 +23,7 @@ from .core import NonFiniteLossError, train_fixbi
 from .data import (Array, CsvFormatError, Dataset, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv)
 from .models import (ClassifierModel, DualState, ensemble_predict,
-                     extract_features, predict_labels, save_checkpoint)
+                     predict_features, predict_labels, save_checkpoint)
 
 METRICS_VERSION = "v1"
 UNDEFINED = "NA"  # class-wise accuracy marker for classes absent from the eval set
@@ -240,14 +240,12 @@ def _write_features(dual: DualState, source: Dataset, target: Dataset,
               + [f"td_{i}" for i in range(k_td)])
     lines = [",".join(header)]
     for ds in (source, target):
-        labels = ds.eval_labels()
-        f_sd = extract_features(dual.sdm, ds.features).data
-        f_td = extract_features(dual.tdm, ds.features).data
-        for i in range(ds.n):
-            cells = [ds.domain_tag, str(int(labels[i]))]
-            cells += [_fmt(v) for v in f_sd[i]]
-            cells += [_fmt(v) for v in f_td[i]]
-            lines.append(",".join(cells))
+        # + 0.0 turns -0.0 into 0.0, as _fmt does
+        feats = np.hstack([predict_features(dual.sdm, ds.features),
+                           predict_features(dual.tdm, ds.features)]) + 0.0
+        labels = ds.eval_labels().astype(np.int64).tolist()
+        for label, row in zip(labels, feats.tolist()):
+            lines.append(f"{ds.domain_tag},{label}," + ",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

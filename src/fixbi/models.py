@@ -10,18 +10,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, affine, as_tensor, softmax_t)
+from .numerics import (Array, ParamSet, Tensor, as_tensor, dense, softmax,
+                       softmax_t)
 from .numerics import grl  # re-exported: reversal layer used by the DANN baseline
 
 __all__ = [
     "ClassifierModel", "DomainDiscriminator", "DualState",
     "init_model", "forward", "forward_logits", "grl",
-    "predict_labels", "ensemble_predict", "ensemble_labels", "clone_model",
+    "predict_probs", "predict_features", "predict_labels", "accuracy",
+    "ensemble_predict", "ensemble_labels", "clone_model",
     "init_discriminator", "discriminator_logits",
     "save_checkpoint", "load_checkpoint", "CKPT_MAGIC",
 ]
 
 LOG_TEMPERATURE = "log_temperature"
+
+_INFER_ROWS = 64
+"""Rows per block in graph-free inference. 64 rows is the stacked DANN
+batch, the largest product training already runs, and at the default widths
+a 64 x 64 @ 64 x 64 block stays on OpenBLAS's single-thread path
+(M*N*K <= 262,144). A whole-set product past that limit wakes a second BLAS
+thread, which then spin-waits through the Python work that follows and
+doubles the CPU time billed for a desk run."""
 
 
 @dataclass
@@ -79,22 +89,31 @@ def clone_model(model: ClassifierModel) -> ClassifierModel:
                            model.params.clone())
 
 
+def _check_input(model: ClassifierModel, x: Array) -> None:
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(
+            f"expected input of shape [B x {model.input_dim}], got {x.shape}")
+
+
+def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
+    """(weight, bias) of each extractor layer, input side first."""
+    p = model.params
+    return [(p[f"ext.w{i}"], p[f"ext.b{i}"]) for i in range(len(model.widths))]
+
+
 def extract_features(model: ClassifierModel, x) -> Tensor:
     """Run the ReLU extractor stack; identity when there are no layers."""
     h = as_tensor(x)
-    if h.data.ndim != 2 or h.data.shape[1] != model.input_dim:
-        raise ValueError(
-            f"expected input of shape [B x {model.input_dim}], got {h.data.shape}")
-    p = model.params
-    for i in range(len(model.widths)):
-        h = affine(h, p[f"ext.w{i}"], p[f"ext.b{i}"]).relu()
+    _check_input(model, h.data)
+    for w, b in _layers(model):
+        h = dense(h, w, b, relu=True)
     return h
 
 
 def forward_logits(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
     """(features, head logits) as graph tensors."""
     feats = extract_features(model, x)
-    logits = affine(feats, model.params["head.w"], model.params["head.b"])
+    logits = dense(feats, model.params["head.w"], model.params["head.b"])
     return feats, logits
 
 
@@ -108,9 +127,43 @@ def forward(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
     return feats, softmax_t(logits, 1.0)
 
 
+def _infer(model: ClassifierModel, x, probs: bool) -> Array:
+    """Features, or T = 1 probabilities when ``probs`` is set, of the rows
+    of ``x`` in plain numpy, ``_INFER_ROWS`` rows at a time.
+
+    The arithmetic is that of :func:`forward`, so the values equal its
+    output bit for bit. A lone last row joins the block before it, because
+    numpy sends a one-row product to gemv, which rounds differently from
+    the gemm a batch of rows gets.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(model, x)
+    layers = [(w.data, b.data) for w, b in _layers(model)]
+    head = (model.params["head.w"].data, model.params["head.b"].data)
+    n = x.shape[0]
+    out = np.empty((n, model.num_classes if probs else model.feature_dim))
+    lo = 0
+    while lo < n:
+        hi = lo + _INFER_ROWS
+        if n - hi <= 1:
+            hi = n
+        h = x[lo:hi]
+        for w, b in layers:
+            h = h @ w + b
+            h = np.where(h > 0.0, h, 0.0)
+        out[lo:hi] = softmax(h @ head[0] + head[1]) if probs else h
+        lo = hi
+    return out
+
+
 def predict_probs(model: ClassifierModel, x) -> Array:
-    """Probabilities at T = 1 as a plain array (no graph kept)."""
-    return forward(model, x)[1].data
+    """Probabilities at T = 1 as a plain array, computed without a graph."""
+    return _infer(model, x, probs=True)
+
+
+def predict_features(model: ClassifierModel, x) -> Array:
+    """Extractor features as a plain array, computed without a graph."""
+    return _infer(model, x, probs=False)
 
 
 def predict_labels(model: ClassifierModel, x) -> Array:
@@ -129,6 +182,11 @@ def ensemble_predict(sdm: ClassifierModel, tdm: ClassifierModel, x) -> Array:
 def ensemble_labels(p_sd: Array, p_td: Array) -> Array:
     """The ensemble rule on precomputed probabilities: argmax of their sum."""
     return np.argmax(p_sd + p_td, axis=1)
+
+
+def accuracy(pred: Array, truth: Array) -> float:
+    """Share of ``pred`` equal to ``truth``; 0.0 for an empty set."""
+    return float(np.mean(pred == truth)) if truth.size else 0.0
 
 
 @dataclass
@@ -154,8 +212,8 @@ def init_discriminator(feature_dim: int, hidden: int, seed,
 
 def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
     p = disc.params
-    h = affine(features, p["disc.w0"], p["disc.b0"]).relu()
-    return affine(h, p["disc.w1"], p["disc.b1"])
+    h = dense(features, p["disc.w0"], p["disc.b0"], relu=True)
+    return dense(h, p["disc.w1"], p["disc.b1"])
 
 
 @dataclass
@@ -188,7 +246,7 @@ def save_checkpoint(model: ClassifierModel, path) -> None:
     for name, t in model.params.items():
         dims = ",".join(str(s) for s in t.data.shape)
         lines.append(f"name {name} shape {dims}")
-        lines.append(" ".join(repr(float(v)) for v in t.data.reshape(-1)))
+        lines.append(" ".join(map(repr, t.data.reshape(-1).tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,6 +18,9 @@ Array = np.ndarray
 GradMap = dict[str, Array]
 """Named gradients, one entry per parameter, shapes matching the parameters."""
 
+LOG_CLAMP = 1e-12
+"""Floor applied to probabilities before every log inside a loss."""
+
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not satisfy an operation's contract."""
@@ -185,10 +188,76 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return (as_tensor(x) @ w) + b
 
 
+def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, followed by ``max(., 0)`` when ``relu`` is set, as one
+    graph node.
+
+    The forward pass and the VJPs run the same numpy operations as the
+    composed ``affine(x, w, b)`` (and ``.relu()``), so values and gradients
+    are bit-identical to it.
+    """
+    x = as_tensor(x)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise ShapeError("dense expects a 2-D input and a 2-D weight")
+    if xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"dense inner dims differ: {xd.shape} @ {wd.shape}")
+    out = xd @ wd + b.data
+    mask = None
+    if relu:
+        mask = out > 0.0
+        out = np.where(mask, out, 0.0)
+    b_shape = b.data.shape
+    # backward hands each VJP of a node the same upstream array, so the
+    # three VJPs share one masked gradient
+    seen: list = [None, None]
+
+    def masked(g: Array) -> Array:
+        if seen[0] is not g:
+            seen[0], seen[1] = g, (g if mask is None else g * mask)
+        return seen[1]
+
+    return Tensor._make(out, [
+        (x, lambda g: masked(g) @ wd.T),
+        (w, lambda g: xd.T @ masked(g)),
+        (b, lambda g: _unbroadcast(masked(g), b_shape)),
+    ])
+
+
+def log_loss(probs: Tensor, weights, n: int) -> Tensor:
+    """``-(1/n) * sum(weights * log(max(probs, LOG_CLAMP)))`` as one graph node.
+
+    ``weights`` is a constant array of ``probs``' shape (one-hot targets,
+    label mixtures or gate masks). The arithmetic runs in the order of the
+    composed ``clamp_min -> log -> mul -> sum -> mul`` chain, so values and
+    gradients are bit-identical to it.
+    """
+    pd = probs.data
+    weights = _as_array(weights)
+    if weights.shape != pd.shape:
+        raise ShapeError(f"log_loss weights {weights.shape} != probs {pd.shape}")
+    scale = -1.0 / n
+    mask = pd >= LOG_CLAMP
+    clamped = np.maximum(pd, LOG_CLAMP)
+    total = np.asarray((weights * np.log(clamped)).sum() * scale)
+    return Tensor._make(total, [
+        (probs, lambda g: ((np.broadcast_to(g * scale, pd.shape) * weights)
+                           / clamped) * mask),
+    ])
+
+
 def squared_l2(x: Tensor) -> Tensor:
     """Sum of squared entries."""
     x = as_tensor(x)
     return (x * x).sum()
+
+
+def softmax(z: Array, t: float = 1.0) -> Array:
+    """Row softmax of the plain array ``z / t`` with max-subtraction; the
+    values :func:`softmax_t` puts in its output node."""
+    zc = z - z.max(axis=1, keepdims=True)
+    e = np.exp(zc / t)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_t(logits, temperature=1.0) -> Tensor:
@@ -210,9 +279,8 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
     if not t > 0.0:
         raise ValueError(f"temperature must be positive, got {t}")
 
-    zc = z.data - z.data.max(axis=1, keepdims=True)
-    e = np.exp(zc / t)
-    y = e / e.sum(axis=1, keepdims=True)
+    zd = z.data
+    y = softmax(zd, t)
 
     vjps = []
 
@@ -224,6 +292,7 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
     if t_node is not None:
         def vjp_temperature(g: Array) -> Array:
             # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
+            zc = zd - zd.max(axis=1, keepdims=True)
             m = (y * zc).sum(axis=1, keepdims=True)
             val = -(g * y * (zc - m)).sum() / (t * t)
             return np.full(t_node.data.shape, val)

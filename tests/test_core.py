@@ -67,6 +67,12 @@ class TestMixup:
         with pytest.raises(ValueError):
             mixup(xs, np.array([[0.5, 0.6]]), xs, np.array([[1.0, 0.0]]), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labels_rejected(self, bad):
+        xs = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            mixup(xs, np.array([[bad, 0.0]]), xs, np.array([[1.0, 0.0]]), 0.5)
+
     def test_convexity_and_simplex_invariants_randomized(self):
         # acceptance criterion 3 at module scale; the full 1e4 sweep is in
         # the acceptance suite
@@ -420,8 +426,8 @@ class TestLoopShape:
         import fixbi.models as models
 
         events: list[tuple] = []
-        batches, walk, extract = (core.paired_minibatches, core.backward,
-                                  models.extract_features)
+        batches, walk, extract, infer = (core.paired_minibatches, core.backward,
+                                         models.extract_features, core.predict_probs)
 
         def counted_batches(*args):
             for batch in batches(*args):
@@ -436,34 +442,41 @@ class TestLoopShape:
             events.append(("fwd",))
             return extract(model, x)
 
+        def counted_infer(model, x):
+            events.append(("infer",))
+            return infer(model, x)
+
         monkeypatch.setattr(core, "paired_minibatches", counted_batches)
         monkeypatch.setattr(core, "backward", counted_walk)
         monkeypatch.setattr(models, "extract_features", counted_extract)
+        monkeypatch.setattr(core, "predict_probs", counted_infer)
         source, target = tiny_pair()
         init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
         train_fixbi(cfg, source, target, init)
 
-        # (epoch, walks, forwards up to the walk) per iteration; forwards
-        # after the walk are the end-of-epoch evaluation
+        # (epoch, walks, graph forwards, graph-free forwards) up to the walk,
+        # per iteration; forwards after the walk are the end-of-epoch
+        # evaluation
         out = []
         for e in events:
             if e[0] == "iter":
-                out.append([e[1], 0, 0])
+                out.append([e[1], 0, 0, 0])
             elif out and e[0] == "walk":
                 out[-1][1] += 1
             elif out and out[-1][1] == 0:
-                out[-1][2] += 1
+                out[-1][2 if e[0] == "fwd" else 3] += 1
         return out
 
     @pytest.mark.parametrize("pseudo,extra", [("live", 0), ("frozen-baseline", 1)])
     def test_one_walk_and_four_or_six_forwards(self, monkeypatch, pseudo, extra):
+        # the frozen teacher's pseudo-labels cost one graph-free forward
         cfg = tiny_config(pseudo_label_source=pseudo)
         counts = self._per_iteration_counts(monkeypatch, cfg)
         assert len(counts) == cfg.epochs * (16 // cfg.batch_size)
-        for epoch, walks, forwards in counts:
+        for epoch, walks, forwards, inferred in counts:
             assert walks == 1
             want = 4 if epoch <= cfg.warmup_epochs else 6
-            assert forwards == want + extra, (epoch, forwards)
+            assert (forwards, inferred) == (want, extra), epoch
 
 
 class TestExactOracleIteration:

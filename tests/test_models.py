@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fixbi.models import (clone_model, ensemble_predict, extract_features,
-                          forward, init_discriminator, init_model,
-                          load_checkpoint, predict_labels, save_checkpoint)
-from helpers import manual_model
+                          forward, forward_logits, init_discriminator,
+                          init_model, load_checkpoint, predict_features,
+                          predict_labels, predict_probs, save_checkpoint)
+from fixbi.numerics import softmax_t
+from helpers import manual_model, random_model
 
 
 class TestInitModel:
@@ -69,6 +71,47 @@ class TestForward:
         model = init_model(2, (4,), 2, seed=4)
         x = np.array([[0.3, -0.7]])
         assert forward(model, x)[1].data.tobytes() == forward(model, x)[1].data.tobytes()
+
+
+class TestGraphForwardShape:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_dense_node_per_layer(self, depth):
+        model = init_model(3, (5,) * depth, 4, seed=depth)
+        _, logits = forward_logits(model, np.ones((2, 3)))
+        params = {id(t) for _, t in model.params.items()}
+        nodes, stack = [], [logits]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(p for p, _ in node._vjps)
+        inner = [n for n in nodes if id(n) not in params]
+        assert len(inner) == depth + 1
+        # each node reads its input, a weight and a bias
+        assert all(len(n._vjps) == (2 if i == depth else 3)
+                   for i, n in enumerate(inner))
+
+
+class TestGraphFreeInference:
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 300])
+    def test_equals_the_graph_forward_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        model = random_model(rng, input_dim=2, widths=(64, 64, 32))
+        x = rng.normal(size=(rows, 2))
+        feats, logits = forward_logits(model, x)
+        probs = predict_probs(model, x)
+        assert probs.shape == (rows, 3)
+        assert probs.tobytes() == softmax_t(logits, 1.0).data.tobytes()
+        assert predict_features(model, x).tobytes() == feats.data.tobytes()
+
+    def test_wrong_width_raises_the_graph_forwards_error(self):
+        model = init_model(3, (5,), 2, seed=3)
+        x = np.zeros((2, 4))
+        with pytest.raises(ValueError) as graph:
+            forward_logits(model, x)
+        for infer in (predict_probs, predict_features):
+            with pytest.raises(ValueError) as plain:
+                infer(model, x)
+            assert str(plain.value) == str(graph.value)
 
 
 class TestEnsemblePredict:

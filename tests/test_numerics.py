@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fixbi.numerics import (ParamSet, ShapeError, Tensor, affine, as_tensor,
-                            backward, grl, lr_schedule, sgd_step, softmax_t,
-                            squared_l2)
+from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, affine,
+                            as_tensor, backward, dense, grl, log_loss,
+                            lr_schedule, sgd_step, softmax_t, squared_l2)
 from helpers import check_grads, finite_diff_grads, max_rel_error
 
 
@@ -171,6 +171,87 @@ class TestBackward:
         for got, want in zip(joint, separate):
             assert list(got) == list(want)
             assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
+
+def _assert_same_bits(got, want):
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def _assert_same_grads(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestDense:
+    """The one-node layer against the affine(...).relu() chain it replaces."""
+
+    @staticmethod
+    def _layer(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        params.add("x", rng.normal(size=(6, 4)))
+        params.add("w", rng.normal(size=(4, 5)))
+        params.add("b", rng.normal(size=5))
+        upstream = rng.normal(size=(6, 5))  # a non-uniform upstream gradient
+        return params, upstream
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_bit_identical_to_composed_chain(self, relu):
+        params, upstream = self._layer(21)
+        x, w, b = params["x"], params["w"], params["b"]
+        fused = dense(x, w, b, relu=relu)
+        chain = affine(x, w, b).relu() if relu else affine(x, w, b)
+        _assert_same_bits(fused, chain)
+        if relu:
+            assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
+        want = backward((chain * upstream).sum(), params)
+        _assert_same_grads(backward((fused * upstream).sum(), params), want)
+        # a second walk over the same node sees a fresh upstream array
+        _assert_same_grads(backward((fused * upstream).sum(), params), want)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients_match_finite_differences(self, relu):
+        params, upstream = self._layer(22)
+        check_grads(lambda: (dense(params["x"], params["w"], params["b"],
+                                   relu=relu) * upstream).sum(), params)
+
+    def test_inner_dim_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            dense(np.ones((2, 3)), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
+class TestLogLoss:
+    """The one-node log-loss against the clamp_min -> log -> mul -> sum ->
+    mul chain it replaces."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        z = rng.normal(size=(5, 3))
+        z[0] = [0.0, -40.0, 5.0]  # one probability below the clamp
+        params.add("z", z)
+        weights = rng.uniform(size=(5, 3)) * (rng.uniform(size=(5, 3)) > 0.3)
+        return params, weights
+
+    def test_bit_identical_to_composed_chain(self):
+        params, weights = self._case(23)
+        probs = softmax_t(params["z"], 1.0)
+        assert (probs.data < LOG_CLAMP).any()
+        fused = log_loss(probs, weights, 5)
+        chain = (weights * probs.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / 5)
+        _assert_same_bits(fused, chain)
+        _assert_same_grads(backward(fused, params), backward(chain, params))
+
+    def test_gradients_match_finite_differences(self):
+        params, weights = self._case(24)
+        check_grads(lambda: log_loss(softmax_t(params["z"], 1.0), weights, 5),
+                    params)
+
+    def test_weight_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            log_loss(Tensor(np.full((2, 3), 0.5)), np.ones((2, 1)), 2)
 
 
 class TestGradientReversal:
