@@ -6,19 +6,19 @@ from, and their target accuracies anchor the adaptation comparisons.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .config import MetricsRow, TrainConfig
 from .core import NonFiniteLossError
-from .data import Dataset, one_hot, paired_minibatches
+from .data import Dataset, PairedBatch, one_hot, paired_minibatches
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
-from .numerics import (Tensor, backward, grl, log_loss, lr_schedule, sgd_step,
-                       softmax_t)
+from .numerics import (ParamSet, Tensor, backward, grl, log_loss, lr_schedule,
+                       sgd_step, softmax_t)
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -39,17 +39,41 @@ def _accuracies(model: ClassifierModel, source: Dataset,
             accuracy(predict_labels(model, target.features), target.eval_labels()))
 
 
-def _eval_row(epoch: int, loss: float, model: ClassifierModel,
-              source: Dataset, target_eval: Dataset, t0: float) -> MetricsRow:
-    src_acc, tgt_acc = _accuracies(model, source, target_eval)
-    return MetricsRow(epoch=epoch, fm_sd=loss,
-                      acc_src_sd=src_acc, acc_tgt_sd=tgt_acc, acc_tgt_ens=tgt_acc,
-                      wall_ms=(time.perf_counter() - t0) * 1e3)
+def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
+           model: ClassifierModel, param_sets: tuple[ParamSet, ...],
+           objective: Callable[[PairedBatch], Tensor], term: str) -> BaselineResult:
+    """The loop both baselines share: per iteration one ``objective(batch)``
+    scalar, one ``backward`` walk over ``param_sets`` and one SGD step per
+    set; after each epoch one history row (mean loss in ``fm_sd``).
 
-
-def _result(model: ClassifierModel, history: list[MetricsRow], source: Dataset,
-            target_eval: Dataset) -> BaselineResult:
-    return BaselineResult(model, *_accuracies(model, source, target_eval), history)
+    A non-finite loss raises :class:`NonFiniteLossError` named ``term``,
+    carrying the rows of the completed epochs.
+    """
+    history: list[MetricsRow] = []
+    n_batches = max(source.n, target.n) // cfg.batch_size
+    total_steps = cfg.baseline_epochs * n_batches
+    step = 0
+    for epoch in range(1, cfg.baseline_epochs + 1):
+        loss_sum = 0.0
+        for it, batch in enumerate(
+                paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
+                start=1):
+            lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
+            loss = objective(batch)
+            value = loss.item()
+            if not np.isfinite(value):
+                err = NonFiniteLossError(term, epoch, it, value)
+                err.rows = history
+                raise err
+            for params, grads in zip(param_sets, backward(loss, param_sets)):
+                sgd_step(params, grads, lr, cfg.momentum, cfg.weight_decay)
+            step += 1
+            loss_sum += value
+        src_acc, tgt_acc = _accuracies(model, source, target)
+        history.append(MetricsRow(epoch=epoch, fm_sd=loss_sum / max(1, n_batches),
+                                  acc_src_sd=src_acc, acc_tgt_sd=tgt_acc,
+                                  acc_tgt_ens=tgt_acc))
+    return BaselineResult(model, *_accuracies(model, source, target), history)
 
 
 def train_source_only(cfg: TrainConfig, source: Dataset,
@@ -60,33 +84,13 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     target half) so the two trainers are step-for-step comparable.
     """
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
-    history: list[MetricsRow] = []
-    n_batches = max(source.n, target_eval.n) // cfg.batch_size
-    total_steps = cfg.baseline_epochs * n_batches
-    step = 0
-    for epoch in range(1, cfg.baseline_epochs + 1):
-        t0 = time.perf_counter()
-        loss_sum = 0.0
-        for it, batch in enumerate(
-                paired_minibatches(source, target_eval, cfg.batch_size, epoch, cfg.seed),
-                start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
-            _, probs = forward(model, batch.xs)
-            loss = log_loss(probs, one_hot(batch.ys, model.num_classes),
-                            batch.xs.shape[0])
-            value = loss.item()
-            if not np.isfinite(value):
-                err = NonFiniteLossError("source_ce", epoch, it, value)
-                err.rows = history
-                raise err
-            sgd_step(model.params, backward(loss, model.params),
-                     lr, cfg.momentum, cfg.weight_decay)
-            step += 1
-            loss_sum += value
-        history.append(_eval_row(epoch, loss_sum / max(1, n_batches), model,
-                                 source, target_eval, t0))
 
-    return _result(model, history, source, target_eval)
+    def objective(batch: PairedBatch) -> Tensor:
+        _, probs = forward(model, batch.xs)
+        return log_loss(probs, one_hot(batch.ys, model.num_classes), batch.xs.shape[0])
+
+    return _train(cfg, source, target_eval, model, (model.params,), objective,
+                  "source_ce")
 
 
 def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
@@ -132,33 +136,13 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
     disc = init_discriminator(model.feature_dim, _DISC_HIDDEN,
                               [cfg.seed, _DISC_STREAM], cfg.grl_lambda)
-    history: list[MetricsRow] = []
-    n_batches = max(source.n, target.n) // cfg.batch_size
-    total_steps = cfg.baseline_epochs * n_batches
-    step = 0
-    for epoch in range(1, cfg.baseline_epochs + 1):
-        t0 = time.perf_counter()
-        loss_sum = 0.0
-        for it, batch in enumerate(
-                paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
-                start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
-            loss = dann_objective(model, disc, batch.xs,
-                                  one_hot(batch.ys, model.num_classes), batch.xt)
-            value = loss.item()
-            if not np.isfinite(value):
-                err = NonFiniteLossError("dann", epoch, it, value)
-                err.rows = history
-                raise err
-            grads_model, grads_disc = backward(loss, (model.params, disc.params))
-            sgd_step(model.params, grads_model, lr, cfg.momentum, cfg.weight_decay)
-            sgd_step(disc.params, grads_disc, lr, cfg.momentum, cfg.weight_decay)
-            step += 1
-            loss_sum += value
-        history.append(_eval_row(epoch, loss_sum / max(1, n_batches), model,
-                                 source, target, t0))
 
-    return _result(model, history, source, target)
+    def objective(batch: PairedBatch) -> Tensor:
+        return dann_objective(model, disc, batch.xs,
+                              one_hot(batch.ys, model.num_classes), batch.xt)
+
+    return _train(cfg, source, target, model, (model.params, disc.params),
+                  objective, "dann")
 
 
 def train_baseline(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:

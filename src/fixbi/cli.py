@@ -6,12 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ConfigError, load_config
 from .data import gen_blobs_shift, gen_moons_shift, load_csv, save_csv
-from .harness import classwise_accuracy, execute, run_experiment
-from .models import ensemble_predict, load_checkpoint, predict_labels
+from .harness import classwise_accuracy, run_experiment
+from .models import accuracy, ensemble_predict, load_checkpoint, predict_labels
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -30,32 +27,35 @@ def _cmd_run(args) -> int:
     except ValueError:
         print(f"error: bad --seeds spec {args.seeds!r}", file=sys.stderr)
         return 2
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    status = 0
-    for seed in seeds:
-        cfg.seed = seed
-        sub = Path(args.out_dir) / f"seed_{seed}"
-        try:
-            result = execute(cfg, sub)
-        except Exception as exc:  # keep the sweep going, report at the end
-            print(f"seed {seed}: error: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        print(f"seed {seed}: ensemble target accuracy "
-              f"{result.summary['acc_tgt_ens']:.4f}")
-    return status
+    # every seed runs, each with run_experiment's exit-status mapping; the
+    # sweep exits with the worst status
+    return max((run_experiment(args.config, Path(args.out_dir) / f"seed_{seed}", seed)
+                for seed in seeds), default=0)
+
+
+def _eval_error(args, model, second, ds) -> str | None:
+    """Why the checkpoints cannot score the dataset, naming the files."""
+    for path, m in ((args.checkpoint, model), (args.ensemble_with, second)):
+        if m is not None and m.input_dim != ds.dim:
+            return (f"{path} takes {m.input_dim}-dim inputs, "
+                    f"{args.dataset} has dim {ds.dim}")
+    if second is not None and second.num_classes != model.num_classes:
+        return (f"{args.checkpoint} has {model.num_classes} classes, "
+                f"{args.ensemble_with} has {second.num_classes}")
+    return None
 
 
 def _cmd_eval(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
+        second = load_checkpoint(args.ensemble_with) if args.ensemble_with else None
         ds = load_csv(args.dataset)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    problem = _eval_error(args, model, second, ds)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         truth = ds.eval_labels()
@@ -63,14 +63,13 @@ def _cmd_eval(args) -> int:
         print("error: dataset has unlabeled rows; evaluation needs ground truth",
               file=sys.stderr)
         return 2
-    if args.ensemble_with:
-        second = load_checkpoint(args.ensemble_with)
+    if second is not None:
         pred = ensemble_predict(model, second, ds.features)
         what = "ensemble"
     else:
         pred = predict_labels(model, ds.features)
         what = "model"
-    acc = float(np.mean(pred == truth))
+    acc = accuracy(pred, truth)
     print(f"{what} accuracy: {acc:.4f} on {ds.n} samples")
     for c, a in enumerate(classwise_accuracy(pred, truth, ds.num_classes)):
         print(f"  class {c}: " + ("undefined" if a is None else f"{a:.4f}"))

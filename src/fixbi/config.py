@@ -283,7 +283,6 @@ class MetricsRow:
     acc_tgt_sd: float = 0.0
     acc_tgt_td: float = 0.0
     acc_tgt_ens: float = 0.0
-    wall_ms: float = 0.0
 
 
 METRICS_COLUMNS = [f.name for f in fields(MetricsRow)]

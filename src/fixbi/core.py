@@ -23,7 +23,6 @@ Logs inside the losses are clamped at 1e-12.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ class MixupBatch:
 
     x_mix: Array          # (B, d)
     y_mix: Array          # (B, C), rows on the probability simplex
-    lambda_used: float
 
 
 def _check_simplex(rows: Array, what: str) -> None:
@@ -96,11 +94,11 @@ def mixup(xs: Array, ys_onehot: Array, xt: Array, yt_onehot: Array,
     _check_simplex(ys_onehot, "source labels")
     _check_simplex(yt_onehot, "target labels")
     if lam == 1.0:
-        return MixupBatch(xs.copy(), ys_onehot.copy(), 1.0)
+        return MixupBatch(xs.copy(), ys_onehot.copy())
     if lam == 0.0:
-        return MixupBatch(xt.copy(), yt_onehot.copy(), 0.0)
+        return MixupBatch(xt.copy(), yt_onehot.copy())
     return MixupBatch(lam * xs + (1.0 - lam) * xt,
-                      lam * ys_onehot + (1.0 - lam) * yt_onehot, lam)
+                      lam * ys_onehot + (1.0 - lam) * yt_onehot)
 
 
 def pseudo_labels(model: ClassifierModel, xt: Array) -> tuple[Array, Array]:
@@ -218,31 +216,6 @@ def ratio_rule_sample(rule: str, alpha: float, lambda_fixed_pair: tuple[float, f
     return lam_prime, 1.0 - lam_prime
 
 
-@dataclass
-class LossBundle:
-    """One model's loss components for a single iteration."""
-
-    fm: float = 0.0
-    bim: float = 0.0
-    sp: float = 0.0
-    cr: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.fm + self.bim + self.sp + self.cr
-
-
-def _loss_value(term: Tensor | None) -> float:
-    if term is None:
-        return 0.0
-    return term.item() + 0.0  # normalizes -0.0 from empty gated sums
-
-
-def _check_finite(name: str, value: float, epoch: int, iteration: int) -> None:
-    if not np.isfinite(value):
-        raise NonFiniteLossError(name, epoch, iteration, value)
-
-
 def _evaluate(sdm: ClassifierModel, tdm: ClassifierModel, source: Dataset,
               target: Dataset) -> dict[str, float]:
     ys = source.eval_labels()
@@ -295,12 +268,12 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
     step = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
         matching_open = epoch > cfg.warmup_epochs
-        sums_sd = LossBundle()
-        sums_td = LossBundle()
-        tau_sum = [0.0, 0.0]
-        n_above_sum = [0, 0]
+        # per-epoch sums keyed by metrics.csv column: loss terms and
+        # thresholds are averaged over the batches, gate counts are totals
+        ledger = dict.fromkeys(("fm_sd", "fm_td", "sp_sd", "sp_td", "bim_sd",
+                                "bim_td", "cr", "tau_sd", "tau_td"), 0.0)
+        ledger.update(n_above_sd=0, n_above_td=0)
 
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
@@ -358,7 +331,10 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                                ("sp_sd", sp_sd), ("sp_td", sp_td),
                                ("bim_sd", bim_sd), ("bim_td", bim_td), ("cr", cr)):
                 if term is not None:
-                    _check_finite(name, term.item(), epoch, it)
+                    value = term.item()
+                    if not np.isfinite(value):
+                        raise NonFiniteLossError(name, epoch, it, value)
+                    ledger[name] += value + 0.0  # + 0.0: -0.0 from empty gates
                     total = term if total is None else total + term
 
             # the two models' parameters are disjoint and teacher
@@ -373,32 +349,16 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             sgd_step(tdm.params, grads_td, lr, cfg.momentum, cfg.weight_decay)
             step += 1
 
-            sums_sd.fm += _loss_value(fm_sd)
-            sums_sd.sp += _loss_value(sp_sd)
-            sums_sd.bim += _loss_value(bim_sd)
-            sums_td.fm += _loss_value(fm_td)
-            sums_td.sp += _loss_value(sp_td)
-            sums_td.bim += _loss_value(bim_td)
-            sums_sd.cr += _loss_value(cr)
-            tau_sum[0] += stats_sd.tau
-            tau_sum[1] += stats_td.tau
-            n_above_sum[0] += stats_sd.num_above
-            n_above_sum[1] += stats_td.num_above
+            ledger["tau_sd"] += stats_sd.tau
+            ledger["tau_td"] += stats_td.tau
+            ledger["n_above_sd"] += stats_sd.num_above
+            ledger["n_above_td"] += stats_td.num_above
             state.threshold_trace.append(
                 (epoch, it, stats_sd.tau, stats_td.tau,
                  stats_sd.num_above, stats_td.num_above))
 
         state.epoch = epoch
-        accs = _evaluate(sdm, tdm, source, target)
         nb = max(1, n_batches)
-        rows.append(MetricsRow(
-            epoch=epoch,
-            fm_sd=sums_sd.fm / nb, fm_td=sums_td.fm / nb,
-            bim_sd=sums_sd.bim / nb, bim_td=sums_td.bim / nb,
-            sp_sd=sums_sd.sp / nb, sp_td=sums_td.sp / nb,
-            cr=sums_sd.cr / nb,
-            tau_sd=tau_sum[0] / nb, tau_td=tau_sum[1] / nb,
-            n_above_sd=n_above_sum[0], n_above_td=n_above_sum[1],
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            **accs,
-        ))
+        logged = {k: v if k.startswith("n_above") else v / nb for k, v in ledger.items()}
+        rows.append(MetricsRow(epoch=epoch, **logged,
+                               **_evaluate(sdm, tdm, source, target)))

@@ -231,6 +231,10 @@ def load_csv(path) -> Dataset:
         labels.append(label)
 
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise CsvFormatError(
+            f"line {int(np.argmin(finite)) + 2}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
     tag = TARGET if labels_arr.size and (labels_arr == -1).all() else SOURCE
     return Dataset(features, labels_arr, num_classes, tag)

@@ -3,8 +3,7 @@ final evaluation, and all on-disk artifacts (metrics, thresholds, class-wise
 table, feature export, checkpoints, summary).
 
 Every run is reproducible from (config, seed): re-running a config writes
-byte-identical metrics.csv and checkpoints. The wall_ms column in
-metrics.csv is therefore emitted as 0; real timings live in summary.json.
+byte-identical metrics.csv and checkpoints. Timing lives in summary.json only.
 """
 from __future__ import annotations
 
@@ -22,10 +21,10 @@ from .config import (ConfigError, METRICS_COLUMNS, MetricsRow, TrainConfig,
 from .core import NonFiniteLossError, train_fixbi
 from .data import (Array, CsvFormatError, Dataset, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv)
-from .models import (ClassifierModel, DualState, ensemble_predict,
-                     predict_features, predict_labels, save_checkpoint)
+from .models import (DualState, ensemble_labels, predict_features, predict_probs,
+                     save_checkpoint)
 
-METRICS_VERSION = "v1"
+METRICS_VERSION = "v2"
 UNDEFINED = "NA"  # class-wise accuracy marker for classes absent from the eval set
 
 
@@ -68,15 +67,7 @@ def emit_report(rows: list[MetricsRow], out_dir) -> Path:
     path = out_dir / "metrics.csv"
     lines = [f"# {METRICS_VERSION} " + ",".join(METRICS_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in METRICS_COLUMNS:
-            if col == "wall_ms":
-                cells.append("0")  # kept deterministic; real timing in summary.json
-            elif col in ("epoch", "n_above_sd", "n_above_td"):
-                cells.append(str(int(getattr(row, col))))
-            else:
-                cells.append(_fmt(getattr(row, col)))
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(getattr(row, col)) for col in METRICS_COLUMNS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -142,9 +133,12 @@ class ClasswiseReport:
 
 def classwise_report(dual: DualState, eval_ds: Dataset, top_n: int = 10) -> ClasswiseReport:
     truth = eval_ds.eval_labels()
-    pred_sd = predict_labels(dual.sdm, eval_ds.features)
-    pred_td = predict_labels(dual.tdm, eval_ds.features)
-    pred_ens = ensemble_predict(dual.sdm, dual.tdm, eval_ds.features)
+    # one forward per model serves its own labels and the ensemble rule
+    p_sd = predict_probs(dual.sdm, eval_ds.features)
+    p_td = predict_probs(dual.tdm, eval_ds.features)
+    pred_sd = np.argmax(p_sd, axis=1)
+    pred_td = np.argmax(p_td, axis=1)
+    pred_ens = ensemble_labels(p_sd, p_td)
     c = eval_ds.num_classes
     counts = [int((truth == k).sum()) for k in range(c)]
     acc_sd = classwise_accuracy(pred_sd, truth, c)
@@ -306,24 +300,31 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     return ExperimentResult(cfg, base, dual, rows, summary)
 
 
-def run_experiment(config_path, out_dir) -> int:
-    """CLI-facing wrapper: returns a process exit status instead of raising."""
+def run_experiment(config_path, out_dir, seed: int | None = None) -> int:
+    """CLI-facing wrapper: returns a process exit status instead of raising.
+
+    ``seed`` overrides the config's seed and prefixes every message line.
+    """
+    tag = "" if seed is None else f"seed {seed}: "
     try:
         cfg = load_config(config_path)
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{tag}error: {exc}", file=sys.stderr)
         return 2
+    if seed is not None:
+        cfg.seed = seed
     try:
         result = execute(cfg, out_dir)
     except NonFiniteLossError as exc:
-        print(f"error: {exc} (partial metrics preserved in {out_dir})", file=sys.stderr)
+        print(f"{tag}error: {exc} (partial metrics preserved in {out_dir})",
+              file=sys.stderr)
         return 1
     except (ConfigError, CsvFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{tag}error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{tag}error: {exc}", file=sys.stderr)
         return 1
-    print(f"ensemble target accuracy: {result.summary['acc_tgt_ens']:.4f} "
+    print(f"{tag}ensemble target accuracy: {result.summary['acc_tgt_ens']:.4f} "
           f"(baseline {cfg.baseline}: {result.summary['baseline_target_acc']:.4f})")
     return 0

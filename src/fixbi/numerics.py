@@ -347,9 +347,6 @@ class ParamSet:
     def momentum(self, name: str) -> Array:
         return self._momentum[name]
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     def clone(self) -> "ParamSet":
         """Deep-copy parameter values; momentum buffers start at zero."""
         out = ParamSet()

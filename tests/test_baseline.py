@@ -8,6 +8,7 @@ import pytest
 from fixbi.baseline import (dann_losses, dann_objective, train_dann,
                             train_source_only)
 from fixbi.config import DatasetSpec, TrainConfig
+from fixbi.core import NonFiniteLossError
 from fixbi.data import gen_blobs_shift
 from fixbi.models import (discriminator_logits, extract_features,
                           init_discriminator)
@@ -186,6 +187,20 @@ def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
     trainer(blob_config(baseline_epochs=2), source, target)
     assert len(counts) == 2 * (100 // 16)
     assert all(c == [1, 1] for c in counts), counts
+
+
+@pytest.mark.parametrize("trainer, term", [(train_dann, "dann"),
+                                           (train_source_only, "source_ce")])
+def test_abort_names_term_and_carries_completed_epochs(trainer, term):
+    # a huge step size drives the weights to inf within a few epochs
+    source, target = separable_pair()
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError) as info:
+        trainer(blob_config(baseline_epochs=5, lr0=1e10), source, target)
+    err = info.value
+    assert err.term == term
+    assert err.epoch > 1  # at least one completed epoch to carry
+    assert len(err.rows) == err.epoch - 1
+    assert [r.epoch for r in err.rows] == list(range(1, err.epoch))
 
 
 class TestDiscriminatorOracle:

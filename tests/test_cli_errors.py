@@ -5,6 +5,7 @@ import pytest
 
 from fixbi.cli import main as cli_main
 from fixbi.harness import run_experiment
+from fixbi.models import init_model, save_checkpoint
 
 
 def test_run_with_missing_config(tmp_path, capsys):
@@ -22,6 +23,33 @@ def test_run_with_malformed_dataset_csv(tmp_path, capsys):
                    "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
     assert run_experiment(cfg, tmp_path / "out") == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_run_with_non_finite_csv_feature(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# classes=2 dim=2\n1.0,2.0,0\nnan,1.0,1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {bad}\n"
+                   f"dataset.target = {bad}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    assert run_experiment(cfg, tmp_path / "out") == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_seed_sweep_over_malformed_csv_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# classes=2 dim=2\noops,1.0,0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {bad}\n"
+                   f"dataset.target = {bad}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    assert cli_main(["run", str(cfg), str(tmp_path / "out"), "--seeds", "1..2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("line 2" in line for line in err)
+    assert err[0].startswith("seed 1: ") and err[1].startswith("seed 2: ")
 
 
 def test_run_with_mismatched_csv_pair(tmp_path, capsys):
@@ -54,3 +82,37 @@ def test_gen_with_bad_arguments(tmp_path, capsys):
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         cli_main(["bogus"])
+
+
+def _checkpoint(path, input_dim, num_classes):
+    save_checkpoint(init_model(input_dim, (4,), num_classes, seed=0), path)
+    return str(path)
+
+
+def test_eval_with_missing_ensemble_checkpoint(tmp_path, capsys):
+    ckpt = _checkpoint(tmp_path / "a.ckpt", 1, 2)
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n")
+    missing = str(tmp_path / "missing.ckpt")
+    assert cli_main(["eval", ckpt, str(csv), "--ensemble-with", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.ckpt" in err
+
+
+def test_eval_with_dim_mismatch(tmp_path, capsys):
+    ckpt = _checkpoint(tmp_path / "a.ckpt", 2, 2)
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=3\n0.1,0.2,0.3,0\n")
+    assert cli_main(["eval", ckpt, str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a.ckpt" in err and "d.csv" in err
+
+
+def test_eval_with_class_count_mismatch(tmp_path, capsys):
+    a = _checkpoint(tmp_path / "a.ckpt", 1, 2)
+    b = _checkpoint(tmp_path / "b.ckpt", 1, 3)
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n")
+    assert cli_main(["eval", a, str(csv), "--ensemble-with", b]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a.ckpt" in err and "b.ckpt" in err

@@ -146,6 +146,15 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("rows, line", [("nan,1.0,0\n", 2),
+                                            ("1.0,2.0,0\n1.0,inf,1\n", 3)],
+                             ids=["nan", "inf"])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("# classes=2 dim=2\n" + rows)
+        with pytest.raises(CsvFormatError, match=f"line {line}: non-finite"):
+            load_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("classes=2 dim=2\n")
