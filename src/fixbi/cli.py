@@ -42,6 +42,9 @@ def _eval_error(args, model, second, ds) -> str | None:
     if second is not None and second.num_classes != model.num_classes:
         return (f"{args.checkpoint} has {model.num_classes} classes, "
                 f"{args.ensemble_with} has {second.num_classes}")
+    if model.num_classes != ds.num_classes:
+        return (f"{args.checkpoint} has {model.num_classes} classes, "
+                f"{args.dataset} has {ds.num_classes}")
     return None
 
 

@@ -30,13 +30,15 @@ import numpy as np
 from .config import MetricsRow, TrainConfig
 from .data import Dataset, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
-                     clone_model, ensemble_labels, forward, forward_logits,
-                     predict_labels, predict_probs)
+                     ensemble_labels, forward_logits, predict_probs,
+                     stack_models, unstack_models)
 from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
-                       sgd_step, softmax, softmax_t)
+                       sgd_step, softmax, softmax_t, take)
 from .numerics import LOG_CLAMP  # re-exported: the floor under every loss's log
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
+_MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
+_LOSS_TERMS = ("fm_sd", "fm_td", "sp_sd", "sp_td", "bim_sd", "bim_td", "cr")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -93,12 +95,16 @@ def mixup(xs: Array, ys_onehot: Array, xt: Array, yt_onehot: Array,
         raise ValueError("label shapes must match and align with features")
     _check_simplex(ys_onehot, "source labels")
     _check_simplex(yt_onehot, "target labels")
+    return MixupBatch(_blend(xs, xt, lam), _blend(ys_onehot, yt_onehot, lam))
+
+
+def _blend(a: Array, b: Array, lam: float) -> Array:
+    """``lam * a + (1 - lam) * b``; a copy of ``a`` or ``b`` at 1 or 0."""
     if lam == 1.0:
-        return MixupBatch(xs.copy(), ys_onehot.copy())
+        return a.copy()
     if lam == 0.0:
-        return MixupBatch(xt.copy(), yt_onehot.copy())
-    return MixupBatch(lam * xs + (1.0 - lam) * xt,
-                      lam * ys_onehot + (1.0 - lam) * yt_onehot)
+        return b.copy()
+    return lam * a + (1.0 - lam) * b
 
 
 def pseudo_labels(model: ClassifierModel, xt: Array) -> tuple[Array, Array]:
@@ -123,9 +129,10 @@ def adaptive_threshold(confidences) -> ThresholdStats:
     conf = np.asarray(confidences, dtype=np.float64).reshape(-1)
     if conf.size == 0:
         raise ValueError("adaptive_threshold needs a non-empty confidence batch")
-    if not np.isfinite(conf).all() or (conf < 0).any() or (conf > 1).any():
+    lo, hi = conf.min(), conf.max()  # NaN propagates into both
+    if not (0.0 <= lo and hi <= 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    if conf.min() == conf.max():
+    if lo == hi:
         # constant batch: the statistics are exact; summing would otherwise
         # put tau an ulp below the value and break the strict gate counts
         mean, std = float(conf[0]), 0.0
@@ -216,20 +223,20 @@ def ratio_rule_sample(rule: str, alpha: float, lambda_fixed_pair: tuple[float, f
     return lam_prime, 1.0 - lam_prime
 
 
-def _evaluate(sdm: ClassifierModel, tdm: ClassifierModel, source: Dataset,
+def _evaluate(pair: ClassifierModel, source: Dataset,
               target: Dataset) -> dict[str, float]:
+    # one stacked pass per set gives both models' probabilities, which
+    # serve the single-model accuracies and the ensemble rule
+    p_src = predict_probs(pair, source.features)
+    p_tgt = predict_probs(pair, target.features)
     ys = source.eval_labels()
     yt = target.eval_labels()
-    # one forward per model on the target set serves both single-model
-    # accuracies and the ensemble rule
-    p_sd = predict_probs(sdm, target.features)
-    p_td = predict_probs(tdm, target.features)
     return {
-        "acc_src_sd": accuracy(predict_labels(sdm, source.features), ys),
-        "acc_src_td": accuracy(predict_labels(tdm, source.features), ys),
-        "acc_tgt_sd": accuracy(np.argmax(p_sd, axis=1), yt),
-        "acc_tgt_td": accuracy(np.argmax(p_td, axis=1), yt),
-        "acc_tgt_ens": accuracy(ensemble_labels(p_sd, p_td), yt),
+        "acc_src_sd": accuracy(np.argmax(p_src[0], axis=1), ys),
+        "acc_src_td": accuracy(np.argmax(p_src[1], axis=1), ys),
+        "acc_tgt_sd": accuracy(np.argmax(p_tgt[0], axis=1), yt),
+        "acc_tgt_td": accuracy(np.argmax(p_tgt[1], axis=1), yt),
+        "acc_tgt_ens": accuracy(ensemble_labels(p_tgt[0], p_tgt[1]), yt),
     }
 
 
@@ -237,31 +244,35 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
                 init_weights: ClassifierModel) -> tuple[DualState, list[MetricsRow]]:
     """Run the full dual-model procedure from pretrained baseline weights.
 
-    Both models start as copies of ``init_weights``. Every iteration builds
+    Both models start as copies of ``init_weights`` and train as one
+    stacked pair (see :func:`models.stack_models`). Every iteration builds
     each model's mixup batch from its own current pseudo-labels (or the
     frozen baseline's, per ``cfg.pseudo_label_source``) and updates it with
     the mixup loss plus self-penalization. After ``cfg.warmup_epochs``,
     bidirectional matching and consistency regularization join in. All
     losses of one iteration are evaluated on the pre-update weights, then
-    each model takes a single SGD step.
+    the pair takes a single SGD step.
 
     Returns the final dual state and one metrics row per epoch.
     """
-    frozen = clone_model(init_weights) if cfg.pseudo_label_source == "frozen-baseline" else None
-    state = DualState(sdm=clone_model(init_weights), tdm=clone_model(init_weights))
+    frozen = init_weights if cfg.pseudo_label_source == "frozen-baseline" else None
+    pair = stack_models([init_weights, init_weights])
+    trace: list[tuple[int, int, float, float, int, int]] = []
     rows: list[MetricsRow] = []
     try:
-        _run_epochs(cfg, source, target, state, rows, frozen)
+        _run_epochs(cfg, source, target, pair, trace, rows, frozen)
     except NonFiniteLossError as exc:
         exc.rows = rows
         raise
-    return state, rows
+    sdm, tdm = unstack_models(pair)
+    return DualState(sdm, tdm, epoch=len(rows), threshold_trace=trace), rows
 
 
 def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
-                state: DualState, rows: list[MetricsRow],
+                pair: ClassifierModel, trace: list, rows: list[MetricsRow],
                 frozen: ClassifierModel | None) -> None:
-    sdm, tdm = state.sdm, state.tdm
+    num_classes = pair.num_classes
+    log_temperature = pair.params[LOG_TEMPERATURE]
     n_batches = max(source.n, target.n) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
     ratio_rng = np.random.default_rng([cfg.seed, _RATIO_STREAM])
@@ -269,67 +280,70 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
 
     for epoch in range(1, cfg.epochs + 1):
         matching_open = epoch > cfg.warmup_epochs
+        with_bim = matching_open and cfg.loss_bim
+        with_cr = matching_open and cfg.loss_cr
         # per-epoch sums keyed by metrics.csv column: loss terms and
         # thresholds are averaged over the batches, gate counts are totals
-        ledger = dict.fromkeys(("fm_sd", "fm_td", "sp_sd", "sp_td", "bim_sd",
-                                "bim_td", "cr", "tau_sd", "tau_td"), 0.0)
+        ledger = dict.fromkeys(_LOSS_TERMS + ("tau_sd", "tau_td"), 0.0)
         ledger.update(n_above_sd=0, n_above_td=0)
 
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
             lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
-            lam_sd, lam_td = ratio_rule_sample(
+            lams = ratio_rule_sample(
                 cfg.ratio_rule, cfg.alpha, (cfg.lambda_sd, cfg.lambda_td), ratio_rng)
 
-            # one graph forward per model on the target batch, from the
-            # pre-update weights: its T = 1 probabilities give the gates and
+            # one stacked input: model k's rows are the target batch, then
+            # its mixup batch (the mixed features do not depend on the
+            # pseudo-labels, only the mixed labels do), then the half-half
+            # batch once consistency regularization is on
+            b = batch.xt.shape[0]
+            blocks = [(batch.xt, batch.xt)]
+            if cfg.loss_fm:
+                blocks.append(tuple(_blend(batch.xs, batch.xt, lam) for lam in lams))
+            if with_cr:
+                x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
+                blocks.append((x_half, x_half))
+            x = np.stack([np.concatenate(rows_k) for rows_k in zip(*blocks)])
+            t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(-b, None)
+
+            # one graph forward of both models from the pre-update weights:
+            # the T = 1 probabilities of the target rows give the gates and
             # pseudo-labels as data and are the student input of matching;
-            # its logits feed self-penalization
-            _, logits_sd = forward_logits(sdm, batch.xt)
-            _, logits_td = forward_logits(tdm, batch.xt)
-            q_sd = softmax_t(logits_sd, 1.0)
-            q_td = softmax_t(logits_td, 1.0)
-            probs_sd, probs_td = q_sd.data, q_td.data
-            if not np.isfinite(probs_sd).all():
-                raise NonFiniteLossError("target_probs_sd", epoch, it, float("nan"))
-            if not np.isfinite(probs_td).all():
-                raise NonFiniteLossError("target_probs_td", epoch, it, float("nan"))
-            stats_sd = adaptive_threshold(probs_sd.max(axis=1))
-            stats_td = adaptive_threshold(probs_td.max(axis=1))
+            # the target rows' logits feed self-penalization
+            _, logits = forward_logits(pair, x)
+            probs = softmax_t(logits, 1.0)
+            target_probs = probs.data[:, t_rows]
+            for k, m in enumerate(_MODELS):
+                if not np.isfinite(target_probs[k]).all():
+                    raise NonFiniteLossError(f"target_probs_{m}", epoch, it, float("nan"))
+            stats = [adaptive_threshold(p.max(axis=1)) for p in target_probs]
             if frozen is not None:
-                pl_sd = pl_td = pseudo_labels(frozen, batch.xt)[0]
+                labels = [pseudo_labels(frozen, batch.xt)[0]] * 2
             else:
-                pl_sd = np.argmax(probs_sd, axis=1)
-                pl_td = np.argmax(probs_td, axis=1)
+                labels = [np.argmax(p, axis=1) for p in target_probs]
 
-            ys_hot = one_hot(batch.ys, sdm.num_classes)
-
-            def model_terms(model, pl, lam, stats, logits):
-                fm = sp = None
+            ys_hot = one_hot(batch.ys, num_classes)
+            terms: dict[str, Tensor] = {}
+            for k, m in enumerate(_MODELS):
                 if cfg.loss_fm:
-                    mixed = mixup(batch.xs, ys_hot, batch.xt,
-                                  one_hot(pl, model.num_classes), lam)
-                    fm = loss_fm(forward(model, mixed.x_mix)[1], mixed.y_mix)
+                    y_mix = _blend(ys_hot, one_hot(labels[k], num_classes), lams[k])
+                    terms[f"fm_{m}"] = loss_fm(take(probs, (k, mix_rows)), y_mix)
                 if cfg.loss_sp:
-                    sp = loss_sp(logits, model.params[LOG_TEMPERATURE], stats.tau)
-                return fm, sp
-
-            fm_sd, sp_sd = model_terms(sdm, pl_sd, lam_sd, stats_sd, logits_sd)
-            fm_td, sp_td = model_terms(tdm, pl_td, lam_td, stats_td, logits_td)
-
-            bim_sd = bim_td = cr = None
-            if matching_open:
-                if cfg.loss_bim:
-                    bim_sd = loss_bim(probs_td, q_sd, stats_td.tau)
-                    bim_td = loss_bim(probs_sd, q_td, stats_sd.tau)
-                if cfg.loss_cr:
-                    x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
-                    cr = loss_cr(forward(sdm, x_half)[1], forward(tdm, x_half)[1])
+                    terms[f"sp_{m}"] = loss_sp(take(logits, (k, t_rows)),
+                                               take(log_temperature, k), stats[k].tau)
+                if with_bim:
+                    # the partner teaches, gated by its own threshold
+                    terms[f"bim_{m}"] = loss_bim(target_probs[1 - k],
+                                                 take(probs, (k, t_rows)),
+                                                 stats[1 - k].tau)
+            if with_cr:
+                terms["cr"] = loss_cr(take(probs, (0, half_rows)),
+                                      take(probs, (1, half_rows)))
 
             total = None
-            for name, term in (("fm_sd", fm_sd), ("fm_td", fm_td),
-                               ("sp_sd", sp_sd), ("sp_td", sp_td),
-                               ("bim_sd", bim_sd), ("bim_td", bim_td), ("cr", cr)):
+            for name in _LOSS_TERMS:
+                term = terms.get(name)
                 if term is not None:
                     value = term.item()
                     if not np.isfinite(value):
@@ -337,28 +351,23 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                     ledger[name] += value + 0.0  # + 0.0: -0.0 from empty gates
                     total = term if total is None else total + term
 
-            # the two models' parameters are disjoint and teacher
-            # probabilities are constants, so one walk over the summed
-            # objective gives each model exactly its own gradients
+            # the models' slices of the stacked parameters are disjoint and
+            # teacher probabilities are constants, so one walk gives each
+            # model exactly its own gradients
             if total is None:
-                grads_sd = {n: np.zeros_like(t.data) for n, t in sdm.params.items()}
-                grads_td = {n: np.zeros_like(t.data) for n, t in tdm.params.items()}
+                grads = {n: np.zeros_like(t.data) for n, t in pair.params.items()}
             else:
-                grads_sd, grads_td = backward(total, (sdm.params, tdm.params))
-            sgd_step(sdm.params, grads_sd, lr, cfg.momentum, cfg.weight_decay)
-            sgd_step(tdm.params, grads_td, lr, cfg.momentum, cfg.weight_decay)
+                grads = backward(total, pair.params)
+            sgd_step(pair.params, grads, lr, cfg.momentum, cfg.weight_decay)
             step += 1
 
-            ledger["tau_sd"] += stats_sd.tau
-            ledger["tau_td"] += stats_td.tau
-            ledger["n_above_sd"] += stats_sd.num_above
-            ledger["n_above_td"] += stats_td.num_above
-            state.threshold_trace.append(
-                (epoch, it, stats_sd.tau, stats_td.tau,
-                 stats_sd.num_above, stats_td.num_above))
+            for k, m in enumerate(_MODELS):
+                ledger[f"tau_{m}"] += stats[k].tau
+                ledger[f"n_above_{m}"] += stats[k].num_above
+            trace.append((epoch, it, stats[0].tau, stats[1].tau,
+                          stats[0].num_above, stats[1].num_above))
 
-        state.epoch = epoch
         nb = max(1, n_batches)
         logged = {k: v if k.startswith("n_above") else v / nb for k, v in ledger.items()}
         rows.append(MetricsRow(epoch=epoch, **logged,
-                               **_evaluate(sdm, tdm, source, target)))
+                               **_evaluate(pair, source, target)))

@@ -19,7 +19,8 @@ TARGET = "target"
 
 
 class CsvFormatError(ValueError):
-    """Malformed dataset CSV; the message carries the offending line number."""
+    """Malformed dataset CSV; the message names the file and the offending
+    line number."""
 
 
 @dataclass
@@ -189,25 +190,28 @@ def save_csv(ds: Dataset, path, with_eval_labels: bool = False) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Parse the interchange format; errors carry 1-based line numbers."""
+    """Parse the interchange format; errors start with ``path`` and carry
+    1-based line numbers (``<path>: line 3: ...``)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().split("\n")
     if raw and raw[-1] == "":
         raw.pop()
     if not raw:
-        raise CsvFormatError("line 1: empty file")
+        raise CsvFormatError(f"{path}: line 1: empty file")
     header = raw[0]
     parts = header.split()
     if (len(parts) != 3 or parts[0] != "#"
             or not parts[1].startswith("classes=") or not parts[2].startswith("dim=")):
-        raise CsvFormatError(f"line 1: expected '# classes=<K> dim=<d>', got {header!r}")
+        raise CsvFormatError(
+            f"{path}: line 1: expected '# classes=<K> dim=<d>', got {header!r}")
     try:
         num_classes = int(parts[1][len("classes="):])
         dim = int(parts[2][len("dim="):])
     except ValueError:
-        raise CsvFormatError(f"line 1: non-integer classes/dim in {header!r}") from None
+        raise CsvFormatError(
+            f"{path}: line 1: non-integer classes/dim in {header!r}") from None
     if num_classes < 1 or dim < 1:
-        raise CsvFormatError("line 1: classes and dim must be positive")
+        raise CsvFormatError(f"{path}: line 1: classes and dim must be positive")
 
     feats: list[list[float]] = []
     labels: list[int] = []
@@ -215,18 +219,19 @@ def load_csv(path) -> Dataset:
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise CsvFormatError(
-                f"line {lineno}: expected {dim + 1} fields, got {len(cells)}")
+                f"{path}: line {lineno}: expected {dim + 1} fields, got {len(cells)}")
         try:
             row = [float(c) for c in cells[:-1]]
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-numeric feature value") from None
+            raise CsvFormatError(f"{path}: line {lineno}: non-numeric feature value") from None
         try:
             label = int(cells[-1])
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-integer label {cells[-1]!r}") from None
+            raise CsvFormatError(
+                f"{path}: line {lineno}: non-integer label {cells[-1]!r}") from None
         if label < -1 or label >= num_classes:
             raise CsvFormatError(
-                f"line {lineno}: label {label} outside [-1, {num_classes})")
+                f"{path}: line {lineno}: label {label} outside [-1, {num_classes})")
         feats.append(row)
         labels.append(label)
 
@@ -234,7 +239,7 @@ def load_csv(path) -> Dataset:
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise CsvFormatError(
-            f"line {int(np.argmin(finite)) + 2}: non-finite feature value")
+            f"{path}: line {int(np.argmin(finite)) + 2}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
     tag = TARGET if labels_arr.size and (labels_arr == -1).all() else SOURCE
     return Dataset(features, labels_arr, num_classes, tag)

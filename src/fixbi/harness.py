@@ -1,6 +1,6 @@
 """Config-driven experiment runner: baseline pretrain, dual-model training,
-final evaluation, and all on-disk artifacts (metrics, thresholds, class-wise
-table, feature export, checkpoints, summary).
+final evaluation, and all on-disk artifacts (baseline and dual-phase
+metrics, thresholds, class-wise table, feature export, checkpoints, summary).
 
 Every run is reproducible from (config, seed): re-running a config writes
 byte-identical metrics.csv and checkpoints. Timing lives in summary.json only.
@@ -25,6 +25,7 @@ from .models import (DualState, ensemble_labels, predict_features, predict_probs
                      save_checkpoint)
 
 METRICS_VERSION = "v2"
+BASELINE_VERSION = "v1"
 UNDEFINED = "NA"  # class-wise accuracy marker for classes absent from the eval set
 
 
@@ -95,6 +96,19 @@ def load_metrics_csv(path) -> list[MetricsRow]:
                 kwargs[col] = float(cell)
         rows.append(MetricsRow(**kwargs))
     return rows
+
+
+# -- baseline.csv ------------------------------------------------------------
+
+def _write_baseline(history: list[MetricsRow], path: Path) -> None:
+    """baseline.csv: one versioned header line, then one row per completed
+    pretraining epoch (mean loss, source and target accuracy)."""
+    lines = [f"# {BASELINE_VERSION} epoch,loss,acc_src,acc_tgt"]
+    for row in history:
+        # baseline history rows carry the mean loss in fm_sd
+        lines.append(f"{row.epoch},{_fmt(row.fm_sd)},{_fmt(row.acc_src_sd)},"
+                     f"{_fmt(row.acc_tgt_sd)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- class-wise accuracy -----------------------------------------------------
@@ -261,11 +275,16 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     t0 = time.perf_counter()
 
     source, target = load_dataset_pair(cfg)
+    # each phase's completed epochs survive an abort, in that phase's file
     try:
         base = train_baseline(cfg, source, target)
+    except NonFiniteLossError as exc:
+        _write_baseline(exc.rows, out_dir / "baseline.csv")
+        raise
+    _write_baseline(base.history, out_dir / "baseline.csv")
+    try:
         dual, rows = train_fixbi(cfg, source, target, base.model)
     except NonFiniteLossError as exc:
-        # preserve whatever the aborted phase completed
         if exc.rows:
             emit_report(exc.rows, out_dir)
         raise
@@ -316,7 +335,7 @@ def run_experiment(config_path, out_dir, seed: int | None = None) -> int:
     try:
         result = execute(cfg, out_dir)
     except NonFiniteLossError as exc:
-        print(f"{tag}error: {exc} (partial metrics preserved in {out_dir})",
+        print(f"{tag}error: {exc} (partial results preserved in {out_dir})",
               file=sys.stderr)
         return 1
     except (ConfigError, CsvFormatError) as exc:

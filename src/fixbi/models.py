@@ -19,6 +19,7 @@ __all__ = [
     "init_model", "forward", "forward_logits", "grl",
     "predict_probs", "predict_features", "predict_labels", "accuracy",
     "ensemble_predict", "ensemble_labels", "clone_model",
+    "stack_models", "unstack_models",
     "init_discriminator", "discriminator_logits",
     "save_checkpoint", "load_checkpoint", "CKPT_MAGIC",
 ]
@@ -27,8 +28,8 @@ LOG_TEMPERATURE = "log_temperature"
 
 _INFER_ROWS = 64
 """Rows per block in graph-free inference. 64 rows is the stacked DANN
-batch, the largest product training already runs, and at the default widths
-a 64 x 64 @ 64 x 64 block stays on OpenBLAS's single-thread path
+batch, and at the default widths a 64 x 64 @ 64 x 64 block stays on
+OpenBLAS's single-thread path
 (M*N*K <= 262,144). A whole-set product past that limit wakes a second BLAS
 thread, which then spin-waits through the Python work that follows and
 doubles the CPU time billed for a desk run."""
@@ -89,10 +90,42 @@ def clone_model(model: ClassifierModel) -> ClassifierModel:
                            model.params.clone())
 
 
-def _check_input(model: ClassifierModel, x: Array) -> None:
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"expected input of shape [B x {model.input_dim}], got {x.shape}")
+def stack_models(models) -> ClassifierModel:
+    """One model holding the parameters of ``models`` (one architecture) on
+    a leading model axis: ``ext.w{i}`` becomes ``[K x in x out]``, every
+    other tensor ``[K x ...]`` of its per-model shape. The graph forward
+    takes a ``[K x B x in]`` input, one row block per model; inference takes
+    ``[B x in]`` rows and returns ``[K x B x ...]``."""
+    first = models[0]
+    params = ParamSet()
+    for name in first.params.names():
+        params.add(name, np.stack([m.params[name].data for m in models]))
+    return ClassifierModel(first.input_dim, first.widths, first.num_classes, params)
+
+
+def unstack_models(stacked: ClassifierModel) -> list[ClassifierModel]:
+    """The models of :func:`stack_models`, each a copy of its slice with
+    fresh optimizer state."""
+    out = []
+    for k in range(_model_axes(stacked)[0]):
+        params = ParamSet()
+        for name, t in stacked.params.items():
+            params.add(name, t.data[k].copy())
+        out.append(ClassifierModel(stacked.input_dim, stacked.widths,
+                                   stacked.num_classes, params))
+    return out
+
+
+def _model_axes(model: ClassifierModel) -> tuple[int, ...]:
+    """Leading model axes of the parameters: () for one model, (K,) for a
+    stack of K."""
+    return model.params["head.w"].data.shape[:-2]
+
+
+def _check_input(model: ClassifierModel, x: Array, lead: tuple[int, ...] = ()) -> None:
+    if x.shape[:-2] != lead or x.ndim != len(lead) + 2 or x.shape[-1] != model.input_dim:
+        want = " x ".join([*map(str, lead), "B", str(model.input_dim)])
+        raise ValueError(f"expected input of shape [{want}], got {x.shape}")
 
 
 def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
@@ -102,9 +135,12 @@ def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
 
 
 def extract_features(model: ClassifierModel, x) -> Tensor:
-    """Run the ReLU extractor stack; identity when there are no layers."""
+    """Run the ReLU extractor stack; identity when there are no layers.
+
+    A stacked model (see :func:`stack_models`) takes one row block per model
+    and runs every layer as one batched product."""
     h = as_tensor(x)
-    _check_input(model, h.data)
+    _check_input(model, h.data, _model_axes(model))
     for w, b in _layers(model):
         h = dense(h, w, b, relu=True)
     return h
@@ -132,16 +168,19 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
     of ``x`` in plain numpy, ``_INFER_ROWS`` rows at a time.
 
     The arithmetic is that of :func:`forward`, so the values equal its
-    output bit for bit. A lone last row joins the block before it, because
-    numpy sends a one-row product to gemv, which rounds differently from
-    the gemm a batch of rows gets.
+    output bit for bit. A stacked model runs every block through all its
+    models in one batched product and returns ``[K x n x ...]``. A lone
+    last row joins the block before it, because numpy sends a one-row
+    product to gemv, which rounds differently from the gemm a batch of rows
+    gets.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(model, x)
-    layers = [(w.data, b.data) for w, b in _layers(model)]
-    head = (model.params["head.w"].data, model.params["head.b"].data)
+    layers = [(w.data, b.data[..., None, :]) for w, b in _layers(model)]
+    head = (model.params["head.w"].data, model.params["head.b"].data[..., None, :])
     n = x.shape[0]
-    out = np.empty((n, model.num_classes if probs else model.feature_dim))
+    out = np.empty(_model_axes(model)
+                   + (n, model.num_classes if probs else model.feature_dim))
     lo = 0
     while lo < n:
         hi = lo + _INFER_ROWS
@@ -149,9 +188,14 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
             hi = n
         h = x[lo:hi]
         for w, b in layers:
-            h = h @ w + b
+            h = h @ w
+            h += b
             h = np.where(h > 0.0, h, 0.0)
-        out[lo:hi] = softmax(h @ head[0] + head[1]) if probs else h
+        if probs:
+            h = h @ head[0]
+            h += head[1]
+            h = softmax(h)
+        out[..., lo:hi, :] = h
         lo = hi
     return out
 
@@ -252,48 +296,70 @@ def save_checkpoint(model: ClassifierModel, path) -> None:
 
 
 def load_checkpoint(path) -> ClassifierModel:
+    """Read a checkpoint; every error is a ``ValueError`` that starts with
+    ``path`` and names the line or the tensor at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != CKPT_MAGIC:
-        raise ValueError(f"not a {CKPT_MAGIC} checkpoint: {path}")
+        raise ValueError(f"{path}: not a {CKPT_MAGIC} checkpoint")
 
     tensors: dict[str, Array] = {}
-    order: list[str] = []
     i = 1
     while i < len(lines):
         head = lines[i].split()
         if len(head) != 4 or head[0] != "name" or head[2] != "shape":
-            raise ValueError(f"bad tensor header at line {i + 1}: {lines[i]!r}")
+            raise ValueError(f"{path}: bad tensor header at line {i + 1}: {lines[i]!r}")
         name = head[1]
-        shape = tuple(int(s) for s in head[3].split(","))
         if i + 1 >= len(lines):
-            raise ValueError(f"missing values for tensor {name!r}")
-        values = np.array([float(v) for v in lines[i + 1].split()])
+            raise ValueError(f"{path}: missing values for tensor {name!r}")
+        try:
+            shape = tuple(int(s) for s in head[3].split(","))
+            values = np.array([float(v) for v in lines[i + 1].split()])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric shape or value for tensor "
+                             f"{name!r} at line {i + 1}") from None
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise ValueError(
-                f"tensor {name!r}: expected {expected} values, got {values.size}")
+                f"{path}: tensor {name!r}: expected {expected} values, got {values.size}")
         if name in tensors:
-            raise ValueError(f"duplicate tensor {name!r}")
+            raise ValueError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = values.reshape(shape)
-        order.append(name)
         i += 2
-
-    for required in ("head.w", "head.b", LOG_TEMPERATURE):
-        if required not in tensors:
-            raise ValueError(f"checkpoint missing tensor {required!r}")
 
     widths = []
     k = 0
     while f"ext.w{k}" in tensors:
-        widths.append(tensors[f"ext.w{k}"].shape[1])
+        widths.append(tensors[f"ext.w{k}"].shape[-1])
         k += 1
-    input_dim = tensors["ext.w0"].shape[0] if widths else tensors["head.w"].shape[0]
-    num_classes = tensors["head.w"].shape[1]
+    for required in [f"ext.b{j}" for j in range(k)] + ["head.w", "head.b", LOG_TEMPERATURE]:
+        if required not in tensors:
+            raise ValueError(f"{path}: checkpoint missing tensor {required!r}")
+
+    def expect(name: str, ok: bool, want: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, expected {want}")
+
+    # each layer's rows are the previous layer's width
+    width = None
+    for j in range(k):
+        w = tensors[f"ext.w{j}"]
+        expect(f"ext.w{j}", w.ndim == 2 and width in (None, w.shape[0]),
+               "an [in x out] matrix" if width is None else f"{width} rows")
+        width = w.shape[1]
+        expect(f"ext.b{j}", tensors[f"ext.b{j}"].shape == (width,), f"({width},)")
+    head_w = tensors["head.w"]
+    expect("head.w", head_w.ndim == 2 and width in (None, head_w.shape[0]),
+           "an [in x classes] matrix" if width is None else f"{width} rows")
+    num_classes = head_w.shape[1]
+    expect("head.b", tensors["head.b"].shape == (num_classes,), f"({num_classes},)")
+    expect(LOG_TEMPERATURE, tensors[LOG_TEMPERATURE].shape == (1,), "(1,)")
+    input_dim = tensors["ext.w0"].shape[0] if widths else head_w.shape[0]
 
     params = ParamSet()
-    for name in order:
-        params.add(name, tensors[name])
+    for name, values in tensors.items():
+        params.add(name, values)
     return ClassifierModel(input_dim, tuple(widths), num_classes, params)

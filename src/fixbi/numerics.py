@@ -192,22 +192,29 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b``, followed by ``max(., 0)`` when ``relu`` is set, as one
     graph node.
 
-    The forward pass and the VJPs run the same numpy operations as the
-    composed ``affine(x, w, b)`` (and ``.relu()``), so values and gradients
-    are bit-identical to it.
+    ``x`` is ``[..., B, in]``, ``w`` ``[..., in, out]`` and ``b``
+    ``[..., out]``, with the same leading axes on all three: a stack of
+    layers, one per leading index, runs as one batched product in which the
+    rows of ``x[k]`` meet only ``w[k]`` and ``b[k]``. For a 2-D ``x`` the
+    forward pass and the VJPs run the same numpy operations as the composed
+    ``affine(x, w, b)`` (and ``.relu()``), so values and gradients are
+    bit-identical to it.
     """
     x = as_tensor(x)
-    xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2:
-        raise ShapeError("dense expects a 2-D input and a 2-D weight")
-    if xd.shape[1] != wd.shape[0]:
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or xd.ndim != wd.ndim or xd.shape[:-2] != wd.shape[:-2]:
+        raise ShapeError(f"dense needs [..., B, in] @ [..., in, out] with the same "
+                         f"leading axes, got {xd.shape} @ {wd.shape}")
+    if xd.shape[-1] != wd.shape[-2]:
         raise ShapeError(f"dense inner dims differ: {xd.shape} @ {wd.shape}")
-    out = xd @ wd + b.data
+    if bd.shape != wd.shape[:-2] + wd.shape[-1:]:
+        raise ShapeError(f"dense bias {bd.shape} does not fit weight {wd.shape}")
+    out = xd @ wd
+    out += bd[..., None, :]
     mask = None
     if relu:
         mask = out > 0.0
         out = np.where(mask, out, 0.0)
-    b_shape = b.data.shape
     # backward hands each VJP of a node the same upstream array, so the
     # three VJPs share one masked gradient
     seen: list = [None, None]
@@ -218,10 +225,27 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         return seen[1]
 
     return Tensor._make(out, [
-        (x, lambda g: masked(g) @ wd.T),
-        (w, lambda g: xd.T @ masked(g)),
-        (b, lambda g: _unbroadcast(masked(g), b_shape)),
+        (x, lambda g: masked(g) @ wd.swapaxes(-1, -2)),
+        (w, lambda g: xd.swapaxes(-1, -2) @ masked(g)),
+        (b, lambda g: masked(g).sum(axis=-2)),
     ])
+
+
+def take(x: Tensor, index) -> Tensor:
+    """``x[index]`` for a basic index (integers and slices) as one graph
+    node; its VJP writes the upstream gradient into zeros of ``x``'s shape.
+
+    This is how one model's rows of a stacked forward reach a per-model loss.
+    """
+    x = as_tensor(x)
+    xd = x.data
+
+    def vjp(g: Array) -> Array:
+        out = np.zeros(xd.shape)
+        out[index] = g
+        return out
+
+    return Tensor._make(xd[index], [(x, vjp)])
 
 
 def log_loss(probs: Tensor, weights, n: int) -> Tensor:
@@ -241,8 +265,7 @@ def log_loss(probs: Tensor, weights, n: int) -> Tensor:
     clamped = np.maximum(pd, LOG_CLAMP)
     total = np.asarray((weights * np.log(clamped)).sum() * scale)
     return Tensor._make(total, [
-        (probs, lambda g: ((np.broadcast_to(g * scale, pd.shape) * weights)
-                           / clamped) * mask),
+        (probs, lambda g: (((g * scale) * weights) / clamped) * mask),
     ])
 
 
@@ -253,21 +276,22 @@ def squared_l2(x: Tensor) -> Tensor:
 
 
 def softmax(z: Array, t: float = 1.0) -> Array:
-    """Row softmax of the plain array ``z / t`` with max-subtraction; the
-    values :func:`softmax_t` puts in its output node."""
-    zc = z - z.max(axis=1, keepdims=True)
+    """Softmax over the last axis of the plain array ``z / t`` with
+    max-subtraction; the values :func:`softmax_t` puts in its output node."""
+    zc = z - z.max(axis=-1, keepdims=True)
     e = np.exp(zc / t)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_t(logits, temperature=1.0) -> Tensor:
     """Row softmax of ``logits / T`` with max-subtraction stabilization.
 
-    ``temperature`` may be a positive float or a scalar Tensor (shape () or
-    (1,)), in which case gradients also flow into it.
+    ``logits`` is ``[B x C]`` or a stack ``[..., B, C]`` of such blocks, one
+    per model. ``temperature`` may be a positive float or a scalar Tensor
+    (shape () or (1,)), in which case gradients also flow into it.
     """
     z = as_tensor(logits)
-    if z.data.ndim != 2 or z.data.shape[1] < 2:
+    if z.data.ndim < 2 or z.data.shape[-1] < 2:
         raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
     t_node = temperature if isinstance(temperature, Tensor) else None
     if t_node is not None:
@@ -285,15 +309,15 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
     vjps = []
 
     def vjp_logits(g: Array) -> Array:
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - inner) / t
 
     vjps.append((z, vjp_logits))
     if t_node is not None:
         def vjp_temperature(g: Array) -> Array:
             # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
-            zc = zd - zd.max(axis=1, keepdims=True)
-            m = (y * zc).sum(axis=1, keepdims=True)
+            zc = zd - zd.max(axis=-1, keepdims=True)
+            m = (y * zc).sum(axis=-1, keepdims=True)
             val = -(g * y * (zc - m)).sum() / (t * t)
             return np.full(t_node.data.shape, val)
 

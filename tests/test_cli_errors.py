@@ -116,3 +116,40 @@ def test_eval_with_class_count_mismatch(tmp_path, capsys):
     assert cli_main(["eval", a, str(csv), "--ensemble-with", b]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "a.ckpt" in err and "b.ckpt" in err
+
+
+def test_eval_with_dataset_class_count_mismatch(tmp_path, capsys):
+    ckpt = _checkpoint(tmp_path / "a.ckpt", 1, 3)
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n")
+    assert cli_main(["eval", ckpt, str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a.ckpt" in err and "d.csv" in err
+
+
+def test_eval_with_broken_layer_chain(tmp_path, capsys):
+    # ext.w1 has 4 rows after a 5-wide first layer
+    model = init_model(1, (5, 3), 2, seed=0)
+    model.params["ext.w1"].data = model.params["ext.w1"].data[:4]
+    ckpt = tmp_path / "a.ckpt"
+    save_checkpoint(model, ckpt)
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n")
+    assert cli_main(["eval", str(ckpt), str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a.ckpt" in err and "'ext.w1'" in err
+
+
+def test_run_names_the_bad_target_csv(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    src.write_text("# classes=2 dim=2\n1.0,2.0,0\n0.5,1.0,1\n")
+    tgt = tmp_path / "tgt.csv"
+    tgt.write_text("# classes=2 dim=2\n1.0,2.0,0\nnan,1.0,1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {src}\n"
+                   f"dataset.target = {tgt}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    assert run_experiment(cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{tgt}: line 3" in err and str(src) not in err

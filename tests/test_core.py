@@ -10,11 +10,13 @@ import pytest
 
 from fixbi.config import DatasetSpec, TrainConfig
 from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
-                        loss_fm, mixup, pseudo_labels, ratio_rule_sample,
-                        train_fixbi)
-from fixbi.data import Dataset, one_hot
-from fixbi.models import ClassifierModel, clone_model, init_model
-from fixbi.numerics import ParamSet, backward
+                        loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
+                        ratio_rule_sample, train_fixbi)
+from fixbi.data import Dataset, one_hot, paired_minibatches
+from fixbi.models import (ClassifierModel, clone_model, forward_logits,
+                          init_model)
+from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
+                            softmax_t)
 from helpers import (check_grads, cr_of, manual_model, probs_of, random_batch,
                      random_model, safe_tau, sp_of)
 
@@ -415,7 +417,8 @@ class TestTrainFixbi:
 
 
 class TestLoopShape:
-    """One reverse walk and the minimum of MLP forwards per iteration."""
+    """One stacked graph forward, one reverse walk and one SGD step per
+    iteration for both models."""
 
     @staticmethod
     def _per_iteration_counts(monkeypatch, cfg):
@@ -423,8 +426,9 @@ class TestLoopShape:
         import fixbi.models as models
 
         events: list[tuple] = []
-        batches, walk, extract, infer = (core.paired_minibatches, core.backward,
-                                         models.extract_features, core.predict_probs)
+        batches, walk, step, extract, infer = (
+            core.paired_minibatches, core.backward, core.sgd_step,
+            models.extract_features, core.predict_probs)
 
         def counted_batches(*args):
             for batch in batches(*args):
@@ -434,6 +438,10 @@ class TestLoopShape:
         def counted_walk(loss, params):
             events.append(("walk",))
             return walk(loss, params)
+
+        def counted_step(*args, **kwargs):
+            events.append(("step",))
+            return step(*args, **kwargs)
 
         def counted_extract(model, x):
             events.append(("fwd",))
@@ -445,35 +453,114 @@ class TestLoopShape:
 
         monkeypatch.setattr(core, "paired_minibatches", counted_batches)
         monkeypatch.setattr(core, "backward", counted_walk)
+        monkeypatch.setattr(core, "sgd_step", counted_step)
         monkeypatch.setattr(models, "extract_features", counted_extract)
         monkeypatch.setattr(core, "predict_probs", counted_infer)
         source, target = tiny_pair()
         init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
         train_fixbi(cfg, source, target, init)
 
-        # (epoch, walks, graph forwards, graph-free forwards) up to the walk,
-        # per iteration; forwards after the walk are the end-of-epoch
-        # evaluation
+        # (epoch, walks, steps, graph forwards, graph-free forwards) per
+        # iteration, forwards counted up to the walk; forwards after the
+        # walk are the end-of-epoch evaluation
         out = []
         for e in events:
             if e[0] == "iter":
-                out.append([e[1], 0, 0, 0])
+                out.append([e[1], 0, 0, 0, 0])
             elif out and e[0] == "walk":
                 out[-1][1] += 1
+            elif out and e[0] == "step":
+                out[-1][2] += 1
             elif out and out[-1][1] == 0:
-                out[-1][2 if e[0] == "fwd" else 3] += 1
+                out[-1][3 if e[0] == "fwd" else 4] += 1
         return out
 
     @pytest.mark.parametrize("pseudo,extra", [("live", 0), ("frozen-baseline", 1)])
-    def test_one_walk_and_four_or_six_forwards(self, monkeypatch, pseudo, extra):
-        # the frozen teacher's pseudo-labels cost one graph-free forward
+    def test_one_forward_one_walk_one_step(self, monkeypatch, pseudo, extra):
+        # both models run in one stacked forward in warm-up and matching
+        # alike; the frozen teacher's pseudo-labels cost one graph-free
+        # forward
         cfg = tiny_config(pseudo_label_source=pseudo)
         counts = self._per_iteration_counts(monkeypatch, cfg)
         assert len(counts) == cfg.epochs * (16 // cfg.batch_size)
-        for epoch, walks, forwards, inferred in counts:
-            assert walks == 1
-            want = 4 if epoch <= cfg.warmup_epochs else 6
-            assert (forwards, inferred) == (want, extra), epoch
+        for epoch, walks, steps, forwards, inferred in counts:
+            assert (walks, steps, forwards, inferred) == (1, 1, 1, extra), epoch
+
+
+class TestStackedMatchesTwoModels:
+    """The stacked loop against the two-model composition of the public
+    losses: a separate forward per model and input, one walk over both
+    parameter sets and one SGD step per model."""
+
+    @staticmethod
+    def _two_model_run(cfg, source, target, init):
+        sdm, tdm = clone_model(init), clone_model(init)
+        n_batches = source.n // cfg.batch_size
+        total_steps = cfg.epochs * n_batches
+        step, losses = 0, []
+        for epoch in range(1, cfg.epochs + 1):
+            matching = epoch > cfg.warmup_epochs
+            for batch in paired_minibatches(source, target, cfg.batch_size,
+                                            epoch, cfg.seed):
+                lr = lr_schedule(cfg.lr0, step / total_steps)
+                ys_hot = one_hot(batch.ys, init.num_classes)
+                logits = {m: forward_logits(model, batch.xt)[1]
+                          for m, model in (("sd", sdm), ("td", tdm))}
+                q = {m: softmax_t(z, 1.0) for m, z in logits.items()}
+                tau = {m: adaptive_threshold(p.data.max(axis=1)).tau
+                       for m, p in q.items()}
+                terms = {}
+                for m, model, lam in (("sd", sdm, cfg.lambda_sd),
+                                      ("td", tdm, cfg.lambda_td)):
+                    pl = one_hot(np.argmax(q[m].data, axis=1), init.num_classes)
+                    mixed = mixup(batch.xs, ys_hot, batch.xt, pl, lam)
+                    probs = softmax_t(forward_logits(model, mixed.x_mix)[1], 1.0)
+                    terms[f"fm_{m}"] = loss_fm(probs, mixed.y_mix)
+                    terms[f"sp_{m}"] = loss_sp(logits[m],
+                                               model.params["log_temperature"], tau[m])
+                if matching:
+                    terms["bim_sd"] = loss_bim(q["td"].data, q["sd"], tau["td"])
+                    terms["bim_td"] = loss_bim(q["sd"].data, q["td"], tau["sd"])
+                    x_half = 0.5 * batch.xs + 0.5 * batch.xt
+                    terms["cr"] = loss_cr(
+                        softmax_t(forward_logits(sdm, x_half)[1], 1.0),
+                        softmax_t(forward_logits(tdm, x_half)[1], 1.0))
+                losses.append({name: t.item() for name, t in terms.items()})
+                total = None
+                for t in terms.values():
+                    total = t if total is None else total + t
+                g_sd, g_td = backward(total, (sdm.params, tdm.params))
+                sgd_step(sdm.params, g_sd, lr, cfg.momentum, cfg.weight_decay)
+                sgd_step(tdm.params, g_td, lr, cfg.momentum, cfg.weight_decay)
+                step += 1
+        return sdm, tdm, losses
+
+    def test_weights_and_losses_agree_to_1e_12(self):
+        # two target points near the origin sit below the confidence gate,
+        # so self-penalization runs in every iteration; two warm-up epochs,
+        # then two matching epochs between diverged models
+        rng = np.random.default_rng(5)
+        xt = rng.normal(size=(16, 3)) * 3.0
+        xt[:2] *= 0.01
+        source = Dataset(rng.normal(size=(16, 3)), rng.integers(0, 3, size=16), 3,
+                         "source")
+        target = Dataset(xt, np.full(16, -1), 3, "target",
+                         hidden_labels=rng.integers(0, 3, size=16))
+        init = random_model(rng, 3, (6, 5), 3)
+        cfg = tiny_config(arch=(6, 5), batch_size=16, epochs=4, warmup_epochs=2,
+                          dataset=DatasetSpec(kind="blobs", num_classes=3,
+                                              per_class=8))
+        state, rows = train_fixbi(cfg, source, target, init)
+        sdm, tdm, losses = self._two_model_run(cfg, source, target, init)
+        for got, want in ((state.sdm, sdm), (state.tdm, tdm)):
+            for name, t in want.params.items():
+                assert np.abs(got.params[name].data - t.data).max() < 1e-12, name
+        # one iteration per epoch: each row holds that iteration's losses
+        for row, want in zip(rows, losses, strict=True):
+            assert row.sp_sd > 0.0 and row.sp_td > 0.0
+            assert (row.cr > 0.0) == (row.epoch > cfg.warmup_epochs)
+            for name, value in want.items():
+                assert abs(getattr(row, name) - value) < 1e-12, (row.epoch, name)
 
 
 class TestExactOracleIteration:

@@ -161,6 +161,17 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "classes=2 dim=2\n",
+                                      "# classes=2 dim=2\n1.0,0\n",
+                                      "# classes=2 dim=1\nnan,0\n"],
+                             ids=["empty", "header", "ragged", "non-finite"])
+    def test_errors_start_with_the_path(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"{path}: line ")
+
     def test_as_target_view_quarantines_labels(self, tmp_path):
         path = tmp_path / "t.csv"
         source, _ = gen_blobs_shift(2, 5, 2, seed=0)

@@ -11,7 +11,8 @@ import pytest
 
 from fixbi.cli import main as cli_main
 from fixbi.config import (ConfigError, DatasetSpec, MetricsRow, TrainConfig,
-                          parse_config, serialize_config, validate_config)
+                          load_config, parse_config, serialize_config,
+                          validate_config)
 from fixbi.harness import (classwise_accuracy, emit_report, execute,
                            load_metrics_csv, rank_class_gaps, run_experiment)
 from fixbi.models import load_checkpoint
@@ -198,6 +199,33 @@ class TestRunExperiment:
         assert "non-finite" in capsys.readouterr().err
         rows = load_metrics_csv(out / "metrics.csv")
         assert len(rows) >= 1  # completed epochs survived the abort
+
+    def test_baseline_csv_has_one_row_per_pretraining_epoch(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text())
+        out = tmp_path / "out"
+        result = execute(load_config(cfg_path), out)
+        lines = (out / "baseline.csv").read_text().split("\n")
+        assert lines[0] == "# v1 epoch,loss,acc_src,acc_tgt" and lines[-1] == ""
+        assert len(lines) == 2 + result.config.baseline_epochs
+        last = lines[-2].split(",")
+        assert int(last[0]) == result.config.baseline_epochs
+        assert float(last[2]) == result.baseline.source_acc
+        assert float(last[3]) == result.summary["baseline_target_acc"]
+
+    def test_baseline_abort_leaves_baseline_csv_and_no_metrics(self, tmp_path, capsys):
+        cfg_path = tmp_path / "explode.cfg"
+        cfg_path.write_text(small_config_text(lr0=1e10, baseline_epochs=6))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_experiment(cfg_path, out) == 1
+        err = capsys.readouterr().err
+        assert "non-finite loss dann" in err and "at epoch 3 " in err
+        assert not (out / "metrics.csv").exists()
+        lines = (out / "baseline.csv").read_text().split("\n")
+        assert lines[0] == "# v1 epoch,loss,acc_src,acc_tgt" and lines[-1] == ""
+        # the two epochs completed before the abort
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["1", "2"]
 
     def test_threshold_chart_emitted(self, tmp_path):
         cfg = parse_config(small_config_text())

@@ -7,7 +7,8 @@ import pytest
 from fixbi.models import (clone_model, ensemble_predict, extract_features,
                           forward, forward_logits, init_discriminator,
                           init_model, load_checkpoint, predict_features,
-                          predict_labels, predict_probs, save_checkpoint)
+                          predict_labels, predict_probs, save_checkpoint,
+                          stack_models, unstack_models)
 from fixbi.numerics import softmax_t
 from helpers import manual_model, random_model
 
@@ -114,6 +115,60 @@ class TestGraphFreeInference:
             assert str(plain.value) == str(graph.value)
 
 
+class TestStackedModels:
+    """A stacked pair runs as its two models do, value for value."""
+
+    @staticmethod
+    def _pair(seed):
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, input_dim=2, widths=(64, 64, 32))
+                  for _ in range(2)]
+        return rng, models, stack_models(models)
+
+    def test_layout_and_round_trip(self, tmp_path):
+        _, models, pair = self._pair(40)
+        shapes = {name: t.data.shape for name, t in pair.params.items()}
+        assert shapes["ext.w0"] == (2, 2, 64) and shapes["ext.b0"] == (2, 64)
+        assert shapes["head.w"] == (2, 32, 3) and shapes["head.b"] == (2, 3)
+        assert shapes["log_temperature"] == (2, 1)
+        for model, back in zip(models, unstack_models(pair)):
+            assert back.params.names() == model.params.names()
+            assert back.params.value_bytes() == model.params.value_bytes()
+            # an unstacked model saves and loads as any other
+            save_checkpoint(back, tmp_path / "m.ckpt")
+            again = load_checkpoint(tmp_path / "m.ckpt")
+            assert again.params.value_bytes() == model.params.value_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 300])
+    def test_inference_equals_each_model_bit_for_bit(self, rows):
+        rng, models, pair = self._pair(rows)
+        x = rng.normal(size=(rows, 2))
+        probs, feats = predict_probs(pair, x), predict_features(pair, x)
+        assert probs.shape == (2, rows, 3) and feats.shape == (2, rows, 32)
+        for k, model in enumerate(models):
+            assert probs[k].tobytes() == predict_probs(model, x).tobytes()
+            assert feats[k].tobytes() == predict_features(model, x).tobytes()
+
+    def test_graph_forward_equals_each_model_bit_for_bit(self):
+        # model k's 96 rows are three 32-row blocks, as in a matching
+        # iteration; each block equals that model's own 32-row forward
+        rng, models, pair = self._pair(41)
+        x = rng.normal(size=(2, 96, 2))
+        feats, logits = forward_logits(pair, x)
+        assert logits.data.shape == (2, 96, 3)
+        for k, model in enumerate(models):
+            for lo in (0, 32, 64):
+                f, z = forward_logits(model, x[k, lo:lo + 32])
+                assert feats.data[k, lo:lo + 32].tobytes() == f.data.tobytes()
+                assert logits.data[k, lo:lo + 32].tobytes() == z.data.tobytes()
+
+    def test_input_needs_one_row_block_per_model(self):
+        _, _, pair = self._pair(42)
+        for shape in ((5, 2), (3, 5, 2), (2, 5, 3)):
+            with pytest.raises(ValueError, match=r"\[2 x B x 2\]"):
+                forward_logits(pair, np.zeros(shape))
+
+
 class TestEnsemblePredict:
     def test_identical_models_match_single(self):
         model = init_model(2, (4,), 3, seed=6)
@@ -208,6 +263,32 @@ class TestCheckpoint:
         assert back.widths == ()
         assert back.input_dim == 2
         assert np.array_equal(back.params["head.b"].data, model.params["head.b"].data)
+
+
+    @pytest.mark.parametrize("name,shape", [
+        ("ext.w1", (4, 3)),           # rows differ from the 5-wide layer before
+        ("ext.b0", (4,)),             # bias shorter than its layer
+        ("head.w", (4, 2)),           # rows differ from the feature dim
+        ("head.b", (3,)),             # length differs from the class count
+        ("log_temperature", (2,)),
+    ])
+    def test_broken_shape_chain_names_the_tensor(self, tmp_path, name, shape):
+        model = init_model(2, (5, 3), 2, seed=15)
+        model.params[name].data = np.zeros(shape)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=f"'{name}' has shape") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(str(path))
+
+    def test_missing_bias_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(2, (5, 3), 2, seed=16), path)
+        lines = path.read_text().split("\n")
+        i = lines.index("name ext.b1 shape 3")
+        path.write_text("\n".join(lines[:i] + lines[i + 2:]))
+        with pytest.raises(ValueError, match="missing tensor 'ext.b1'"):
+            load_checkpoint(path)
 
 
 class TestExtractFeatures:

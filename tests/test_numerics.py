@@ -8,7 +8,7 @@ import pytest
 
 from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, affine,
                             as_tensor, backward, dense, grl, log_loss,
-                            lr_schedule, sgd_step, softmax_t, squared_l2)
+                            lr_schedule, sgd_step, softmax_t, squared_l2, take)
 from helpers import check_grads, finite_diff_grads, max_rel_error
 
 
@@ -219,6 +219,117 @@ class TestDense:
     def test_inner_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             dense(np.ones((2, 3)), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
+def _model_slice(params: ParamSet, k: int) -> ParamSet:
+    """Model ``k``'s slice of every stacked parameter, as its own set."""
+    out = ParamSet()
+    for name, t in params.items():
+        out.add(name, t.data[k])
+    return out
+
+
+class TestStackedDense:
+    """dense with a leading model axis against one 2-D call per model."""
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        params.add("x", rng.normal(size=(2, 6, 4)))
+        params.add("w", rng.normal(size=(2, 4, 5)))
+        params.add("b", rng.normal(size=(2, 5)))
+        upstream = rng.normal(size=(2, 6, 5))
+        return params, upstream
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_slices_bit_identical_to_2d_calls(self, relu):
+        params, upstream = self._stack(31)
+        stacked = dense(params["x"], params["w"], params["b"], relu=relu)
+        grads = backward((stacked * upstream).sum(), params)
+        for k in range(2):
+            single = _model_slice(params, k)
+            out = dense(single["x"], single["w"], single["b"], relu=relu)
+            assert stacked.data[k].tobytes() == out.data.tobytes()
+            want = backward((out * upstream[k]).sum(), single)
+            for name in want:
+                assert grads[name][k].tobytes() == want[name].tobytes(), (k, name)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients_match_finite_differences(self, relu):
+        params, upstream = self._stack(32)
+        check_grads(lambda: (dense(params["x"], params["w"], params["b"],
+                                   relu=relu) * upstream).sum(), params)
+
+    @pytest.mark.parametrize("x,w,b", [
+        ((2, 3, 4), (3, 4, 2), (3, 2)),   # leading axes differ
+        ((3, 4), (2, 4, 2), (2, 2)),      # 2-D input, stacked weight
+        ((2, 3, 4), (2, 4, 2), (2,)),     # bias without the model axis
+    ])
+    def test_mismatched_stacks_rejected(self, x, w, b):
+        with pytest.raises(ShapeError):
+            dense(np.ones(x), Tensor(np.ones(w)), Tensor(np.ones(b)))
+
+
+class TestTake:
+    def test_value_and_scattered_gradient(self):
+        rng = np.random.default_rng(33)
+        params = ParamSet()
+        z = params.add("z", rng.normal(size=(2, 5, 3)))
+        upstream = rng.normal(size=(2, 3))
+        part = take(z, (1, slice(1, 3)))
+        assert part.data.tobytes() == z.data[1, 1:3].tobytes()
+        want = np.zeros((2, 5, 3))
+        want[1, 1:3] = upstream
+        assert np.array_equal(backward((part * upstream).sum(), params)["z"], want)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(34)
+        params = ParamSet()
+        z = params.add("z", rng.normal(size=(2, 5, 3)))
+        up_a, up_b = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
+        # overlapping slices: their gradients add up in the parent
+        check_grads(lambda: (take(z, (0, slice(0, 2))) * up_a).sum()
+                    + (take(z, 0) * up_b).sum(), params)
+
+
+class TestStackedSoftmaxT:
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        params.add("z", rng.normal(0.0, 2.0, size=(2, 5, 3)))
+        params.add("log_t", np.array([[0.3], [-0.4]]))
+        return params, rng.normal(size=(2, 5, 3))
+
+    def test_slices_bit_identical_to_2d_calls(self):
+        params, upstream = self._stack(35)
+        stacked = softmax_t(params["z"], 1.0)
+        grads = backward((stacked * upstream).sum(), params)
+        for k in range(2):
+            single = _model_slice(params, k)
+            out = softmax_t(single["z"], 1.0)
+            assert stacked.data[k].tobytes() == out.data.tobytes()
+            want = backward((out * upstream[k]).sum(), single)
+            assert grads["z"][k].tobytes() == want["z"].tobytes()
+
+    def test_per_model_temperature_gradients_match_finite_differences(self):
+        # each model's rows meet that model's own temperature, taken from a
+        # stacked [2 x 1] log-temperature, as self-penalization receives it
+        params, upstream = self._stack(36)
+
+        def term(k):
+            y = softmax_t(take(params["z"], k), take(params["log_t"], k).exp())
+            return (y * upstream[k]).sum()
+
+        check_grads(lambda: term(0) + term(1), params)
+        # and each temperature's gradient comes from its own model's rows only
+        grads = backward(term(0) + term(1), params)
+        for k in range(2):
+            single = _model_slice(params, k)
+            y = softmax_t(single["z"], single["log_t"].exp())
+            want = backward((y * upstream[k]).sum(), single)
+            assert grads["log_t"][k].tobytes() == want["log_t"].tobytes()
 
 
 class TestLogLoss:
