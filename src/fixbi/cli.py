@@ -12,11 +12,16 @@ from .models import accuracy, ensemble_predict, load_checkpoint, predict_labels
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """'1..5' or '0,3,7' -> explicit seed list."""
+    """'1..5' or '0,3,7' -> explicit seed list; ``ValueError`` unless it
+    names at least one seed and every seed is non-negative."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in spec.split(",") if s]
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"no seeds or a negative seed in {spec!r}")
+    return seeds
 
 
 def _cmd_run(args) -> int:
@@ -29,8 +34,8 @@ def _cmd_run(args) -> int:
         return 2
     # every seed runs, each with run_experiment's exit-status mapping; the
     # sweep exits with the worst status
-    return max((run_experiment(args.config, Path(args.out_dir) / f"seed_{seed}", seed)
-                for seed in seeds), default=0)
+    return max(run_experiment(args.config, Path(args.out_dir) / f"seed_{seed}", seed)
+               for seed in seeds)
 
 
 def _eval_error(args, model, second, ds) -> str | None:

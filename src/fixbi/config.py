@@ -2,6 +2,7 @@
 records shared by the trainers and the harness."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 RATIO_RULES = ("fixed", "random", "range")
@@ -152,9 +153,12 @@ def _parse_int(value: str, key: str) -> int:
 
 def _parse_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return out
 
 
 def _parse_int_tuple(value: str, key: str) -> tuple[int, ...]:

@@ -124,73 +124,113 @@ class ThresholdStats:
     num_below: int     # the rest (confidence <= tau)
 
 
-def adaptive_threshold(confidences) -> ThresholdStats:
-    """Threshold ``mean - 2 * population std``, clamped to [0, 1]."""
-    conf = np.asarray(confidences, dtype=np.float64).reshape(-1)
-    if conf.size == 0:
+class ThresholdStack(tuple):
+    """The :class:`ThresholdStats` of each row of a ``[K x B]`` confidence
+    stack, one row per model. ``tau`` gathers the row thresholds in an
+    array; ``num_above`` and ``num_below`` count over the whole stack, as
+    they count over the one batch of a :class:`ThresholdStats`."""
+
+    @property
+    def tau(self) -> Array:
+        return np.array([s.tau for s in self])
+
+    @property
+    def num_above(self) -> int:
+        return sum(s.num_above for s in self)
+
+    @property
+    def num_below(self) -> int:
+        return sum(s.num_below for s in self)
+
+
+def adaptive_threshold(confidences) -> ThresholdStats | ThresholdStack:
+    """Threshold ``mean - 2 * population std``, clamped to [0, 1].
+
+    A ``[K x B]`` stack of confidences, one row per model, gives a
+    :class:`ThresholdStack` whose row k equals the call on row k alone; any
+    other shape is one batch. Every row must be non-empty and in [0, 1].
+    """
+    conf = np.asarray(confidences, dtype=np.float64)
+    stacked = conf.ndim == 2
+    rows = conf if stacked else conf.reshape(1, -1)
+    if rows.size == 0:
         raise ValueError("adaptive_threshold needs a non-empty confidence batch")
-    lo, hi = conf.min(), conf.max()  # NaN propagates into both
-    if not (0.0 <= lo and hi <= 1.0):
+    lo, hi = rows.min(axis=1), rows.max(axis=1)  # NaN propagates into both
+    if not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    if lo == hi:
-        # constant batch: the statistics are exact; summing would otherwise
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1)  # population (divide by B)
+    const = lo == hi
+    if const.any():
+        # a constant row's statistics are exact; summing would otherwise
         # put tau an ulp below the value and break the strict gate counts
-        mean, std = float(conf[0]), 0.0
-    else:
-        mean = float(conf.mean())
-        std = float(conf.std())  # population (divide by B)
-    tau = min(1.0, max(0.0, mean - 2.0 * std))
-    num_above = int((conf > tau).sum())
-    return ThresholdStats(tau, mean, std, num_above, conf.size - num_above)
+        mean[const], std[const] = lo[const], 0.0
+    tau = np.minimum(1.0, np.maximum(0.0, mean - 2.0 * std))
+    above = (rows > tau[:, None]).sum(axis=1)
+    b = rows.shape[1]
+    out = [ThresholdStats(t, m, sd, a, b - a) for t, m, sd, a in
+           zip(tau.tolist(), mean.tolist(), std.tolist(), above.tolist())]
+    return ThresholdStack(out) if stacked else out[0]
+
+
+def _check_tau(tau) -> Array:
+    tau = np.asarray(tau, dtype=np.float64)
+    if not (tau.min() >= 0.0 and tau.max() <= 1.0):  # NaN fails both
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    return tau
+
+
+def _top1_mask(probs: Array, selected: Array) -> Array:
+    """One-hot rows at each row's argmax where ``selected``, zero rows
+    elsewhere."""
+    labels = np.argmax(probs, axis=-1)
+    hot = labels[..., None] == np.arange(probs.shape[-1])
+    return (hot & selected[..., None]).astype(np.float64)
 
 
 def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     """Cross-entropy of a model's T = 1 probabilities on a mixed batch
     against the mixed labels (rows on the simplex, as :func:`mixup` builds
-    them), averaged over the batch."""
-    return log_loss(probs, y_mix, probs.data.shape[0])
+    them), averaged over the batch.
+
+    A ``[K x B x C]`` stack of models gives one loss per model, each
+    bit-identical to the 2-D call on its slice; so do :func:`loss_bim` and
+    :func:`loss_sp`.
+    """
+    return log_loss(probs, y_mix, probs.data.shape[-2])
 
 
-def loss_bim(teacher_probs: Array, student_probs: Tensor, tau: float) -> Tensor:
+def loss_bim(teacher_probs: Array, student_probs: Tensor, tau) -> Tensor:
     """Teach the student the teacher's confident argmax labels.
 
     Both arguments are T = 1 probabilities on the same target batch.
     Samples whose teacher confidence is not strictly above ``tau``
     contribute zero. Teacher probabilities are plain arrays, so no gradient
-    reaches the teacher.
+    reaches the teacher. A stack of students takes a stack of teachers and
+    one ``tau`` per teacher.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    tau = _check_tau(tau)
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
-    b, c = teacher_probs.shape
-    conf = teacher_probs.max(axis=1)
-    labels = np.argmax(teacher_probs, axis=1)
-    mask = np.zeros((b, c))
-    selected = conf > tau
-    mask[np.arange(b)[selected], labels[selected]] = 1.0
-    return log_loss(student_probs, mask, b)
+    selected = teacher_probs.max(axis=-1) > tau[..., None]
+    return log_loss(student_probs, _top1_mask(teacher_probs, selected),
+                    teacher_probs.shape[-2])
 
 
-def loss_sp(logits: Tensor, log_temperature: Tensor, tau: float) -> Tensor:
+def loss_sp(logits: Tensor, log_temperature: Tensor, tau) -> Tensor:
     """Push the probability of low-confidence top-1 predictions toward zero.
 
     The gate compares the confidence of the T = 1 probabilities of
     ``logits`` strictly against ``tau``; the penalized probability is a
     softmax of ``logits`` at the learnable temperature
     ``exp(log_temperature)``, so its gradient also trains that parameter.
+    A stack of models takes the ``[K x 1]`` log-temperatures and one ``tau``
+    per model.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    tau = _check_tau(tau)
     probs = softmax(logits.data)
-    b = probs.shape[0]
-    conf = probs.max(axis=1)
-    labels = np.argmax(probs, axis=1)
-    mask = np.zeros_like(probs)
-    selected = conf < tau
-    mask[np.arange(b)[selected], labels[selected]] = 1.0
-
+    mask = _top1_mask(probs, probs.max(axis=-1) < tau[..., None])
     tempered = softmax_t(logits, log_temperature.exp())
-    return log_loss(1.0 - tempered, mask, b)
+    return log_loss(1.0 - tempered, mask, probs.shape[-2])
 
 
 def loss_cr(p: Tensor, q: Tensor) -> Tensor:
@@ -314,56 +354,65 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             _, logits = forward_logits(pair, x)
             probs = softmax_t(logits, 1.0)
             target_probs = probs.data[:, t_rows]
-            for k, m in enumerate(_MODELS):
-                if not np.isfinite(target_probs[k]).all():
-                    raise NonFiniteLossError(f"target_probs_{m}", epoch, it, float("nan"))
-            stats = [adaptive_threshold(p.max(axis=1)) for p in target_probs]
+            if not np.isfinite(target_probs).all():
+                bad = next(m for m, p in zip(_MODELS, target_probs)
+                           if not np.isfinite(p).all())
+                raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, float("nan"))
+            stats = adaptive_threshold(target_probs.max(axis=-1))
             if frozen is not None:
-                labels = [pseudo_labels(frozen, batch.xt)[0]] * 2
+                labels = np.tile(pseudo_labels(frozen, batch.xt)[0], (2, 1))
             else:
-                labels = [np.argmax(p, axis=1) for p in target_probs]
+                labels = np.argmax(target_probs, axis=-1)
 
-            ys_hot = one_hot(batch.ys, num_classes)
+            # one node per loss kind for both models; each per-model loss is
+            # an entry of its node
+            both = slice(None)
             terms: dict[str, Tensor] = {}
-            for k, m in enumerate(_MODELS):
-                if cfg.loss_fm:
-                    y_mix = _blend(ys_hot, one_hot(labels[k], num_classes), lams[k])
-                    terms[f"fm_{m}"] = loss_fm(take(probs, (k, mix_rows)), y_mix)
-                if cfg.loss_sp:
-                    terms[f"sp_{m}"] = loss_sp(take(logits, (k, t_rows)),
-                                               take(log_temperature, k), stats[k].tau)
-                if with_bim:
-                    # the partner teaches, gated by its own threshold
-                    terms[f"bim_{m}"] = loss_bim(target_probs[1 - k],
-                                                 take(probs, (k, t_rows)),
-                                                 stats[1 - k].tau)
+            if cfg.loss_fm:
+                # the label blend of _blend, one ratio per model (exact at
+                # 0 and 1 too, since one-hot entries are 0 or 1)
+                lam = np.array(lams)[:, None, None]
+                pl_hot = one_hot(labels.reshape(-1), num_classes).reshape(2, b, num_classes)
+                y_mix = lam * one_hot(batch.ys, num_classes) + (1.0 - lam) * pl_hot
+                terms["fm"] = loss_fm(take(probs, (both, mix_rows)), y_mix)
+            if cfg.loss_sp:
+                terms["sp"] = loss_sp(take(logits, (both, t_rows)), log_temperature,
+                                      stats.tau)
+            if with_bim:
+                # the partner teaches, gated by its own threshold
+                terms["bim"] = loss_bim(target_probs[::-1], take(probs, (both, t_rows)),
+                                        stats.tau[::-1])
             if with_cr:
                 terms["cr"] = loss_cr(take(probs, (0, half_rows)),
                                       take(probs, (1, half_rows)))
 
-            total = None
+            # "fm_td" is entry 1 of the fm node; "cr" is a scalar
             for name in _LOSS_TERMS:
-                term = terms.get(name)
-                if term is not None:
-                    value = term.item()
+                kind, _, model = name.partition("_")
+                if kind in terms:
+                    data = terms[kind].data
+                    value = float(data[_MODELS.index(model)] if model else data)
                     if not np.isfinite(value):
                         raise NonFiniteLossError(name, epoch, it, value)
                     ledger[name] += value + 0.0  # + 0.0: -0.0 from empty gates
-                    total = term if total is None else total + term
 
-            # the models' slices of the stacked parameters are disjoint and
-            # teacher probabilities are constants, so one walk gives each
-            # model exactly its own gradients
-            if total is None:
-                grads = {n: np.zeros_like(t.data) for n, t in pair.params.items()}
+            # one walk over the sum of every term: the models' slices of the
+            # stacked parameters are disjoint and teacher probabilities are
+            # constants, so each model gets exactly its own gradients
+            per_model = [t for kind, t in terms.items() if kind != "cr"]
+            scalars = [sum(per_model[1:], per_model[0]).sum()] if per_model else []
+            if with_cr:
+                scalars.append(terms["cr"])
+            if scalars:
+                grads = backward(sum(scalars[1:], scalars[0]), pair.params)
             else:
-                grads = backward(total, pair.params)
+                grads = {n: np.zeros_like(t.data) for n, t in pair.params.items()}
             sgd_step(pair.params, grads, lr, cfg.momentum, cfg.weight_decay)
             step += 1
 
-            for k, m in enumerate(_MODELS):
-                ledger[f"tau_{m}"] += stats[k].tau
-                ledger[f"n_above_{m}"] += stats[k].num_above
+            for m, st in zip(_MODELS, stats):
+                ledger[f"tau_{m}"] += st.tau
+                ledger[f"n_above_{m}"] += st.num_above
             trace.append((epoch, it, stats[0].tau, stats[1].tau,
                           stats[0].num_above, stats[1].num_above))
 

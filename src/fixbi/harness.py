@@ -38,7 +38,17 @@ def _fmt(v) -> str:
 
 
 def load_dataset_pair(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the configured source/target pair."""
+    """Materialize the configured source/target pair; a ``ConfigError`` if
+    ``batch_size`` exceeds either domain, which only the loaded data tells."""
+    source, target = _materialize(cfg)
+    smaller = min(source.n, target.n)
+    if cfg.batch_size > smaller:
+        raise ConfigError(f"batch_size: {cfg.batch_size} exceeds the smaller "
+                          f"domain's {smaller} samples")
+    return source, target
+
+
+def _materialize(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     ds = cfg.dataset
     seed = cfg.dataset_seed()
     if ds.kind == "blobs":

@@ -72,16 +72,16 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
         raise ValueError("num_classes must be >= 2")
 
     rng = np.random.default_rng(seed)
-    params = ParamSet()
+    tensors = {}
     fan_in = input_dim
     for i, w in enumerate(widths):
-        params.add(f"ext.w{i}", _uniform_fan_in(rng, fan_in, (fan_in, w)))
-        params.add(f"ext.b{i}", np.zeros(w))
+        tensors[f"ext.w{i}"] = _uniform_fan_in(rng, fan_in, (fan_in, w))
+        tensors[f"ext.b{i}"] = np.zeros(w)
         fan_in = w
-    params.add("head.w", _uniform_fan_in(rng, fan_in, (fan_in, num_classes)))
-    params.add("head.b", np.zeros(num_classes))
-    params.add(LOG_TEMPERATURE, np.zeros(1))
-    return ClassifierModel(input_dim, widths, num_classes, params)
+    tensors["head.w"] = _uniform_fan_in(rng, fan_in, (fan_in, num_classes))
+    tensors["head.b"] = np.zeros(num_classes)
+    tensors[LOG_TEMPERATURE] = np.zeros(1)
+    return ClassifierModel(input_dim, widths, num_classes, ParamSet(tensors))
 
 
 def clone_model(model: ClassifierModel) -> ClassifierModel:
@@ -97,23 +97,17 @@ def stack_models(models) -> ClassifierModel:
     takes a ``[K x B x in]`` input, one row block per model; inference takes
     ``[B x in]`` rows and returns ``[K x B x ...]``."""
     first = models[0]
-    params = ParamSet()
-    for name in first.params.names():
-        params.add(name, np.stack([m.params[name].data for m in models]))
+    params = ParamSet({name: np.stack([m.params[name].data for m in models])
+                       for name in first.params.names()})
     return ClassifierModel(first.input_dim, first.widths, first.num_classes, params)
 
 
 def unstack_models(stacked: ClassifierModel) -> list[ClassifierModel]:
     """The models of :func:`stack_models`, each a copy of its slice with
     fresh optimizer state."""
-    out = []
-    for k in range(_model_axes(stacked)[0]):
-        params = ParamSet()
-        for name, t in stacked.params.items():
-            params.add(name, t.data[k].copy())
-        out.append(ClassifierModel(stacked.input_dim, stacked.widths,
-                                   stacked.num_classes, params))
-    return out
+    return [ClassifierModel(stacked.input_dim, stacked.widths, stacked.num_classes,
+                            ParamSet({name: t.data[k] for name, t in stacked.params.items()}))
+            for k in range(_model_axes(stacked)[0])]
 
 
 def _model_axes(model: ClassifierModel) -> tuple[int, ...]:
@@ -246,11 +240,12 @@ class DomainDiscriminator:
 def init_discriminator(feature_dim: int, hidden: int, seed,
                        grl_lambda: float = 1.0) -> DomainDiscriminator:
     rng = np.random.default_rng(seed)
-    params = ParamSet()
-    params.add("disc.w0", _uniform_fan_in(rng, feature_dim, (feature_dim, hidden)))
-    params.add("disc.b0", np.zeros(hidden))
-    params.add("disc.w1", _uniform_fan_in(rng, hidden, (hidden, 2)))
-    params.add("disc.b1", np.zeros(2))
+    params = ParamSet({
+        "disc.w0": _uniform_fan_in(rng, feature_dim, (feature_dim, hidden)),
+        "disc.b0": np.zeros(hidden),
+        "disc.w1": _uniform_fan_in(rng, hidden, (hidden, 2)),
+        "disc.b1": np.zeros(2),
+    })
     return DomainDiscriminator(feature_dim, hidden, params, grl_lambda)
 
 
@@ -324,6 +319,8 @@ def load_checkpoint(path) -> ClassifierModel:
         if values.size != expected:
             raise ValueError(
                 f"{path}: tensor {name!r}: expected {expected} values, got {values.size}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
         if name in tensors:
             raise ValueError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = values.reshape(shape)
@@ -359,7 +356,4 @@ def load_checkpoint(path) -> ClassifierModel:
     expect(LOG_TEMPERATURE, tensors[LOG_TEMPERATURE].shape == (1,), "(1,)")
     input_dim = tensors["ext.w0"].shape[0] if widths else head_w.shape[0]
 
-    params = ParamSet()
-    for name, values in tensors.items():
-        params.add(name, values)
-    return ClassifierModel(input_dim, tuple(widths), num_classes, params)
+    return ClassifierModel(input_dim, tuple(widths), num_classes, ParamSet(tensors))

@@ -9,6 +9,7 @@ so concurrent evaluation on distinct graphs is safe.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -252,20 +253,26 @@ def log_loss(probs: Tensor, weights, n: int) -> Tensor:
     """``-(1/n) * sum(weights * log(max(probs, LOG_CLAMP)))`` as one graph node.
 
     ``weights`` is a constant array of ``probs``' shape (one-hot targets,
-    label mixtures or gate masks). The arithmetic runs in the order of the
-    composed ``clamp_min -> log -> mul -> sum -> mul`` chain, so values and
-    gradients are bit-identical to it.
+    label mixtures or gate masks). ``probs`` ``[B x C]`` gives a scalar; a
+    stack ``[..., B x C]`` gives one loss per leading index, each equal in
+    value and gradient, bit for bit, to the 2-D call on its block. The
+    arithmetic runs in the order of the composed ``clamp_min -> log -> mul
+    -> sum -> mul`` chain, so values and gradients are bit-identical to it.
     """
     pd = probs.data
     weights = _as_array(weights)
     if weights.shape != pd.shape:
         raise ShapeError(f"log_loss weights {weights.shape} != probs {pd.shape}")
+    if pd.ndim < 2:
+        raise ShapeError(f"log_loss needs [..., B, C] probabilities, got {pd.shape}")
+    lead = pd.shape[:-2]
     scale = -1.0 / n
     mask = pd >= LOG_CLAMP
     clamped = np.maximum(pd, LOG_CLAMP)
-    total = np.asarray((weights * np.log(clamped)).sum() * scale)
-    return Tensor._make(total, [
-        (probs, lambda g: (((g * scale) * weights) / clamped) * mask),
+    # each block summed as one flat run, the order of the 2-D call's .sum()
+    total = (weights * np.log(clamped)).reshape(lead + (-1,)).sum(axis=-1) * scale
+    return Tensor._make(np.asarray(total), [
+        (probs, lambda g: (((g * scale)[..., None, None] * weights) / clamped) * mask),
     ])
 
 
@@ -275,33 +282,48 @@ def squared_l2(x: Tensor) -> Tensor:
     return (x * x).sum()
 
 
-def softmax(z: Array, t: float = 1.0) -> Array:
+def softmax(z: Array, t=1.0) -> Array:
     """Softmax over the last axis of the plain array ``z / t`` with
-    max-subtraction; the values :func:`softmax_t` puts in its output node."""
+    max-subtraction; the values :func:`softmax_t` puts in its output node.
+    ``t`` is a float or an array that broadcasts against ``z``."""
     zc = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(zc / t)
+    e = np.exp(zc if _is_unit(t) else zc / t)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _is_unit(t) -> bool:
+    """Whether ``t`` is the scalar 1, by which a division is exact and can
+    be skipped."""
+    return not isinstance(t, np.ndarray) and t == 1.0
 
 
 def softmax_t(logits, temperature=1.0) -> Tensor:
     """Row softmax of ``logits / T`` with max-subtraction stabilization.
 
     ``logits`` is ``[B x C]`` or a stack ``[..., B, C]`` of such blocks, one
-    per model. ``temperature`` may be a positive float or a scalar Tensor
-    (shape () or (1,)), in which case gradients also flow into it.
+    per model. ``temperature`` may be a positive float or a Tensor, in which
+    case gradients also flow into it: a scalar one (shape () or (1,)) serves
+    every block, and one of shape ``[..., 1]`` (the logits' leading axes,
+    then 1) gives each block its own temperature and gradient, bit-identical
+    to the 2-D call on that block.
     """
     z = as_tensor(logits)
     if z.data.ndim < 2 or z.data.shape[-1] < 2:
         raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
     t_node = temperature if isinstance(temperature, Tensor) else None
-    if t_node is not None:
-        if t_node.data.size != 1:
-            raise ShapeError("temperature tensor must be scalar")
-        t = float(t_node.data.reshape(()))
+    lead = z.data.shape[:-2]
+    per_block = t_node is not None and t_node.data.size != 1
+    if per_block:
+        if t_node.data.shape != lead + (1,):
+            raise ShapeError(f"temperature tensor must be scalar or {lead + (1,)} "
+                             f"for logits {z.shape}, got {t_node.shape}")
+        t = t_node.data[..., None]
+        if not (t > 0.0).all():
+            raise ValueError(f"temperature must be positive, got {t_node.data.ravel()}")
     else:
-        t = float(temperature)
-    if not t > 0.0:
-        raise ValueError(f"temperature must be positive, got {t}")
+        t = float(temperature if t_node is None else t_node.data.reshape(()))
+        if not t > 0.0:
+            raise ValueError(f"temperature must be positive, got {t}")
 
     zd = z.data
     y = softmax(zd, t)
@@ -310,7 +332,8 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
 
     def vjp_logits(g: Array) -> Array:
         inner = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - inner) / t
+        gz = y * (g - inner)
+        return gz if _is_unit(t) else gz / t
 
     vjps.append((z, vjp_logits))
     if t_node is not None:
@@ -318,8 +341,12 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
             # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
             zc = zd - zd.max(axis=-1, keepdims=True)
             m = (y * zc).sum(axis=-1, keepdims=True)
-            val = -(g * y * (zc - m)).sum() / (t * t)
-            return np.full(t_node.data.shape, val)
+            terms = g * y * (zc - m)
+            if per_block:
+                # one flat sum per block, as the 2-D call's .sum() runs it
+                td = t_node.data
+                return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td)
+            return np.full(t_node.data.shape, -terms.sum() / (t * t))
 
         vjps.append((t_node, vjp_temperature))
     return Tensor._make(y, vjps)
@@ -334,24 +361,59 @@ def grl(x: Tensor, grl_lambda: float) -> Tensor:
 
 
 class ParamSet:
-    """Named trainable tensors plus one SGD momentum buffer per parameter.
+    """Named trainable tensors over one flat float64 value vector, plus one
+    SGD momentum vector of the same layout.
 
-    Names are unique; momentum buffers always match their parameter's shape.
-    Iteration order is insertion order, which keeps training and
-    checkpointing deterministic.
+    Each tensor's ``data`` is a view into the value vector, so
+    :func:`sgd_step` updates the whole set with a few in-place vector
+    operations. Code that changes a parameter writes into its ``data``
+    (``t.data[...] = x``); rebinding ``t.data`` detaches the tensor from the
+    vector, and ``sgd_step`` rejects it. Names are unique. Iteration order is
+    insertion order, which is also the layout of the vectors and keeps
+    training and checkpointing deterministic.
+
+    ``ParamSet(tensors)`` builds a set from a name -> values mapping in one
+    allocation; :meth:`add` appends one tensor by reallocating the vectors.
     """
 
-    def __init__(self):
+    def __init__(self, tensors: Mapping[str, object] | None = None):
         self._params: dict[str, Tensor] = {}
-        self._momentum: dict[str, Array] = {}
+        self._views: dict[str, Array] = {}      # each tensor's view of _values
+        self._momenta: dict[str, Array] = {}    # ... and of _momentum
+        self._values = np.zeros(0)
+        self._momentum = np.zeros(0)
+        # sgd_step's gathered gradients and its one scratch vector, made on
+        # its first call: sets that are never trained never hold them
+        self._grad: Array | None = None
+        self._scratch: Array | None = None
+        if tensors:
+            self._append(tensors)
 
     def add(self, name: str, values) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(values, requires_grad=True)
-        self._params[name] = t
-        self._momentum[name] = np.zeros_like(t.data)
-        return t
+        """Append a tensor holding a copy of ``values``; its momentum starts at 0."""
+        self._append({name: values})
+        return self._params[name]
+
+    def _append(self, tensors: Mapping[str, object]) -> None:
+        for name in tensors:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+        arrays = [_as_array(v) for v in tensors.values()]
+        shapes = [v.shape for v in self._views.values()] + [a.shape for a in arrays]
+        self._values = np.concatenate([self._values, *(a.reshape(-1) for a in arrays)])
+        self._momentum = np.concatenate(
+            [self._momentum, np.zeros(self._values.size - self._momentum.size)])
+        self._grad = self._scratch = None
+        for name, a in zip(tensors, arrays):
+            self._params[name] = Tensor(a, requires_grad=True)
+        # point every tensor, the new ones included, at its slice of the
+        # grown vectors
+        lo = 0
+        for (n, p), shape in zip(self._params.items(), shapes):
+            hi = lo + math.prod(shape)
+            p.data = self._views[n] = self._values[lo:hi].reshape(shape)
+            self._momenta[n] = self._momentum[lo:hi].reshape(shape)
+            lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -369,14 +431,12 @@ class ParamSet:
         return self._params.items()
 
     def momentum(self, name: str) -> Array:
-        return self._momentum[name]
+        """The momentum of ``name``: a view into the set's momentum vector."""
+        return self._momenta[name]
 
     def clone(self) -> "ParamSet":
         """Deep-copy parameter values; momentum buffers start at zero."""
-        out = ParamSet()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy())
-        return out
+        return ParamSet({name: t.data for name, t in self._params.items()})
 
     def value_bytes(self) -> bytes:
         """Concatenated raw bytes of all parameter values, for bit-exact compares."""
@@ -397,42 +457,42 @@ def backward(loss: Tensor,
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
 
-    # iterative post-order DFS over grad-requiring ancestry
+    # iterative post-order DFS over grad-requiring ancestry; tensors hash
+    # by identity, so they key the visited set and the gradient map
     topo: list[Tensor] = []
-    visited: set[int] = {id(loss)}
+    visited: set[Tensor] = {loss}
     stack: list[tuple[Tensor, int]] = [(loss, 0)]
     while stack:
         node, i = stack.pop()
         while i < len(node._vjps):
             parent = node._vjps[i][0]
             i += 1
-            if parent.requires_grad and id(parent) not in visited:
-                visited.add(id(parent))
+            if parent.requires_grad and parent not in visited:
+                visited.add(parent)
                 stack.append((node, i))
                 stack.append((parent, 0))
                 break
         else:
             topo.append(node)
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None:
             continue
         for parent, vjp in node._vjps:
             if not parent.requires_grad:
                 continue
             contrib = vjp(g)
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
+            if parent in grads:
+                grads[parent] = grads[parent] + contrib
             else:
-                grads[key] = contrib
+                grads[parent] = contrib
 
     def collect(ps: ParamSet) -> GradMap:
         out: GradMap = {}
         for name, t in ps.items():
-            g = grads.get(id(t))
+            g = grads.get(t)
             out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
         return out
 
@@ -446,7 +506,9 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
     """Momentum SGD with coupled weight decay, applied in place.
 
     For each parameter: ``v <- momentum*v + (g + weight_decay*w)`` then
-    ``w <- w - lr*v``. Returns the updated set.
+    ``w <- w - lr*v``, run once over the set's flat vectors (see
+    :class:`ParamSet`) with the per-tensor arithmetic and order, so the
+    result is bit-identical to a loop over the tensors. Returns the set.
     """
     if not lr > 0.0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -454,6 +516,7 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    flat = []
     for name, t in params.items():
         if name not in grads:
             raise ValueError(f"missing gradient for parameter {name!r}")
@@ -461,11 +524,23 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
         if g.shape != t.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} != parameter shape {t.data.shape} for {name!r}")
-    for name, t in params.items():
-        v = params.momentum(name)
-        v *= momentum
-        v += grads[name] + weight_decay * t.data
-        t.data = t.data - lr * v
+        if t.data is not params._views[name]:
+            raise ValueError(f"parameter {name!r} no longer views its set's value "
+                             "vector: its .data was rebound instead of written in place")
+        flat.append(g.reshape(-1))
+    if not flat:
+        return params
+    if params._grad is None:
+        params._grad = np.empty_like(params._values)
+        params._scratch = np.empty_like(params._values)
+    g = np.concatenate(flat, out=params._grad)
+    w, v, tmp = params._values, params._momentum, params._scratch
+    v *= momentum
+    np.multiply(weight_decay, w, out=tmp)
+    np.add(g, tmp, out=tmp)
+    v += tmp
+    np.multiply(lr, v, out=tmp)
+    w -= tmp
     return params
 
 

@@ -153,3 +153,76 @@ def test_run_names_the_bad_target_csv(tmp_path, capsys):
     assert run_experiment(cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"{tgt}: line 3" in err and str(src) not in err
+
+
+def _blobs_config(path, *extra, batch_size=8):
+    """A 3-class blobs config with 60 rows per domain, plus ``extra`` lines."""
+    path.write_text("\n".join([
+        "dataset.kind = blobs", "dataset.num_classes = 3", "dataset.per_class = 20",
+        "arch = 4", f"batch_size = {batch_size}", "epochs = 1", "warmup_epochs = 1",
+        "baseline_epochs = 1", *extra]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("grl_lambda = nan", "grl_lambda"),
+    ("dataset.noise_sigma = nan", "dataset.noise_sigma"),
+    ("dataset.translation = 0.5, nan", "dataset.translation"),
+    ("weight_decay = nan", "weight_decay"),
+    ("lr0 = inf", "lr0"),
+    ("dataset.rotation_deg = inf", "dataset.rotation_deg"),
+    ("lambda_sd = -inf", "lambda_sd"),
+])
+def test_run_with_non_finite_config_number(tmp_path, capsys, line, key):
+    cfg = _blobs_config(tmp_path / "exp.cfg", line)
+    assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{key}: expected a finite number" in err
+
+
+def test_run_with_batch_larger_than_generated_domains(tmp_path, capsys):
+    cfg = _blobs_config(tmp_path / "exp.cfg", batch_size=500)
+    assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: batch_size: 500")
+    assert "60" in err
+
+
+def test_run_with_batch_larger_than_target_csv(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    src.write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+    tgt = tmp_path / "t.csv"
+    tgt.write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {src}\n"
+                   f"dataset.target = {tgt}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 3\n")
+    assert run_experiment(cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "batch_size: 3" in err and " 2 " in err
+
+
+@pytest.mark.parametrize("spec", ["5..1", ",", "1..-2", "-1", "0,-3", "x"])
+def test_seed_sweep_must_name_non_negative_seeds(tmp_path, capsys, spec):
+    cfg = _blobs_config(tmp_path / "exp.cfg")
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg, str(out), "--seeds", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad --seeds spec {spec!r}\n"
+    assert not out.exists()
+
+
+def test_eval_with_non_finite_checkpoint_value(tmp_path, capsys):
+    ckpt = tmp_path / "a.ckpt"
+    save_checkpoint(init_model(1, (4,), 2, seed=0), ckpt)
+    lines = ckpt.read_text().split("\n")
+    at = lines.index("name ext.w0 shape 1,4") + 1
+    lines[at] = " ".join(["nan"] + lines[at].split()[1:])
+    ckpt.write_text("\n".join(lines))
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n")
+    assert cli_main(["eval", str(ckpt), str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: tensor 'ext.w0' holds a non-finite value\n"

@@ -152,6 +152,102 @@ class TestAdaptiveThreshold:
             assert not (above & below)
             assert stats.num_above == len(above)
 
+    def test_stacked_rows_equal_1d_calls(self):
+        # rows of a [2 x B] stack against 1-D calls and against the formula
+        # on numpy's own 1-D mean and std, constant rows included
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            conf = rng.uniform(size=(2, rng.integers(1, 40)))
+            if trial % 3 == 0:
+                conf[trial % 2] = conf[0, 0]
+            stack = adaptive_threshold(conf)
+            assert len(stack) == 2
+            for k, row in enumerate(conf):
+                assert stack[k] == adaptive_threshold(row)
+                if row.min() < row.max():
+                    mean, std = float(np.mean(row)), float(np.std(row))
+                    assert (stack[k].batch_mean, stack[k].batch_std) == (mean, std)
+                    assert stack[k].tau == min(1.0, max(0.0, mean - 2.0 * std))
+            assert stack.tau.tolist() == [stack[0].tau, stack[1].tau]
+            assert stack.num_above == stack[0].num_above + stack[1].num_above
+            assert stack.num_above + stack.num_below == conf.size
+
+    def test_stacked_constant_row_is_exact(self):
+        # summed, three 0.7s give a mean an ulp low and a non-zero std
+        stack = adaptive_threshold([[0.5, 0.9, 0.2], [0.7, 0.7, 0.7]])
+        assert (stack[1].tau, stack[1].batch_mean, stack[1].batch_std) == (0.7, 0.7, 0.0)
+        assert (stack[1].num_above, stack[1].num_below) == (0, 3)
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.6], [np.nan, 0.5]],
+                                     [[0.5, 0.6], [0.5, 1.2]],
+                                     [[-0.1, 0.6], [0.5, 0.5]],
+                                     np.zeros((2, 0))])
+    def test_stacked_validation_holds_per_row(self, bad):
+        with pytest.raises(ValueError):
+            adaptive_threshold(bad)
+
+
+class TestStackedLosses:
+    """loss_fm, loss_bim and loss_sp on a [2 x B x C] stack against one 2-D
+    call per model, bit for bit in values and gradients."""
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        params.add("z", rng.normal(0.0, 2.0, size=(2, 6, 3)))
+        params.add("log_t", np.array([[0.3], [-0.4]]))
+        return rng, params
+
+    @staticmethod
+    def _check(params, stacked, single):
+        """``stacked(params)`` against ``single(model_k_params, k)``."""
+        out = stacked(params)
+        assert out.shape == (2,)
+        upstream = np.array([0.7, -1.3])
+        grads = backward((out * upstream).sum(), params)
+        for k in range(2):
+            mine = ParamSet()
+            for name, t in params.items():
+                mine.add(name, t.data[k])
+            want = single(mine, k)
+            assert out.data[k].tobytes() == want.data.tobytes(), k
+            want_grads = backward(want * upstream[k], mine)
+            for name, g in want_grads.items():
+                assert grads[name][k].tobytes() == g.tobytes(), (k, name)
+
+    def test_loss_fm(self):
+        rng, params = self._stack(14)
+        y_mix = rng.dirichlet(np.ones(3), size=(2, 6))
+        self._check(params, lambda p: loss_fm(softmax_t(p["z"], 1.0), y_mix),
+                    lambda p, k: loss_fm(softmax_t(p["z"], 1.0), y_mix[k]))
+
+    def test_loss_bim(self):
+        rng, params = self._stack(15)
+        teacher = rng.dirichlet(np.ones(3) * 0.5, size=(2, 6))
+        taus = np.array([safe_tau(t.max(axis=1)) for t in teacher])
+        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"], 1.0), taus),
+                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"], 1.0), taus[k]))
+
+    def test_loss_sp(self):
+        rng, params = self._stack(16)
+        conf = _np_softmax(params["z"].data.reshape(-1, 3)).max(axis=1).reshape(2, 6)
+        taus = np.array([safe_tau(c) for c in conf])
+        self._check(params, lambda p: loss_sp(p["z"], p["log_t"], taus),
+                    lambda p, k: loss_sp(p["z"], p["log_t"], taus[k]))
+        out = loss_sp(params["z"], params["log_t"], taus)
+        assert (out.data > 0.0).all()  # both gates let something through
+        check_grads(lambda: (loss_sp(params["z"], params["log_t"], taus)
+                             * np.array([0.7, -1.3])).sum(), params)
+
+    def test_tau_checked_per_model(self):
+        _, params = self._stack(17)
+        with pytest.raises(ValueError):
+            loss_sp(params["z"], params["log_t"], np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            loss_bim(np.full((2, 6, 3), 1 / 3), softmax_t(params["z"], 1.0),
+                     np.array([np.nan, 0.5]))
+
 
 class TestLossFm:
     def test_perfect_prediction_is_zero(self):

@@ -18,6 +18,19 @@ from fixbi.harness import (classwise_accuracy, emit_report, execute,
 from fixbi.models import load_checkpoint
 
 
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+def test_presets_ship():
+    assert "default.cfg" in [p.name for p in PRESETS]
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
+def test_shipped_preset_loads(path):
+    # a renamed or deleted key would strand the preset
+    assert isinstance(load_config(path), TrainConfig)
+
+
 def small_config_text(seed: int = 0, **extra) -> str:
     keys = {
         "dataset.kind": "blobs",

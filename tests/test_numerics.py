@@ -332,6 +332,33 @@ class TestStackedSoftmaxT:
             assert grads["log_t"][k].tobytes() == want["log_t"].tobytes()
 
 
+    def test_per_model_temperature_tensor(self):
+        # a [2 x 1] temperature tensor: each model's rows meet its own
+        # temperature, with no slicing node in between
+        params, upstream = self._stack(37)
+
+        def objective():
+            return (softmax_t(params["z"], params["log_t"].exp()) * upstream).sum()
+
+        check_grads(objective, params)
+        y = softmax_t(params["z"], params["log_t"].exp())
+        grads = backward((y * upstream).sum(), params)
+        for k in range(2):
+            single = _model_slice(params, k)
+            out = softmax_t(single["z"], single["log_t"].exp())
+            assert y.data[k].tobytes() == out.data.tobytes()
+            want = backward((out * upstream[k]).sum(), single)
+            for name in want:
+                assert grads[name][k].tobytes() == want[name].tobytes(), (k, name)
+
+    def test_temperature_tensor_shape_and_sign_checked(self):
+        z = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ShapeError):
+            softmax_t(z, Tensor(np.ones((3, 1))))
+        with pytest.raises(ValueError, match="positive"):
+            softmax_t(z, Tensor(np.array([[1.0], [0.0]])))
+
+
 class TestLogLoss:
     """The one-node log-loss against the clamp_min -> log -> mul -> sum ->
     mul chain it replaces."""
@@ -363,6 +390,41 @@ class TestLogLoss:
     def test_weight_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             log_loss(Tensor(np.full((2, 3), 0.5)), np.ones((2, 1)), 2)
+
+
+class TestStackedLogLoss:
+    """log_loss on a [2 x B x C] stack against one 2-D call per model."""
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet()
+        z = rng.normal(size=(2, 5, 3))
+        z[1, 0] = [0.0, -40.0, 5.0]  # one probability below the clamp
+        params.add("z", z)
+        weights = rng.uniform(size=(2, 5, 3)) * (rng.uniform(size=(2, 5, 3)) > 0.3)
+        return params, weights
+
+    def test_entries_bit_identical_to_2d_calls(self):
+        params, weights = self._stack(25)
+        upstream = np.array([0.7, -1.3])  # a different upstream per entry
+        stacked = log_loss(softmax_t(params["z"], 1.0), weights, 5)
+        assert stacked.shape == (2,)
+        grads = backward((stacked * upstream).sum(), params)
+        for k in range(2):
+            single = _model_slice(params, k)
+            probs = softmax_t(single["z"], 1.0)
+            out = log_loss(probs, weights[k], 5)
+            chain = (weights[k] * probs.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / 5)
+            for want in (out, chain):
+                assert stacked.data[k].tobytes() == want.data.tobytes()
+                want_grads = backward(want * upstream[k], single)
+                assert grads["z"][k].tobytes() == want_grads["z"].tobytes()
+
+    def test_gradients_match_finite_differences(self):
+        params, weights = self._stack(26)
+        check_grads(lambda: (log_loss(softmax_t(params["z"], 1.0), weights, 5)
+                             * np.array([0.7, -1.3])).sum(), params)
 
 
 class TestGradientReversal:
@@ -485,3 +547,73 @@ class TestParamSet:
         assert np.array_equal(fresh.momentum("w"), [0.0])
         fresh["w"].data[0] = 99.0
         assert params["w"].data[0] != 99.0
+
+
+class TestFlatParamSet:
+    """One value vector and one momentum vector per set, and the in-place
+    update over them."""
+
+    def test_tensors_and_momenta_view_one_vector_each(self):
+        params = ParamSet()
+        a = params.add("a", np.arange(6.0).reshape(2, 3))
+        params.add("b", [7.0])
+        sgd_step(params, {"a": np.ones((2, 3)), "b": np.ones(1)}, lr=0.5, momentum=0.9)
+        c = params.add("c", np.zeros((2, 2)))  # growing the set keeps state
+        assert a is params["a"]
+        values = a.data.base
+        assert values.shape == (11,)
+        assert all(params[n].data.base is values for n in ("a", "b", "c"))
+        assert values.tolist() == (np.arange(6.0) - 0.5).tolist() + [6.5, 0, 0, 0, 0]
+        moms = params.momentum("a").base
+        assert all(params.momentum(n).base is moms for n in ("a", "b", "c"))
+        assert moms.tolist() == [1.0] * 7 + [0.0] * 4
+        c.data[...] = 2.0  # an in-place write is a write into the vector
+        assert values[-4:].tolist() == [2.0] * 4
+
+    @staticmethod
+    def _per_tensor_steps(params, steps, lr, momentum, weight_decay):
+        """The per-tensor update, run on copies."""
+        w = {n: t.data.copy() for n, t in params.items()}
+        v = {n: np.zeros_like(x) for n, x in w.items()}
+        for grads in steps:
+            for n in w:
+                v[n] *= momentum
+                v[n] += grads[n] + weight_decay * w[n]
+                w[n] = w[n] - lr * v[n]
+        return w, v
+
+    def _check_three_steps(self, param_sets, seed):
+        rng = np.random.default_rng(seed)
+        for params in param_sets:
+            steps = [{n: rng.normal(size=t.data.shape) for n, t in params.items()}
+                     for _ in range(3)]
+            want_w, want_v = self._per_tensor_steps(params, steps, 0.03, 0.9, 0.005)
+            for grads in steps:
+                sgd_step(params, grads, 0.03, 0.9, 0.005)
+            for n, t in params.items():
+                assert t.data.tobytes() == want_w[n].tobytes(), n
+                assert params.momentum(n).tobytes() == want_v[n].tobytes(), n
+
+    def test_three_steps_bit_identical_on_a_stacked_pair(self):
+        from fixbi.models import init_model, stack_models
+        pair = stack_models([init_model(2, (6, 5), 3, seed=s) for s in (1, 2)])
+        self._check_three_steps([pair.params], 27)
+
+    def test_three_steps_bit_identical_on_dann_model_and_discriminator(self):
+        from fixbi.models import init_discriminator, init_model
+        model = init_model(2, (6, 5), 3, seed=3)
+        disc = init_discriminator(model.feature_dim, 4, seed=4)
+        self._check_three_steps([model.params, disc.params], 28)
+
+    def test_rebound_tensor_rejected(self):
+        params = ParamSet()
+        params.add("w", [1.0, 2.0])
+        params.add("b", [0.0])
+        grads = {"w": np.ones(2), "b": np.ones(1)}
+        params["w"].data[...] = [3.0, 4.0]  # in place: still trained
+        sgd_step(params, grads, lr=0.5)
+        assert params["w"].data.tolist() == [2.5, 3.5]
+        params["w"].data = np.array([3.0, 4.0])
+        with pytest.raises(ValueError, match="'w'.*rebound"):
+            sgd_step(params, grads, lr=0.5)
+        assert params["b"].data.tolist() == [-0.5]  # nothing moved
