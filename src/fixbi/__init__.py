@@ -12,10 +12,9 @@ from .baseline import (BaselineResult, dann_losses, dann_objective, train_dann,
                        train_source_only)
 from .config import (ConfigError, DatasetSpec, MetricsRow, TrainConfig,
                      load_config, parse_config, serialize_config, validate_config)
-from .core import (MixupBatch, NonFiniteLossError, ThresholdStack,
-                   ThresholdStats, adaptive_threshold, loss_bim, loss_cr,
-                   loss_fm, loss_sp, mixup, pseudo_labels, ratio_rule_sample,
-                   train_fixbi)
+from .core import (NonFiniteLossError, ThresholdStack, ThresholdStats,
+                   adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp,
+                   mixup, pseudo_labels, ratio_rule_sample, train_fixbi)
 from .data import (CsvFormatError, Dataset, PairedBatch, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv, one_hot,
                    paired_minibatches, save_csv)
@@ -23,10 +22,10 @@ from .harness import (ClasswiseReport, ExperimentResult, classwise_accuracy,
                       classwise_report, emit_report, execute, load_metrics_csv,
                       rank_class_gaps, run_experiment)
 from .models import (ClassifierModel, DomainDiscriminator, DualState,
-                     clone_model, ensemble_predict, forward, forward_logits,
-                     grl, init_discriminator, init_model, load_checkpoint,
+                     ensemble_predict, forward, forward_logits, grl,
+                     init_discriminator, init_model, load_checkpoint,
                      predict_labels, save_checkpoint)
-from .numerics import (GradMap, ParamSet, ShapeError, Tensor, affine, backward,
-                       lr_schedule, sgd_step, softmax_t, squared_l2)
+from .numerics import (GradMap, ParamSet, ShapeError, Tensor, backward,
+                       lr_schedule, sgd_step, softmax_t)
 
 __version__ = "0.1.0"

@@ -82,6 +82,9 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
             raise ConfigError(f"dataset.num_classes: must be >= 2, got {ds.num_classes}")
         if ds.dim < 2:
             raise ConfigError(f"dataset.dim: must be >= 2, got {ds.dim}")
+        if len(ds.translation) > ds.dim:
+            raise ConfigError(f"dataset.translation: {len(ds.translation)} components "
+                              f"for dim {ds.dim}")
 
     if not cfg.arch or any(w < 1 for w in cfg.arch):
         raise ConfigError(f"arch: needs positive layer widths, got {cfg.arch}")

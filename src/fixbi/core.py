@@ -57,49 +57,12 @@ class NonFiniteLossError(RuntimeError):
         self.rows: list[MetricsRow] = []
 
 
-@dataclass
-class MixupBatch:
-    """Convex blend of a source and a target batch (features and labels)."""
-
-    x_mix: Array          # (B, d)
-    y_mix: Array          # (B, C), rows on the probability simplex
-
-
-def _check_simplex(rows: Array, what: str) -> None:
-    if rows.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {rows.shape}")
-    if (rows < 0).any():
-        raise ValueError(f"{what} rows must be non-negative")
-    # np.allclose's own test at atol 1e-9 and its default rtol 1e-5;
-    # NaN and inf fail it
-    if not (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
-        raise ValueError(f"{what} rows must sum to 1")
-
-
-def mixup(xs: Array, ys_onehot: Array, xt: Array, yt_onehot: Array,
-          lam: float) -> MixupBatch:
-    """Per-sample convex combination ``lam * source + (1 - lam) * target``.
-
-    ``lam`` of exactly 0 or 1 returns bit-exact copies of the corresponding
-    side.
-    """
+def mixup(a: Array, b: Array, lam: float) -> Array:
+    """The fixed-ratio blend ``lam * a + (1 - lam) * b`` of two equally
+    shaped arrays (source and target features, or their label rows); a
+    bit-exact copy of ``a`` or ``b`` at ``lam`` 1 or 0."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixup ratio must be in [0, 1], got {lam}")
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
-    ys_onehot = np.asarray(ys_onehot, dtype=np.float64)
-    yt_onehot = np.asarray(yt_onehot, dtype=np.float64)
-    if xs.shape != xt.shape:
-        raise ValueError(f"feature shapes differ: {xs.shape} vs {xt.shape}")
-    if ys_onehot.shape != yt_onehot.shape or ys_onehot.shape[0] != xs.shape[0]:
-        raise ValueError("label shapes must match and align with features")
-    _check_simplex(ys_onehot, "source labels")
-    _check_simplex(yt_onehot, "target labels")
-    return MixupBatch(_blend(xs, xt, lam), _blend(ys_onehot, yt_onehot, lam))
-
-
-def _blend(a: Array, b: Array, lam: float) -> Array:
-    """``lam * a + (1 - lam) * b``; a copy of ``a`` or ``b`` at 1 or 0."""
     if lam == 1.0:
         return a.copy()
     if lam == 0.0:
@@ -190,8 +153,8 @@ def _top1_mask(probs: Array, selected: Array) -> Array:
 
 def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     """Cross-entropy of a model's T = 1 probabilities on a mixed batch
-    against the mixed labels (rows on the simplex, as :func:`mixup` builds
-    them), averaged over the batch.
+    against the mixed labels (rows on the simplex, as :func:`mixup` of two
+    one-hot rows builds them), averaged over the batch.
 
     A ``[K x B x C]`` stack of models gives one loss per model, each
     bit-identical to the 2-D call on its slice; so do :func:`loss_bim` and
@@ -340,7 +303,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             b = batch.xt.shape[0]
             blocks = [(batch.xt, batch.xt)]
             if cfg.loss_fm:
-                blocks.append(tuple(_blend(batch.xs, batch.xt, lam) for lam in lams))
+                blocks.append(tuple(mixup(batch.xs, batch.xt, lam) for lam in lams))
             if with_cr:
                 x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
                 blocks.append((x_half, x_half))
@@ -369,7 +332,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             both = slice(None)
             terms: dict[str, Tensor] = {}
             if cfg.loss_fm:
-                # the label blend of _blend, one ratio per model (exact at
+                # the label blend of mixup, one ratio per model (exact at
                 # 0 and 1 too, since one-hot entries are 0 or 1)
                 lam = np.array(lams)[:, None, None]
                 pl_hot = one_hot(labels.reshape(-1), num_classes).reshape(2, b, num_classes)

@@ -57,8 +57,15 @@ def _materialize(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     if ds.kind == "moons":
         return gen_moons_shift(ds.per_class, ds.rotation_deg, ds.noise_sigma, seed)
     if ds.kind == "csv":
-        source = load_csv(ds.source)
-        target = as_target_view(load_csv(ds.target))
+        source, target = load_csv(ds.source), load_csv(ds.target)
+        # training reads every source label and evaluation every target one
+        for path, d, use in ((ds.source, source, "training"),
+                             (ds.target, target, "evaluation")):
+            unlabeled = d.labels < 0
+            if unlabeled.any():
+                raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "
+                                     f"label -1, but {use} needs every row's class")
+        target = as_target_view(target)
         if source.num_classes != target.num_classes:
             raise ConfigError("dataset.source/target: class counts differ")
         if source.dim != target.dim:
@@ -84,11 +91,13 @@ def emit_report(rows: list[MetricsRow], out_dir) -> Path:
 
 
 def load_metrics_csv(path) -> list[MetricsRow]:
+    """Parse metrics.csv; a bad row raises a ``ValueError`` that starts with
+    ``path`` and names its line."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines:
         raise ValueError(f"empty metrics file: {path}")
-    header = lines[0]
+    header = lines[0][1]
     prefix = f"# {METRICS_VERSION} "
     if not header.startswith(prefix):
         raise ValueError(f"unrecognized metrics header: {header!r}")
@@ -96,15 +105,17 @@ def load_metrics_csv(path) -> list[MetricsRow]:
     if columns != METRICS_COLUMNS:
         raise ValueError("metrics.csv column mismatch")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
-        kwargs = {}
-        for col, cell in zip(columns, cells):
-            if col in ("epoch", "n_above_sd", "n_above_td"):
-                kwargs[col] = int(cell)
-            else:
-                kwargs[col] = float(cell)
-        rows.append(MetricsRow(**kwargs))
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}: line {lineno}: expected {len(columns)} cells, "
+                             f"got {len(cells)}")
+        try:
+            rows.append(MetricsRow(**{
+                col: int(cell) if col in ("epoch", "n_above_sd", "n_above_td")
+                else float(cell) for col, cell in zip(columns, cells)}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows
 
 

@@ -18,7 +18,7 @@ __all__ = [
     "ClassifierModel", "DomainDiscriminator", "DualState",
     "init_model", "forward", "forward_logits", "grl",
     "predict_probs", "predict_features", "predict_labels", "accuracy",
-    "ensemble_predict", "ensemble_labels", "clone_model",
+    "ensemble_predict", "ensemble_labels",
     "stack_models", "unstack_models",
     "init_discriminator", "discriminator_logits",
     "save_checkpoint", "load_checkpoint", "CKPT_MAGIC",
@@ -82,12 +82,6 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
     tensors["head.b"] = np.zeros(num_classes)
     tensors[LOG_TEMPERATURE] = np.zeros(1)
     return ClassifierModel(input_dim, widths, num_classes, ParamSet(tensors))
-
-
-def clone_model(model: ClassifierModel) -> ClassifierModel:
-    """Deep copy with fresh optimizer state."""
-    return ClassifierModel(model.input_dim, model.widths, model.num_classes,
-                           model.params.clone())
 
 
 def stack_models(models) -> ClassifierModel:

@@ -9,7 +9,6 @@ so concurrent evaluation on distinct graphs is safe.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -101,9 +100,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        return Tensor._make(-self.data, [(self, lambda g: -g)])
-
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = self.data - other.data
@@ -125,68 +121,21 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul expects two 2-D tensors")
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ShapeError(
-                f"matmul inner dims differ: {self.data.shape} @ {other.data.shape}")
-        sd, od = self.data, other.data
-        return Tensor._make(sd @ od, [
-            (self, lambda g: g @ od.T),
-            (other, lambda g: sd.T @ g),
-        ])
-
-    def __rmatmul__(self, other) -> "Tensor":
-        return as_tensor(other) @ self
-
     # -- nonlinearities and reductions ----------------------------------
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        return Tensor._make(np.where(mask, self.data, 0.0),
-                            [(self, lambda g: g * mask)])
-
-    def log(self) -> "Tensor":
-        # callers guard the domain (see clamp_min); log itself is raw
-        sd = self.data
-        return Tensor._make(np.log(sd), [(self, lambda g: g / sd)])
 
     def exp(self) -> "Tensor":
         out = np.exp(self.data)
         return Tensor._make(out, [(self, lambda g: g * out)])
-
-    def clamp_min(self, lo: float) -> "Tensor":
-        """Elementwise ``max(x, lo)``; gradient passes where ``x >= lo``.
-
-        NaN propagates (np.maximum semantics) so a poisoned forward pass
-        cannot masquerade as a finite loss.
-        """
-        mask = self.data >= lo
-        return Tensor._make(np.maximum(self.data, lo),
-                            [(self, lambda g: g * mask)])
 
     def sum(self) -> "Tensor":
         shape = self.data.shape
         return Tensor._make(np.asarray(self.data.sum()),
                             [(self, lambda g: np.broadcast_to(g, shape).copy())])
 
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        if n == 0:
-            raise ShapeError("mean() of an empty tensor")
-        return self.sum() * (1.0 / n)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays/scalars as constant tensors; pass tensors through."""
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` with the bias broadcast over rows."""
-    return (as_tensor(x) @ w) + b
 
 
 def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -198,8 +147,8 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     layers, one per leading index, runs as one batched product in which the
     rows of ``x[k]`` meet only ``w[k]`` and ``b[k]``. For a 2-D ``x`` the
     forward pass and the VJPs run the same numpy operations as the composed
-    ``affine(x, w, b)`` (and ``.relu()``), so values and gradients are
-    bit-identical to it.
+    reference ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so values
+    and gradients are bit-identical to it.
     """
     x = as_tensor(x)
     xd, wd, bd = x.data, w.data, b.data
@@ -257,7 +206,8 @@ def log_loss(probs: Tensor, weights, n: int) -> Tensor:
     stack ``[..., B x C]`` gives one loss per leading index, each equal in
     value and gradient, bit for bit, to the 2-D call on its block. The
     arithmetic runs in the order of the composed ``clamp_min -> log -> mul
-    -> sum -> mul`` chain, so values and gradients are bit-identical to it.
+    -> sum -> mul`` chain of ``tests/helpers.py``, so values and gradients
+    are bit-identical to it.
     """
     pd = probs.data
     weights = _as_array(weights)
@@ -274,12 +224,6 @@ def log_loss(probs: Tensor, weights, n: int) -> Tensor:
     return Tensor._make(np.asarray(total), [
         (probs, lambda g: (((g * scale)[..., None, None] * weights) / clamped) * mask),
     ])
-
-
-def squared_l2(x: Tensor) -> Tensor:
-    """Sum of squared entries."""
-    x = as_tensor(x)
-    return (x * x).sum()
 
 
 def softmax(z: Array, t=1.0) -> Array:
@@ -364,55 +308,36 @@ class ParamSet:
     """Named trainable tensors over one flat float64 value vector, plus one
     SGD momentum vector of the same layout.
 
-    Each tensor's ``data`` is a view into the value vector, so
-    :func:`sgd_step` updates the whole set with a few in-place vector
+    ``ParamSet(tensors)`` copies a name -> values mapping into the vectors in
+    one allocation. Each tensor's ``data`` is a view into the value vector,
+    so :func:`sgd_step` updates the whole set with a few in-place vector
     operations. Code that changes a parameter writes into its ``data``
     (``t.data[...] = x``); rebinding ``t.data`` detaches the tensor from the
-    vector, and ``sgd_step`` rejects it. Names are unique. Iteration order is
-    insertion order, which is also the layout of the vectors and keeps
-    training and checkpointing deterministic.
-
-    ``ParamSet(tensors)`` builds a set from a name -> values mapping in one
-    allocation; :meth:`add` appends one tensor by reallocating the vectors.
+    vector, and ``sgd_step`` rejects it. Iteration order is the mapping's
+    order, which is also the layout of the vectors and keeps training and
+    checkpointing deterministic.
     """
 
-    def __init__(self, tensors: Mapping[str, object] | None = None):
+    def __init__(self, tensors: Mapping[str, object]):
+        arrays = [_as_array(v) for v in tensors.values()]
+        size = sum(a.size for a in arrays)
+        self._values = np.empty(size)
+        self._momentum = np.zeros(size)
         self._params: dict[str, Tensor] = {}
         self._views: dict[str, Array] = {}      # each tensor's view of _values
         self._momenta: dict[str, Array] = {}    # ... and of _momentum
-        self._values = np.zeros(0)
-        self._momentum = np.zeros(0)
         # sgd_step's gathered gradients and its one scratch vector, made on
         # its first call: sets that are never trained never hold them
         self._grad: Array | None = None
         self._scratch: Array | None = None
-        if tensors:
-            self._append(tensors)
-
-    def add(self, name: str, values) -> Tensor:
-        """Append a tensor holding a copy of ``values``; its momentum starts at 0."""
-        self._append({name: values})
-        return self._params[name]
-
-    def _append(self, tensors: Mapping[str, object]) -> None:
-        for name in tensors:
-            if name in self._params:
-                raise ValueError(f"duplicate parameter name {name!r}")
-        arrays = [_as_array(v) for v in tensors.values()]
-        shapes = [v.shape for v in self._views.values()] + [a.shape for a in arrays]
-        self._values = np.concatenate([self._values, *(a.reshape(-1) for a in arrays)])
-        self._momentum = np.concatenate(
-            [self._momentum, np.zeros(self._values.size - self._momentum.size)])
-        self._grad = self._scratch = None
-        for name, a in zip(tensors, arrays):
-            self._params[name] = Tensor(a, requires_grad=True)
-        # point every tensor, the new ones included, at its slice of the
-        # grown vectors
         lo = 0
-        for (n, p), shape in zip(self._params.items(), shapes):
-            hi = lo + math.prod(shape)
-            p.data = self._views[n] = self._values[lo:hi].reshape(shape)
-            self._momenta[n] = self._momentum[lo:hi].reshape(shape)
+        for name, a in zip(tensors, arrays):
+            hi = lo + a.size
+            view = self._values[lo:hi].reshape(a.shape)
+            view[...] = a
+            self._params[name] = Tensor(view, requires_grad=True)
+            self._views[name] = self._params[name].data
+            self._momenta[name] = self._momentum[lo:hi].reshape(a.shape)
             lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
@@ -433,14 +358,6 @@ class ParamSet:
     def momentum(self, name: str) -> Array:
         """The momentum of ``name``: a view into the set's momentum vector."""
         return self._momenta[name]
-
-    def clone(self) -> "ParamSet":
-        """Deep-copy parameter values; momentum buffers start at zero."""
-        return ParamSet({name: t.data for name, t in self._params.items()})
-
-    def value_bytes(self) -> bytes:
-        """Concatenated raw bytes of all parameter values, for bit-exact compares."""
-        return b"".join(t.data.tobytes() for t in self._params.values())
 
 
 def backward(loss: Tensor,

@@ -1,12 +1,77 @@
-"""Shared test utilities: finite-difference gradient oracle and small
-randomized model/batch factories."""
+"""Shared test utilities: the composed autodiff reference, a
+finite-difference gradient oracle and small randomized model/batch
+factories."""
 from __future__ import annotations
 
 import numpy as np
 
 from fixbi.core import loss_cr, loss_sp
 from fixbi.models import ClassifierModel, forward_logits, init_model
-from fixbi.numerics import Array, ParamSet, backward, softmax_t
+from fixbi.numerics import Array, ParamSet, Tensor, as_tensor, backward, softmax_t
+
+# -- the composed reference --------------------------------------------------
+# Graph operations composed from Tensor nodes. ``numerics.dense`` must
+# match ``relu(affine(x, w, b))`` and ``numerics.log_loss`` the
+# ``clamp_min -> log -> mul -> sum -> mul`` chain bit for bit, in values and
+# gradients; both run the same numpy operations as these.
+
+
+def matmul(a, b) -> Tensor:
+    """``a @ b`` of two 2-D tensors."""
+    a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data
+    return Tensor._make(ad @ bd, [
+        (a, lambda g: g @ bd.T),
+        (b, lambda g: ad.T @ g),
+    ])
+
+
+def affine(x, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` with the bias broadcast over rows."""
+    return matmul(x, w) + b
+
+
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0.0
+    return Tensor._make(np.where(mask, x.data, 0.0), [(x, lambda g: g * mask)])
+
+
+def clamp_min(x: Tensor, lo: float) -> Tensor:
+    """Elementwise ``max(x, lo)``; gradient passes where ``x >= lo``."""
+    mask = x.data >= lo
+    return Tensor._make(np.maximum(x.data, lo), [(x, lambda g: g * mask)])
+
+
+def log(x: Tensor) -> Tensor:
+    """Raw elementwise log; callers guard the domain with :func:`clamp_min`."""
+    xd = x.data
+    return Tensor._make(np.log(xd), [(x, lambda g: g / xd)])
+
+
+def mean(x: Tensor) -> Tensor:
+    return x.sum() * (1.0 / x.data.size)
+
+
+def squared_l2(x) -> Tensor:
+    """Sum of squared entries."""
+    x = as_tensor(x)
+    return (x * x).sum()
+
+
+# -- parameter sets ----------------------------------------------------------
+
+def value_bytes(params: ParamSet) -> bytes:
+    """Concatenated raw bytes of all parameter values, for bit-exact compares."""
+    return b"".join(t.data.tobytes() for _, t in params.items())
+
+
+def clone_model(model: ClassifierModel) -> ClassifierModel:
+    """Deep copy with fresh optimizer state."""
+    return ClassifierModel(model.input_dim, model.widths, model.num_classes,
+                           ParamSet({n: t.data for n, t in model.params.items()}))
+
+
+# -- gradient oracle ---------------------------------------------------------
 
 
 def finite_diff_grads(loss_fn, params: ParamSet, eps: float = 1e-5) -> dict[str, Array]:
@@ -76,13 +141,9 @@ def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):
 
 def manual_model(w, b, theta: float = 0.0) -> ClassifierModel:
     """1-layer model (identity extractor) with hand-chosen weights."""
-    from fixbi.numerics import ParamSet
-
     w = np.asarray(w, dtype=np.float64)
-    params = ParamSet()
-    params.add("head.w", w)
-    params.add("head.b", np.asarray(b, dtype=np.float64))
-    params.add("log_temperature", np.array([float(theta)]))
+    params = ParamSet({"head.w": w, "head.b": np.asarray(b, dtype=np.float64),
+                       "log_temperature": np.array([float(theta)])})
     return ClassifierModel(w.shape[0], (), w.shape[1], params)
 
 
@@ -92,7 +153,7 @@ def random_model(rng: np.random.Generator, input_dim: int = 3,
     so gradient checks exercise every parameter."""
     model = init_model(input_dim, widths, num_classes, seed=int(rng.integers(2**31)))
     for _, t in model.params.items():
-        t.data = rng.normal(0.0, 0.6, size=t.data.shape)
+        t.data[...] = rng.normal(0.0, 0.6, size=t.data.shape)
     return model
 
 

@@ -68,8 +68,9 @@ def test_criterion_01_gradient_suite():
         model = small_model()
         c = model.num_classes
         xs, ys, xt, yt = random_batch(rng, 4, 2, c)
-        batch = mixup(xs, one_hot(ys, c), xt, one_hot(yt, c), float(rng.uniform()))
-        err = _grad_trial_ok(lambda: loss_fm(probs_of(model, batch.x_mix), batch.y_mix),
+        lam = float(rng.uniform())
+        x_mix, y_mix = mixup(xs, xt, lam), mixup(one_hot(ys, c), one_hot(yt, c), lam)
+        err = _grad_trial_ok(lambda: loss_fm(probs_of(model, x_mix), y_mix),
                              model.params)
         worst["fm"] = max(worst["fm"], err)
 
@@ -121,7 +122,7 @@ def test_criterion_01_gradient_suite():
         disc = init_discriminator(model.feature_dim, 3,
                                   seed=int(rng.integers(2**31)), grl_lambda=lam)
         for _, t in disc.params.items():
-            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+            t.data[...] = rng.normal(0.0, 0.5, size=t.data.shape)
         xs, ys, xt, _ = random_batch(rng, 3, 2, model.num_classes)
         ys_hot = one_hot(ys, model.num_classes)
 
@@ -167,18 +168,18 @@ def test_criterion_03_mixup_invariants():
         c = int(rng.integers(2, 5))
         xs, ys, xt, yt = random_batch(rng, b, d, c)
         lam = float(rng.uniform())
-        out = mixup(xs, one_hot(ys, c), xt, one_hot(yt, c), lam)
-        assert (out.x_mix >= np.minimum(xs, xt)).all()
-        assert (out.x_mix <= np.maximum(xs, xt)).all()
-        assert (out.y_mix >= 0.0).all()
-        assert np.abs(out.y_mix.sum(axis=1) - 1.0).max() <= 1e-12
+        x_mix, y_mix = mixup(xs, xt, lam), mixup(one_hot(ys, c), one_hot(yt, c), lam)
+        assert (x_mix >= np.minimum(xs, xt)).all()
+        assert (x_mix <= np.maximum(xs, xt)).all()
+        assert (y_mix >= 0.0).all()
+        assert np.abs(y_mix.sum(axis=1) - 1.0).max() <= 1e-12
 
     xs, ys, xt, yt = random_batch(rng, 8, 3, 3)
     ys_h, yt_h = one_hot(ys, 3), one_hot(yt, 3)
-    full = mixup(xs, ys_h, xt, yt_h, 1.0)
-    none = mixup(xs, ys_h, xt, yt_h, 0.0)
-    assert full.x_mix.tobytes() == xs.tobytes() and full.y_mix.tobytes() == ys_h.tobytes()
-    assert none.x_mix.tobytes() == xt.tobytes() and none.y_mix.tobytes() == yt_h.tobytes()
+    assert mixup(xs, xt, 1.0).tobytes() == xs.tobytes()
+    assert mixup(ys_h, yt_h, 1.0).tobytes() == ys_h.tobytes()
+    assert mixup(xs, xt, 0.0).tobytes() == xt.tobytes()
+    assert mixup(ys_h, yt_h, 0.0).tobytes() == yt_h.tobytes()
 
 
 @pytest.mark.acceptance("criterion 4: adaptive threshold unit + gating partition")

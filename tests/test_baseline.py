@@ -12,8 +12,9 @@ from fixbi.core import NonFiniteLossError
 from fixbi.data import gen_blobs_shift
 from fixbi.models import (discriminator_logits, extract_features,
                           init_discriminator)
-from fixbi.numerics import Tensor, affine, backward, grl, sgd_step, softmax_t
-from helpers import random_batch, random_model
+from fixbi.numerics import Tensor, backward, grl, sgd_step, softmax_t
+from helpers import (affine, clamp_min, log, random_batch, random_model,
+                     value_bytes)
 
 
 def blob_config(**overrides) -> TrainConfig:
@@ -50,7 +51,7 @@ class TestSourceOnly:
         source, target = separable_pair()
         a = train_source_only(blob_config(baseline_epochs=5), source, target)
         b = train_source_only(blob_config(baseline_epochs=5), source, target)
-        assert a.model.params.value_bytes() == b.model.params.value_bytes()
+        assert value_bytes(a.model.params) == value_bytes(b.model.params)
         assert a.source_acc == b.source_acc and a.target_acc == b.target_acc
 
     def test_accuracies_in_unit_interval(self):
@@ -68,7 +69,7 @@ class TestDann:
         da = train_dann(cfg, source, target)
         # same seed, same batch stream, zero adversarial gradient: the
         # classifier path is step-for-step identical
-        assert so.model.params.value_bytes() == da.model.params.value_bytes()
+        assert value_bytes(so.model.params) == value_bytes(da.model.params)
         for ra, rb in zip(so.history, da.history):
             assert ra.acc_src_sd == rb.acc_src_sd
             assert ra.acc_tgt_sd == rb.acc_tgt_sd
@@ -78,7 +79,7 @@ class TestDann:
         cfg0 = blob_config(baseline_epochs=8, grl_lambda=1.0, seed=2)
         so = train_source_only(cfg0, source, target)
         da = train_dann(cfg0, source, target)
-        assert so.model.params.value_bytes() != da.model.params.value_bytes()
+        assert value_bytes(so.model.params) != value_bytes(da.model.params)
 
     def test_objective_gradient_matches_finite_differences(self):
         # the reversal layer makes the combined scalar a min-max objective:
@@ -89,7 +90,7 @@ class TestDann:
         model = random_model(rng)
         disc = init_discriminator(model.feature_dim, 4, seed=21, grl_lambda=lam)
         for _, t in disc.params.items():
-            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+            t.data[...] = rng.normal(0.0, 0.5, size=t.data.shape)
         xs, ys, xt, _ = random_batch(rng, 4, 3, 3)
         ys_hot = np.eye(3)[ys]
 
@@ -117,7 +118,7 @@ class TestDann:
         """Reference: separate extractor and discriminator passes for the
         source and the target batch."""
         def log_probs(z):
-            return softmax_t(z, 1.0).clamp_min(1e-12).log()
+            return log(clamp_min(softmax_t(z, 1.0), 1e-12))
 
         feat_s = extract_features(model, xs)
         feat_t = extract_features(model, xt)
@@ -136,7 +137,7 @@ class TestDann:
             disc = init_discriminator(model.feature_dim, 4, seed=trial,
                                       grl_lambda=float(rng.uniform(0.1, 1.5)))
             for _, t in disc.params.items():
-                t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+                t.data[...] = rng.normal(0.0, 0.5, size=t.data.shape)
             xs, ys, xt, _ = random_batch(rng, int(rng.integers(1, 6)), 3, 3)
             ys_hot = np.eye(3)[ys]
             got = dann_losses(model, disc, xs, ys_hot, xt)
@@ -218,7 +219,7 @@ class TestDiscriminatorOracle:
         for _ in range(120):
             from fixbi.numerics import softmax_t
             probs = softmax_t(discriminator_logits(disc, Tensor(feats)), 1.0)
-            loss = (onehot * probs.clamp_min(1e-12).log()).sum() * (-1.0 / 160)
+            loss = (onehot * log(clamp_min(probs, 1e-12))).sum() * (-1.0 / 160)
             sgd_step(disc.params, backward(loss, disc.params), lr=0.1, momentum=0.9)
         probs = softmax_t(discriminator_logits(disc, Tensor(feats)), 1.0).data
         pred = np.argmax(probs, axis=1)

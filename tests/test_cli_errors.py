@@ -164,6 +164,10 @@ def _blobs_config(path, *extra, batch_size=8):
     return str(path)
 
 
+# what the error says after the key, where that is not a non-finite number
+_REASONS = {"dataset.translation = 1, 2, 3": "3 components for dim 2"}
+
+
 @pytest.mark.parametrize("line,key", [
     ("grl_lambda = nan", "grl_lambda"),
     ("dataset.noise_sigma = nan", "dataset.noise_sigma"),
@@ -172,13 +176,33 @@ def _blobs_config(path, *extra, batch_size=8):
     ("lr0 = inf", "lr0"),
     ("dataset.rotation_deg = inf", "dataset.rotation_deg"),
     ("lambda_sd = -inf", "lambda_sd"),
+    ("dataset.translation = 1, 2, 3", "dataset.translation"),
 ])
 def test_run_with_non_finite_config_number(tmp_path, capsys, line, key):
     cfg = _blobs_config(tmp_path / "exp.cfg", line)
     assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"{key}: expected a finite number" in err
+    assert f"{key}: {_REASONS.get(line, 'expected a finite number')}" in err
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_run_with_unlabeled_csv_row(tmp_path, capsys, role):
+    # a source row needs its label to train and a target row its ground
+    # truth to evaluate; the -1 sits on line 4 of the bad file
+    good = "# classes=2 dim=1\n0.1,0\n0.2,1\n0.3,0\n"
+    files = {r: tmp_path / f"{r}.csv" for r in ("source", "target")}
+    for r, path in files.items():
+        path.write_text(good.replace("0.3,0", "0.3,-1") if r == role else good)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {files['source']}\n"
+                   f"dataset.target = {files['target']}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    assert cli_main(["run", str(cfg), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {files[role]}: line 4: label -1")
 
 
 def test_run_with_batch_larger_than_generated_domains(tmp_path, capsys):

@@ -13,12 +13,11 @@ from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
                         loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
                         ratio_rule_sample, train_fixbi)
 from fixbi.data import Dataset, one_hot, paired_minibatches
-from fixbi.models import (ClassifierModel, clone_model, forward_logits,
-                          init_model)
+from fixbi.models import ClassifierModel, forward_logits, init_model
 from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
                             softmax_t)
-from helpers import (check_grads, cr_of, manual_model, probs_of, random_batch,
-                     random_model, safe_tau, sp_of)
+from helpers import (check_grads, clone_model, cr_of, manual_model, probs_of,
+                     random_batch, random_model, safe_tau, sp_of, value_bytes)
 
 LN2 = math.log(2.0)
 
@@ -33,47 +32,32 @@ class TestMixup:
         rng = np.random.default_rng(0)
         xs, xt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         ys, yt = one_hot(np.array([0, 1, 2, 0]), 3), one_hot(np.array([2, 2, 1, 0]), 3)
-        out = mixup(xs, ys, xt, yt, 1.0)
-        assert out.x_mix.tobytes() == xs.tobytes()
-        assert out.y_mix.tobytes() == ys.tobytes()
+        assert mixup(xs, xt, 1.0).tobytes() == xs.tobytes()
+        assert mixup(ys, yt, 1.0).tobytes() == ys.tobytes()
 
     def test_lambda_zero_is_bit_exact_target(self):
         rng = np.random.default_rng(1)
         xs, xt = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         ys, yt = one_hot(np.array([0, 1, 0]), 2), one_hot(np.array([1, 1, 0]), 2)
-        out = mixup(xs, ys, xt, yt, 0.0)
-        assert out.x_mix.tobytes() == xt.tobytes()
-        assert out.y_mix.tobytes() == yt.tobytes()
+        assert mixup(xs, xt, 0.0).tobytes() == xt.tobytes()
+        assert mixup(ys, yt, 0.0).tobytes() == yt.tobytes()
 
     def test_midpoint_hand_case(self):
-        out = mixup(np.array([[0.0, 2.0]]), one_hot(np.array([0]), 2),
-                    np.array([[2.0, 0.0]]), one_hot(np.array([1]), 2), 0.5)
-        assert np.array_equal(out.x_mix, [[1.0, 1.0]])
-        assert np.array_equal(out.y_mix, [[0.5, 0.5]])
+        assert np.array_equal(mixup(np.array([[0.0, 2.0]]), np.array([[2.0, 0.0]]), 0.5),
+                              [[1.0, 1.0]])
+        assert np.array_equal(mixup(one_hot(np.array([0]), 2), one_hot(np.array([1]), 2),
+                                    0.5), [[0.5, 0.5]])
 
     def test_dominant_ratio_three_classes(self):
         # lam=0.7, source class 2, target class 0 -> [0.3, 0, 0.7]
-        out = mixup(np.zeros((1, 2)), one_hot(np.array([2]), 3),
-                    np.ones((1, 2)), one_hot(np.array([0]), 3), 0.7)
-        assert np.allclose(out.y_mix, [[0.3, 0.0, 0.7]], atol=1e-15)
+        y_mix = mixup(one_hot(np.array([2]), 3), one_hot(np.array([0]), 3), 0.7)
+        assert np.allclose(y_mix, [[0.3, 0.0, 0.7]], atol=1e-15)
 
     def test_out_of_range_lambda_rejected(self):
         xs = np.zeros((1, 2))
-        y = one_hot(np.array([0]), 2)
         for lam in (-0.01, 1.01):
             with pytest.raises(ValueError):
-                mixup(xs, y, xs, y, lam)
-
-    def test_non_simplex_labels_rejected(self):
-        xs = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            mixup(xs, np.array([[0.5, 0.6]]), xs, np.array([[1.0, 0.0]]), 0.5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_labels_rejected(self, bad):
-        xs = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            mixup(xs, np.array([[bad, 0.0]]), xs, np.array([[1.0, 0.0]]), 0.5)
+                mixup(xs, xs, lam)
 
     def test_convexity_and_simplex_invariants_randomized(self):
         # acceptance criterion 3 at module scale; the full 1e4 sweep is in
@@ -83,12 +67,13 @@ class TestMixup:
             b, d, c = rng.integers(1, 5), rng.integers(1, 4), rng.integers(2, 5)
             xs, ys, xt, yt = random_batch(rng, int(b), int(d), int(c))
             lam = float(rng.uniform())
-            out = mixup(xs, one_hot(ys, int(c)), xt, one_hot(yt, int(c)), lam)
+            x_mix = mixup(xs, xt, lam)
+            y_mix = mixup(one_hot(ys, int(c)), one_hot(yt, int(c)), lam)
             lo = np.minimum(xs, xt)
             hi = np.maximum(xs, xt)
-            assert (out.x_mix >= lo).all() and (out.x_mix <= hi).all()
-            assert (out.y_mix >= 0).all()
-            assert np.abs(out.y_mix.sum(axis=1) - 1.0).max() <= 1e-12
+            assert (x_mix >= lo).all() and (x_mix <= hi).all()
+            assert (y_mix >= 0).all()
+            assert np.abs(y_mix.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestPseudoLabels:
@@ -194,9 +179,8 @@ class TestStackedLosses:
     @staticmethod
     def _stack(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
-        params.add("z", rng.normal(0.0, 2.0, size=(2, 6, 3)))
-        params.add("log_t", np.array([[0.3], [-0.4]]))
+        params = ParamSet({"z": rng.normal(0.0, 2.0, size=(2, 6, 3)),
+                           "log_t": np.array([[0.3], [-0.4]])})
         return rng, params
 
     @staticmethod
@@ -207,9 +191,7 @@ class TestStackedLosses:
         upstream = np.array([0.7, -1.3])
         grads = backward((out * upstream).sum(), params)
         for k in range(2):
-            mine = ParamSet()
-            for name, t in params.items():
-                mine.add(name, t.data[k])
+            mine = ParamSet({name: t.data[k] for name, t in params.items()})
             want = single(mine, k)
             assert out.data[k].tobytes() == want.data.tobytes(), k
             want_grads = backward(want * upstream[k], mine)
@@ -253,23 +235,23 @@ class TestLossFm:
     def test_perfect_prediction_is_zero(self):
         # huge logit margin: predicted probability is 1.0 in float64
         model = manual_model([[60.0, 0.0]], [0.0, 0.0])
-        batch = mixup(np.array([[1.0]]), one_hot(np.array([0]), 2),
-                      np.array([[1.0]]), one_hot(np.array([0]), 2), 1.0)
-        assert loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item() == 0.0
+        x_mix = mixup(np.array([[1.0]]), np.array([[1.0]]), 1.0)
+        y_mix = mixup(one_hot(np.array([0]), 2), one_hot(np.array([0]), 2), 1.0)
+        assert loss_fm(probs_of(model, x_mix), y_mix).item() == 0.0
 
     def test_uniform_prediction_gives_ln2(self):
         model = manual_model([[0.0, 0.0]], [0.0, 0.0])
-        batch = mixup(np.array([[1.0]]), one_hot(np.array([0]), 2),
-                      np.array([[0.5]]), one_hot(np.array([1]), 2), 1.0)
-        assert loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item() == \
+        x_mix = mixup(np.array([[1.0]]), np.array([[0.5]]), 1.0)
+        y_mix = mixup(one_hot(np.array([0]), 2), one_hot(np.array([1]), 2), 1.0)
+        assert loss_fm(probs_of(model, x_mix), y_mix).item() == \
             pytest.approx(LN2, abs=1e-12)
 
     def test_lambda_one_reduces_to_source_cross_entropy(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, input_dim=2, widths=(4,), num_classes=3)
         xs, ys, xt, yt = random_batch(rng, 5, 2, 3)
-        batch = mixup(xs, one_hot(ys, 3), xt, one_hot(yt, 3), 1.0)
-        got = loss_fm(probs_of(model, batch.x_mix), batch.y_mix).item()
+        x_mix, y_mix = mixup(xs, xt, 1.0), mixup(one_hot(ys, 3), one_hot(yt, 3), 1.0)
+        got = loss_fm(probs_of(model, x_mix), y_mix).item()
         from fixbi.models import predict_probs
         p = predict_probs(model, xs)
         want = -np.mean(np.log(p[np.arange(5), ys]))
@@ -279,9 +261,8 @@ class TestLossFm:
         rng = np.random.default_rng(5)
         model = random_model(rng)
         xs, ys, xt, yt = random_batch(rng, 4, 3, 3)
-        batch = mixup(xs, one_hot(ys, 3), xt, one_hot(yt, 3), 0.7)
-        check_grads(lambda: loss_fm(probs_of(model, batch.x_mix), batch.y_mix),
-                    model.params)
+        x_mix, y_mix = mixup(xs, xt, 0.7), mixup(one_hot(ys, 3), one_hot(yt, 3), 0.7)
+        check_grads(lambda: loss_fm(probs_of(model, x_mix), y_mix), model.params)
 
 
 class TestLossBim:
@@ -459,8 +440,8 @@ class TestTrainFixbi:
                                    loss_bim=False, loss_cr=False)
         state_a, _ = train_fixbi(cfg_gated, source, target, init)
         state_b, _ = train_fixbi(cfg_disabled, source, target, init)
-        assert state_a.sdm.params.value_bytes() == state_b.sdm.params.value_bytes()
-        assert state_a.tdm.params.value_bytes() == state_b.tdm.params.value_bytes()
+        assert value_bytes(state_a.sdm.params) == value_bytes(state_b.sdm.params)
+        assert value_bytes(state_a.tdm.params) == value_bytes(state_b.tdm.params)
 
     def test_determinism_bitwise(self):
         source, target = tiny_pair()
@@ -468,7 +449,7 @@ class TestTrainFixbi:
         init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
         state_a, rows_a = train_fixbi(cfg, source, target, init)
         state_b, rows_b = train_fixbi(cfg, source, target, init)
-        assert state_a.sdm.params.value_bytes() == state_b.sdm.params.value_bytes()
+        assert value_bytes(state_a.sdm.params) == value_bytes(state_b.sdm.params)
         assert rows_a == rows_b
 
     def test_threshold_trace_covers_every_iteration(self):
@@ -609,9 +590,9 @@ class TestStackedMatchesTwoModels:
                 for m, model, lam in (("sd", sdm, cfg.lambda_sd),
                                       ("td", tdm, cfg.lambda_td)):
                     pl = one_hot(np.argmax(q[m].data, axis=1), init.num_classes)
-                    mixed = mixup(batch.xs, ys_hot, batch.xt, pl, lam)
-                    probs = softmax_t(forward_logits(model, mixed.x_mix)[1], 1.0)
-                    terms[f"fm_{m}"] = loss_fm(probs, mixed.y_mix)
+                    x_mix = mixup(batch.xs, batch.xt, lam)
+                    probs = softmax_t(forward_logits(model, x_mix)[1], 1.0)
+                    terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
                     terms[f"sp_{m}"] = loss_sp(logits[m],
                                                model.params["log_temperature"], tau[m])
                 if matching:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fixbi.cli import main as cli_main
-from fixbi.config import (ConfigError, DatasetSpec, MetricsRow, TrainConfig,
-                          load_config, parse_config, serialize_config,
+from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
+                          TrainConfig, load_config, parse_config, serialize_config,
                           validate_config)
 from fixbi.harness import (classwise_accuracy, emit_report, execute,
                            load_metrics_csv, rank_class_gaps, run_experiment)
@@ -122,6 +123,27 @@ class TestMetricsCsv:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], tmp_path)
+
+    @staticmethod
+    def _two_rows(tmp_path):
+        emit_report([MetricsRow(epoch=1), MetricsRow(epoch=2)], tmp_path)
+        path = tmp_path / "metrics.csv"
+        return path, path.read_text().split("\n")
+
+    def test_metrics_row_with_missing_cells_rejected(self, tmp_path):
+        path, lines = self._two_rows(tmp_path)
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "
+                                             f"expected {len(METRICS_COLUMNS)} cells"):
+            load_metrics_csv(path)
+
+    def test_metrics_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path, lines = self._two_rows(tmp_path)
+        lines[1] = lines[1].replace("1,", "one,", 1)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "):
+            load_metrics_csv(path)
 
 
 class TestClasswise:
@@ -313,7 +335,6 @@ class TestRunExperiment:
         bad.write_text("# v0 epoch,foo\n1,2\n")
         with pytest.raises(ValueError):
             load_metrics_csv(bad)
-
 
 class TestCli:
     def test_gen_then_eval(self, tmp_path, capsys):

@@ -4,22 +4,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fixbi.models import (clone_model, ensemble_predict, extract_features,
-                          forward, forward_logits, init_discriminator,
-                          init_model, load_checkpoint, predict_features,
-                          predict_labels, predict_probs, save_checkpoint,
-                          stack_models, unstack_models)
+from fixbi.models import (ensemble_predict, extract_features, forward,
+                          forward_logits, init_discriminator, init_model,
+                          load_checkpoint, predict_features, predict_labels,
+                          predict_probs, save_checkpoint, stack_models,
+                          unstack_models)
 from fixbi.numerics import softmax_t
-from helpers import manual_model, random_model
+from helpers import manual_model, random_model, value_bytes
 
 
 class TestInitModel:
     def test_same_seed_identical(self):
         a = init_model(4, (8, 3), 2, seed=11)
         b = init_model(4, (8, 3), 2, seed=11)
-        assert a.params.value_bytes() == b.params.value_bytes()
+        assert value_bytes(a.params) == value_bytes(b.params)
         c = init_model(4, (8, 3), 2, seed=12)
-        assert a.params.value_bytes() != c.params.value_bytes()
+        assert value_bytes(a.params) != value_bytes(c.params)
 
     def test_zero_input_logits_equal_bias(self):
         model = init_model(3, (6, 4), 3, seed=0)
@@ -133,11 +133,11 @@ class TestStackedModels:
         assert shapes["log_temperature"] == (2, 1)
         for model, back in zip(models, unstack_models(pair)):
             assert back.params.names() == model.params.names()
-            assert back.params.value_bytes() == model.params.value_bytes()
+            assert value_bytes(back.params) == value_bytes(model.params)
             # an unstacked model saves and loads as any other
             save_checkpoint(back, tmp_path / "m.ckpt")
             again = load_checkpoint(tmp_path / "m.ckpt")
-            assert again.params.value_bytes() == model.params.value_bytes()
+            assert value_bytes(again.params) == value_bytes(model.params)
 
     @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 300])
     def test_inference_equals_each_model_bit_for_bit(self, rows):
@@ -208,8 +208,9 @@ class TestEnsemblePredict:
 
 class TestCloneAndDiscriminator:
     def test_clone_is_independent(self):
+        # the models that unstack_models returns are copies
         model = init_model(2, (4,), 2, seed=10)
-        twin = clone_model(model)
+        twin = unstack_models(stack_models([model]))[0]
         twin.params["head.w"].data[0, 0] += 1.0
         assert model.params["head.w"].data[0, 0] != twin.params["head.w"].data[0, 0]
 
@@ -229,7 +230,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         back = load_checkpoint(path)
         assert back.input_dim == 3 and back.widths == (6, 4) and back.num_classes == 3
-        assert back.params.value_bytes() == model.params.value_bytes()
+        assert value_bytes(back.params) == value_bytes(model.params)
         # writing again is byte-identical
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(back, path2)

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, affine,
-                            as_tensor, backward, dense, grl, log_loss,
-                            lr_schedule, sgd_step, softmax_t, squared_l2, take)
-from helpers import check_grads, finite_diff_grads, max_rel_error
+from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, as_tensor,
+                            backward, dense, grl, log_loss, lr_schedule,
+                            sgd_step, softmax_t, take)
+import helpers
+from helpers import (affine, check_grads, clamp_min, finite_diff_grads, log,
+                     matmul, max_rel_error, mean, relu, squared_l2)
 
 
 class TestSoftmaxT:
@@ -48,9 +50,8 @@ class TestSoftmaxT:
 
     def test_gradient_wrt_logits_and_temperature(self):
         rng = np.random.default_rng(1)
-        params = ParamSet()
-        z = params.add("z", rng.normal(size=(3, 4)))
-        theta = params.add("theta", [0.3])
+        params = ParamSet({"z": rng.normal(size=(3, 4)), "theta": [0.3]})
+        z, theta = params["z"], params["theta"]
         weights = rng.normal(size=(3, 4))  # random linear functional of softmax
 
         def build():
@@ -67,37 +68,37 @@ class TestSoftmaxT:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        params = ParamSet()
-        w = params.add("w", np.arange(6.0).reshape(2, 3))
+        params = ParamSet({"w": np.arange(6.0).reshape(2, 3)})
+        w = params["w"]
         g = backward(w.sum(), params)
         assert np.array_equal(g["w"], np.ones((2, 3)))
 
     def test_half_squared_norm_gradient_is_w(self):
-        params = ParamSet()
-        w = params.add("w", [[1.0, -2.0], [0.5, 3.0]])
+        params = ParamSet({"w": [[1.0, -2.0], [0.5, 3.0]]})
+        w = params["w"]
         g = backward(squared_l2(w) * 0.5, params)
         assert np.allclose(g["w"], w.data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
-        params = ParamSet()
-        w = params.add("w", [1.0, 2.0])
+        params = ParamSet({"w": [1.0, 2.0]})
+        w = params["w"]
         with pytest.raises(ShapeError):
             backward(w * 2.0, params)
 
     def test_unreachable_parameter_gets_zeros(self):
-        params = ParamSet()
-        w = params.add("w", [1.0])
-        unused = params.add("unused", [(5.0)])
+        params = ParamSet({"w": [1.0], "unused": [(5.0)]})
+        w = params["w"]
         g = backward((w * w).sum(), params)
         assert np.array_equal(g["unused"], np.zeros(1))
 
     def test_three_layer_mlp_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        params = ParamSet()
         sizes = [(4, 6), (6, 5), (5, 3)]
+        tensors = {}
         for i, (a, b) in enumerate(sizes):
-            params.add(f"w{i}", rng.normal(0, 0.7, size=(a, b)))
-            params.add(f"b{i}", rng.normal(0, 0.3, size=b))
+            tensors[f"w{i}"] = rng.normal(0, 0.7, size=(a, b))
+            tensors[f"b{i}"] = rng.normal(0, 0.3, size=b)
+        params = ParamSet(tensors)
         x = rng.normal(size=(5, 4))
         y = np.zeros((5, 3))
         y[np.arange(5), rng.integers(0, 3, size=5)] = 1.0
@@ -107,9 +108,9 @@ class TestBackward:
             for i in range(3):
                 h = affine(h, params[f"w{i}"], params[f"b{i}"])
                 if i < 2:
-                    h = h.relu()
+                    h = relu(h)
             p = softmax_t(h, 1.0)
-            return (y * p.clamp_min(1e-12).log()).sum() * (-1.0 / 5)
+            return (y * log(clamp_min(p, 1e-12))).sum() * (-1.0 / 5)
 
         analytic = backward(build(), params)
         numeric = finite_diff_grads(lambda: build().item(), params, eps=1e-5)
@@ -119,35 +120,35 @@ class TestBackward:
         # every primitive composed into one scalar, 100 random trials
         rng = np.random.default_rng(11)
         for _ in range(100):
-            params = ParamSet()
-            a = params.add("a", rng.normal(size=(3, 4)))
-            b = params.add("b", rng.normal(size=(3, 4)))
-            w = params.add("w", rng.normal(size=(4, 2)))
+            params = ParamSet({"a": rng.normal(size=(3, 4)),
+                               "b": rng.normal(size=(3, 4)),
+                               "w": rng.normal(size=(4, 2))})
+            a, b, w = params["a"], params["b"], params["w"]
 
             def build():
-                mixed = (a * b + a - b).relu() + 0.5
-                z = mixed @ w
+                mixed = relu(a * b + a - b) + 0.5
+                z = matmul(mixed, w)
                 p = softmax_t(z, 1.0)
                 return (p * p).sum() * 0.25 + \
-                    mixed.clamp_min(0.1).log().mean() + squared_l2(z) * 0.01
+                    mean(log(clamp_min(mixed, 0.1))) + squared_l2(z) * 0.01
 
             check_grads(build, params, tol=1e-4)
 
     def test_shared_subexpression_accumulates(self):
-        params = ParamSet()
-        w = params.add("w", [2.0])
+        params = ParamSet({"w": [2.0]})
+        w = params["w"]
         y = w * w           # used twice below
         g = backward((y + y).sum(), params)
         assert np.allclose(g["w"], [8.0])
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(3)
-        params = ParamSet()
-        w = params.add("w", rng.normal(size=(4, 4)))
+        params = ParamSet({"w": rng.normal(size=(4, 4))})
+        w = params["w"]
         x = rng.normal(size=(2, 4))
 
         def run():
-            loss = squared_l2(softmax_t(as_tensor(x) @ w, 1.0))
+            loss = squared_l2(softmax_t(matmul(as_tensor(x), w), 1.0))
             return backward(loss, params)["w"].tobytes()
 
         assert run() == run()
@@ -184,15 +185,13 @@ def _assert_same_grads(got, want):
 
 
 class TestDense:
-    """The one-node layer against the affine(...).relu() chain it replaces."""
+    """The one-node layer against the relu(affine(...)) chain of helpers."""
 
     @staticmethod
     def _layer(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
-        params.add("x", rng.normal(size=(6, 4)))
-        params.add("w", rng.normal(size=(4, 5)))
-        params.add("b", rng.normal(size=5))
+        params = ParamSet({"x": rng.normal(size=(6, 4)), "w": rng.normal(size=(4, 5)),
+                           "b": rng.normal(size=5)})
         upstream = rng.normal(size=(6, 5))  # a non-uniform upstream gradient
         return params, upstream
 
@@ -201,7 +200,7 @@ class TestDense:
         params, upstream = self._layer(21)
         x, w, b = params["x"], params["w"], params["b"]
         fused = dense(x, w, b, relu=relu)
-        chain = affine(x, w, b).relu() if relu else affine(x, w, b)
+        chain = helpers.relu(affine(x, w, b)) if relu else affine(x, w, b)
         _assert_same_bits(fused, chain)
         if relu:
             assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
@@ -223,10 +222,7 @@ class TestDense:
 
 def _model_slice(params: ParamSet, k: int) -> ParamSet:
     """Model ``k``'s slice of every stacked parameter, as its own set."""
-    out = ParamSet()
-    for name, t in params.items():
-        out.add(name, t.data[k])
-    return out
+    return ParamSet({name: t.data[k] for name, t in params.items()})
 
 
 class TestStackedDense:
@@ -235,10 +231,9 @@ class TestStackedDense:
     @staticmethod
     def _stack(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
-        params.add("x", rng.normal(size=(2, 6, 4)))
-        params.add("w", rng.normal(size=(2, 4, 5)))
-        params.add("b", rng.normal(size=(2, 5)))
+        params = ParamSet({"x": rng.normal(size=(2, 6, 4)),
+                           "w": rng.normal(size=(2, 4, 5)),
+                           "b": rng.normal(size=(2, 5))})
         upstream = rng.normal(size=(2, 6, 5))
         return params, upstream
 
@@ -274,8 +269,8 @@ class TestStackedDense:
 class TestTake:
     def test_value_and_scattered_gradient(self):
         rng = np.random.default_rng(33)
-        params = ParamSet()
-        z = params.add("z", rng.normal(size=(2, 5, 3)))
+        params = ParamSet({"z": rng.normal(size=(2, 5, 3))})
+        z = params["z"]
         upstream = rng.normal(size=(2, 3))
         part = take(z, (1, slice(1, 3)))
         assert part.data.tobytes() == z.data[1, 1:3].tobytes()
@@ -285,8 +280,8 @@ class TestTake:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(34)
-        params = ParamSet()
-        z = params.add("z", rng.normal(size=(2, 5, 3)))
+        params = ParamSet({"z": rng.normal(size=(2, 5, 3))})
+        z = params["z"]
         up_a, up_b = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
         # overlapping slices: their gradients add up in the parent
         check_grads(lambda: (take(z, (0, slice(0, 2))) * up_a).sum()
@@ -297,9 +292,8 @@ class TestStackedSoftmaxT:
     @staticmethod
     def _stack(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
-        params.add("z", rng.normal(0.0, 2.0, size=(2, 5, 3)))
-        params.add("log_t", np.array([[0.3], [-0.4]]))
+        params = ParamSet({"z": rng.normal(0.0, 2.0, size=(2, 5, 3)),
+                           "log_t": np.array([[0.3], [-0.4]])})
         return params, rng.normal(size=(2, 5, 3))
 
     def test_slices_bit_identical_to_2d_calls(self):
@@ -361,15 +355,14 @@ class TestStackedSoftmaxT:
 
 class TestLogLoss:
     """The one-node log-loss against the clamp_min -> log -> mul -> sum ->
-    mul chain it replaces."""
+    mul chain of helpers."""
 
     @staticmethod
     def _case(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
         z = rng.normal(size=(5, 3))
         z[0] = [0.0, -40.0, 5.0]  # one probability below the clamp
-        params.add("z", z)
+        params = ParamSet({"z": z})
         weights = rng.uniform(size=(5, 3)) * (rng.uniform(size=(5, 3)) > 0.3)
         return params, weights
 
@@ -378,7 +371,7 @@ class TestLogLoss:
         probs = softmax_t(params["z"], 1.0)
         assert (probs.data < LOG_CLAMP).any()
         fused = log_loss(probs, weights, 5)
-        chain = (weights * probs.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / 5)
+        chain = (weights * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
         _assert_same_bits(fused, chain)
         _assert_same_grads(backward(fused, params), backward(chain, params))
 
@@ -398,10 +391,9 @@ class TestStackedLogLoss:
     @staticmethod
     def _stack(seed):
         rng = np.random.default_rng(seed)
-        params = ParamSet()
         z = rng.normal(size=(2, 5, 3))
         z[1, 0] = [0.0, -40.0, 5.0]  # one probability below the clamp
-        params.add("z", z)
+        params = ParamSet({"z": z})
         weights = rng.uniform(size=(2, 5, 3)) * (rng.uniform(size=(2, 5, 3)) > 0.3)
         return params, weights
 
@@ -415,7 +407,7 @@ class TestStackedLogLoss:
             single = _model_slice(params, k)
             probs = softmax_t(single["z"], 1.0)
             out = log_loss(probs, weights[k], 5)
-            chain = (weights[k] * probs.clamp_min(LOG_CLAMP).log()).sum() * (-1.0 / 5)
+            chain = (weights[k] * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
             for want in (out, chain):
                 assert stacked.data[k].tobytes() == want.data.tobytes()
                 want_grads = backward(want * upstream[k], single)
@@ -433,21 +425,21 @@ class TestGradientReversal:
         assert np.array_equal(grl(x, 0.7).data, x.data)
 
     def test_zero_lambda_kills_gradient(self):
-        params = ParamSet()
-        w = params.add("w", [3.0])
+        params = ParamSet({"w": [3.0]})
+        w = params["w"]
         g = backward((grl(w, 0.0) * 2.0).sum(), params)
         assert np.array_equal(g["w"], [0.0])
 
     def test_scalar_chain_scales_by_minus_lambda(self):
-        params = ParamSet()
-        w = params.add("w", [1.5])
+        params = ParamSet({"w": [1.5]})
+        w = params["w"]
         c = 4.0
         g = backward((grl(w, 0.9) * c).sum(), params)
         assert np.allclose(g["w"], [-0.9 * c])
 
     def test_double_reversal_restores_gradient(self):
-        params = ParamSet()
-        w = params.add("w", [2.0])
+        params = ParamSet({"w": [2.0]})
+        w = params["w"]
         g = backward((grl(grl(w, 1.0), 1.0) * 3.0).sum(), params)
         assert np.allclose(g["w"], [3.0])
 
@@ -458,20 +450,17 @@ class TestGradientReversal:
 
 class TestSgdStep:
     def test_plain_descent(self):
-        params = ParamSet()
-        params.add("w", [1.0])
+        params = ParamSet({"w": [1.0]})
         sgd_step(params, {"w": np.array([2.0])}, lr=0.1)
         assert np.allclose(params["w"].data, [0.8])
 
     def test_weight_decay_only(self):
-        params = ParamSet()
-        params.add("w", [1.0])
+        params = ParamSet({"w": [1.0]})
         sgd_step(params, {"w": np.array([0.0])}, lr=0.001, weight_decay=0.005)
         assert np.allclose(params["w"].data, [0.999995], atol=1e-15)
 
     def test_momentum_two_steps_unrolled(self):
-        params = ParamSet()
-        params.add("w", [0.0])
+        params = ParamSet({"w": [0.0]})
         g = {"w": np.array([1.0])}
         sgd_step(params, g, lr=1.0, momentum=0.9)
         sgd_step(params, g, lr=1.0, momentum=0.9)
@@ -479,29 +468,24 @@ class TestSgdStep:
 
     def test_zero_momentum_equals_plain_descent_exactly(self):
         rng = np.random.default_rng(5)
-        params = ParamSet()
         w0 = rng.normal(size=(3, 3))
-        params.add("w", w0.copy())
+        params = ParamSet({"w": w0.copy()})
         g = rng.normal(size=(3, 3))
         sgd_step(params, {"w": g}, lr=0.05, momentum=0.0, weight_decay=0.0)
         assert np.array_equal(params["w"].data, w0 - 0.05 * g)
 
     def test_missing_gradient_rejected(self):
-        params = ParamSet()
-        params.add("w", [1.0])
-        params.add("v", [1.0])
+        params = ParamSet({"w": [1.0], "v": [1.0]})
         with pytest.raises(ValueError, match="missing gradient"):
             sgd_step(params, {"w": np.array([1.0])}, lr=0.1)
 
     def test_shape_mismatch_rejected(self):
-        params = ParamSet()
-        params.add("w", [1.0, 2.0])
+        params = ParamSet({"w": [1.0, 2.0]})
         with pytest.raises(ShapeError):
             sgd_step(params, {"w": np.array([1.0])}, lr=0.1)
 
     def test_hyperparameter_validation(self):
-        params = ParamSet()
-        params.add("w", [1.0])
+        params = ParamSet({"w": [1.0]})
         g = {"w": np.array([1.0])}
         with pytest.raises(ValueError):
             sgd_step(params, g, lr=0.0)
@@ -531,18 +515,13 @@ class TestLrSchedule:
 
 
 class TestParamSet:
-    def test_duplicate_name_rejected(self):
-        params = ParamSet()
-        params.add("w", [1.0])
-        with pytest.raises(ValueError):
-            params.add("w", [2.0])
-
     def test_clone_copies_values_and_resets_momentum(self):
-        params = ParamSet()
-        params.add("w", [1.0])
+        # a set built from a trained set's tensors, as unstack_models builds
+        # each model's
+        params = ParamSet({"w": [1.0]})
         sgd_step(params, {"w": np.array([1.0])}, lr=0.1, momentum=0.9)
         assert params.momentum("w")[0] != 0.0
-        fresh = params.clone()
+        fresh = ParamSet({name: t.data for name, t in params.items()})
         assert np.array_equal(fresh["w"].data, params["w"].data)
         assert np.array_equal(fresh.momentum("w"), [0.0])
         fresh["w"].data[0] = 99.0
@@ -554,12 +533,12 @@ class TestFlatParamSet:
     update over them."""
 
     def test_tensors_and_momenta_view_one_vector_each(self):
-        params = ParamSet()
-        a = params.add("a", np.arange(6.0).reshape(2, 3))
-        params.add("b", [7.0])
-        sgd_step(params, {"a": np.ones((2, 3)), "b": np.ones(1)}, lr=0.5, momentum=0.9)
-        c = params.add("c", np.zeros((2, 2)))  # growing the set keeps state
-        assert a is params["a"]
+        a0 = np.arange(6.0).reshape(2, 3)
+        params = ParamSet({"a": a0, "b": [7.0], "c": np.zeros((2, 2))})
+        a, c = params["a"], params["c"]
+        assert not np.shares_memory(a.data, a0)  # the set holds copies
+        sgd_step(params, {"a": np.ones((2, 3)), "b": np.ones(1), "c": np.zeros((2, 2))},
+                 lr=0.5, momentum=0.9)
         values = a.data.base
         assert values.shape == (11,)
         assert all(params[n].data.base is values for n in ("a", "b", "c"))
@@ -606,9 +585,7 @@ class TestFlatParamSet:
         self._check_three_steps([model.params, disc.params], 28)
 
     def test_rebound_tensor_rejected(self):
-        params = ParamSet()
-        params.add("w", [1.0, 2.0])
-        params.add("b", [0.0])
+        params = ParamSet({"w": [1.0, 2.0], "b": [0.0]})
         grads = {"w": np.ones(2), "b": np.ones(1)}
         params["w"].data[...] = [3.0, 4.0]  # in place: still trained
         sgd_step(params, grads, lr=0.5)
