@@ -73,7 +73,10 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
         history.append(MetricsRow(epoch=epoch, fm_sd=loss_sum / max(1, n_batches),
                                   acc_src_sd=src_acc, acc_tgt_sd=tgt_acc,
                                   acc_tgt_ens=tgt_acc))
-    return BaselineResult(model, *_accuracies(model, source, target), history)
+    # the last epoch's row already holds the returned model's accuracies
+    accs = ((history[-1].acc_src_sd, history[-1].acc_tgt_sd) if history
+            else _accuracies(model, source, target))
+    return BaselineResult(model, *accs, history)
 
 
 def train_source_only(cfg: TrainConfig, source: Dataset,

@@ -99,6 +99,14 @@ def _apply_translation(x: Array, translation) -> Array:
     return x + t
 
 
+def _check_finite(**values) -> None:
+    """Reject a generator argument holding NaN or inf, naming it: such a
+    value would run through the draws into every row."""
+    for name, value in values.items():
+        if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
                     rotation_deg: float = 0.0, translation=(),
                     noise_sigma: float = 0.15, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -114,6 +122,8 @@ def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
         raise ValueError("dim must be >= 2")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    _check_finite(noise_sigma=noise_sigma, rotation_deg=rotation_deg,
+                  translation=translation)
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
 
@@ -149,6 +159,7 @@ def gen_moons_shift(per_class: int, rotation_deg: float = 0.0,
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    _check_finite(noise_sigma=noise_sigma, rotation_deg=rotation_deg)
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
 

@@ -91,19 +91,19 @@ def emit_report(rows: list[MetricsRow], out_dir) -> Path:
 
 
 def load_metrics_csv(path) -> list[MetricsRow]:
-    """Parse metrics.csv; a bad row raises a ``ValueError`` that starts with
-    ``path`` and names its line."""
+    """Parse metrics.csv; every error is a ``ValueError`` that starts with
+    ``path``, and a bad row's names its line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines:
-        raise ValueError(f"empty metrics file: {path}")
+        raise ValueError(f"{path}: empty metrics file")
     header = lines[0][1]
     prefix = f"# {METRICS_VERSION} "
     if not header.startswith(prefix):
-        raise ValueError(f"unrecognized metrics header: {header!r}")
+        raise ValueError(f"{path}: unrecognized metrics header: {header!r}")
     columns = header[len(prefix):].split(",")
     if columns != METRICS_COLUMNS:
-        raise ValueError("metrics.csv column mismatch")
+        raise ValueError(f"{path}: metrics.csv column mismatch")
     rows = []
     for lineno, line in lines[1:]:
         cells = line.split(",")

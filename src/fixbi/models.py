@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, as_tensor, dense, softmax,
-                       softmax_t)
+from .numerics import (Array, ParamSet, Tensor, as_tensor, dense, relu_inplace,
+                       softmax, softmax_t)
 from .numerics import grl  # re-exported: reversal layer used by the DANN baseline
 
 __all__ = [
@@ -178,7 +178,7 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
         for w, b in layers:
             h = h @ w
             h += b
-            h = np.where(h > 0.0, h, 0.0)
+            relu_inplace(h)
         if probs:
             h = h @ head[0]
             h += head[1]

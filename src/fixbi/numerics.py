@@ -130,12 +130,27 @@ class Tensor:
     def sum(self) -> "Tensor":
         shape = self.data.shape
         return Tensor._make(np.asarray(self.data.sum()),
-                            [(self, lambda g: np.broadcast_to(g, shape).copy())])
+                            [(self, lambda g: np.full(shape, g))])
 
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays/scalars as constant tensors; pass tensors through."""
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def relu_inplace(a: Array) -> Array:
+    """``max(a, 0)`` written into ``a``, which it returns: bit-identical to
+    ``np.where(a > 0.0, a, 0.0)`` for every float64 input, at a fraction of
+    its cost (no new array, no three-operand broadcast).
+
+    ``fmax`` returns the non-NaN operand, so NaN gives +0.0 as ``where`` does;
+    IEEE leaves the sign of ``fmax(-0.0, +0.0)`` open (numpy's vector and
+    scalar loops differ), and adding +0.0 turns a -0.0 into +0.0 while
+    leaving every other value as it is. ``np.maximum`` would pass NaN on.
+    """
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    return a
 
 
 def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -164,7 +179,7 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     mask = None
     if relu:
         mask = out > 0.0
-        out = np.where(mask, out, 0.0)
+        relu_inplace(out)
     # backward hands each VJP of a node the same upstream array, so the
     # three VJPs share one masked gradient
     seen: list = [None, None]

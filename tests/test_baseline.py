@@ -54,6 +54,26 @@ class TestSourceOnly:
         assert value_bytes(a.model.params) == value_bytes(b.model.params)
         assert a.source_acc == b.source_acc and a.target_acc == b.target_acc
 
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_final_accuracies_reuse_the_last_epochs_evaluation(self, monkeypatch,
+                                                               epochs):
+        import fixbi.baseline as baseline
+
+        calls = []
+        accuracies = baseline._accuracies
+
+        def counted(*args):
+            calls.append(args)
+            return accuracies(*args)
+
+        monkeypatch.setattr(baseline, "_accuracies", counted)
+        source, target = separable_pair()
+        result = train_source_only(blob_config(baseline_epochs=epochs), source, target)
+        # one evaluation per epoch; with no epoch, one for the result
+        assert len(calls) == max(epochs, 1)
+        assert (result.source_acc, result.target_acc) == accuracies(
+            result.model, source, target)
+
     def test_accuracies_in_unit_interval(self):
         source, target = separable_pair()
         result = train_source_only(blob_config(baseline_epochs=3), source, target)

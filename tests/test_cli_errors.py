@@ -79,6 +79,20 @@ def test_gen_with_bad_arguments(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,name", [
+    (["blobs", "--noise-sigma", "nan"], "noise_sigma"),
+    (["moons", "--noise-sigma", "inf"], "noise_sigma"),
+    (["blobs", "--rotation-deg", "inf"], "rotation_deg"),
+    (["blobs", "--translation", "nan", "0"], "translation"),
+])
+def test_gen_with_non_finite_argument(tmp_path, capsys, args, name):
+    out = tmp_path / "x.csv"
+    assert cli_main(["gen", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be finite")
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         cli_main(["bogus"])

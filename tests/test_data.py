@@ -55,6 +55,16 @@ class TestBlobsShift:
         with pytest.raises(ValueError):
             gen_blobs_shift(3, 10, 2, noise_sigma=-0.1, seed=0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(noise_sigma=np.nan), "noise_sigma"),
+        (dict(noise_sigma=-np.inf), "noise_sigma"),
+        (dict(rotation_deg=np.inf), "rotation_deg"),
+        (dict(translation=(0.5, np.nan)), "translation"),
+    ])
+    def test_non_finite_argument_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gen_blobs_shift(3, 10, 2, seed=0, **kwargs)
+
     def test_rotation_creates_domain_gap(self, ordering_battery):
         # source-only training generalizes worse to the rotated target,
         # averaged over the battery's seeds
@@ -89,6 +99,14 @@ class TestMoonsShift:
             nearest = int(np.argmin(d2))
             disagreements += int(source.labels[nearest] != labels[i])
         assert disagreements > 0
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(noise_sigma=np.inf), "noise_sigma"),
+        (dict(rotation_deg=np.nan), "rotation_deg"),
+    ])
+    def test_non_finite_argument_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gen_moons_shift(10, seed=0, **kwargs)
 
     def test_determinism(self):
         a = gen_moons_shift(30, 30.0, 0.1, seed=6)

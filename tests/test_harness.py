@@ -14,8 +14,9 @@ from fixbi.cli import main as cli_main
 from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
                           TrainConfig, load_config, parse_config, serialize_config,
                           validate_config)
-from fixbi.harness import (classwise_accuracy, emit_report, execute,
-                           load_metrics_csv, rank_class_gaps, run_experiment)
+from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
+                           execute, load_metrics_csv, rank_class_gaps,
+                           run_experiment)
 from fixbi.models import load_checkpoint
 
 
@@ -333,8 +334,20 @@ class TestRunExperiment:
     def test_metrics_header_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "metrics.csv"
         bad.write_text("# v0 epoch,foo\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             load_metrics_csv(bad)
+        assert str(exc.value) == f"{bad}: unrecognized metrics header: '# v0 epoch,foo'"
+
+    @pytest.mark.parametrize("text,reason", [
+        (f"# {METRICS_VERSION} epoch,foo\n1,2\n", "metrics.csv column mismatch"),
+        ("\n", "empty metrics file"),
+    ])
+    def test_metrics_header_errors_start_with_the_path(self, tmp_path, text, reason):
+        bad = tmp_path / "metrics.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_metrics_csv(bad)
+        assert str(exc.value) == f"{bad}: {reason}"
 
 class TestCli:
     def test_gen_then_eval(self, tmp_path, capsys):

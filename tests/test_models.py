@@ -115,6 +115,72 @@ class TestGraphFreeInference:
             assert str(plain.value) == str(graph.value)
 
 
+class TestReluOnNonFiniteWeights:
+    """A NaN and an inf in one extractor weight: both forwards clamp the
+    pre-activations they poison to +0.0, byte for byte alike."""
+
+    @pytest.mark.parametrize("rows", [5, 70])
+    def test_graph_and_inference_agree(self, rows):
+        rng = np.random.default_rng(rows)
+        model = random_model(rng, input_dim=2, widths=(4,))
+        w0 = model.params["ext.w0"].data
+        w0[0, 1] = np.nan
+        w0[0, 2] = np.inf
+        # a negative first input makes unit 2's pre-activation -inf
+        x = rng.normal(size=(rows, 2))
+        x[:, 0] = -np.abs(x[:, 0]) - 0.1
+        feats, logits = forward_logits(model, x)
+        assert feats.data[:, 1:3].tobytes() == np.zeros((rows, 2)).tobytes()
+        assert predict_features(model, x).tobytes() == feats.data.tobytes()
+        probs = predict_probs(model, x)
+        assert np.isfinite(probs).all()
+        assert probs.tobytes() == softmax_t(logits, 1.0).data.tobytes()
+
+
+class TestReluCallCount:
+    """One in-place ReLU per extractor layer in the graph forward, and one
+    per layer and row block in inference."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import fixbi.models as models
+        import fixbi.numerics as numerics
+
+        calls = []
+        relu = numerics.relu_inplace
+
+        def counted(a):
+            calls.append(a.shape)
+            return relu(a)
+
+        monkeypatch.setattr(numerics, "relu_inplace", counted)
+        monkeypatch.setattr(models, "relu_inplace", counted)
+        return calls
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_graph_forward_calls_it_once_per_layer(self, monkeypatch, depth):
+        calls = self._counted(monkeypatch)
+        model = init_model(3, (5,) * depth, 4, seed=depth)
+        forward_logits(model, np.ones((6, 3)))
+        assert calls == [(6, 5)] * depth
+        calls.clear()
+        forward_logits(stack_models([model, model]), np.ones((2, 6, 3)))
+        assert calls == [(2, 6, 5)] * depth
+
+    # a lone last row joins the block before it
+    @pytest.mark.parametrize("depth,rows,blocks", [(1, 10, 1), (2, 65, 1),
+                                                   (2, 66, 2), (3, 129, 2),
+                                                   (3, 300, 5)])
+    def test_inference_calls_it_once_per_layer_and_block(self, monkeypatch,
+                                                         depth, rows, blocks):
+        calls = self._counted(monkeypatch)
+        model = init_model(3, (5,) * depth, 4, seed=depth)
+        for infer in (predict_features, predict_probs):
+            calls.clear()
+            infer(model, np.ones((rows, 3)))
+            assert len(calls) == depth * blocks
+
+
 class TestStackedModels:
     """A stacked pair runs as its two models do, value for value."""
 

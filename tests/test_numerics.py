@@ -8,7 +8,7 @@ import pytest
 
 from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, as_tensor,
                             backward, dense, grl, log_loss, lr_schedule,
-                            sgd_step, softmax_t, take)
+                            relu_inplace, sgd_step, softmax_t, take)
 import helpers
 from helpers import (affine, check_grads, clamp_min, finite_diff_grads, log,
                      matmul, max_rel_error, mean, relu, squared_l2)
@@ -182,6 +182,35 @@ def _assert_same_grads(got, want):
     assert list(got) == list(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+_RELU_SPECIALS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                  np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+class TestReluInplace:
+    """The in-place ReLU against ``np.where``, the reference's formula."""
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (7,), (37,), (5, 13), (64, 64),
+                                       (2, 96, 64), (3, 1, 9)])
+    def test_same_bytes_as_where_on_special_values(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=shape).reshape(-1)
+        n = a.size
+        # the specials at the head, at the tail (numpy's scalar loops) and
+        # at random places (its vector loops)
+        for at in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
+            a[at[:len(_RELU_SPECIALS)]] = _RELU_SPECIALS[:n]
+        a = a.reshape(shape)
+        want = np.where(a > 0.0, a, 0.0)
+        got = a.copy()
+        assert relu_inplace(got) is got
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, 100])
+    def test_negative_zero_becomes_positive_zero(self, n):
+        a = np.full(n, -0.0)
+        assert relu_inplace(a).tobytes() == np.zeros(n).tobytes()
 
 
 class TestDense:
