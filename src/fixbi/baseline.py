@@ -6,7 +6,7 @@ from, and their target accuracies anchor the adaptation comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -40,11 +40,11 @@ def _accuracies(model: ClassifierModel, source: Dataset,
 
 
 def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
-           model: ClassifierModel, param_sets: tuple[ParamSet, ...],
-           objective: Callable[[PairedBatch], Tensor], term: str) -> BaselineResult:
+           model: ClassifierModel, objective: Callable[[PairedBatch], Tensor],
+           term: str) -> BaselineResult:
     """The loop both baselines share: per iteration one ``objective(batch)``
-    scalar, one ``backward`` walk over ``param_sets`` and one SGD step per
-    set; after each epoch one history row (mean loss in ``fm_sd``).
+    scalar, one ``backward`` walk over ``model.params`` and one SGD step;
+    after each epoch one history row (mean loss in ``fm_sd``).
 
     A non-finite loss raises :class:`NonFiniteLossError` named ``term``,
     carrying the rows of the completed epochs.
@@ -65,8 +65,8 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
                 err = NonFiniteLossError(term, epoch, it, value)
                 err.rows = history
                 raise err
-            for params, grads in zip(param_sets, backward(loss, param_sets)):
-                sgd_step(params, grads, lr, cfg.momentum, cfg.weight_decay)
+            sgd_step(model.params, backward(loss, model.params), lr,
+                     cfg.momentum, cfg.weight_decay)
             step += 1
             loss_sum += value
         src_acc, tgt_acc = _accuracies(model, source, target)
@@ -92,8 +92,7 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
         _, probs = forward(model, batch.xs)
         return log_loss(probs, one_hot(batch.ys, model.num_classes), batch.xs.shape[0])
 
-    return _train(cfg, source, target_eval, model, (model.params,), objective,
-                  "source_ce")
+    return _train(cfg, source, target_eval, model, objective, "source_ce")
 
 
 def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
@@ -135,17 +134,27 @@ def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
 
 def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:
     """Adversarial baseline: one simultaneous SGD step per iteration over the
-    extractor, classifier head and domain discriminator."""
+    extractor, classifier head and domain discriminator.
+
+    The classifier and the discriminator train as one parameter set (their
+    names are disjoint); the returned model holds a copy of the classifier's
+    own tensors, with fresh optimizer state.
+    """
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
     disc = init_discriminator(model.feature_dim, _DISC_HIDDEN,
                               [cfg.seed, _DISC_STREAM], cfg.grl_lambda)
+    names = model.params.names()
+    model.params = disc.params = ParamSet(
+        {name: t.data for ps in (model.params, disc.params) for name, t in ps.items()})
 
     def objective(batch: PairedBatch) -> Tensor:
         return dann_objective(model, disc, batch.xs,
                               one_hot(batch.ys, model.num_classes), batch.xt)
 
-    return _train(cfg, source, target, model, (model.params, disc.params),
-                  objective, "dann")
+    result = _train(cfg, source, target, model, objective, "dann")
+    result.model = replace(model, params=ParamSet(
+        {name: model.params[name].data for name in names}))
+    return result
 
 
 def train_baseline(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:

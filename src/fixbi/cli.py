@@ -92,20 +92,29 @@ def _cmd_gen(args) -> int:
     try:
         if args.generator == "blobs":
             source, target = gen_blobs_shift(
-                args.num_classes, args.per_class, args.dim, args.rotation_deg,
+                3 if args.num_classes is None else args.num_classes, args.per_class,
+                2 if args.dim is None else args.dim, args.rotation_deg,
                 tuple(args.translation or ()), args.noise_sigma, args.seed)
         else:
+            for flag in ("num_classes", "dim", "translation"):
+                if getattr(args, flag) is not None:
+                    raise ValueError(f"--{flag.replace('_', '-')} does not apply to "
+                                     "moons (2 classes in 2 dims, rotated only)")
             source, target = gen_moons_shift(
                 args.per_class, args.rotation_deg, args.noise_sigma, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(source, out)
     tgt_path = _target_path(out)
-    # ground truth stays in the file; training loads quarantine it
-    save_csv(target, tgt_path, with_eval_labels=True)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_csv(source, out)
+        # ground truth stays in the file; training loads quarantine it
+        save_csv(target, tgt_path, with_eval_labels=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out} ({source.n} source samples)")
     print(f"wrote {tgt_path} ({target.n} target samples, labels for eval only)")
     return 0
@@ -137,11 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True,
                        help="source CSV path; the target goes to <stem>_target.csv")
-    p_gen.add_argument("--num-classes", type=int, default=3)
+    # blobs only; moons rejects them
+    p_gen.add_argument("--num-classes", type=int, default=None, help="default 3")
     p_gen.add_argument("--per-class", type=int, default=100)
-    p_gen.add_argument("--dim", type=int, default=2)
+    p_gen.add_argument("--dim", type=int, default=None, help="default 2")
     p_gen.add_argument("--rotation-deg", type=float, default=0.0)
-    p_gen.add_argument("--translation", type=float, nargs="*", default=None)
+    p_gen.add_argument("--translation", type=float, nargs="*", default=None,
+                       help="default none")
     p_gen.add_argument("--noise-sigma", type=float, default=0.15)
     p_gen.set_defaults(func=_cmd_gen)
     return parser

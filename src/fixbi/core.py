@@ -33,7 +33,7 @@ from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
                      ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
 from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
-                       sgd_step, softmax, softmax_t, take)
+                       sgd_step, softmax_t, take)
 from .numerics import LOG_CLAMP  # re-exported: the floor under every loss's log
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
@@ -179,18 +179,17 @@ def loss_bim(teacher_probs: Array, student_probs: Tensor, tau) -> Tensor:
                     teacher_probs.shape[-2])
 
 
-def loss_sp(logits: Tensor, log_temperature: Tensor, tau) -> Tensor:
+def loss_sp(probs: Array, logits: Tensor, log_temperature: Tensor, tau) -> Tensor:
     """Push the probability of low-confidence top-1 predictions toward zero.
 
-    The gate compares the confidence of the T = 1 probabilities of
-    ``logits`` strictly against ``tau``; the penalized probability is a
-    softmax of ``logits`` at the learnable temperature
-    ``exp(log_temperature)``, so its gradient also trains that parameter.
-    A stack of models takes the ``[K x 1]`` log-temperatures and one ``tau``
-    per model.
+    ``probs`` are the T = 1 probabilities of ``logits`` as a plain array;
+    the gate compares their confidence strictly against ``tau``. The
+    penalized probability is a softmax of ``logits`` at the learnable
+    temperature ``exp(log_temperature)``, so its gradient also trains that
+    parameter. A stack of models takes the ``[K x 1]`` log-temperatures and
+    one ``tau`` per model.
     """
     tau = _check_tau(tau)
-    probs = softmax(logits.data)
     mask = _top1_mask(probs, probs.max(axis=-1) < tau[..., None])
     tempered = softmax_t(logits, log_temperature.exp())
     return log_loss(1.0 - tempered, mask, probs.shape[-2])
@@ -339,8 +338,8 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 y_mix = lam * one_hot(batch.ys, num_classes) + (1.0 - lam) * pl_hot
                 terms["fm"] = loss_fm(take(probs, (both, mix_rows)), y_mix)
             if cfg.loss_sp:
-                terms["sp"] = loss_sp(take(logits, (both, t_rows)), log_temperature,
-                                      stats.tau)
+                terms["sp"] = loss_sp(target_probs, take(logits, (both, t_rows)),
+                                      log_temperature, stats.tau)
             if with_bim:
                 # the partner teaches, gated by its own threshold
                 terms["bim"] = loss_bim(target_probs[::-1], take(probs, (both, t_rows)),

@@ -260,52 +260,45 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
     """Row softmax of ``logits / T`` with max-subtraction stabilization.
 
     ``logits`` is ``[B x C]`` or a stack ``[..., B, C]`` of such blocks, one
-    per model. ``temperature`` may be a positive float or a Tensor, in which
-    case gradients also flow into it: a scalar one (shape () or (1,)) serves
-    every block, and one of shape ``[..., 1]`` (the logits' leading axes,
-    then 1) gives each block its own temperature and gradient, bit-identical
-    to the 2-D call on that block.
+    per model. ``temperature`` is a positive float, or a Tensor of shape
+    ``[..., 1]`` (the logits' leading axes, then 1; ``(1,)`` for 2-D
+    logits) through which gradients also flow: each block gets its own
+    temperature and gradient, bit-identical to the 2-D call on that block.
     """
     z = as_tensor(logits)
     if z.data.ndim < 2 or z.data.shape[-1] < 2:
         raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
     t_node = temperature if isinstance(temperature, Tensor) else None
     lead = z.data.shape[:-2]
-    per_block = t_node is not None and t_node.data.size != 1
-    if per_block:
+    if t_node is not None:
         if t_node.data.shape != lead + (1,):
-            raise ShapeError(f"temperature tensor must be scalar or {lead + (1,)} "
+            raise ShapeError(f"temperature tensor must have shape {lead + (1,)} "
                              f"for logits {z.shape}, got {t_node.shape}")
         t = t_node.data[..., None]
         if not (t > 0.0).all():
             raise ValueError(f"temperature must be positive, got {t_node.data.ravel()}")
     else:
-        t = float(temperature if t_node is None else t_node.data.reshape(()))
+        t = float(temperature)
         if not t > 0.0:
             raise ValueError(f"temperature must be positive, got {t}")
 
     zd = z.data
     y = softmax(zd, t)
 
-    vjps = []
-
     def vjp_logits(g: Array) -> Array:
         inner = (g * y).sum(axis=-1, keepdims=True)
         gz = y * (g - inner)
         return gz if _is_unit(t) else gz / t
 
-    vjps.append((z, vjp_logits))
+    vjps = [(z, vjp_logits)]
     if t_node is not None:
         def vjp_temperature(g: Array) -> Array:
             # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
             zc = zd - zd.max(axis=-1, keepdims=True)
             m = (y * zc).sum(axis=-1, keepdims=True)
             terms = g * y * (zc - m)
-            if per_block:
-                # one flat sum per block, as the 2-D call's .sum() runs it
-                td = t_node.data
-                return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td)
-            return np.full(t_node.data.shape, -terms.sum() / (t * t))
+            td = t_node.data
+            return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td)
 
         vjps.append((t_node, vjp_temperature))
     return Tensor._make(y, vjps)
@@ -375,13 +368,10 @@ class ParamSet:
         return self._momenta[name]
 
 
-def backward(loss: Tensor,
-             params: ParamSet | tuple[ParamSet, ...]) -> GradMap | tuple[GradMap, ...]:
-    """Exact reverse-mode gradients of a scalar ``loss`` for every parameter.
+def backward(loss: Tensor, params: ParamSet) -> GradMap:
+    """Exact reverse-mode gradients of a scalar ``loss`` for every parameter
+    of ``params``.
 
-    ``params`` is one :class:`ParamSet`, giving one :data:`GradMap`, or a
-    tuple of sets, giving a tuple of maps in the same order from a single
-    walk; each map is bit-identical to a separate call for its set.
     Parameters unreachable from ``loss`` get zero gradients. The walk is a
     deterministic reverse topological order, so repeated calls on identical
     graphs produce bit-identical results.
@@ -421,16 +411,11 @@ def backward(loss: Tensor,
             else:
                 grads[parent] = contrib
 
-    def collect(ps: ParamSet) -> GradMap:
-        out: GradMap = {}
-        for name, t in ps.items():
-            g = grads.get(t)
-            out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
-        return out
-
-    if isinstance(params, tuple):
-        return tuple(collect(ps) for ps in params)
-    return collect(params)
+    out: GradMap = {}
+    for name, t in params.items():
+        g = grads.get(t)
+        out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
+    return out
 
 
 def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,

@@ -130,7 +130,9 @@ def probs_of(model: ClassifierModel, x):
 
 def sp_of(model: ClassifierModel, x, tau: float):
     """Self-penalization from one forward, as the training loop builds it."""
-    return loss_sp(forward_logits(model, x)[1], model.params["log_temperature"], tau)
+    logits = forward_logits(model, x)[1]
+    return loss_sp(softmax_t(logits, 1.0).data, logits, model.params["log_temperature"],
+                   tau)
 
 
 def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):

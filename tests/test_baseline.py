@@ -11,7 +11,7 @@ from fixbi.config import DatasetSpec, TrainConfig
 from fixbi.core import NonFiniteLossError
 from fixbi.data import gen_blobs_shift
 from fixbi.models import (discriminator_logits, extract_features,
-                          init_discriminator)
+                          init_discriminator, init_model)
 from fixbi.numerics import Tensor, backward, grl, sgd_step, softmax_t
 from helpers import (affine, clamp_min, log, random_batch, random_model,
                      value_bytes)
@@ -101,6 +101,16 @@ class TestDann:
         da = train_dann(cfg0, source, target)
         assert value_bytes(so.model.params) != value_bytes(da.model.params)
 
+    def test_returned_model_holds_only_classifier_tensors(self):
+        # the discriminator trains in the classifier's set, but must not
+        # reach the dual pair or its checkpoints
+        source, target = separable_pair()
+        cfg = blob_config(baseline_epochs=1)
+        model = train_dann(cfg, source, target).model
+        fresh = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+        assert model.params.names() == fresh.params.names()
+        assert not any(model.params.momentum(n).any() for n in model.params.names())
+
     def test_objective_gradient_matches_finite_differences(self):
         # the reversal layer makes the combined scalar a min-max objective:
         # classifier params descend class - lambda*domain, the discriminator
@@ -164,12 +174,11 @@ class TestDann:
             want = self._two_pass_losses(model, disc, xs, ys_hot, xt)
             for g, w in zip(got, want):
                 assert abs(g.item() - w.item()) <= 1e-12
-            sets = (model.params, disc.params)
-            got_grads = backward(got[0] + got[1], sets)
-            want_grads = backward(want[0] + want[1], sets)
-            for gm, wm in zip(got_grads, want_grads):
-                for name in wm:
-                    assert np.abs(gm[name] - wm[name]).max() <= 1e-12, name
+            for params in (model.params, disc.params):
+                got_grads = backward(got[0] + got[1], params)
+                want_grads = backward(want[0] + want[1], params)
+                for name in want_grads:
+                    assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
 
     def test_dann_beats_source_only_on_rotated_blobs(self, ordering_battery):
         cells = ordering_battery["seeds"].values()
@@ -180,16 +189,17 @@ class TestDann:
 
 @pytest.mark.parametrize("trainer", [train_dann, train_source_only])
 def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
+    # and one SGD step: DANN's classifier and discriminator are one set
     import fixbi.baseline as baseline
     import fixbi.models as models
 
-    counts: list[list[int]] = []  # [walks, forwards up to the walk]
-    batches, walk, extract = (baseline.paired_minibatches, baseline.backward,
-                              models.extract_features)
+    counts: list[list[int]] = []  # [walks, forwards up to the walk, steps]
+    batches, walk, extract, step = (baseline.paired_minibatches, baseline.backward,
+                                    models.extract_features, baseline.sgd_step)
 
     def counted_batches(*args):
         for batch in batches(*args):
-            counts.append([0, 0])
+            counts.append([0, 0, 0])
             yield batch
 
     def counted_walk(loss, params):
@@ -201,13 +211,18 @@ def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
             counts[-1][1] += 1
         return extract(model, x)
 
+    def counted_step(*args, **kwargs):
+        counts[-1][2] += 1
+        return step(*args, **kwargs)
+
     monkeypatch.setattr(baseline, "paired_minibatches", counted_batches)
     monkeypatch.setattr(baseline, "backward", counted_walk)
     monkeypatch.setattr(models, "extract_features", counted_extract)
+    monkeypatch.setattr(baseline, "sgd_step", counted_step)
     source, target = separable_pair()
     trainer(blob_config(baseline_epochs=2), source, target)
     assert len(counts) == 2 * (100 // 16)
-    assert all(c == [1, 1] for c in counts), counts
+    assert all(c == [1, 1, 1] for c in counts), counts
 
 
 @pytest.mark.parametrize("trainer, term", [(train_dann, "dann"),

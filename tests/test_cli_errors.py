@@ -93,6 +93,26 @@ def test_gen_with_non_finite_argument(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,values", [("--num-classes", ["7"]), ("--dim", ["5"]),
+                                         ("--translation", ["nan", "0"])])
+def test_gen_moons_rejects_blobs_only_flag(tmp_path, capsys, flag, values):
+    out = tmp_path / "m.csv"
+    assert cli_main(["gen", "moons", flag, *values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} does not apply")
+    assert not out.exists()
+
+
+def test_gen_with_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" / "x.csv"
+    assert cli_main(["gen", "blobs", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         cli_main(["bogus"])

@@ -184,6 +184,12 @@ class TestStackedLosses:
         return rng, params
 
     @staticmethod
+    def _sp(params, tau):
+        """loss_sp gated by the T = 1 probabilities of ``params["z"]``."""
+        z = params["z"]
+        return loss_sp(softmax_t(z, 1.0).data, z, params["log_t"], tau)
+
+    @staticmethod
     def _check(params, stacked, single):
         """``stacked(params)`` against ``single(model_k_params, k)``."""
         out = stacked(params)
@@ -215,17 +221,17 @@ class TestStackedLosses:
         rng, params = self._stack(16)
         conf = _np_softmax(params["z"].data.reshape(-1, 3)).max(axis=1).reshape(2, 6)
         taus = np.array([safe_tau(c) for c in conf])
-        self._check(params, lambda p: loss_sp(p["z"], p["log_t"], taus),
-                    lambda p, k: loss_sp(p["z"], p["log_t"], taus[k]))
-        out = loss_sp(params["z"], params["log_t"], taus)
+        self._check(params, lambda p: self._sp(p, taus),
+                    lambda p, k: self._sp(p, taus[k]))
+        out = self._sp(params, taus)
         assert (out.data > 0.0).all()  # both gates let something through
-        check_grads(lambda: (loss_sp(params["z"], params["log_t"], taus)
-                             * np.array([0.7, -1.3])).sum(), params)
+        check_grads(lambda: (self._sp(params, taus) * np.array([0.7, -1.3])).sum(),
+                    params)
 
     def test_tau_checked_per_model(self):
         _, params = self._stack(17)
         with pytest.raises(ValueError):
-            loss_sp(params["z"], params["log_t"], np.array([0.5, 1.5]))
+            self._sp(params, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             loss_bim(np.full((2, 6, 3), 1 / 3), softmax_t(params["z"], 1.0),
                      np.array([np.nan, 0.5]))
@@ -566,8 +572,8 @@ class TestLoopShape:
 
 class TestStackedMatchesTwoModels:
     """The stacked loop against the two-model composition of the public
-    losses: a separate forward per model and input, one walk over both
-    parameter sets and one SGD step per model."""
+    losses: a separate forward per model and input, then one walk and one
+    SGD step per model."""
 
     @staticmethod
     def _two_model_run(cfg, source, target, init):
@@ -593,7 +599,7 @@ class TestStackedMatchesTwoModels:
                     x_mix = mixup(batch.xs, batch.xt, lam)
                     probs = softmax_t(forward_logits(model, x_mix)[1], 1.0)
                     terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
-                    terms[f"sp_{m}"] = loss_sp(logits[m],
+                    terms[f"sp_{m}"] = loss_sp(q[m].data, logits[m],
                                                model.params["log_temperature"], tau[m])
                 if matching:
                     terms["bim_sd"] = loss_bim(q["td"].data, q["sd"], tau["td"])
@@ -606,7 +612,7 @@ class TestStackedMatchesTwoModels:
                 total = None
                 for t in terms.values():
                     total = t if total is None else total + t
-                g_sd, g_td = backward(total, (sdm.params, tdm.params))
+                g_sd, g_td = backward(total, sdm.params), backward(total, tdm.params)
                 sgd_step(sdm.params, g_sd, lr, cfg.momentum, cfg.weight_decay)
                 sgd_step(tdm.params, g_td, lr, cfg.momentum, cfg.weight_decay)
                 step += 1

@@ -153,26 +153,6 @@ class TestBackward:
 
         assert run() == run()
 
-    def test_several_param_sets_in_one_walk_match_separate_walks(self):
-        # a DANN graph: classifier and discriminator parameters are reached
-        # through shared extractor nodes and a reversal layer
-        from fixbi.baseline import dann_objective
-        from fixbi.models import init_discriminator
-        from helpers import random_batch, random_model
-
-        rng = np.random.default_rng(17)
-        model = random_model(rng)
-        disc = init_discriminator(model.feature_dim, 4, seed=18, grl_lambda=0.6)
-        xs, ys, xt, _ = random_batch(rng, 5, 3, 3)
-        loss = dann_objective(model, disc, xs, np.eye(3)[ys], xt)
-
-        joint = backward(loss, (model.params, disc.params))
-        separate = (backward(loss, model.params), backward(loss, disc.params))
-        assert isinstance(joint, tuple) and len(joint) == 2
-        for got, want in zip(joint, separate):
-            assert list(got) == list(want)
-            assert all(got[n].tobytes() == want[n].tobytes() for n in want)
-
 
 def _assert_same_bits(got, want):
     assert got.data.tobytes() == want.data.tobytes()
@@ -378,6 +358,8 @@ class TestStackedSoftmaxT:
         z = Tensor(np.zeros((2, 4, 3)))
         with pytest.raises(ShapeError):
             softmax_t(z, Tensor(np.ones((3, 1))))
+        with pytest.raises(ShapeError):  # one temperature per block, no scalar
+            softmax_t(z, Tensor(np.array(1.0)))
         with pytest.raises(ValueError, match="positive"):
             softmax_t(z, Tensor(np.array([[1.0], [0.0]])))
 

@@ -1,31 +1,63 @@
 """The benchmark's span tracer (perfbench/spans.py) finds the functions it
-wraps by name, so a renamed or deleted function breaks ``--trace 1``; this
-catches that here first."""
+wraps by name, and some of its wrappers spell out the arguments they pass
+on, so a renamed or deleted function, or a changed signature, breaks
+``--trace 1``; this catches that here first."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
+import fixbi
 import fixbi.models
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _traced() -> list[tuple[str, str]]:
+def _spans():
     # executed from its file, not imported: spans.py needs only the stdlib
     # and stays out of sys.modules
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TRACED
+    return spans
 
 
 def test_traced_functions_and_model_exports_exist():
-    missing = [f"fixbi.{owner}.{fname}" for owner, fname in _traced()
+    missing = [f"fixbi.{owner}.{fname}" for owner, fname in _spans().TRACED
                if not inspect.isfunction(
                    getattr(importlib.import_module(f"fixbi.{owner}"), fname, None))]
     assert not missing, f"traced but not defined: {missing}"
     unexported = [n for n in fixbi.models.__all__ if not hasattr(fixbi.models, n)]
     assert not unexported, f"in fixbi.models.__all__ but not defined: {unexported}"
+
+
+def test_wrappers_with_named_arguments_match_their_targets():
+    # e.g. backward(loss, params) and
+    # paired_minibatches(source, target, batch_size, epoch, seed)
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install(fixbi)
+    try:
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "fixbi" or name.startswith("fixbi.")]
+        wrappers = [getattr(m, fname) for m in modules for _, fname in spans.TRACED
+                    if hasattr(getattr(m, fname, None), "__wrapped__")]
+    finally:
+        tracer.restore()
+    checked, mismatched = set(), []
+    for w in wrappers:
+        params = inspect.signature(w, follow_wrapped=False).parameters.values()
+        if any(p.kind is p.VAR_POSITIONAL for p in params):
+            continue  # passes every argument on as given
+        # the wrapper passes its arguments on by position
+        got = [(p.name, p.kind.name) for p in params]
+        want = [(p.name, p.kind.name)
+                for p in inspect.signature(w.__wrapped__).parameters.values()]
+        checked.add(w.__name__)
+        if got != want:
+            mismatched.append((w.__name__, want, got))
+    assert not mismatched, f"(function, its parameters, the wrapper's): {mismatched}"
+    assert {"backward", "paired_minibatches"} <= checked
