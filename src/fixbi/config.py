@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 RATIO_RULES = ("fixed", "random", "range")
 PSEUDO_LABEL_SOURCES = ("live", "frozen-baseline")
 BASELINES = ("dann", "source-only")
-DATASET_KINDS = ("blobs", "moons", "csv")
+# the DatasetSpec fields each dataset kind reads, besides ``kind`` itself
+DATASET_KEYS = {
+    "blobs": ("num_classes", "per_class", "dim", "rotation_deg", "translation",
+              "noise_sigma", "seed"),
+    "moons": ("per_class", "rotation_deg", "noise_sigma", "seed"),
+    "csv": ("source", "target"),
+}
+DATASET_KINDS = tuple(DATASET_KEYS)
 
 
 class ConfigError(ValueError):
@@ -50,7 +58,6 @@ class TrainConfig:
     ratio_rule: str = "fixed"
     alpha: float = 1.0
     pseudo_label_source: str = "live"
-    loss_fm: bool = True
     loss_bim: bool = True
     loss_sp: bool = True
     loss_cr: bool = True
@@ -164,59 +171,31 @@ def _parse_float(value: str, key: str) -> float:
     return out
 
 
-def _parse_int_tuple(value: str, key: str) -> tuple[int, ...]:
-    parts = [p for p in value.replace(" ", "").split(",") if p]
-    return tuple(_parse_int(p, key) for p in parts)
+def _tuple_of(parse):
+    def parse_tuple(value: str, key: str) -> tuple:
+        return tuple(parse(p, key) for p in value.replace(" ", "").split(",") if p)
+    return parse_tuple
 
 
-def _parse_float_tuple(value: str, key: str) -> tuple[float, ...]:
-    parts = [p for p in value.replace(" ", "").split(",") if p]
-    return tuple(_parse_float(p, key) for p in parts)
-
-
-_DATASET_PARSERS = {
-    "kind": lambda v, k: v.strip(),
-    "num_classes": _parse_int,
-    "per_class": _parse_int,
-    "dim": _parse_int,
-    "rotation_deg": _parse_float,
-    "translation": _parse_float_tuple,
-    "noise_sigma": _parse_float,
-    "seed": _parse_int,
-    "source": lambda v, k: v.strip(),
-    "target": lambda v, k: v.strip(),
-}
-
-_TOP_PARSERS = {
-    "arch": _parse_int_tuple,
-    "batch_size": _parse_int,
-    "epochs": _parse_int,
-    "warmup_epochs": _parse_int,
-    "lr0": _parse_float,
-    "momentum": _parse_float,
-    "weight_decay": _parse_float,
-    "lambda_sd": _parse_float,
-    "lambda_td": _parse_float,
-    "lambda_cr": _parse_float,
-    "ratio_rule": lambda v, k: v.strip(),
-    "alpha": _parse_float,
-    "pseudo_label_source": lambda v, k: v.strip(),
-    "loss_fm": _parse_bool,
-    "loss_bim": _parse_bool,
-    "loss_sp": _parse_bool,
-    "loss_cr": _parse_bool,
-    "allow_unnormalized_ratios": _parse_bool,
-    "grl_lambda": _parse_float,
-    "baseline": lambda v, k: v.strip(),
-    "baseline_epochs": _parse_int,
-    "seed": _parse_int,
-}
+# each key takes the parser of its field's type, so the fields of the two
+# records, the dataset's prefixed by "dataset.", are the only list of keys
+_TYPE_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool,
+                 str: lambda value, key: value.strip(),
+                 tuple[int, ...]: _tuple_of(_parse_int),
+                 tuple[float, ...]: _tuple_of(_parse_float)}
+_KEY_PARSERS = {prefix + name: _TYPE_PARSERS[hint]
+                for cls, prefix in ((DatasetSpec, "dataset."), (TrainConfig, ""))
+                for name, hint in get_type_hints(cls).items() if name != "dataset"}
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Parse ``key = value`` lines ('#' comments allowed) and validate."""
+    """Parse ``key = value`` lines ('#' comments allowed) and validate.
+
+    A ``dataset.*`` key that the configured kind does not read (see
+    :data:`DATASET_KEYS`) is rejected, naming its line.
+    """
     cfg = TrainConfig()
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # key -> line number
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,16 +205,17 @@ def parse_config(text: str) -> TrainConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        if key.startswith("dataset."):
-            sub = key[len("dataset."):]
-            if sub not in _DATASET_PARSERS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            setattr(cfg.dataset, sub, _DATASET_PARSERS[sub](value, key))
-        elif key in _TOP_PARSERS:
-            setattr(cfg, key, _TOP_PARSERS[key](value, key))
-        else:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        seen[key] = lineno
+        owner, _, name = key.rpartition(".")
+        setattr(cfg.dataset if owner else cfg, name, _KEY_PARSERS[key](value, key))
+    kind = cfg.dataset.kind
+    if kind in DATASET_KEYS:  # an unknown kind fails validation instead
+        for key, lineno in seen.items():
+            owner, _, name = key.rpartition(".")
+            if owner and name not in ("kind",) + DATASET_KEYS[kind]:
+                raise ConfigError(f"line {lineno}: {key} does not apply to kind = {kind}")
     return validate_config(cfg)
 
 
@@ -250,13 +230,13 @@ def _fmt_value(v) -> str:
 
 
 def serialize_config(cfg: TrainConfig) -> str:
-    """Canonical text form; ``parse(serialize(cfg))`` round-trips exactly."""
-    lines = []
-    for f in fields(DatasetSpec):
-        v = getattr(cfg.dataset, f.name)
-        if f.name in ("source", "target") and not v:
-            continue
-        lines.append(f"dataset.{f.name} = {_fmt_value(v)}")
+    """Canonical text form; ``parse(serialize(cfg))`` round-trips exactly.
+    Of the dataset's fields, only ``kind`` and those its kind reads are
+    written."""
+    ds = cfg.dataset
+    reads = ("kind",) + DATASET_KEYS.get(ds.kind, ())
+    lines = [f"dataset.{f.name} = {_fmt_value(getattr(ds, f.name))}"
+             for f in fields(DatasetSpec) if f.name in reads]
     for f in fields(TrainConfig):
         if f.name == "dataset":
             continue

@@ -267,7 +267,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
         exc.rows = rows
         raise
     sdm, tdm = unstack_models(pair)
-    return DualState(sdm, tdm, epoch=len(rows), threshold_trace=trace), rows
+    return DualState(sdm, tdm, threshold_trace=trace), rows
 
 
 def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
@@ -284,10 +284,8 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
         matching_open = epoch > cfg.warmup_epochs
         with_bim = matching_open and cfg.loss_bim
         with_cr = matching_open and cfg.loss_cr
-        # per-epoch sums keyed by metrics.csv column: loss terms and
-        # thresholds are averaged over the batches, gate counts are totals
-        ledger = dict.fromkeys(_LOSS_TERMS + ("tau_sd", "tau_td"), 0.0)
-        ledger.update(n_above_sd=0, n_above_td=0)
+        # per-epoch sums of the loss terms, keyed by metrics.csv column
+        ledger = dict.fromkeys(_LOSS_TERMS, 0.0)
 
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
@@ -300,14 +298,13 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             # pseudo-labels, only the mixed labels do), then the half-half
             # batch once consistency regularization is on
             b = batch.xt.shape[0]
-            blocks = [(batch.xt, batch.xt)]
-            if cfg.loss_fm:
-                blocks.append(tuple(mixup(batch.xs, batch.xt, lam) for lam in lams))
+            blocks = [(batch.xt, batch.xt),
+                      tuple(mixup(batch.xs, batch.xt, lam) for lam in lams)]
             if with_cr:
                 x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
                 blocks.append((x_half, x_half))
             x = np.stack([np.concatenate(rows_k) for rows_k in zip(*blocks)])
-            t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(-b, None)
+            t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
 
             # one graph forward of both models from the pre-update weights:
             # the T = 1 probabilities of the target rows give the gates and
@@ -327,16 +324,14 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 labels = np.argmax(target_probs, axis=-1)
 
             # one node per loss kind for both models; each per-model loss is
-            # an entry of its node
+            # an entry of its node. The label blend of mixup takes one ratio
+            # per model (exact at 0 and 1 too, since one-hot entries are 0
+            # or 1)
             both = slice(None)
-            terms: dict[str, Tensor] = {}
-            if cfg.loss_fm:
-                # the label blend of mixup, one ratio per model (exact at
-                # 0 and 1 too, since one-hot entries are 0 or 1)
-                lam = np.array(lams)[:, None, None]
-                pl_hot = one_hot(labels.reshape(-1), num_classes).reshape(2, b, num_classes)
-                y_mix = lam * one_hot(batch.ys, num_classes) + (1.0 - lam) * pl_hot
-                terms["fm"] = loss_fm(take(probs, (both, mix_rows)), y_mix)
+            lam = np.array(lams)[:, None, None]
+            pl_hot = one_hot(labels.reshape(-1), num_classes).reshape(2, b, num_classes)
+            y_mix = lam * one_hot(batch.ys, num_classes) + (1.0 - lam) * pl_hot
+            terms: dict[str, Tensor] = {"fm": loss_fm(take(probs, (both, mix_rows)), y_mix)}
             if cfg.loss_sp:
                 terms["sp"] = loss_sp(target_probs, take(logits, (both, t_rows)),
                                       log_temperature, stats.tau)
@@ -362,23 +357,21 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             # stacked parameters are disjoint and teacher probabilities are
             # constants, so each model gets exactly its own gradients
             per_model = [t for kind, t in terms.items() if kind != "cr"]
-            scalars = [sum(per_model[1:], per_model[0]).sum()] if per_model else []
+            loss = sum(per_model[1:], per_model[0]).sum()
             if with_cr:
-                scalars.append(terms["cr"])
-            if scalars:
-                grads = backward(sum(scalars[1:], scalars[0]), pair.params)
-            else:
-                grads = {n: np.zeros_like(t.data) for n, t in pair.params.items()}
-            sgd_step(pair.params, grads, lr, cfg.momentum, cfg.weight_decay)
+                loss = loss + terms["cr"]
+            sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
+                     cfg.weight_decay)
             step += 1
-
-            for m, st in zip(_MODELS, stats):
-                ledger[f"tau_{m}"] += st.tau
-                ledger[f"n_above_{m}"] += st.num_above
             trace.append((epoch, it, stats[0].tau, stats[1].tau,
                           stats[0].num_above, stats[1].num_above))
 
-        nb = max(1, n_batches)
-        logged = {k: v if k.startswith("n_above") else v / nb for k, v in ledger.items()}
-        rows.append(MetricsRow(epoch=epoch, **logged,
-                               **_evaluate(pair, source, target)))
+        # losses and thresholds are averaged over the epoch's batches (every
+        # epoch has n_batches of them), gate counts are totals; both gate
+        # columns are read off this epoch's rows of the trace
+        _, _, tau_sd, tau_td, n_above_sd, n_above_td = zip(*trace[-n_batches:])
+        rows.append(MetricsRow(
+            epoch=epoch, **{name: v / n_batches for name, v in ledger.items()},
+            tau_sd=sum(tau_sd, 0.0) / n_batches, tau_td=sum(tau_td, 0.0) / n_batches,
+            n_above_sd=sum(n_above_sd), n_above_td=sum(n_above_td),
+            **_evaluate(pair, source, target)))

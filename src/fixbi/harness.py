@@ -61,6 +61,9 @@ def _materialize(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
         # training reads every source label and evaluation every target one
         for path, d, use in ((ds.source, source, "training"),
                              (ds.target, target, "evaluation")):
+            if d.num_classes < 2:
+                raise CsvFormatError(f"{path}: line 1: classes={d.num_classes}, but "
+                                     f"{use} needs at least 2 classes")
             unlabeled = d.labels < 0
             if unlabeled.any():
                 raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "

@@ -259,7 +259,6 @@ class DualState:
 
     sdm: ClassifierModel
     tdm: ClassifierModel
-    epoch: int = 0
     threshold_trace: list[tuple[int, int, float, float, int, int]] = field(
         default_factory=list)
 

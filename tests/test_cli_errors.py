@@ -284,3 +284,33 @@ def test_eval_with_non_finite_checkpoint_value(tmp_path, capsys):
     assert cli_main(["eval", str(ckpt), str(csv)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {ckpt}: tensor 'ext.w0' holds a non-finite value\n"
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_run_with_one_class_csv(tmp_path, capsys, role):
+    # the header's class count is checked before the pair is compared
+    files = {r: tmp_path / f"{r}.csv" for r in ("source", "target")}
+    for r, path in files.items():
+        classes = 1 if r == role else 2
+        path.write_text(f"# classes={classes} dim=1\n0.1,0\n0.2,0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {files['source']}\n"
+                   f"dataset.target = {files['target']}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    assert cli_main(["run", str(cfg), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {files[role]}: line 1: classes=1")
+    assert err.endswith("needs at least 2 classes\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("loss_fm = true", "line 9: unknown key 'loss_fm'"),
+    ("dataset.source = s.csv", "line 9: dataset.source does not apply to kind = blobs"),
+])
+def test_run_with_unusable_config_key(tmp_path, capsys, line, message):
+    cfg = _blobs_config(tmp_path / "exp.cfg", line)
+    assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

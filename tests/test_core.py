@@ -468,6 +468,23 @@ class TestTrainFixbi:
         for _, _, tau_sd, tau_td, _, _ in state.threshold_trace:
             assert 0.0 <= tau_sd <= 1.0 and 0.0 <= tau_td <= 1.0
 
+    def test_gate_columns_are_the_epoch_sums_of_the_trace(self):
+        # metrics.csv and threshold.csv agree bit for bit: each epoch's
+        # tau_* is the in-order sum of its trace rows over the batch count
+        source, target = tiny_pair(n=48)
+        cfg = tiny_config(batch_size=4, epochs=3, warmup_epochs=1)
+        init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+        state, rows = train_fixbi(cfg, source, target, init)
+        n_batches = source.n // cfg.batch_size
+        for row in rows:
+            trace = [t for t in state.threshold_trace if t[0] == row.epoch]
+            assert len(trace) == n_batches
+            sums = [0.0, 0.0, 0, 0]
+            for t in trace:
+                sums = [a + b for a, b in zip(sums, t[2:])]
+            assert (row.tau_sd, row.tau_td) == (sums[0] / n_batches, sums[1] / n_batches)
+            assert (row.n_above_sd, row.n_above_td) == (sums[2], sums[3])
+
     def test_frozen_baseline_pseudo_label_source_runs(self):
         source, target = tiny_pair()
         cfg = tiny_config(pseudo_label_source="frozen-baseline")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,64 @@ class TestConfig:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("no_such_key = 1\n")
+
+    @pytest.mark.parametrize("text", ["loss_fm = true\n", "dataset = blobs\n",
+                                      "dataset_seed = 1\n", "dataset.dataset = 1\n"])
+    def test_non_field_key_rejected(self, text):
+        # loss_fm is gone: the mixup loss is always on; dataset is a record,
+        # not a value, and dataset_seed a method
+        with pytest.raises(ConfigError) as exc:
+            parse_config("seed = 1\n" + text)
+        assert str(exc.value) == f"line 2: unknown key {text.split(' =')[0]!r}"
+
+    def test_accepted_keys_are_the_dataclass_fields(self):
+        # every field is a key, the dataset's by their dotted names; a key
+        # that is accepted may still fail validation, but not as unknown
+        expected = {f"dataset.{f.name}" for f in fields(DatasetSpec)}
+        expected |= {f.name for f in fields(TrainConfig)} - {"dataset"}
+        candidates = expected | {"loss_fm", "dataset", "dataset_seed", "dataset.dataset",
+                                 "dataset.kind.x", "Seed"}
+        accepted = set()
+        for key in candidates:
+            try:
+                parse_config(f"{key} = 1\n")
+            except ConfigError as exc:
+                if "unknown key" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("dataset.kind = blobs\nseed = 2\ndataset.source = s.csv\n",
+         "line 3: dataset.source does not apply to kind = blobs"),
+        ("dataset.kind = moons\ndataset.per_class = 9\ndataset.num_classes = 7\n"
+         "dataset.dim = 5\n", "line 3: dataset.num_classes does not apply to kind = moons"),
+        ("dataset.translation = 1,2\ndataset.kind = moons\n",
+         "line 1: dataset.translation does not apply to kind = moons"),
+        ("dataset.kind = csv\ndataset.source = s.csv\ndataset.target = t.csv\n"
+         "dataset.seed = 3\n", "line 4: dataset.seed does not apply to kind = csv"),
+    ])
+    def test_dataset_key_the_kind_does_not_read_rejected(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,reads", [
+        ("blobs", "num_classes per_class dim rotation_deg translation noise_sigma seed"),
+        ("moons", "per_class rotation_deg noise_sigma seed"),
+        ("csv", "source target"),
+    ])
+    def test_serialize_writes_only_the_keys_of_the_kind(self, kind, reads):
+        text = f"dataset.kind = {kind}\ndataset.per_class = 9\n"
+        if kind == "csv":
+            text = "dataset.kind = csv\ndataset.source = s.csv\ndataset.target = t.csv\n"
+        cfg = parse_config(text + "arch = 8,4\n")
+        once = serialize_config(cfg)
+        written = [line.split(" = ")[0] for line in once.splitlines()]
+        assert [k for k in written if k.startswith("dataset.")] == \
+            [f"dataset.{k}" for k in ["kind"] + reads.split()]
+        assert parse_config(once) == cfg
+        assert serialize_config(parse_config(once)) == once
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -324,9 +383,13 @@ class TestRunExperiment:
             load_dataset_pair(cfg)
 
     def test_moons_dataset_kind_end_to_end(self, tmp_path):
-        cfg = parse_config(small_config_text(**{
+        text = small_config_text(**{
             "dataset.kind": "moons", "dataset.rotation_deg": 20,
-            "dataset.noise_sigma": 0.08}))
+            "dataset.noise_sigma": 0.08})
+        # moons are always 2 classes: the blob-only key would be rejected
+        text = "\n".join(ln for ln in text.split("\n")
+                         if not ln.startswith("dataset.num_classes"))
+        cfg = parse_config(text)
         result = execute(cfg, tmp_path / "out")
         assert (tmp_path / "out" / "metrics.csv").exists()
         assert 0.0 <= result.summary["acc_tgt_ens"] <= 1.0
