@@ -12,7 +12,7 @@ from .baseline import (BaselineResult, dann_losses, dann_objective, train_dann,
                        train_source_only)
 from .config import (ConfigError, DatasetSpec, MetricsRow, TrainConfig,
                      load_config, parse_config, serialize_config, validate_config)
-from .core import (NonFiniteLossError, ThresholdStack, ThresholdStats,
+from .core import (NonFiniteLossError, ThresholdStats,
                    adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp,
                    mixup, pseudo_labels, ratio_rule_sample, train_fixbi)
 from .data import (CsvFormatError, Dataset, PairedBatch, as_target_view,

@@ -58,7 +58,7 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
                 start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
+            lr = lr_schedule(cfg.lr0, step / total_steps)
             loss = objective(batch)
             value = loss.item()
             if not np.isfinite(value):
@@ -70,7 +70,7 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
             step += 1
             loss_sum += value
         src_acc, tgt_acc = _accuracies(model, source, target)
-        history.append(MetricsRow(epoch=epoch, fm_sd=loss_sum / max(1, n_batches),
+        history.append(MetricsRow(epoch=epoch, fm_sd=loss_sum / n_batches,
                                   acc_src_sd=src_acc, acc_tgt_sd=tgt_acc,
                                   acc_tgt_ens=tgt_acc))
     # the last epoch's row already holds the returned model's accuracies

@@ -72,10 +72,19 @@ class TrainConfig:
 
 
 def validate_config(cfg: TrainConfig) -> TrainConfig:
-    """Check every field; raises :class:`ConfigError` naming the bad field."""
+    """Check every field; raises :class:`ConfigError` naming the bad field.
+
+    A dataset field that the kind does not read (see :data:`DATASET_KEYS`)
+    must keep its default.
+    """
     ds = cfg.dataset
     if ds.kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind: must be one of {DATASET_KINDS}, got {ds.kind!r}")
+    for f in fields(DatasetSpec):
+        value = getattr(ds, f.name)
+        if f.name not in ("kind",) + DATASET_KEYS[ds.kind] and value != f.default:
+            raise ConfigError(f"dataset.{f.name}: does not apply to kind = {ds.kind}, "
+                              f"got {value!r}")
     if ds.kind == "csv":
         if not ds.source or not ds.target:
             raise ConfigError("dataset.source / dataset.target: required for kind=csv")
@@ -192,7 +201,8 @@ def parse_config(text: str) -> TrainConfig:
     """Parse ``key = value`` lines ('#' comments allowed) and validate.
 
     A ``dataset.*`` key that the configured kind does not read (see
-    :data:`DATASET_KEYS`) is rejected, naming its line.
+    :data:`DATASET_KEYS`) is rejected, naming its line, even when it sets
+    the default.
     """
     cfg = TrainConfig()
     seen: dict[str, int] = {}  # key -> line number

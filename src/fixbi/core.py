@@ -14,10 +14,12 @@ All four objectives are non-negative losses to be minimized:
 * ``loss_sp``  - negative log of (1 - p) at the model's own top-1 class,
   only where its confidence is strictly below the threshold. The penalized
   probability is computed with the model's learnable temperature; the
-  gate and the argmax use the plain T = 1 confidences so that the matching
-  and penalization index sets partition cleanly around the threshold.
+  argmax uses the plain T = 1 probabilities.
 * ``loss_cr``  - mean squared L2 distance between the two models'
   predictions on the half-half mixup batch.
+
+Both gates come from one :func:`adaptive_threshold` call on the T = 1
+confidences, so the matching and penalization index sets never overlap.
 
 Logs inside the losses are clamped at 1e-12.
 """
@@ -78,69 +80,43 @@ def pseudo_labels(model: ClassifierModel, xt: Array) -> tuple[Array, Array]:
 
 @dataclass
 class ThresholdStats:
-    """Adaptive confidence threshold of one mini-batch: mean - 2 * std."""
+    """The adaptive confidence gate of one iteration, one row per model.
 
-    tau: float
-    batch_mean: float
-    batch_std: float
-    num_above: int     # confidences strictly above tau
-    num_below: int     # the rest (confidence <= tau)
-
-
-class ThresholdStack(tuple):
-    """The :class:`ThresholdStats` of each row of a ``[K x B]`` confidence
-    stack, one row per model. ``tau`` gathers the row thresholds in an
-    array; ``num_above`` and ``num_below`` count over the whole stack, as
-    they count over the one batch of a :class:`ThresholdStats`."""
-
-    @property
-    def tau(self) -> Array:
-        return np.array([s.tau for s in self])
-
-    @property
-    def num_above(self) -> int:
-        return sum(s.num_above for s in self)
-
-    @property
-    def num_below(self) -> int:
-        return sum(s.num_below for s in self)
-
-
-def adaptive_threshold(confidences) -> ThresholdStats | ThresholdStack:
-    """Threshold ``mean - 2 * population std``, clamped to [0, 1].
-
-    A ``[K x B]`` stack of confidences, one row per model, gives a
-    :class:`ThresholdStack` whose row k equals the call on row k alone; any
-    other shape is one batch. Every row must be non-empty and in [0, 1].
+    ``above`` selects the samples that teach the partner in bidirectional
+    matching and ``below`` those its own self-penalization acts on; both
+    are strict, so the two sets never overlap and samples at ``tau`` join
+    neither.
     """
+
+    tau: Array        # [K] per-model threshold
+    above: Array      # [K x B] confidence > tau
+    below: Array      # [K x B] confidence < tau
+    num_above: int    # entries of ``above``, over the whole stack
+    num_below: int    # the rest (confidence <= tau)
+
+
+def adaptive_threshold(confidences: Array) -> ThresholdStats:
+    """Per-row threshold ``mean - 2 * population std``, clamped to [0, 1],
+    of a ``[K x B]`` stack of confidences in [0, 1], one row per model."""
     conf = np.asarray(confidences, dtype=np.float64)
-    stacked = conf.ndim == 2
-    rows = conf if stacked else conf.reshape(1, -1)
-    if rows.size == 0:
-        raise ValueError("adaptive_threshold needs a non-empty confidence batch")
-    lo, hi = rows.min(axis=1), rows.max(axis=1)  # NaN propagates into both
+    if conf.ndim != 2 or conf.size == 0:
+        raise ValueError("adaptive_threshold needs a non-empty [K x B] confidence "
+                         f"stack, got shape {conf.shape}")
+    lo, hi = conf.min(axis=1), conf.max(axis=1)  # NaN propagates into both
     if not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    mean = rows.mean(axis=1)
-    std = rows.std(axis=1)  # population (divide by B)
+    mean = conf.mean(axis=1)
+    std = conf.std(axis=1)  # population (divide by B)
     const = lo == hi
     if const.any():
         # a constant row's statistics are exact; summing would otherwise
-        # put tau an ulp below the value and break the strict gate counts
+        # put tau an ulp below the value and break the strict gates
         mean[const], std[const] = lo[const], 0.0
     tau = np.minimum(1.0, np.maximum(0.0, mean - 2.0 * std))
-    above = (rows > tau[:, None]).sum(axis=1)
-    b = rows.shape[1]
-    out = [ThresholdStats(t, m, sd, a, b - a) for t, m, sd, a in
-           zip(tau.tolist(), mean.tolist(), std.tolist(), above.tolist())]
-    return ThresholdStack(out) if stacked else out[0]
-
-
-def _check_tau(tau) -> Array:
-    tau = np.asarray(tau, dtype=np.float64)
-    if not (tau.min() >= 0.0 and tau.max() <= 1.0):  # NaN fails both
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    return tau
+    above = conf > tau[:, None]
+    num_above = int(above.sum())
+    return ThresholdStats(tau, above, conf < tau[:, None], num_above,
+                          conf.size - num_above)
 
 
 def _top1_mask(probs: Array, selected: Array) -> Array:
@@ -163,36 +139,31 @@ def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     return log_loss(probs, y_mix, probs.data.shape[-2])
 
 
-def loss_bim(teacher_probs: Array, student_probs: Tensor, tau) -> Tensor:
-    """Teach the student the teacher's confident argmax labels.
+def loss_bim(teacher_probs: Array, student_probs: Tensor, selected: Array) -> Tensor:
+    """Teach the student the teacher's argmax labels on the ``selected``
+    samples (the teacher's ``above`` gate); the others contribute zero.
 
-    Both arguments are T = 1 probabilities on the same target batch.
-    Samples whose teacher confidence is not strictly above ``tau``
-    contribute zero. Teacher probabilities are plain arrays, so no gradient
-    reaches the teacher. A stack of students takes a stack of teachers and
-    one ``tau`` per teacher.
+    Both probabilities are T = 1 on the same target batch. Teacher
+    probabilities are plain arrays, so no gradient reaches the teacher. A
+    stack of students takes a stack of teachers and their gates.
     """
-    tau = _check_tau(tau)
-    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
-    selected = teacher_probs.max(axis=-1) > tau[..., None]
     return log_loss(student_probs, _top1_mask(teacher_probs, selected),
                     teacher_probs.shape[-2])
 
 
-def loss_sp(probs: Array, logits: Tensor, log_temperature: Tensor, tau) -> Tensor:
-    """Push the probability of low-confidence top-1 predictions toward zero.
+def loss_sp(probs: Array, logits: Tensor, log_temperature: Tensor,
+            selected: Array) -> Tensor:
+    """Push the probability of the ``selected`` samples' top-1 predictions
+    (the model's own ``below`` gate) toward zero.
 
-    ``probs`` are the T = 1 probabilities of ``logits`` as a plain array;
-    the gate compares their confidence strictly against ``tau``. The
-    penalized probability is a softmax of ``logits`` at the learnable
-    temperature ``exp(log_temperature)``, so its gradient also trains that
-    parameter. A stack of models takes the ``[K x 1]`` log-temperatures and
-    one ``tau`` per model.
+    ``probs`` are the T = 1 probabilities of ``logits`` as a plain array and
+    give the argmax. The penalized probability is a softmax of ``logits``
+    at the learnable temperature ``exp(log_temperature)``, so its gradient
+    also trains that parameter. A stack of models takes the ``[K x 1]``
+    log-temperatures and one gate row per model.
     """
-    tau = _check_tau(tau)
-    mask = _top1_mask(probs, probs.max(axis=-1) < tau[..., None])
     tempered = softmax_t(logits, log_temperature.exp())
-    return log_loss(1.0 - tempered, mask, probs.shape[-2])
+    return log_loss(1.0 - tempered, _top1_mask(probs, selected), probs.shape[-2])
 
 
 def loss_cr(p: Tensor, q: Tensor) -> Tensor:
@@ -289,7 +260,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
 
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps if total_steps else 0.0)
+            lr = lr_schedule(cfg.lr0, step / total_steps)
             lams = ratio_rule_sample(
                 cfg.ratio_rule, cfg.alpha, (cfg.lambda_sd, cfg.lambda_td), ratio_rng)
 
@@ -301,7 +272,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             blocks = [(batch.xt, batch.xt),
                       tuple(mixup(batch.xs, batch.xt, lam) for lam in lams)]
             if with_cr:
-                x_half = 0.5 * batch.xs + 0.5 * batch.xt  # half-half mixup
+                x_half = mixup(batch.xs, batch.xt, 0.5)
                 blocks.append((x_half, x_half))
             x = np.stack([np.concatenate(rows_k) for rows_k in zip(*blocks)])
             t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
@@ -324,21 +295,19 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 labels = np.argmax(target_probs, axis=-1)
 
             # one node per loss kind for both models; each per-model loss is
-            # an entry of its node. The label blend of mixup takes one ratio
-            # per model (exact at 0 and 1 too, since one-hot entries are 0
-            # or 1)
+            # an entry of its node
             both = slice(None)
-            lam = np.array(lams)[:, None, None]
-            pl_hot = one_hot(labels.reshape(-1), num_classes).reshape(2, b, num_classes)
-            y_mix = lam * one_hot(batch.ys, num_classes) + (1.0 - lam) * pl_hot
+            ys_hot = one_hot(batch.ys, num_classes)
+            y_mix = np.stack([mixup(ys_hot, one_hot(labels_k, num_classes), lam)
+                              for labels_k, lam in zip(labels, lams)])
             terms: dict[str, Tensor] = {"fm": loss_fm(take(probs, (both, mix_rows)), y_mix)}
             if cfg.loss_sp:
                 terms["sp"] = loss_sp(target_probs, take(logits, (both, t_rows)),
-                                      log_temperature, stats.tau)
+                                      log_temperature, stats.below)
             if with_bim:
-                # the partner teaches, gated by its own threshold
+                # the partner teaches, through its own gate
                 terms["bim"] = loss_bim(target_probs[::-1], take(probs, (both, t_rows)),
-                                        stats.tau[::-1])
+                                        stats.above[::-1])
             if with_cr:
                 terms["cr"] = loss_cr(take(probs, (0, half_rows)),
                                       take(probs, (1, half_rows)))
@@ -363,8 +332,8 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
                      cfg.weight_decay)
             step += 1
-            trace.append((epoch, it, stats[0].tau, stats[1].tau,
-                          stats[0].num_above, stats[1].num_above))
+            trace.append((epoch, it, *stats.tau.tolist(),
+                          *stats.above.sum(axis=1).tolist()))
 
         # losses and thresholds are averaged over the epoch's batches (every
         # epoch has n_batches of them), gate counts are totals; both gate

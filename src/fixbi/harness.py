@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import BaselineResult, train_baseline
 from .config import (ConfigError, METRICS_COLUMNS, MetricsRow, TrainConfig,
-                     load_config)
+                     load_config, validate_config)
 from .core import NonFiniteLossError, train_fixbi
 from .data import (Array, CsvFormatError, Dataset, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv)
@@ -30,16 +30,16 @@ UNDEFINED = "NA"  # class-wise accuracy marker for classes absent from the eval 
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v) + 0.0)
 
 
 def load_dataset_pair(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the configured source/target pair; a ``ConfigError`` if
-    ``batch_size`` exceeds either domain, which only the loaded data tells."""
+    """Validate ``cfg`` and materialize the configured source/target pair; a
+    ``ConfigError`` names the bad field, or ``batch_size`` if it exceeds
+    either domain, which only the loaded data tells."""
+    validate_config(cfg)
     source, target = _materialize(cfg)
     smaller = min(source.n, target.n)
     if cfg.batch_size > smaller:
@@ -56,25 +56,24 @@ def _materialize(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
                                ds.rotation_deg, ds.translation, ds.noise_sigma, seed)
     if ds.kind == "moons":
         return gen_moons_shift(ds.per_class, ds.rotation_deg, ds.noise_sigma, seed)
-    if ds.kind == "csv":
-        source, target = load_csv(ds.source), load_csv(ds.target)
-        # training reads every source label and evaluation every target one
-        for path, d, use in ((ds.source, source, "training"),
-                             (ds.target, target, "evaluation")):
-            if d.num_classes < 2:
-                raise CsvFormatError(f"{path}: line 1: classes={d.num_classes}, but "
-                                     f"{use} needs at least 2 classes")
-            unlabeled = d.labels < 0
-            if unlabeled.any():
-                raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "
-                                     f"label -1, but {use} needs every row's class")
-        target = as_target_view(target)
-        if source.num_classes != target.num_classes:
-            raise ConfigError("dataset.source/target: class counts differ")
-        if source.dim != target.dim:
-            raise ConfigError("dataset.source/target: feature dims differ")
-        return source, target
-    raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
+    # kind == "csv" (validate_config admits no other)
+    source, target = load_csv(ds.source), load_csv(ds.target)
+    # training reads every source label and evaluation every target one
+    for path, d, use in ((ds.source, source, "training"),
+                         (ds.target, target, "evaluation")):
+        if d.num_classes < 2:
+            raise CsvFormatError(f"{path}: line 1: classes={d.num_classes}, but "
+                                 f"{use} needs at least 2 classes")
+        unlabeled = d.labels < 0
+        if unlabeled.any():
+            raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "
+                                 f"label -1, but {use} needs every row's class")
+    target = as_target_view(target)
+    if source.num_classes != target.num_classes:
+        raise ConfigError("dataset.source/target: class counts differ")
+    if source.dim != target.dim:
+        raise ConfigError("dataset.source/target: feature dims differ")
+    return source, target
 
 
 # -- metrics.csv -------------------------------------------------------------
@@ -211,14 +210,12 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
     """Self-contained SVG line chart of both models' adaptive thresholds over
     training, with the warm-up boundary marked."""
     trace = dual.threshold_trace
-    if not trace:
-        return
     width, height, margin = 640, 320, 45
     n_epochs = trace[-1][0]
     per_epoch = max(it for _, it, *_ in trace)
 
     def x_pos(epoch: int, it: int) -> float:
-        frac = (epoch - 1 + it / per_epoch) / max(1, n_epochs)
+        frac = (epoch - 1 + it / per_epoch) / n_epochs
         return margin + frac * (width - 2 * margin)
 
     def y_pos(tau: float) -> float:
@@ -322,7 +319,7 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     save_checkpoint(dual.sdm, out_dir / "sdm.ckpt")
     save_checkpoint(dual.tdm, out_dir / "tdm.ckpt")
 
-    last = rows[-1] if rows else MetricsRow(epoch=0)
+    last = rows[-1]
     summary = {
         "seed": cfg.seed,
         "epochs": cfg.epochs,

@@ -313,8 +313,8 @@ def grl(x: Tensor, grl_lambda: float) -> Tensor:
 
 
 class ParamSet:
-    """Named trainable tensors over one flat float64 value vector, plus one
-    SGD momentum vector of the same layout.
+    """Named trainable tensors over one flat float64 value vector, plus an
+    SGD momentum vector and a scratch vector of the same layout.
 
     ``ParamSet(tensors)`` copies a name -> values mapping into the vectors in
     one allocation. Each tensor's ``data`` is a view into the value vector,
@@ -331,13 +331,11 @@ class ParamSet:
         size = sum(a.size for a in arrays)
         self._values = np.empty(size)
         self._momentum = np.zeros(size)
+        self._scratch = np.empty(size)          # sgd_step's working vector
         self._params: dict[str, Tensor] = {}
         self._views: dict[str, Array] = {}      # each tensor's view of _values
-        self._momenta: dict[str, Array] = {}    # ... and of _momentum
-        # sgd_step's gathered gradients and its one scratch vector, made on
-        # its first call: sets that are never trained never hold them
-        self._grad: Array | None = None
-        self._scratch: Array | None = None
+        self._momenta: dict[str, Array] = {}    # ... of _momentum
+        self._scratches: dict[str, Array] = {}  # ... and of _scratch
         lo = 0
         for name, a in zip(tensors, arrays):
             hi = lo + a.size
@@ -346,6 +344,7 @@ class ParamSet:
             self._params[name] = Tensor(view, requires_grad=True)
             self._views[name] = self._params[name].data
             self._momenta[name] = self._momentum[lo:hi].reshape(a.shape)
+            self._scratches[name] = self._scratch[lo:hi].reshape(a.shape)
             lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
@@ -379,8 +378,10 @@ def backward(loss: Tensor, params: ParamSet) -> GradMap:
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
 
-    # iterative post-order DFS over grad-requiring ancestry; tensors hash
-    # by identity, so they key the visited set and the gradient map
+    # iterative post-order DFS over the loss's ancestry: every parent a node
+    # records requires gradients (Tensor._make keeps no other), so every node
+    # reached gets a gradient before it is visited in reverse order. Tensors
+    # hash by identity, so they key the visited set and the gradient map
     topo: list[Tensor] = []
     visited: set[Tensor] = {loss}
     stack: list[tuple[Tensor, int]] = [(loss, 0)]
@@ -389,7 +390,7 @@ def backward(loss: Tensor, params: ParamSet) -> GradMap:
         while i < len(node._vjps):
             parent = node._vjps[i][0]
             i += 1
-            if parent.requires_grad and parent not in visited:
+            if parent not in visited:
                 visited.add(parent)
                 stack.append((node, i))
                 stack.append((parent, 0))
@@ -399,12 +400,8 @@ def backward(loss: Tensor, params: ParamSet) -> GradMap:
 
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.get(node)
-        if g is None:
-            continue
+        g = grads[node]
         for parent, vjp in node._vjps:
-            if not parent.requires_grad:
-                continue
             contrib = vjp(g)
             if parent in grads:
                 grads[parent] = grads[parent] + contrib
@@ -423,9 +420,12 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
     """Momentum SGD with coupled weight decay, applied in place.
 
     For each parameter: ``v <- momentum*v + (g + weight_decay*w)`` then
-    ``w <- w - lr*v``, run once over the set's flat vectors (see
-    :class:`ParamSet`) with the per-tensor arithmetic and order, so the
-    result is bit-identical to a loop over the tensors. Returns the set.
+    ``w <- w - lr*v``, run over the set's flat vectors (see
+    :class:`ParamSet`): each gradient is added into its slice of the scratch
+    vector, the rest are whole-vector operations. The arithmetic is the
+    per-tensor arithmetic (``g + tmp`` commutes), so the result is
+    bit-identical to a loop over the tensors. Every check runs before the
+    first write. Returns the set.
     """
     if not lr > 0.0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -433,7 +433,6 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    flat = []
     for name, t in params.items():
         if name not in grads:
             raise ValueError(f"missing gradient for parameter {name!r}")
@@ -444,17 +443,11 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
         if t.data is not params._views[name]:
             raise ValueError(f"parameter {name!r} no longer views its set's value "
                              "vector: its .data was rebound instead of written in place")
-        flat.append(g.reshape(-1))
-    if not flat:
-        return params
-    if params._grad is None:
-        params._grad = np.empty_like(params._values)
-        params._scratch = np.empty_like(params._values)
-    g = np.concatenate(flat, out=params._grad)
     w, v, tmp = params._values, params._momentum, params._scratch
     v *= momentum
     np.multiply(weight_decay, w, out=tmp)
-    np.add(g, tmp, out=tmp)
+    for name, tmp_k in params._scratches.items():
+        tmp_k += grads[name]
     v += tmp
     np.multiply(lr, v, out=tmp)
     w -= tmp

@@ -128,11 +128,12 @@ def probs_of(model: ClassifierModel, x):
     return softmax_t(forward_logits(model, x)[1], 1.0)
 
 
-def sp_of(model: ClassifierModel, x, tau: float):
-    """Self-penalization from one forward, as the training loop builds it."""
+def sp_of(model: ClassifierModel, x, selected):
+    """Self-penalization of the ``selected`` rows from one forward, as the
+    training loop builds it."""
     logits = forward_logits(model, x)[1]
     return loss_sp(softmax_t(logits, 1.0).data, logits, model.params["log_temperature"],
-                   tau)
+                   selected)
 
 
 def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):
@@ -334,17 +335,12 @@ class ExactOracleCheck:
         return worst
 
 
-def safe_tau(confidences, min_clearance: float = 1e-3) -> float:
-    """A threshold inside the widest gap between sorted confidences.
-
-    Finite differencing a gated loss is only valid when no confidence sits
-    within the perturbation's reach of the threshold; the widest-gap
-    midpoint keeps every sample clear of the selection boundary.
-    """
-    c = np.sort(np.asarray(confidences, dtype=np.float64))
-    if c.size < 2:
-        return float(np.clip(c[0] - min_clearance, 0.0, 1.0))
-    gaps = c[1:] - c[:-1]
-    i = int(np.argmax(gaps))
-    assert gaps[i] > 2 * min_clearance, "confidences too bunched for a clean gate"
-    return float((c[i] + c[i + 1]) / 2.0)
+def split_gate(confidences) -> tuple[Array, Array]:
+    """The ``(above, below)`` masks of a threshold in the middle of the
+    widest gap between sorted confidences: both sets are non-empty, so a
+    gated loss sees selected and unselected samples alike."""
+    conf = np.asarray(confidences, dtype=np.float64)
+    c = np.sort(conf)
+    i = int(np.argmax(c[1:] - c[:-1]))
+    tau = (c[i] + c[i + 1]) / 2.0
+    return conf > tau, conf < tau

@@ -24,7 +24,7 @@ from fixbi.models import (ensemble_predict, init_discriminator, init_model,
 from fixbi.numerics import backward
 from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, manual_model,
                      max_rel_error, probs_of, random_batch, random_model,
-                     safe_tau, sp_of)
+                     sp_of, split_gate)
 
 GRAD_TOL = 1e-4
 FD_EPS = 1e-5
@@ -81,8 +81,8 @@ def test_criterion_01_gradient_suite():
                                num_classes=student.num_classes)
         xt = rng.normal(size=(5, 2))
         teacher_probs = predict_probs(teacher, xt)
-        tau = safe_tau(teacher_probs.max(axis=1))
-        err = _grad_trial_ok(lambda: loss_bim(teacher_probs, probs_of(student, xt), tau),
+        above, _ = split_gate(teacher_probs.max(axis=1))
+        err = _grad_trial_ok(lambda: loss_bim(teacher_probs, probs_of(student, xt), above),
                              student.params)
         worst["bim"] = max(worst["bim"], err)
 
@@ -95,11 +95,11 @@ def test_criterion_01_gradient_suite():
         conf = predict_probs(model, xt).max(axis=1)
         c_sorted = np.sort(conf)
         if (c_sorted[1:] - c_sorted[:-1]).max() < 2e-3:
-            continue  # no clean gate position; FD invalid at the boundary
-        tau = safe_tau(conf)
-        err = _grad_trial_ok(lambda: sp_of(model, xt, tau), model.params)
+            continue  # confidences too bunched to split cleanly
+        _, below = split_gate(conf)
+        err = _grad_trial_ok(lambda: sp_of(model, xt, below), model.params)
         worst["sp"] = max(worst["sp"], err)
-        g_theta = backward(sp_of(model, xt, tau), model.params)["log_temperature"]
+        g_theta = backward(sp_of(model, xt, below), model.params)["log_temperature"]
         theta_grad_seen = theta_grad_seen or abs(float(g_theta[0])) > 1e-8
         done += 1
     assert theta_grad_seen, "temperature gradient path never exercised"
@@ -184,24 +184,24 @@ def test_criterion_03_mixup_invariants():
 
 @pytest.mark.acceptance("criterion 4: adaptive threshold unit + gating partition")
 def test_criterion_04_threshold_unit():
-    stats = adaptive_threshold([0.5, 0.9])
-    assert stats.tau == pytest.approx(0.3, abs=1e-12)
+    stats = adaptive_threshold([[0.5, 0.9]])
+    assert stats.tau[0] == pytest.approx(0.3, abs=1e-12)
 
-    const = adaptive_threshold([0.7, 0.7, 0.7])
-    assert const.tau == pytest.approx(0.7, abs=1e-15)
+    const = adaptive_threshold([[0.7, 0.7, 0.7]])
+    assert const.tau[0] == pytest.approx(0.7, abs=1e-15)
     assert const.num_above == 0
 
-    clamped = adaptive_threshold([0.1, 0.1, 0.1, 0.9])
-    assert clamped.tau == 0.0
+    clamped = adaptive_threshold([[0.1, 0.1, 0.1, 0.9]])
+    assert clamped.tau[0] == 0.0
 
     rng = np.random.default_rng(104)
     for _ in range(1000):
-        conf = rng.uniform(size=int(rng.integers(1, 64)))
+        conf = rng.uniform(size=(1, int(rng.integers(1, 64))))
         s = adaptive_threshold(conf)
-        bim_set = set(np.flatnonzero(conf > s.tau).tolist())
-        sp_set = set(np.flatnonzero(conf < s.tau).tolist())
-        assert not (bim_set & sp_set)
-        assert 0.0 <= s.tau <= 1.0
+        assert np.array_equal(s.above, conf > s.tau[:, None])
+        assert np.array_equal(s.below, conf < s.tau[:, None])
+        assert not (s.above & s.below).any()
+        assert 0.0 <= s.tau[0] <= 1.0
 
 
 @pytest.mark.acceptance("criterion 5: warm-up contract (E=k gates bim/cr off)")

@@ -17,7 +17,7 @@ from fixbi.models import ClassifierModel, forward_logits, init_model
 from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
                             softmax_t)
 from helpers import (check_grads, clone_model, cr_of, manual_model, probs_of,
-                     random_batch, random_model, safe_tau, sp_of, value_bytes)
+                     random_batch, random_model, sp_of, split_gate, value_bytes)
 
 LN2 = math.log(2.0)
 
@@ -100,68 +100,65 @@ class TestPseudoLabels:
 
 class TestAdaptiveThreshold:
     def test_two_point_hand_case(self):
-        stats = adaptive_threshold([0.5, 0.9])
-        assert stats.batch_mean == pytest.approx(0.7, abs=1e-12)
-        assert stats.batch_std == pytest.approx(0.2, abs=1e-12)
-        assert stats.tau == pytest.approx(0.3, abs=1e-12)
-        assert stats.num_above + stats.num_below == 2
+        # mean 0.7, population std 0.2
+        stats = adaptive_threshold([[0.5, 0.9]])
+        assert stats.tau[0] == pytest.approx(0.3, abs=1e-12)
+        assert stats.above.tolist() == [[True, True]]
+        assert (stats.num_above, stats.num_below) == (2, 0)
 
     def test_constant_batch(self):
-        stats = adaptive_threshold([0.6, 0.6, 0.6])
-        assert stats.tau == pytest.approx(0.6, abs=1e-15)
+        stats = adaptive_threshold([[0.6, 0.6, 0.6]])
+        assert stats.tau[0] == pytest.approx(0.6, abs=1e-15)
         assert stats.num_above == 0        # strict inequality
         assert stats.num_below == 3
+        assert not stats.below.any()       # at tau: in neither gate
 
     def test_clamp_to_zero(self):
-        stats = adaptive_threshold([0.1, 0.1, 0.1, 0.9])
-        assert stats.batch_mean == pytest.approx(0.3, abs=1e-12)
-        assert stats.batch_std == pytest.approx(math.sqrt(0.12), abs=1e-12)
-        assert stats.tau == 0.0
+        # mean 0.3, std sqrt(0.12): mean - 2 std < 0
+        stats = adaptive_threshold([[0.1, 0.1, 0.1, 0.9]])
+        assert stats.tau[0] == 0.0
         assert stats.num_above == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_threshold([])
-        with pytest.raises(ValueError):
-            adaptive_threshold([0.5, 1.2])
-        with pytest.raises(ValueError):
-            adaptive_threshold([-0.1])
+        for bad in ([], [[0.5, 1.2]], [[-0.1]], [0.5, 0.9], np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError):
+                adaptive_threshold(bad)
 
     def test_gating_partition_random_batches(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            conf = rng.uniform(size=rng.integers(1, 40))
+            conf = rng.uniform(size=(2, rng.integers(1, 40)))
             stats = adaptive_threshold(conf)
-            above = set(np.flatnonzero(conf > stats.tau).tolist())
-            below = set(np.flatnonzero(conf < stats.tau).tolist())
-            assert not (above & below)
-            assert stats.num_above == len(above)
+            assert np.array_equal(stats.above, conf > stats.tau[:, None])
+            assert np.array_equal(stats.below, conf < stats.tau[:, None])
+            assert not (stats.above & stats.below).any()
+            assert stats.num_above == int(stats.above.sum())
+            assert isinstance(stats.num_above, int) and isinstance(stats.num_below, int)
 
-    def test_stacked_rows_equal_1d_calls(self):
-        # rows of a [2 x B] stack against 1-D calls and against the formula
-        # on numpy's own 1-D mean and std, constant rows included
+    def test_stacked_rows_equal_single_row_calls(self):
+        # rows of a [2 x B] stack against [1 x B] calls and against the
+        # formula on numpy's own 1-D mean and std, constant rows included
         rng = np.random.default_rng(13)
         for trial in range(300):
             conf = rng.uniform(size=(2, rng.integers(1, 40)))
             if trial % 3 == 0:
                 conf[trial % 2] = conf[0, 0]
             stack = adaptive_threshold(conf)
-            assert len(stack) == 2
             for k, row in enumerate(conf):
-                assert stack[k] == adaptive_threshold(row)
+                one = adaptive_threshold(row[None])
+                assert stack.tau[k] == one.tau[0]
+                assert np.array_equal(stack.above[k], one.above[0])
+                assert np.array_equal(stack.below[k], one.below[0])
                 if row.min() < row.max():
                     mean, std = float(np.mean(row)), float(np.std(row))
-                    assert (stack[k].batch_mean, stack[k].batch_std) == (mean, std)
-                    assert stack[k].tau == min(1.0, max(0.0, mean - 2.0 * std))
-            assert stack.tau.tolist() == [stack[0].tau, stack[1].tau]
-            assert stack.num_above == stack[0].num_above + stack[1].num_above
+                    assert stack.tau[k] == min(1.0, max(0.0, mean - 2.0 * std))
             assert stack.num_above + stack.num_below == conf.size
 
     def test_stacked_constant_row_is_exact(self):
         # summed, three 0.7s give a mean an ulp low and a non-zero std
         stack = adaptive_threshold([[0.5, 0.9, 0.2], [0.7, 0.7, 0.7]])
-        assert (stack[1].tau, stack[1].batch_mean, stack[1].batch_std) == (0.7, 0.7, 0.0)
-        assert (stack[1].num_above, stack[1].num_below) == (0, 3)
+        assert stack.tau[1] == 0.7
+        assert not stack.above[1].any() and not stack.below[1].any()
 
     @pytest.mark.parametrize("bad", [[[0.5, 0.6], [np.nan, 0.5]],
                                      [[0.5, 0.6], [0.5, 1.2]],
@@ -184,10 +181,10 @@ class TestStackedLosses:
         return rng, params
 
     @staticmethod
-    def _sp(params, tau):
-        """loss_sp gated by the T = 1 probabilities of ``params["z"]``."""
+    def _sp(params, selected):
+        """loss_sp of the ``selected`` rows of ``params["z"]``."""
         z = params["z"]
-        return loss_sp(softmax_t(z, 1.0).data, z, params["log_t"], tau)
+        return loss_sp(softmax_t(z, 1.0).data, z, params["log_t"], selected)
 
     @staticmethod
     def _check(params, stacked, single):
@@ -213,28 +210,20 @@ class TestStackedLosses:
     def test_loss_bim(self):
         rng, params = self._stack(15)
         teacher = rng.dirichlet(np.ones(3) * 0.5, size=(2, 6))
-        taus = np.array([safe_tau(t.max(axis=1)) for t in teacher])
-        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"], 1.0), taus),
-                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"], 1.0), taus[k]))
+        above = np.array([split_gate(t.max(axis=1))[0] for t in teacher])
+        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"], 1.0), above),
+                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"], 1.0), above[k]))
 
     def test_loss_sp(self):
         rng, params = self._stack(16)
         conf = _np_softmax(params["z"].data.reshape(-1, 3)).max(axis=1).reshape(2, 6)
-        taus = np.array([safe_tau(c) for c in conf])
-        self._check(params, lambda p: self._sp(p, taus),
-                    lambda p, k: self._sp(p, taus[k]))
-        out = self._sp(params, taus)
+        below = np.array([split_gate(c)[1] for c in conf])
+        self._check(params, lambda p: self._sp(p, below),
+                    lambda p, k: self._sp(p, below[k]))
+        out = self._sp(params, below)
         assert (out.data > 0.0).all()  # both gates let something through
-        check_grads(lambda: (self._sp(params, taus) * np.array([0.7, -1.3])).sum(),
+        check_grads(lambda: (self._sp(params, below) * np.array([0.7, -1.3])).sum(),
                     params)
-
-    def test_tau_checked_per_model(self):
-        _, params = self._stack(17)
-        with pytest.raises(ValueError):
-            self._sp(params, np.array([0.5, 1.5]))
-        with pytest.raises(ValueError):
-            loss_bim(np.full((2, 6, 3), 1 / 3), softmax_t(params["z"], 1.0),
-                     np.array([np.nan, 0.5]))
 
 
 class TestLossFm:
@@ -277,7 +266,7 @@ class TestLossBim:
         student = random_model(rng, input_dim=2, num_classes=2, widths=(3,))
         teacher_probs = np.array([[0.6, 0.4], [0.55, 0.45]])
         out = loss_bim(teacher_probs, probs_of(student, rng.normal(size=(2, 2))),
-                       tau=0.9)
+                       selected=np.array([False, False]))
         assert out.item() == 0.0
         grads = backward(out, student.params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
@@ -285,13 +274,13 @@ class TestLossBim:
     def test_confident_teacher_uniform_student_gives_ln2(self):
         student = manual_model([[0.0, 0.0]], [0.0, 0.0])
         out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
-                       tau=0.5)
+                       selected=np.array([True]))
         assert out.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_student_matching_teacher_is_near_zero(self):
         student = manual_model([[60.0, 0.0]], [0.0, 0.0])
         out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
-                       tau=0.5)
+                       selected=np.array([True]))
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -301,28 +290,22 @@ class TestLossBim:
         xs, ys, xt, yt = random_batch(rng, 5, 3, 3)
         from fixbi.models import predict_probs
         teacher_probs = predict_probs(teacher, xt)
-        tau = safe_tau(teacher_probs.max(axis=1))  # some selected, some not
-        check_grads(lambda: loss_bim(teacher_probs, probs_of(student, xt), tau),
+        above, _ = split_gate(teacher_probs.max(axis=1))  # some selected, some not
+        check_grads(lambda: loss_bim(teacher_probs, probs_of(student, xt), above),
                     student.params)
-
-    def test_tau_validation(self):
-        student = manual_model([[0.0, 0.0]], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            loss_bim(np.array([[0.5, 0.5]]), probs_of(student, np.array([[1.0]])),
-                     tau=1.5)
 
 
 class TestLossSp:
     def test_all_confident_is_exact_zero(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, input_dim=2, widths=(3,), num_classes=2)
-        out = sp_of(model, rng.normal(size=(3, 2)), tau=0.0)
+        out = sp_of(model, rng.normal(size=(3, 2)), np.zeros(3, dtype=bool))
         assert out.item() == 0.0
 
     def test_uniform_low_confidence_closed_form(self):
         c = 4
         model = manual_model([[0.0] * c], [0.0] * c)
-        out = sp_of(model, np.array([[1.0]]), tau=0.9)
+        out = sp_of(model, np.array([[1.0]]), np.array([True]))
         assert out.item() == pytest.approx(-math.log(1.0 - 1.0 / c), abs=1e-12)
 
     def test_gradient_including_temperature(self):
@@ -330,7 +313,7 @@ class TestLossSp:
         model = random_model(rng)
         xt = rng.normal(size=(6, 3))
         conf = pseudo_labels(model, xt)[1]
-        check_grads(lambda: sp_of(model, xt, safe_tau(conf)), model.params)
+        check_grads(lambda: sp_of(model, xt, split_gate(conf)[1]), model.params)
 
     def test_temperature_gradient_hand_formula(self):
         # single selected sample: dL/dtheta from the closed form
@@ -344,7 +327,8 @@ class TestLossSp:
         a = y[top]
         da_dt = -a * (z[0, top] - float((y * z[0]).sum())) / (t * t)
         want = (1.0 / (1.0 - a)) * da_dt * t  # chain through T = exp(theta)
-        got = backward(sp_of(model, xt, tau=1.0), model.params)["log_temperature"]
+        got = backward(sp_of(model, xt, np.array([True])),
+                       model.params)["log_temperature"]
         assert got[0] == pytest.approx(want, rel=1e-10)
 
 
@@ -607,8 +591,8 @@ class TestStackedMatchesTwoModels:
                 logits = {m: forward_logits(model, batch.xt)[1]
                           for m, model in (("sd", sdm), ("td", tdm))}
                 q = {m: softmax_t(z, 1.0) for m, z in logits.items()}
-                tau = {m: adaptive_threshold(p.data.max(axis=1)).tau
-                       for m, p in q.items()}
+                gate = {m: adaptive_threshold(p.data.max(axis=1)[None])
+                        for m, p in q.items()}
                 terms = {}
                 for m, model, lam in (("sd", sdm, cfg.lambda_sd),
                                       ("td", tdm, cfg.lambda_td)):
@@ -617,10 +601,11 @@ class TestStackedMatchesTwoModels:
                     probs = softmax_t(forward_logits(model, x_mix)[1], 1.0)
                     terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
                     terms[f"sp_{m}"] = loss_sp(q[m].data, logits[m],
-                                               model.params["log_temperature"], tau[m])
+                                               model.params["log_temperature"],
+                                               gate[m].below[0])
                 if matching:
-                    terms["bim_sd"] = loss_bim(q["td"].data, q["sd"], tau["td"])
-                    terms["bim_td"] = loss_bim(q["sd"].data, q["td"], tau["sd"])
+                    terms["bim_sd"] = loss_bim(q["td"].data, q["sd"], gate["td"].above[0])
+                    terms["bim_td"] = loss_bim(q["sd"].data, q["td"], gate["sd"].above[0])
                     x_half = 0.5 * batch.xs + 0.5 * batch.xt
                     terms["cr"] = loss_cr(
                         softmax_t(forward_logits(sdm, x_half)[1], 1.0),

@@ -16,8 +16,8 @@ from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
                           TrainConfig, load_config, parse_config, serialize_config,
                           validate_config)
 from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
-                           execute, load_metrics_csv, rank_class_gaps,
-                           run_experiment)
+                           execute, load_dataset_pair, load_metrics_csv,
+                           rank_class_gaps, run_experiment)
 from fixbi.models import load_checkpoint
 
 
@@ -113,6 +113,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("spec,message", [
+        (DatasetSpec(kind="moons", num_classes=7, dim=5),
+         "dataset.num_classes: does not apply to kind = moons, got 7"),
+        (DatasetSpec(kind="csv", source="s.csv", target="t.csv", seed=3),
+         "dataset.seed: does not apply to kind = csv, got 3"),
+        (DatasetSpec(source="s.csv"),
+         "dataset.source: does not apply to kind = blobs, got 's.csv'"),
+    ], ids=["moons", "csv", "blobs"])
+    def test_config_built_in_code_gets_the_kind_rule(self, spec, message):
+        # README "Library use": a config built in code meets the rule in
+        # validate_config and in load_dataset_pair, before any data is made
+        cfg = TrainConfig(dataset=spec)
+        for check in (validate_config, load_dataset_pair):
+            with pytest.raises(ConfigError) as exc:
+                check(cfg)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("kind,reads", [
         ("blobs", "num_classes per_class dim rotation_deg translation noise_sigma seed"),

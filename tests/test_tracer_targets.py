@@ -1,17 +1,21 @@
 """The benchmark's span tracer (perfbench/spans.py) finds the functions it
 wraps by name, and some of its wrappers spell out the arguments they pass
 on, so a renamed or deleted function, or a changed signature, breaks
-``--trace 1``; this catches that here first."""
+``--trace 1``; this catches that here first, and so does a traced run of
+a tiny config."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import fixbi
+import fixbi.harness
 import fixbi.models
+from fixbi.config import DatasetSpec, TrainConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +65,24 @@ def test_wrappers_with_named_arguments_match_their_targets():
             mismatched.append((w.__name__, want, got))
     assert not mismatched, f"(function, its parameters, the wrapper's): {mismatched}"
     assert {"backward", "paired_minibatches"} <= checked
+
+
+def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
+    # --trace 1 in miniature: a run whose warm-up ends inside it, traced as
+    # the benchmark traces it; a tag that json cannot write (a numpy scalar,
+    # say) or a metric that a traced run cannot compute fails here
+    spans = _spans()
+    cfg = TrainConfig(dataset=DatasetSpec(kind="blobs", num_classes=2, per_class=16),
+                      arch=(8, 4), batch_size=8, epochs=2, warmup_epochs=1,
+                      baseline_epochs=1, seed=3)
+    tracer = spans.Tracer()
+    tracer.install(fixbi)
+    try:
+        fixbi.harness.execute(cfg, tmp_path)
+    finally:
+        tracer.restore()
+    json.dumps(spans.records(tracer.spans))
+    metrics = spans.layer_metrics(tracer.spans, cfg.warmup_epochs)
+    assert 0.0 < metrics["core.gate_above_frac"] <= 1.0
+    assert metrics["numerics.backward_calls_per_iter.dual"] == 1.0
+    assert metrics["numerics.backward_calls_per_iter.baseline"] == 1.0
