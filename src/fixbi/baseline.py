@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MetricsRow, TrainConfig
+from .config import MetricsRow, TrainConfig, validate_config
 from .core import NonFiniteLossError
 from .data import Dataset, PairedBatch, one_hot, paired_minibatches
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
@@ -86,6 +86,7 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     Consumes the same paired batch stream as :func:`train_dann` (ignoring the
     target half) so the two trainers are step-for-step comparable.
     """
+    validate_config(cfg)
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
 
     def objective(batch: PairedBatch) -> Tensor:
@@ -140,6 +141,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
     names are disjoint); the returned model holds a copy of the classifier's
     own tensors, with fresh optimizer state.
     """
+    validate_config(cfg)
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
     disc = init_discriminator(model.feature_dim, _DISC_HIDDEN,
                               [cfg.seed, _DISC_STREAM], cfg.grl_lambda)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MetricsRow, TrainConfig
+from .config import MetricsRow, TrainConfig, validate_config
 from .data import Dataset, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
                      ensemble_labels, forward_logits, predict_probs,
@@ -228,7 +228,9 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
 
     Returns the final dual state and one metrics row per epoch.
     """
-    frozen = init_weights if cfg.pseudo_label_source == "frozen-baseline" else None
+    validate_config(cfg)
+    frozen = (np.tile(pseudo_labels(init_weights, target.features)[0], (2, 1))
+              if cfg.pseudo_label_source == "frozen-baseline" else None)
     pair = stack_models([init_weights, init_weights])
     trace: list[tuple[int, int, float, float, int, int]] = []
     rows: list[MetricsRow] = []
@@ -243,7 +245,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
 
 def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 pair: ClassifierModel, trace: list, rows: list[MetricsRow],
-                frozen: ClassifierModel | None) -> None:
+                frozen: Array | None) -> None:
     num_classes = pair.num_classes
     log_temperature = pair.params[LOG_TEMPERATURE]
     n_batches = max(source.n, target.n) // cfg.batch_size
@@ -290,7 +292,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, float("nan"))
             stats = adaptive_threshold(target_probs.max(axis=-1))
             if frozen is not None:
-                labels = np.tile(pseudo_labels(frozen, batch.xt)[0], (2, 1))
+                labels = frozen[:, batch.target_rows]
             else:
                 labels = np.argmax(target_probs, axis=-1)
 

@@ -263,6 +263,7 @@ class PairedBatch:
     xs: Array   # (B, d)
     ys: Array   # (B,) int64 source labels
     xt: Array   # (B, d)
+    target_rows: Array  # (B,) the rows of the target set that xt holds
 
     def __post_init__(self):
         if self.xs.shape != self.xt.shape:
@@ -307,7 +308,7 @@ def paired_minibatches(source: Dataset, target: Dataset, batch_size: int,
         si, ti = src_idx[sl], tgt_idx[sl]
         batches.append(PairedBatch(xs=source.features[si],
                                    ys=source.labels[si],
-                                   xt=target.features[ti]))
+                                   xt=target.features[ti], target_rows=ti))
     return batches
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, as_tensor, dense, relu_inplace,
+from .numerics import (Array, ParamSet, Tensor, as_tensor, mlp, relu_inplace,
                        softmax, softmax_t)
 from .numerics import grl  # re-exported: reversal layer used by the DANN baseline
 
@@ -123,21 +123,21 @@ def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
 
 
 def extract_features(model: ClassifierModel, x) -> Tensor:
-    """Run the ReLU extractor stack; identity when there are no layers.
+    """Run the ReLU extractor stack as one graph node; identity when there
+    are no layers.
 
     A stacked model (see :func:`stack_models`) takes one row block per model
     and runs every layer as one batched product."""
     h = as_tensor(x)
     _check_input(model, h.data, _model_axes(model))
-    for w, b in _layers(model):
-        h = dense(h, w, b, relu=True)
-    return h
+    return mlp(h, _layers(model), relu_last=True) if model.widths else h
 
 
 def forward_logits(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
-    """(features, head logits) as graph tensors."""
+    """(features, head logits) as graph tensors: one node for the extractor,
+    one for the head."""
     feats = extract_features(model, x)
-    logits = dense(feats, model.params["head.w"], model.params["head.b"])
+    logits = mlp(feats, [(model.params["head.w"], model.params["head.b"])])
     return feats, logits
 
 
@@ -244,9 +244,9 @@ def init_discriminator(feature_dim: int, hidden: int, seed,
 
 
 def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
+    """The hidden ReLU layer and the logit layer as one graph node."""
     p = disc.params
-    h = dense(features, p["disc.w0"], p["disc.b0"], relu=True)
-    return dense(h, p["disc.w1"], p["disc.b1"])
+    return mlp(features, [(p["disc.w0"], p["disc.b0"]), (p["disc.w1"], p["disc.b1"])])
 
 
 @dataclass

@@ -3,20 +3,16 @@
 Every loss in this package is composed from the handful of differentiable
 primitives defined here. Graphs are built dynamically: each operation returns
 a new :class:`Tensor` carrying vector-Jacobian closures back to its inputs,
-and :func:`backward` replays those closures in reverse topological order.
-There is no global state; ``backward`` accumulates gradients into a local map,
-so concurrent evaluation on distinct graphs is safe.
+and :func:`backward` replays those closures in reverse topological order,
+adding parameter gradients into their :class:`ParamSet`'s gradient vector.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 Array = np.ndarray
-
-GradMap = dict[str, Array]
-"""Named gradients, one entry per parameter, shapes matching the parameters."""
 
 LOG_CLAMP = 1e-12
 """Floor applied to probabilities before every log inside a loss."""
@@ -48,10 +44,11 @@ class Tensor:
 
     ``data`` is stored row-major (C order). Leaves created with
     ``requires_grad=True`` are trainable; operation results record
-    ``(parent, vjp)`` pairs consumed by :func:`backward`.
+    ``(parent, vjp)`` pairs consumed by :func:`backward`. A tensor of a
+    :class:`ParamSet` has ``grad``, its view of the set's gradient vector.
     """
 
-    __slots__ = ("data", "requires_grad", "_vjps")
+    __slots__ = ("data", "requires_grad", "grad", "_vjps")
 
     # keep numpy from absorbing us in mixed expressions like `array * tensor`;
     # our reflected operators handle those instead
@@ -61,6 +58,7 @@ class Tensor:
                  _vjps: Iterable[tuple["Tensor", Callable[[Array], Array]]] = ()):
         self.data = _as_array(values)
         self.requires_grad = bool(requires_grad)
+        self.grad: Array | None = None
         self._vjps = tuple(_vjps)
 
     # -- introspection -------------------------------------------------
@@ -153,47 +151,46 @@ def relu_inplace(a: Array) -> Array:
     return a
 
 
-def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """``x @ w + b``, followed by ``max(., 0)`` when ``relu`` is set, as one
-    graph node.
+def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> Tensor:
+    """Dense layers ``h @ w + b`` as one graph node, ``max(., 0)`` after
+    each but the last (and the last too if ``relu_last``).
 
-    ``x`` is ``[..., B, in]``, ``w`` ``[..., in, out]`` and ``b``
-    ``[..., out]``, with the same leading axes on all three: a stack of
-    layers, one per leading index, runs as one batched product in which the
-    rows of ``x[k]`` meet only ``w[k]`` and ``b[k]``. For a 2-D ``x`` the
-    forward pass and the VJPs run the same numpy operations as the composed
-    reference ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so values
-    and gradients are bit-identical to it.
+    ``layers`` holds (weight, bias) tensors of a :class:`ParamSet`, input
+    side first. ``x`` is ``[..., B, in]``, each weight ``[..., in, out]`` and
+    each bias ``[..., out]``, with the same leading axes on all (a stack of
+    networks). Weights and biases are not graph parents: the reverse pass
+    adds their gradients into their ``grad`` views, and computes an input
+    gradient only when ``x`` requires one. Each layer runs the numpy
+    operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so
+    values and gradients are bit-identical to it.
     """
     x = as_tensor(x)
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim < 2 or xd.ndim != wd.ndim or xd.shape[:-2] != wd.shape[:-2]:
-        raise ShapeError(f"dense needs [..., B, in] @ [..., in, out] with the same "
-                         f"leading axes, got {xd.shape} @ {wd.shape}")
-    if xd.shape[-1] != wd.shape[-2]:
-        raise ShapeError(f"dense inner dims differ: {xd.shape} @ {wd.shape}")
-    if bd.shape != wd.shape[:-2] + wd.shape[-1:]:
-        raise ShapeError(f"dense bias {bd.shape} does not fit weight {wd.shape}")
-    out = xd @ wd
-    out += bd[..., None, :]
-    mask = None
-    if relu:
-        mask = out > 0.0
-        relu_inplace(out)
-    # backward hands each VJP of a node the same upstream array, so the
-    # three VJPs share one masked gradient
-    seen: list = [None, None]
+    h = x.data
+    saved = []  # per layer: input, ReLU mask or None, weight, grad views
+    for i, (w, b) in enumerate(layers):
+        wd, bd = w.data, b.data
+        if (h.ndim < 2 or h.shape[:-2] + h.shape[-1:] != wd.shape[:-1]
+                or bd.shape != wd.shape[:-2] + wd.shape[-1:]):
+            raise ShapeError(f"mlp layer {i}: {h.shape} @ {wd.shape} + {bd.shape} do not chain")
+        out = h @ wd
+        out += bd[..., None, :]
+        mask = None
+        if relu_last or i < len(layers) - 1:
+            mask = out > 0.0
+            relu_inplace(out)
+        saved.append((h, mask, wd, w.grad, b.grad))
+        h = out
 
-    def masked(g: Array) -> Array:
-        if seen[0] is not g:
-            seen[0], seen[1] = g, (g if mask is None else g * mask)
-        return seen[1]
+    def reverse(g: Array) -> Array | None:
+        for i, (h_in, mask, wd, gw, gb) in reversed(list(enumerate(saved))):
+            if mask is not None:
+                g = g * mask
+            gw += h_in.swapaxes(-1, -2) @ g
+            gb += g.sum(axis=-2)
+            g = g @ wd.swapaxes(-1, -2) if i or x.requires_grad else None
+        return g
 
-    return Tensor._make(out, [
-        (x, lambda g: masked(g) @ wd.swapaxes(-1, -2)),
-        (w, lambda g: xd.swapaxes(-1, -2) @ masked(g)),
-        (b, lambda g: masked(g).sum(axis=-2)),
-    ])
+    return Tensor(h, requires_grad=True, _vjps=[(x, reverse)])
 
 
 def take(x: Tensor, index) -> Tensor:
@@ -313,38 +310,36 @@ def grl(x: Tensor, grl_lambda: float) -> Tensor:
 
 
 class ParamSet:
-    """Named trainable tensors over one flat float64 value vector, plus an
-    SGD momentum vector and a scratch vector of the same layout.
+    """Named trainable tensors over one flat float64 value vector, plus a
+    gradient, an SGD momentum and a scratch vector of the same layout.
 
     ``ParamSet(tensors)`` copies a name -> values mapping into the vectors in
-    one allocation. Each tensor's ``data`` is a view into the value vector,
-    so :func:`sgd_step` updates the whole set with a few in-place vector
-    operations. Code that changes a parameter writes into its ``data``
-    (``t.data[...] = x``); rebinding ``t.data`` detaches the tensor from the
-    vector, and ``sgd_step`` rejects it. Iteration order is the mapping's
-    order, which is also the layout of the vectors and keeps training and
-    checkpointing deterministic.
+    one allocation. Each tensor's ``data`` is a view into the value vector
+    and its ``grad`` into the gradient vector, so :func:`backward` and
+    :func:`sgd_step` work on whole vectors in place. Code that changes a
+    parameter writes into its ``data`` (``t.data[...] = x``); rebinding
+    ``t.data`` detaches the tensor from the vector, and ``sgd_step`` rejects
+    it. Iteration order is the mapping's order, which is also the layout of
+    the vectors and keeps training and checkpointing deterministic.
     """
 
     def __init__(self, tensors: Mapping[str, object]):
         arrays = [_as_array(v) for v in tensors.values()]
         size = sum(a.size for a in arrays)
         self._values = np.empty(size)
+        self._grad = np.zeros(size)
         self._momentum = np.zeros(size)
         self._scratch = np.empty(size)          # sgd_step's working vector
         self._params: dict[str, Tensor] = {}
-        self._views: dict[str, Array] = {}      # each tensor's view of _values
-        self._momenta: dict[str, Array] = {}    # ... of _momentum
-        self._scratches: dict[str, Array] = {}  # ... and of _scratch
+        self._momenta: dict[str, Array] = {}    # each tensor's view of _momentum
         lo = 0
         for name, a in zip(tensors, arrays):
             hi = lo + a.size
-            view = self._values[lo:hi].reshape(a.shape)
-            view[...] = a
-            self._params[name] = Tensor(view, requires_grad=True)
-            self._views[name] = self._params[name].data
+            t = Tensor(self._values[lo:hi].reshape(a.shape), requires_grad=True)
+            t.data[...] = a
+            t.grad = self._grad[lo:hi].reshape(a.shape)
+            self._params[name] = t
             self._momenta[name] = self._momentum[lo:hi].reshape(a.shape)
-            self._scratches[name] = self._scratch[lo:hi].reshape(a.shape)
             lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
@@ -367,21 +362,26 @@ class ParamSet:
         return self._momenta[name]
 
 
-def backward(loss: Tensor, params: ParamSet) -> GradMap:
+def backward(loss: Tensor, params: ParamSet) -> Array:
     """Exact reverse-mode gradients of a scalar ``loss`` for every parameter
-    of ``params``.
+    of ``params``: the set's gradient vector, zeroed, then filled by the walk.
 
-    Parameters unreachable from ``loss`` get zero gradients. The walk is a
-    deterministic reverse topological order, so repeated calls on identical
-    graphs produce bit-identical results.
+    A network node (:func:`mlp`) adds its weights' and biases' gradients
+    into their ``grad`` views, a parameter reached as a graph leaf its leaf
+    gradient; unreached parameters read 0. The walk is a deterministic
+    reverse topological order, so identical graphs give identical bits.
+
+    The result is the set's own buffer, not a copy: the next ``backward``
+    over ``params`` overwrites it. A graph that also reaches another set's
+    tensors adds into that set's vector, which only its own walk zeroes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    params._grad.fill(0.0)
 
-    # iterative post-order DFS over the loss's ancestry: every parent a node
-    # records requires gradients (Tensor._make keeps no other), so every node
-    # reached gets a gradient before it is visited in reverse order. Tensors
-    # hash by identity, so they key the visited set and the gradient map
+    # iterative post-order DFS over the loss's ancestry; every parent requires
+    # gradients but a network's constant input, for which its reverse pass
+    # returns None. Tensors key the visited set and gradient map by identity
     topo: list[Tensor] = []
     visited: set[Tensor] = {loss}
     stack: list[tuple[Tensor, int]] = [(loss, 0)]
@@ -400,32 +400,32 @@ def backward(loss: Tensor, params: ParamSet) -> GradMap:
 
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads[node]
+        g = grads.pop(node, None)
+        if g is None:  # a network's constant input
+            continue
+        if node.grad is not None:
+            node.grad += g
         for parent, vjp in node._vjps:
             contrib = vjp(g)
+            if contrib is None:
+                continue
             if parent in grads:
                 grads[parent] = grads[parent] + contrib
             else:
                 grads[parent] = contrib
-
-    out: GradMap = {}
-    for name, t in params.items():
-        g = grads.get(t)
-        out[name] = np.zeros_like(t.data) if g is None else g.reshape(t.data.shape)
-    return out
+    return params._grad
 
 
-def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
+def sgd_step(params: ParamSet, grads: Array, lr: float,
              momentum: float = 0.0, weight_decay: float = 0.0) -> ParamSet:
     """Momentum SGD with coupled weight decay, applied in place.
 
     For each parameter: ``v <- momentum*v + (g + weight_decay*w)`` then
-    ``w <- w - lr*v``, run over the set's flat vectors (see
-    :class:`ParamSet`): each gradient is added into its slice of the scratch
-    vector, the rest are whole-vector operations. The arithmetic is the
-    per-tensor arithmetic (``g + tmp`` commutes), so the result is
-    bit-identical to a loop over the tensors. Every check runs before the
-    first write. Returns the set.
+    ``w <- w - lr*v``, run as whole-vector operations on the set's vectors;
+    ``grads`` is a vector of their layout, as :func:`backward` returns it.
+    The arithmetic is the per-tensor arithmetic (``g + tmp`` commutes), so
+    the result is bit-identical to a loop over the tensors. Every check runs
+    before the first write. Returns the set.
     """
     if not lr > 0.0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -433,21 +433,16 @@ def sgd_step(params: ParamSet, grads: Mapping[str, Array], lr: float,
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    w, v, tmp = params._values, params._momentum, params._scratch
+    if grads.shape != w.shape:
+        raise ShapeError(f"gradient vector shape {grads.shape} != the set's {w.shape}")
     for name, t in params.items():
-        if name not in grads:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        g = grads[name]
-        if g.shape != t.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter shape {t.data.shape} for {name!r}")
-        if t.data is not params._views[name]:
+        if t.data.base is not w:
             raise ValueError(f"parameter {name!r} no longer views its set's value "
                              "vector: its .data was rebound instead of written in place")
-    w, v, tmp = params._values, params._momentum, params._scratch
     v *= momentum
     np.multiply(weight_decay, w, out=tmp)
-    for name, tmp_k in params._scratches.items():
-        tmp_k += grads[name]
+    tmp += grads
     v += tmp
     np.multiply(lr, v, out=tmp)
     w -= tmp

@@ -10,10 +10,11 @@ from fixbi.models import ClassifierModel, forward_logits, init_model
 from fixbi.numerics import Array, ParamSet, Tensor, as_tensor, backward, softmax_t
 
 # -- the composed reference --------------------------------------------------
-# Graph operations composed from Tensor nodes. ``numerics.dense`` must
-# match ``relu(affine(x, w, b))`` and ``numerics.log_loss`` the
-# ``clamp_min -> log -> mul -> sum -> mul`` chain bit for bit, in values and
-# gradients; both run the same numpy operations as these.
+# Graph operations composed from Tensor nodes. Each layer of
+# ``numerics.mlp`` must match ``relu(affine(x, w, b))`` and
+# ``numerics.log_loss`` the ``clamp_min -> log -> mul -> sum -> mul`` chain
+# bit for bit, in values and gradients; both run the same numpy operations
+# as these.
 
 
 def matmul(a, b) -> Tensor:
@@ -71,6 +72,19 @@ def clone_model(model: ClassifierModel) -> ClassifierModel:
                            ParamSet({n: t.data for n, t in model.params.items()}))
 
 
+def named_grads(loss, params: ParamSet) -> dict[str, Array]:
+    """``backward(loss, params)`` as a name -> gradient map of copies: the
+    walk returns the set's own gradient buffer, which the next walk
+    overwrites."""
+    backward(loss, params)
+    return {name: t.grad.copy() for name, t in params.items()}
+
+
+def flat_grads(params: ParamSet, grads: dict[str, Array]) -> Array:
+    """A name -> gradient map as a gradient vector of the set's layout."""
+    return np.concatenate([np.ravel(grads[name]) for name in params.names()])
+
+
 # -- gradient oracle ---------------------------------------------------------
 
 
@@ -116,7 +130,7 @@ def check_grads(loss_builder, params: ParamSet, eps: float = 1e-5,
                 tol: float = 1e-4) -> float:
     """Compare reverse-mode gradients of ``loss_builder()`` against central
     finite differences; returns the observed worst relative error."""
-    analytic = backward(loss_builder(), params)
+    analytic = named_grads(loss_builder(), params)
     numeric = finite_diff_grads(lambda: loss_builder().item(), params, eps)
     err = max_rel_error(analytic, numeric)
     assert err < tol, f"gradient mismatch: max rel error {err} >= {tol}"

@@ -21,10 +21,9 @@ from fixbi.data import one_hot
 from fixbi.harness import execute, load_metrics_csv
 from fixbi.models import (ensemble_predict, init_discriminator, init_model,
                           predict_probs)
-from fixbi.numerics import backward
 from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, manual_model,
-                     max_rel_error, probs_of, random_batch, random_model,
-                     sp_of, split_gate)
+                     max_rel_error, named_grads, probs_of, random_batch,
+                     random_model, sp_of, split_gate)
 
 GRAD_TOL = 1e-4
 FD_EPS = 1e-5
@@ -46,7 +45,7 @@ def default_run_pair(tmp_path_factory):
 
 
 def _grad_trial_ok(build, params) -> float:
-    analytic = backward(build(), params)
+    analytic = named_grads(build(), params)
     numeric = finite_diff_grads(lambda: build().item(), params, eps=FD_EPS)
     return max_rel_error(analytic, numeric)
 
@@ -99,7 +98,7 @@ def test_criterion_01_gradient_suite():
         _, below = split_gate(conf)
         err = _grad_trial_ok(lambda: sp_of(model, xt, below), model.params)
         worst["sp"] = max(worst["sp"], err)
-        g_theta = backward(sp_of(model, xt, below), model.params)["log_temperature"]
+        g_theta = named_grads(sp_of(model, xt, below), model.params)["log_temperature"]
         theta_grad_seen = theta_grad_seen or abs(float(g_theta[0])) > 1e-8
         done += 1
     assert theta_grad_seen, "temperature gradient path never exercised"
@@ -126,10 +125,10 @@ def test_criterion_01_gradient_suite():
         xs, ys, xt, _ = random_batch(rng, 3, 2, model.num_classes)
         ys_hot = one_hot(ys, model.num_classes)
 
-        analytic_clf = backward(dann_objective(model, disc, xs, ys_hot, xt),
-                                model.params)
-        analytic_disc = backward(dann_objective(model, disc, xs, ys_hot, xt),
-                                 disc.params)
+        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+                                   model.params)
+        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+                                    disc.params)
 
         def clf_target():
             c, d = dann_losses(model, disc, xs, ys_hot, xt)

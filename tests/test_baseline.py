@@ -7,14 +7,14 @@ import pytest
 
 from fixbi.baseline import (dann_losses, dann_objective, train_dann,
                             train_source_only)
-from fixbi.config import DatasetSpec, TrainConfig
+from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import NonFiniteLossError
 from fixbi.data import gen_blobs_shift
 from fixbi.models import (discriminator_logits, extract_features,
                           init_discriminator, init_model)
 from fixbi.numerics import Tensor, backward, grl, sgd_step, softmax_t
-from helpers import (affine, clamp_min, log, random_batch, random_model,
-                     value_bytes)
+from helpers import (affine, clamp_min, log, named_grads, random_batch,
+                     random_model, value_bytes)
 
 
 def blob_config(**overrides) -> TrainConfig:
@@ -29,6 +29,13 @@ def separable_pair(seed=0):
     source, target = gen_blobs_shift(2, 50, 2, rotation_deg=0.0,
                                      translation=(), noise_sigma=0.05, seed=seed)
     return source, target
+
+
+@pytest.mark.parametrize("trainer", [train_source_only, train_dann])
+def test_trainer_validates_its_config(trainer):
+    source, target = separable_pair()
+    with pytest.raises(ConfigError, match="^lr0:"):
+        trainer(blob_config(lr0=-1.0), source, target)
 
 
 class TestSourceOnly:
@@ -124,10 +131,10 @@ class TestDann:
         xs, ys, xt, _ = random_batch(rng, 4, 3, 3)
         ys_hot = np.eye(3)[ys]
 
-        analytic_clf = backward(dann_objective(model, disc, xs, ys_hot, xt),
-                                model.params)
-        analytic_disc = backward(dann_objective(model, disc, xs, ys_hot, xt),
-                                 disc.params)
+        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+                                   model.params)
+        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+                                    disc.params)
 
         def clf_target():
             c, d = dann_losses(model, disc, xs, ys_hot, xt)
@@ -175,8 +182,8 @@ class TestDann:
             for g, w in zip(got, want):
                 assert abs(g.item() - w.item()) <= 1e-12
             for params in (model.params, disc.params):
-                got_grads = backward(got[0] + got[1], params)
-                want_grads = backward(want[0] + want[1], params)
+                got_grads = named_grads(got[0] + got[1], params)
+                want_grads = named_grads(want[0] + want[1], params)
                 for name in want_grads:
                     assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixbi.config import DatasetSpec, TrainConfig
+from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
                         loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
                         ratio_rule_sample, train_fixbi)
@@ -16,8 +16,9 @@ from fixbi.data import Dataset, one_hot, paired_minibatches
 from fixbi.models import ClassifierModel, forward_logits, init_model
 from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
                             softmax_t)
-from helpers import (check_grads, clone_model, cr_of, manual_model, probs_of,
-                     random_batch, random_model, sp_of, split_gate, value_bytes)
+from helpers import (check_grads, clone_model, cr_of, manual_model, named_grads,
+                     probs_of, random_batch, random_model, sp_of, split_gate,
+                     value_bytes)
 
 LN2 = math.log(2.0)
 
@@ -192,12 +193,12 @@ class TestStackedLosses:
         out = stacked(params)
         assert out.shape == (2,)
         upstream = np.array([0.7, -1.3])
-        grads = backward((out * upstream).sum(), params)
+        grads = named_grads((out * upstream).sum(), params)
         for k in range(2):
             mine = ParamSet({name: t.data[k] for name, t in params.items()})
             want = single(mine, k)
             assert out.data[k].tobytes() == want.data.tobytes(), k
-            want_grads = backward(want * upstream[k], mine)
+            want_grads = named_grads(want * upstream[k], mine)
             for name, g in want_grads.items():
                 assert grads[name][k].tobytes() == g.tobytes(), (k, name)
 
@@ -268,7 +269,7 @@ class TestLossBim:
         out = loss_bim(teacher_probs, probs_of(student, rng.normal(size=(2, 2))),
                        selected=np.array([False, False]))
         assert out.item() == 0.0
-        grads = backward(out, student.params)
+        grads = named_grads(out, student.params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
     def test_confident_teacher_uniform_student_gives_ln2(self):
@@ -327,8 +328,8 @@ class TestLossSp:
         a = y[top]
         da_dt = -a * (z[0, top] - float((y * z[0]).sum())) / (t * t)
         want = (1.0 / (1.0 - a)) * da_dt * t  # chain through T = exp(theta)
-        got = backward(sp_of(model, xt, np.array([True])),
-                       model.params)["log_temperature"]
+        got = named_grads(sp_of(model, xt, np.array([True])),
+                          model.params)["log_temperature"]
         assert got[0] == pytest.approx(want, rel=1e-10)
 
 
@@ -476,6 +477,14 @@ class TestTrainFixbi:
         state, rows = train_fixbi(cfg, source, target, init)
         assert len(rows) == cfg.epochs
 
+    def test_invalid_config_raises_before_training(self):
+        # the trainer validates its own config: zero epochs is a
+        # ConfigError, not a run that returns no rows
+        source, target = tiny_pair()
+        init = init_model(source.dim, (4,), source.num_classes, 1)
+        with pytest.raises(ConfigError, match="^epochs:"):
+            train_fixbi(tiny_config(epochs=0), source, target, init)
+
     def test_non_finite_loss_aborts_with_diagnostic(self):
         source, target = tiny_pair()
         cfg = tiny_config()
@@ -559,11 +568,12 @@ class TestLoopShape:
                 out[-1][3 if e[0] == "fwd" else 4] += 1
         return out
 
-    @pytest.mark.parametrize("pseudo,extra", [("live", 0), ("frozen-baseline", 1)])
+    @pytest.mark.parametrize("pseudo,extra", [("live", 0), ("frozen-baseline", 0)])
     def test_one_forward_one_walk_one_step(self, monkeypatch, pseudo, extra):
         # both models run in one stacked forward in warm-up and matching
-        # alike; the frozen teacher's pseudo-labels cost one graph-free
-        # forward
+        # alike; the frozen teacher labels the whole target set once per
+        # run, before the first iteration, so no iteration pays a
+        # graph-free forward
         cfg = tiny_config(pseudo_label_source=pseudo)
         counts = self._per_iteration_counts(monkeypatch, cfg)
         assert len(counts) == cfg.epochs * (16 // cfg.batch_size)
@@ -614,7 +624,10 @@ class TestStackedMatchesTwoModels:
                 total = None
                 for t in terms.values():
                     total = t if total is None else total + t
-                g_sd, g_td = backward(total, sdm.params), backward(total, tdm.params)
+                # a copy: the second walk reaches sdm's networks too and
+                # adds into sdm's gradient buffer again
+                g_sd = backward(total, sdm.params).copy()
+                g_td = backward(total, tdm.params)
                 sgd_step(sdm.params, g_sd, lr, cfg.momentum, cfg.weight_decay)
                 sgd_step(tdm.params, g_td, lr, cfg.momentum, cfg.weight_decay)
                 step += 1

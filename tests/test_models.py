@@ -4,12 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fixbi.models import (ensemble_predict, extract_features, forward,
-                          forward_logits, init_discriminator, init_model,
-                          load_checkpoint, predict_features, predict_labels,
-                          predict_probs, save_checkpoint, stack_models,
-                          unstack_models)
-from fixbi.numerics import softmax_t
+from fixbi.models import (discriminator_logits, ensemble_predict, extract_features,
+                          forward, forward_logits, grl, init_discriminator,
+                          init_model, load_checkpoint, predict_features,
+                          predict_labels, predict_probs, save_checkpoint,
+                          stack_models, unstack_models)
+from fixbi.numerics import Tensor, softmax_t
 from helpers import manual_model, random_model, value_bytes
 
 
@@ -76,20 +76,22 @@ class TestForward:
 
 class TestGraphForwardShape:
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_one_dense_node_per_layer(self, depth):
+    def test_one_node_per_network(self, depth):
+        # the extractor, the head and the discriminator are one node each,
+        # and no node records a parameter tensor as a parent: each network
+        # adds its weights' gradients into its set's gradient vector
         model = init_model(3, (5,) * depth, 4, seed=depth)
-        _, logits = forward_logits(model, np.ones((2, 3)))
-        params = {id(t) for _, t in model.params.items()}
-        nodes, stack = [], [logits]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(p for p, _ in node._vjps)
-        inner = [n for n in nodes if id(n) not in params]
-        assert len(inner) == depth + 1
-        # each node reads its input, a weight and a bias
-        assert all(len(n._vjps) == (2 if i == depth else 3)
-                   for i, n in enumerate(inner))
+        disc = init_discriminator(5, 6, seed=depth)
+        x = Tensor(np.ones((2, 3)))
+        feats, logits = forward_logits(model, x)
+        reversed_feats = grl(feats, 1.0)
+        dom = discriminator_logits(disc, reversed_feats)
+        for node, parent in ((logits, feats), (feats, x), (dom, reversed_feats),
+                             (reversed_feats, feats)):
+            assert [p for p, _ in node._vjps] == [parent]
+        params = {id(t) for ps in (model.params, disc.params) for _, t in ps.items()}
+        assert not params & {id(p) for n in (logits, feats, dom, reversed_feats)
+                             for p, _ in n._vjps}
 
 
 class TestGraphFreeInference:
