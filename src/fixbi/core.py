@@ -106,7 +106,7 @@ def adaptive_threshold(confidences: Array) -> ThresholdStats:
     if not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise ValueError("confidences must lie in [0, 1]")
     mean = conf.mean(axis=1)
-    std = conf.std(axis=1)  # population (divide by B)
+    std = np.sqrt(np.square(conf - mean[:, None]).sum(axis=1) / conf.shape[1])  # population
     const = lo == hi
     if const.any():
         # a constant row's statistics are exact; summing would otherwise

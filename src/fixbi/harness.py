@@ -8,6 +8,7 @@ byte-identical metrics.csv and checkpoints. Timing lives in summary.json only.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -259,23 +260,62 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+_FORMAT_VALUES = 16_384  # values per features.csv worker: ~1 us of repr each, ~4 ms a fork
+
+
+def _format_rows(heads: list[str], values: Array) -> bytes:
+    return "".join([h + ",".join(map(repr, v)) + "\n"
+                    for h, v in zip(heads, values.tolist())]).encode()
+
+
+def _format_in_workers(heads: list[str], values: Array, workers: int, path: Path) -> list[bytes]:
+    """``_format_rows`` in ``workers`` chunks of rows cut at ``len(heads) * k // workers``.
+    Forked children, which run only tolist, repr, join and encode, format all but the
+    last. Every child is reaped; a failed one is an ``OSError`` naming ``path``."""
+    cuts = [len(heads) * k // workers for k in range(workers)]
+    pids, reads, parts = [], [], []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            r, w = os.pipe()
+            reads.append(r)
+            with open(w, "wb") as pipe:  # the child writes through it; the parent closes it
+                if (pid := os.fork()) == 0:  # no BLAS, no thread, no return
+                    try:
+                        pipe.write(_format_rows(heads[lo:hi], values[lo:hi]))
+                        pipe.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+        last = _format_rows(heads[cuts[-1]:], values[cuts[-1]:])
+    finally:
+        for r in reads:  # drained on every path, so that no child waits on a full pipe
+            with open(r, "rb") as pipe:
+                parts.append(pipe.read())
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(statuses):
+        raise OSError(f"{path}: a formatting worker failed (exit statuses {statuses})")
+    return parts + [last]
+
+
 def _write_features(dual: DualState, source: Dataset, target: Dataset,
                     path: Path) -> None:
-    """Final-epoch feature vectors of both models with domain tag and label."""
-    k_sd = dual.sdm.feature_dim
-    k_td = dual.tdm.feature_dim
-    header = (["domain", "label"]
-              + [f"sd_{i}" for i in range(k_sd)]
-              + [f"td_{i}" for i in range(k_td)])
-    lines = [",".join(header)]
-    for ds in (source, target):
-        # + 0.0 turns -0.0 into 0.0, as _fmt does
-        feats = np.hstack([predict_features(dual.sdm, ds.features),
-                           predict_features(dual.tdm, ds.features)]) + 0.0
-        labels = ds.eval_labels().astype(np.int64).tolist()
-        for label, row in zip(labels, feats.tolist()):
-            lines.append(f"{ds.domain_tag},{label}," + ",".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Final-epoch feature vectors of both models with domain tag and label, formatted
+    by one worker per CPU in ``os.sched_getaffinity`` at most (one if it is missing)."""
+    k_sd, k_td = dual.sdm.feature_dim, dual.tdm.feature_dim
+    header = ",".join(["domain", "label"] + [f"sd_{i}" for i in range(k_sd)]
+                      + [f"td_{i}" for i in range(k_td)])
+    # + 0.0 turns -0.0 into 0.0, as _fmt does
+    values = np.vstack([np.hstack([predict_features(dual.sdm, ds.features),
+                                   predict_features(dual.tdm, ds.features)])
+                        for ds in (source, target)]) + 0.0
+    heads = [f"{ds.domain_tag},{label}," for ds in (source, target)
+             for label in ds.eval_labels().tolist()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, values.size // _FORMAT_VALUES))
+    parts = _format_in_workers(heads, values, workers, path)
+    with open(path, "wb") as f:
+        f.writelines([(header + "\n").encode(), *parts])
 
 
 # -- the experiment ----------------------------------------------------------

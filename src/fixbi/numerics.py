@@ -279,8 +279,9 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
         if not t > 0.0:
             raise ValueError(f"temperature must be positive, got {t}")
 
-    zd = z.data
-    y = softmax(zd, t)
+    zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_temperature reuses it
+    e = np.exp(zc if _is_unit(t) else zc / t)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp_logits(g: Array) -> Array:
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -291,7 +292,6 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
     if t_node is not None:
         def vjp_temperature(g: Array) -> Array:
             # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
-            zc = zd - zd.max(axis=-1, keepdims=True)
             m = (y * zc).sum(axis=-1, keepdims=True)
             terms = g * y * (zc - m)
             td = t_node.data

@@ -1,12 +1,18 @@
 """Shared test utilities: the composed autodiff reference, a
-finite-difference gradient oracle and small randomized model/batch
-factories."""
+finite-difference gradient oracle, the serial features.csv writer, hooks
+into the split one, and small randomized model/batch factories."""
 from __future__ import annotations
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+from fixbi import harness
 from fixbi.core import loss_cr, loss_sp
-from fixbi.models import ClassifierModel, forward_logits, init_model
+from fixbi.data import Dataset
+from fixbi.models import (ClassifierModel, DualState, forward_logits, init_model,
+                          predict_features)
 from fixbi.numerics import Array, ParamSet, Tensor, as_tensor, backward, softmax_t
 
 # -- the composed reference --------------------------------------------------
@@ -358,3 +364,62 @@ def split_gate(confidences) -> tuple[Array, Array]:
     i = int(np.argmax(c[1:] - c[:-1]))
     tau = (c[i] + c[i + 1]) / 2.0
     return conf > tau, conf < tau
+
+
+def serial_features_csv(dual: DualState, source: Dataset, target: Dataset) -> bytes:
+    """The bytes of features.csv as one process formats them, every line in
+    turn and the file joined once: the oracle of the split writer."""
+    k_sd = dual.sdm.feature_dim
+    k_td = dual.tdm.feature_dim
+    header = (["domain", "label"]
+              + [f"sd_{i}" for i in range(k_sd)]
+              + [f"td_{i}" for i in range(k_td)])
+    lines = [",".join(header)]
+    for ds in (source, target):
+        # + 0.0 turns -0.0 into 0.0, as _fmt does
+        feats = np.hstack([predict_features(dual.sdm, ds.features),
+                           predict_features(dual.tdm, ds.features)]) + 0.0
+        labels = ds.eval_labels().astype(np.int64).tolist()
+        for label, row in zip(labels, feats.tolist()):
+            lines.append(f"{ds.domain_tag},{label}," + ",".join(map(repr, row)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def force_feature_workers(monkeypatch, n: int) -> None:
+    """Make ``_write_features`` split its rows across ``n`` workers: ``n``
+    CPUs in the affinity mask, one formatted value per worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(harness, "_FORMAT_VALUES", 1)
+
+
+def count_forks(monkeypatch) -> list:
+    """``os.fork`` that records each call in the returned list."""
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def fail_in_children(monkeypatch) -> None:
+    """``_format_rows`` that raises in any process but this one."""
+    parent, real = os.getpid(), harness._format_rows
+
+    def format_rows(*chunk):
+        if os.getpid() != parent:
+            raise RuntimeError("worker fault")
+        return real(*chunk)
+
+    monkeypatch.setattr(harness, "_format_rows", format_rows)
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

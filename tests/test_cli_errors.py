@@ -6,11 +6,31 @@ import pytest
 from fixbi.cli import main as cli_main
 from fixbi.harness import run_experiment
 from fixbi.models import init_model, save_checkpoint
+from helpers import (assert_no_child, count_forks, fail_in_children,
+                     force_feature_workers, needs_fork)
 
 
 def test_run_with_missing_config(tmp_path, capsys):
     assert run_experiment(tmp_path / "nope.cfg", tmp_path / "out") == 2
     assert "error" in capsys.readouterr().err
+
+
+@needs_fork
+def test_run_with_failed_features_worker_exits_1(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.num_classes = 2\ndataset.per_class = 16\narch = 8,4\n"
+                   "batch_size = 8\nepochs = 2\nwarmup_epochs = 1\nbaseline_epochs = 1\n")
+    force_feature_workers(monkeypatch, 2)
+    fail_in_children(monkeypatch)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(cfg), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(forks) == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "features.csv" in err and "Traceback" not in err
+    assert not (out / "features.csv").exists()
+    assert_no_child()
 
 
 def test_run_with_malformed_dataset_csv(tmp_path, capsys):

@@ -155,6 +155,27 @@ class TestAdaptiveThreshold:
                     assert stack.tau[k] == min(1.0, max(0.0, mean - 2.0 * std))
             assert stack.num_above + stack.num_below == conf.size
 
+    def test_tau_bit_identical_to_numpy_std(self):
+        # confidences near 1 keep mean - 2 std inside (0, 1), so the clamp
+        # cannot hide a changed last bit of the std
+        rng = np.random.default_rng(29)
+        unclamped = 0
+        for trial in range(2000):
+            k, b = int(rng.integers(1, 4)), int(rng.integers(1, 200))
+            conf = rng.uniform(rng.uniform(0.5, 0.99), 1.0, size=(k, b))
+            if trial % 4 == 0:
+                conf[trial % k] = conf[0, 0]  # a constant row
+            elif trial % 4 == 1:
+                conf[:, : b // 2] = conf[:, :1]  # repeated values
+            mean, std = conf.mean(axis=1), conf.std(axis=1)
+            const = conf.min(axis=1) == conf.max(axis=1)
+            mean[const], std[const] = conf[const, 0], 0.0
+            want = np.minimum(1.0, np.maximum(0.0, mean - 2.0 * std))
+            tau = adaptive_threshold(conf).tau
+            assert tau.tobytes() == want.tobytes(), (k, b)
+            unclamped += int(((tau > 0.0) & (tau < 1.0)).sum())
+        assert unclamped > 2000
+
     def test_stacked_constant_row_is_exact(self):
         # summed, three 0.7s give a mean an ulp low and a non-zero std
         stack = adaptive_threshold([[0.5, 0.9, 0.2], [0.7, 0.7, 0.7]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fixbi import harness
 from fixbi.cli import main as cli_main
 from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
                           TrainConfig, load_config, parse_config, serialize_config,
@@ -18,7 +20,10 @@ from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
 from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
                            execute, load_dataset_pair, load_metrics_csv,
                            rank_class_gaps, run_experiment)
-from fixbi.models import load_checkpoint
+from fixbi.data import Dataset, as_target_view
+from fixbi.models import DualState, init_model, load_checkpoint
+from helpers import (assert_no_child, count_forks, fail_in_children,
+                     force_feature_workers, needs_fork, serial_features_csv)
 
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -428,6 +433,100 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as exc:
             load_metrics_csv(bad)
         assert str(exc.value) == f"{bad}: {reason}"
+
+
+def feature_pair(n_source: int, n_target: int):
+    """Two small untrained models, and a labelled source and target set of
+    the given sizes."""
+    rng = np.random.default_rng(100 * n_source + n_target)
+
+    def labelled(n):
+        return Dataset(rng.normal(size=(n, 2)), rng.integers(0, 3, n), 3, "source")
+
+    dual = DualState(init_model(2, (6, 4), 3, seed=1), init_model(2, (6, 5), 3, seed=2))
+    return dual, labelled(n_source), as_target_view(labelled(n_target))
+
+
+@needs_fork
+class TestSplitFeatures:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 3001])
+    def test_chunks_join_to_the_serial_bytes(self, workers, n_rows, monkeypatch, tmp_path):
+        # 7 and 3001 rows are not multiples of 2 or 3; 1 and 2 are fewer
+        # rows than 3 workers, so a child formats an empty chunk
+        rng = np.random.default_rng(n_rows)
+        heads = [f"source,{i}," for i in range(n_rows)]
+        values = rng.normal(size=(n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
+        forks = count_forks(monkeypatch)
+        parts = harness._format_in_workers(heads, values, workers, tmp_path / "features.csv")
+        lines = [head + ",".join(map(repr, row)) + "\n"
+                 for head, row in zip(heads, values.tolist())]
+        cuts = [n_rows * k // workers for k in range(workers + 1)]
+        assert parts == ["".join(lines[lo:hi]).encode() for lo, hi in zip(cuts, cuts[1:])]
+        assert len(forks) == workers - 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [(4, 3), (1, 1)])
+    def test_writer_bytes_equal_the_serial_writer(self, workers, sizes, monkeypatch,
+                                                  tmp_path):
+        dual, source, target = feature_pair(*sizes)
+        force_feature_workers(monkeypatch, workers)
+        forks = count_forks(monkeypatch)
+        path = tmp_path / "features.csv"
+        harness._write_features(dual, source, target, path)
+        assert len(forks) == workers - 1  # (1, 1) leaves a chunk empty at 3
+        assert path.read_bytes() == serial_features_csv(dual, source, target)
+        assert_no_child()
+
+    def test_no_affinity_mask_formats_in_process(self, monkeypatch, tmp_path):
+        dual, source, target = feature_pair(4, 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness, "_FORMAT_VALUES", 1)
+        forks = count_forks(monkeypatch)
+        harness._write_features(dual, source, target, tmp_path / "features.csv")
+        assert forks == []
+        assert (tmp_path / "features.csv").read_bytes() == \
+            serial_features_csv(dual, source, target)
+
+    def test_failed_child_is_an_oserror_and_writes_nothing(self, monkeypatch, tmp_path):
+        dual, source, target = feature_pair(4, 3)
+        force_feature_workers(monkeypatch, 3)
+        fail_in_children(monkeypatch)
+        path = tmp_path / "features.csv"
+        with pytest.raises(OSError, match="features.csv"):
+            harness._write_features(dual, source, target, path)
+        assert not path.exists()
+        assert_no_child()
+
+    def test_parent_chunk_fault_still_reaps_every_child(self, monkeypatch, tmp_path):
+        # each child's chunk (~240 KB) overfills its 64 KB pipe, so a child
+        # exits only once the parent has drained it
+        heads = [f"target,{i}," for i in range(6000)]
+        values = 0.1 * np.arange(6000.0)[:, None] + 1e-7 * np.arange(8.0)
+        parent, real = os.getpid(), harness._format_rows
+
+        def format_rows(*chunk):
+            if os.getpid() == parent:
+                raise RuntimeError("parent fault")
+            return real(*chunk)
+
+        monkeypatch.setattr(harness, "_format_rows", format_rows)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="parent fault"):
+            harness._format_in_workers(heads, values, 3, tmp_path / "features.csv")
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_execute_leaves_no_child(self, monkeypatch, tmp_path):
+        force_feature_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        result = execute(parse_config(small_config_text()), tmp_path / "out")
+        assert len(forks) == 1
+        assert (tmp_path / "out" / "features.csv").read_bytes() == serial_features_csv(
+            result.dual, *load_dataset_pair(result.config))
+        assert_no_child()
+
 
 class TestCli:
     def test_gen_then_eval(self, tmp_path, capsys):
