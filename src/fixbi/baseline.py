@@ -7,11 +7,11 @@ from, and their target accuracies anchor the adaptation comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import MetricsRow, TrainConfig, validate_config
+from .config import TrainConfig, validate_config
 from .core import NonFiniteLossError
 from .data import Dataset, PairedBatch, one_hot, paired_minibatches
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
@@ -24,12 +24,21 @@ _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
 
 
+class BaselineRow(NamedTuple):
+    """One completed pretraining epoch; the fields are baseline.csv's columns."""
+
+    epoch: int
+    loss: float      # mean over the epoch's batches
+    acc_src: float
+    acc_tgt: float
+
+
 @dataclass
 class BaselineResult:
     model: ClassifierModel
     source_acc: float
     target_acc: float
-    history: list[MetricsRow] = field(default_factory=list)
+    history: list[BaselineRow] = field(default_factory=list)
 
 
 def _accuracies(model: ClassifierModel, source: Dataset,
@@ -44,12 +53,12 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
            term: str) -> BaselineResult:
     """The loop both baselines share: per iteration one ``objective(batch)``
     scalar, one ``backward`` walk over ``model.params`` and one SGD step;
-    after each epoch one history row (mean loss in ``fm_sd``).
+    after each epoch one history row.
 
     A non-finite loss raises :class:`NonFiniteLossError` named ``term``,
     carrying the rows of the completed epochs.
     """
-    history: list[MetricsRow] = []
+    history: list[BaselineRow] = []
     n_batches = max(source.n, target.n) // cfg.batch_size
     total_steps = cfg.baseline_epochs * n_batches
     step = 0
@@ -62,19 +71,15 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
             loss = objective(batch)
             value = loss.item()
             if not np.isfinite(value):
-                err = NonFiniteLossError(term, epoch, it, value)
-                err.rows = history
-                raise err
+                raise NonFiniteLossError(term, epoch, it, value, history)
             sgd_step(model.params, backward(loss, model.params), lr,
                      cfg.momentum, cfg.weight_decay)
             step += 1
             loss_sum += value
         src_acc, tgt_acc = _accuracies(model, source, target)
-        history.append(MetricsRow(epoch=epoch, fm_sd=loss_sum / n_batches,
-                                  acc_src_sd=src_acc, acc_tgt_sd=tgt_acc,
-                                  acc_tgt_ens=tgt_acc))
+        history.append(BaselineRow(epoch, loss_sum / n_batches, src_acc, tgt_acc))
     # the last epoch's row already holds the returned model's accuracies
-    accs = ((history[-1].acc_src_sd, history[-1].acc_tgt_sd) if history
+    accs = ((history[-1].acc_src, history[-1].acc_tgt) if history
             else _accuracies(model, source, target))
     return BaselineResult(model, *accs, history)
 

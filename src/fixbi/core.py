@@ -40,23 +40,22 @@ from .numerics import LOG_CLAMP  # re-exported: the floor under every loss's log
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
-_LOSS_TERMS = ("fm_sd", "fm_td", "sp_sd", "sp_td", "bim_sd", "bim_td", "cr")
 
 
 class NonFiniteLossError(RuntimeError):
     """A loss term left the finite range; names the term and iteration.
 
-    ``rows`` carries the metrics of the epochs completed before the abort so
-    callers can preserve partial results.
+    ``rows`` carries the rows of the phase's epochs completed before the
+    abort so callers can preserve partial results.
     """
 
-    def __init__(self, term: str, epoch: int, iteration: int, value: float):
+    def __init__(self, term: str, epoch: int, iteration: int, value: float, rows: list):
         super().__init__(
             f"non-finite loss {term}={value!r} at epoch {epoch} iteration {iteration}")
         self.term = term
         self.epoch = epoch
         self.iteration = iteration
-        self.rows: list[MetricsRow] = []
+        self.rows = rows
 
 
 def mixup(a: Array, b: Array, lam: float) -> Array:
@@ -234,19 +233,6 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
     pair = stack_models([init_weights, init_weights])
     trace: list[tuple[int, int, float, float, int, int]] = []
     rows: list[MetricsRow] = []
-    try:
-        _run_epochs(cfg, source, target, pair, trace, rows, frozen)
-    except NonFiniteLossError as exc:
-        exc.rows = rows
-        raise
-    sdm, tdm = unstack_models(pair)
-    return DualState(sdm, tdm, threshold_trace=trace), rows
-
-
-def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
-                pair: ClassifierModel, trace: list, rows: list[MetricsRow],
-                frozen: Array | None) -> None:
-    num_classes = pair.num_classes
     log_temperature = pair.params[LOG_TEMPERATURE]
     n_batches = max(source.n, target.n) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
@@ -257,8 +243,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
         matching_open = epoch > cfg.warmup_epochs
         with_bim = matching_open and cfg.loss_bim
         with_cr = matching_open and cfg.loss_cr
-        # per-epoch sums of the loss terms, keyed by metrics.csv column
-        ledger = dict.fromkeys(_LOSS_TERMS, 0.0)
+        ledger: dict[str, float] = {}  # per-epoch loss sums, keyed by metrics.csv column
 
         for it, batch in enumerate(
                 paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
@@ -289,7 +274,7 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             if not np.isfinite(target_probs).all():
                 bad = next(m for m, p in zip(_MODELS, target_probs)
                            if not np.isfinite(p).all())
-                raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, float("nan"))
+                raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, np.nan, rows)
             stats = adaptive_threshold(target_probs.max(axis=-1))
             if frozen is not None:
                 labels = frozen[:, batch.target_rows]
@@ -299,8 +284,8 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
             # one node per loss kind for both models; each per-model loss is
             # an entry of its node
             both = slice(None)
-            ys_hot = one_hot(batch.ys, num_classes)
-            y_mix = np.stack([mixup(ys_hot, one_hot(labels_k, num_classes), lam)
+            ys_hot = one_hot(batch.ys, pair.num_classes)
+            y_mix = np.stack([mixup(ys_hot, one_hot(labels_k, pair.num_classes), lam)
                               for labels_k, lam in zip(labels, lams)])
             terms: dict[str, Tensor] = {"fm": loss_fm(take(probs, (both, mix_rows)), y_mix)}
             if cfg.loss_sp:
@@ -314,15 +299,15 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
                 terms["cr"] = loss_cr(take(probs, (0, half_rows)),
                                       take(probs, (1, half_rows)))
 
-            # "fm_td" is entry 1 of the fm node; "cr" is a scalar
-            for name in _LOSS_TERMS:
-                kind, _, model = name.partition("_")
-                if kind in terms:
-                    data = terms[kind].data
-                    value = float(data[_MODELS.index(model)] if model else data)
-                    if not np.isfinite(value):
-                        raise NonFiniteLossError(name, epoch, it, value)
-                    ledger[name] += value + 0.0  # + 0.0: -0.0 from empty gates
+            # entry k of a per-model node is model k's column; "cr" is one scalar
+            values = {f"{kind}_{m}": v for kind, node in terms.items() if kind != "cr"
+                      for m, v in zip(_MODELS, node.data.tolist())}
+            if with_cr:
+                values["cr"] = terms["cr"].item()
+            for col, v in values.items():
+                if not np.isfinite(v):
+                    raise NonFiniteLossError(col, epoch, it, v, rows)
+                ledger[col] = ledger.get(col, 0.0) + v
 
             # one walk over the sum of every term: the models' slices of the
             # stacked parameters are disjoint and teacher probabilities are
@@ -342,7 +327,10 @@ def _run_epochs(cfg: TrainConfig, source: Dataset, target: Dataset,
         # columns are read off this epoch's rows of the trace
         _, _, tau_sd, tau_td, n_above_sd, n_above_td = zip(*trace[-n_batches:])
         rows.append(MetricsRow(
-            epoch=epoch, **{name: v / n_batches for name, v in ledger.items()},
+            epoch=epoch, **{col: v / n_batches for col, v in ledger.items()},
             tau_sd=sum(tau_sd, 0.0) / n_batches, tau_td=sum(tau_td, 0.0) / n_batches,
             n_above_sd=sum(n_above_sd), n_above_td=sum(n_above_td),
             **_evaluate(pair, source, target)))
+    del logits, probs, terms, loss, per_model  # the last step's graph, before the unstack
+    sdm, tdm = unstack_models(pair)
+    return DualState(sdm, tdm, threshold_trace=trace), rows

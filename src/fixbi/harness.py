@@ -11,12 +11,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .baseline import BaselineResult, train_baseline
+from .baseline import BaselineResult, BaselineRow, train_baseline
 from .config import (ConfigError, METRICS_COLUMNS, MetricsRow, TrainConfig,
                      load_config, validate_config)
 from .core import NonFiniteLossError, train_fixbi
@@ -28,12 +29,23 @@ from .models import (DualState, ensemble_labels, predict_features, predict_probs
 METRICS_VERSION = "v2"
 BASELINE_VERSION = "v1"
 UNDEFINED = "NA"  # class-wise accuracy marker for classes absent from the eval set
+# every file a run writes; a rerun into the same directory removes them first
+ARTIFACTS = ("metrics.csv", "baseline.csv", "threshold.csv", "threshold.svg",
+             "classwise.csv", "features.csv", "sdm.ckpt", "tdm.ckpt", "summary.json")
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return UNDEFINED
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v) + 0.0)
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """The header line, then one line of comma-separated ``_fmt`` cells per row."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_dataset_pair(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
@@ -86,10 +98,7 @@ def emit_report(rows: list[MetricsRow], out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "metrics.csv"
-    lines = [f"# {METRICS_VERSION} " + ",".join(METRICS_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in METRICS_COLUMNS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, f"# {METRICS_VERSION} " + ",".join(METRICS_COLUMNS), map(astuple, rows))
     return path
 
 
@@ -107,6 +116,7 @@ def load_metrics_csv(path) -> list[MetricsRow]:
     columns = header[len(prefix):].split(",")
     if columns != METRICS_COLUMNS:
         raise ValueError(f"{path}: metrics.csv column mismatch")
+    parse = get_type_hints(MetricsRow)  # int or float, per column
     rows = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
@@ -114,9 +124,8 @@ def load_metrics_csv(path) -> list[MetricsRow]:
             raise ValueError(f"{path}: line {lineno}: expected {len(columns)} cells, "
                              f"got {len(cells)}")
         try:
-            rows.append(MetricsRow(**{
-                col: int(cell) if col in ("epoch", "n_above_sd", "n_above_td")
-                else float(cell) for col, cell in zip(columns, cells)}))
+            rows.append(MetricsRow(**{col: parse[col](cell)
+                                      for col, cell in zip(columns, cells)}))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows
@@ -124,15 +133,10 @@ def load_metrics_csv(path) -> list[MetricsRow]:
 
 # -- baseline.csv ------------------------------------------------------------
 
-def _write_baseline(history: list[MetricsRow], path: Path) -> None:
+def _write_baseline(history: list[BaselineRow], path: Path) -> None:
     """baseline.csv: one versioned header line, then one row per completed
     pretraining epoch (mean loss, source and target accuracy)."""
-    lines = [f"# {BASELINE_VERSION} epoch,loss,acc_src,acc_tgt"]
-    for row in history:
-        # baseline history rows carry the mean loss in fm_sd
-        lines.append(f"{row.epoch},{_fmt(row.fm_sd)},{_fmt(row.acc_src_sd)},"
-                     f"{_fmt(row.acc_tgt_sd)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, f"# {BASELINE_VERSION} " + ",".join(BaselineRow._fields), history)
 
 
 # -- class-wise accuracy -----------------------------------------------------
@@ -187,24 +191,15 @@ def classwise_report(dual: DualState, eval_ds: Dataset, top_n: int = 10) -> Clas
 
 
 def _write_classwise(report: ClasswiseReport, path: Path) -> None:
-    lines = ["class,n,acc_sd,acc_td,acc_ens,gap"]
-    for c, n in enumerate(report.counts):
-        a, b, e = report.acc_sd[c], report.acc_td[c], report.acc_ens[c]
-        gap = UNDEFINED if a is None or b is None else _fmt(abs(a - b))
-        cells = [str(c), str(n),
-                 UNDEFINED if a is None else _fmt(a),
-                 UNDEFINED if b is None else _fmt(b),
-                 UNDEFINED if e is None else _fmt(e),
-                 gap]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(c, n, a, b, e, None if a is None or b is None else abs(a - b))
+            for c, (n, a, b, e) in enumerate(zip(report.counts, report.acc_sd,
+                                                 report.acc_td, report.acc_ens))]
+    _write_table(path, "class,n,acc_sd,acc_td,acc_ens,gap", rows)
 
 
 def _write_threshold_trace(dual: DualState, path: Path) -> None:
-    lines = ["epoch,iteration,tau_sd,tau_td,n_above_sd,n_above_td"]
-    for epoch, it, tau_sd, tau_td, nab_sd, nab_td in dual.threshold_trace:
-        lines.append(f"{epoch},{it},{_fmt(tau_sd)},{_fmt(tau_td)},{nab_sd},{nab_td}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, "epoch,iteration,tau_sd,tau_td,n_above_sd,n_above_td",
+                 dual.threshold_trace)
 
 
 def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> None:
@@ -336,6 +331,8 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     t0 = time.perf_counter()
 
     source, target = load_dataset_pair(cfg)
+    for name in ARTIFACTS:  # a rerun leaves none of the previous run's files
+        (out_dir / name).unlink(missing_ok=True)
     # each phase's completed epochs survive an abort, in that phase's file
     try:
         base = train_baseline(cfg, source, target)

@@ -61,6 +61,19 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> Array:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _layout(input_dim: int, widths: tuple[int, ...],
+            num_classes: int) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape map of a model's tensors: each extractor layer's weight
+    and bias, input side first, then the head's, then the log-temperature."""
+    layout: dict[str, tuple[int, ...]] = {}
+    fan_in = input_dim
+    for i, w in enumerate(widths):
+        layout[f"ext.w{i}"], layout[f"ext.b{i}"] = (fan_in, w), (w,)
+        fan_in = w
+    return {**layout, "head.w": (fan_in, num_classes), "head.b": (num_classes,),
+            LOG_TEMPERATURE: (1,)}
+
+
 def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierModel:
     """Fresh model: weights uniform in +-1/sqrt(fan_in), zero biases, T = 1."""
     widths = tuple(int(w) for w in widths)
@@ -72,15 +85,9 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
         raise ValueError("num_classes must be >= 2")
 
     rng = np.random.default_rng(seed)
-    tensors = {}
-    fan_in = input_dim
-    for i, w in enumerate(widths):
-        tensors[f"ext.w{i}"] = _uniform_fan_in(rng, fan_in, (fan_in, w))
-        tensors[f"ext.b{i}"] = np.zeros(w)
-        fan_in = w
-    tensors["head.w"] = _uniform_fan_in(rng, fan_in, (fan_in, num_classes))
-    tensors["head.b"] = np.zeros(num_classes)
-    tensors[LOG_TEMPERATURE] = np.zeros(1)
+    tensors = {name: _uniform_fan_in(rng, shape[0], shape) if len(shape) == 2  # a weight
+               else np.zeros(shape)
+               for name, shape in _layout(input_dim, widths, num_classes).items()}
     return ClassifierModel(input_dim, widths, num_classes, ParamSet(tensors))
 
 
@@ -225,8 +232,6 @@ def accuracy(pred: Array, truth: Array) -> float:
 class DomainDiscriminator:
     """Features -> 2 domain logits (source vs target) behind a reversal layer."""
 
-    feature_dim: int
-    hidden: int
     params: ParamSet
     grl_lambda: float = 1.0
 
@@ -240,7 +245,7 @@ def init_discriminator(feature_dim: int, hidden: int, seed,
         "disc.w1": _uniform_fan_in(rng, hidden, (hidden, 2)),
         "disc.b1": np.zeros(2),
     })
-    return DomainDiscriminator(feature_dim, hidden, params, grl_lambda)
+    return DomainDiscriminator(params, grl_lambda)
 
 
 def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
@@ -319,34 +324,21 @@ def load_checkpoint(path) -> ClassifierModel:
         tensors[name] = values.reshape(shape)
         i += 2
 
-    widths = []
-    k = 0
-    while f"ext.w{k}" in tensors:
-        widths.append(tensors[f"ext.w{k}"].shape[-1])
-        k += 1
-    for required in [f"ext.b{j}" for j in range(k)] + ["head.w", "head.b", LOG_TEMPERATURE]:
-        if required not in tensors:
-            raise ValueError(f"{path}: checkpoint missing tensor {required!r}")
-
-    def expect(name: str, ok: bool, want: str) -> None:
-        if not ok:
-            raise ValueError(f"{path}: tensor {name!r} has shape "
-                             f"{tensors[name].shape}, expected {want}")
-
-    # each layer's rows are the previous layer's width
-    width = None
-    for j in range(k):
-        w = tensors[f"ext.w{j}"]
-        expect(f"ext.w{j}", w.ndim == 2 and width in (None, w.shape[0]),
-               "an [in x out] matrix" if width is None else f"{width} rows")
-        width = w.shape[1]
-        expect(f"ext.b{j}", tensors[f"ext.b{j}"].shape == (width,), f"({width},)")
-    head_w = tensors["head.w"]
-    expect("head.w", head_w.ndim == 2 and width in (None, head_w.shape[0]),
-           "an [in x classes] matrix" if width is None else f"{width} rows")
-    num_classes = head_w.shape[1]
-    expect("head.b", tensors["head.b"].shape == (num_classes,), f"({num_classes},)")
-    expect(LOG_TEMPERATURE, tensors[LOG_TEMPERATURE].shape == (1,), "(1,)")
+    # the widths and class count are read off the file; the rest must be the layout
+    widths: list[int] = []
+    while f"ext.w{len(widths)}" in tensors:
+        widths.append(tensors[f"ext.w{len(widths)}"].shape[-1])
+    head_w = tensors.get("head.w", np.zeros((0, 0)))  # absent: reported as missing
     input_dim = tensors["ext.w0"].shape[0] if widths else head_w.shape[0]
-
-    return ClassifierModel(input_dim, tuple(widths), num_classes, ParamSet(tensors))
+    layout = _layout(input_dim, tuple(widths), head_w.shape[-1])
+    for name in tensors:
+        if name not in layout:
+            raise ValueError(f"{path}: unexpected tensor {name!r}, not in the model's layout")
+    for name, shape in layout.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: checkpoint missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, expected {shape}")
+    return ClassifierModel(input_dim, tuple(widths), head_w.shape[-1],
+                           ParamSet({name: tensors[name] for name in layout}))

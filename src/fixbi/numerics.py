@@ -238,12 +238,11 @@ def log_loss(probs: Tensor, weights, n: int) -> Tensor:
     ])
 
 
-def softmax(z: Array, t=1.0) -> Array:
-    """Softmax over the last axis of the plain array ``z / t`` with
-    max-subtraction; the values :func:`softmax_t` puts in its output node.
-    ``t`` is a float or an array that broadcasts against ``z``."""
-    zc = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(zc if _is_unit(t) else zc / t)
+def softmax(z: Array) -> Array:
+    """Softmax over the last axis of the plain array ``z`` with
+    max-subtraction; the values :func:`softmax_t` puts in its output node
+    at T = 1."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -44,7 +44,7 @@ class TestSourceOnly:
         result = train_source_only(blob_config(), source, target)
         assert result.source_acc == 1.0
         assert len(result.history) == 30
-        assert result.history[-1].acc_src_sd == 1.0
+        assert result.history[-1].acc_src == 1.0
 
     def test_zero_epochs_is_chance_level(self):
         # clusters drowned in noise: any random decision boundary scores
@@ -98,8 +98,8 @@ class TestDann:
         # classifier path is step-for-step identical
         assert value_bytes(so.model.params) == value_bytes(da.model.params)
         for ra, rb in zip(so.history, da.history):
-            assert ra.acc_src_sd == rb.acc_src_sd
-            assert ra.acc_tgt_sd == rb.acc_tgt_sd
+            assert ra.acc_src == rb.acc_src
+            assert ra.acc_tgt == rb.acc_tgt
 
     def test_nonzero_lambda_changes_classifier(self):
         source, target = separable_pair(seed=2)

@@ -194,6 +194,20 @@ def test_eval_with_broken_layer_chain(tmp_path, capsys):
     assert err.count("\n") == 1 and "a.ckpt" in err and "'ext.w1'" in err
 
 
+@pytest.mark.parametrize("name", ["disc.w0", "ext.w3"])
+def test_eval_with_tensor_outside_the_layout(tmp_path, capsys, name):
+    # a discriminator tensor, or a layer after a missing ext.w2
+    ckpt = tmp_path / "a.ckpt"
+    save_checkpoint(init_model(1, (5, 3), 2, seed=0), ckpt)
+    with open(ckpt, "a", encoding="utf-8") as fh:
+        fh.write(f"name {name} shape 3,2\n" + " ".join(["0.5"] * 6) + "\n")
+    csv = tmp_path / "d.csv"
+    csv.write_text("# classes=2 dim=1\n0.1,0\n")
+    assert cli_main(["eval", str(ckpt), str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: unexpected tensor '{name}', not in the model's layout\n"
+
+
 def test_run_names_the_bad_target_csv(tmp_path, capsys):
     src = tmp_path / "src.csv"
     src.write_text("# classes=2 dim=2\n1.0,2.0,0\n0.5,1.0,1\n")

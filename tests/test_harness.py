@@ -276,6 +276,37 @@ class TestRunExperiment:
         model = load_checkpoint(out / "sdm.ckpt")
         assert model.num_classes == 2
 
+    def test_finished_run_holds_exactly_the_artifacts(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text())
+        out = tmp_path / "out"
+        assert run_experiment(cfg_path, out) == 0
+        assert sorted(os.listdir(out)) == sorted(harness.ARTIFACTS)
+        # a config the loaded data rejects (batch larger than a domain)
+        # leaves the previous run's files as they were
+        before = {name: (out / name).read_bytes() for name in harness.ARTIFACTS}
+        cfg_path.write_text(small_config_text(batch_size=64))
+        assert run_experiment(cfg_path, out) == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    @pytest.mark.parametrize("extra, left", [
+        ({"baseline_epochs": 6}, ["baseline.csv"]),  # aborts in DANN epoch 3
+        ({}, ["baseline.csv", "metrics.csv"]),       # aborts in dual epoch 2
+    ])
+    def test_aborted_rerun_leaves_only_its_own_files(self, tmp_path, capsys, extra, left):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text())
+        out = tmp_path / "out"
+        assert run_experiment(cfg_path, out) == 0
+        cfg_path.write_text(small_config_text(lr0=1e10, **extra))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_experiment(cfg_path, out) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == left
+        if "metrics.csv" in left:  # the aborted run's one completed epoch
+            assert [r.epoch for r in load_metrics_csv(out / "metrics.csv")] == [1]
+
     def test_invalid_config_exits_nonzero_with_field_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("batch_size = 0\n")

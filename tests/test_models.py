@@ -359,6 +359,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="missing tensor 'ext.b1'"):
             load_checkpoint(path)
 
+    # a discriminator tensor, and a layer after a missing ext.w2
+    @pytest.mark.parametrize("name", ["disc.w0", "ext.w3"])
+    def test_tensor_outside_the_layout_rejected(self, tmp_path, name):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(2, (5, 3), 2, seed=17), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"name {name} shape 3,2\n" + " ".join(["0.5"] * 6) + "\n")
+        with pytest.raises(ValueError, match=f"unexpected tensor '{name}'") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(str(path))
+
 
 class TestExtractFeatures:
     def test_identity_extractor(self):
