@@ -6,6 +6,7 @@ from, and their target accuracies anchor the adaptation comparisons.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -70,7 +71,7 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
             lr = lr_schedule(cfg.lr0, step / total_steps)
             loss = objective(batch)
             value = loss.item()
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NonFiniteLossError(term, epoch, it, value, history)
             sgd_step(model.params, backward(loss, model.params), lr,
                      cfg.momentum, cfg.weight_decay)

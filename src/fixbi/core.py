@@ -25,6 +25,7 @@ Logs inside the losses are clamped at 1e-12.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +306,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             if with_cr:
                 values["cr"] = terms["cr"].item()
             for col, v in values.items():
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise NonFiniteLossError(col, epoch, it, v, rows)
                 ledger[col] = ledger.get(col, 0.0) + v
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -256,6 +258,7 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
 
 
 _FORMAT_VALUES = 16_384  # values per features.csv worker: ~1 us of repr each, ~4 ms a fork
+_BLOCK_VALUES = 16_384  # values a features.csv process formats before it writes them
 
 
 def _format_rows(heads: list[str], values: Array) -> bytes:
@@ -263,54 +266,72 @@ def _format_rows(heads: list[str], values: Array) -> bytes:
                     for h, v in zip(heads, values.tolist())]).encode()
 
 
-def _format_in_workers(heads: list[str], values: Array, workers: int, path: Path) -> list[bytes]:
-    """``_format_rows`` in ``workers`` chunks of rows cut at ``len(heads) * k // workers``.
-    Forked children, which run only tolist, repr, join and encode, format all but the
-    last. Every child is reaped; a failed one is an ``OSError`` naming ``path``."""
-    cuts = [len(heads) * k // workers for k in range(workers)]
-    pids, reads, parts = [], [], []
+def _write_rows(f, heads: list[str], values: Array) -> None:
+    """``_format_rows`` of whole rows, ``_BLOCK_VALUES`` values at a time (one
+    row at least), each block written to ``f`` as soon as it is made."""
+    step = max(1, _BLOCK_VALUES // values.shape[1])
+    for lo in range(0, len(heads), step):
+        f.write(_format_rows(heads[lo:lo + step], values[lo:lo + step]))
+
+
+def _write_in_workers(path: Path, header: str, heads: list[str], values: Array,
+                      workers: int) -> None:
+    """The header line, then one line per row, cut into ``workers`` chunks at
+    ``len(heads) * k // workers``. Each chunk but the first is written by a forked
+    child, which runs only tolist, repr, join and encode, into an unnamed temporary
+    file in ``path``'s directory; the parent writes the header and the first chunk
+    into ``path``, reaps every child and appends their files in order. A failed
+    child is an ``OSError`` naming ``path``; on any error no ``path`` is left."""
+    cuts = [len(heads) * k // workers for k in range(workers + 1)]
+    pids, parts = [], []
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            r, w = os.pipe()
-            reads.append(r)
-            with open(w, "wb") as pipe:  # the child writes through it; the parent closes it
+        try:
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                parts.append(part := tempfile.TemporaryFile(dir=path.parent))
                 if (pid := os.fork()) == 0:  # no BLAS, no thread, no return
                     try:
-                        pipe.write(_format_rows(heads[lo:hi], values[lo:hi]))
-                        pipe.flush()
+                        _write_rows(part, heads[lo:hi], values[lo:hi])
+                        part.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
                 pids.append(pid)
-        last = _format_rows(heads[cuts[-1]:], values[cuts[-1]:])
+            with open(path, "wb") as f:
+                f.write((header + "\n").encode())
+                _write_rows(f, heads[:cuts[1]], values[:cuts[1]])
+        finally:
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if any(statuses):
+            raise OSError(f"{path}: a formatting worker failed (exit statuses {statuses})")
+        with open(path, "ab") as f:
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, f)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     finally:
-        for r in reads:  # drained on every path, so that no child waits on a full pipe
-            with open(r, "rb") as pipe:
-                parts.append(pipe.read())
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(statuses):
-        raise OSError(f"{path}: a formatting worker failed (exit statuses {statuses})")
-    return parts + [last]
+        for part in parts:
+            part.close()
 
 
 def _write_features(dual: DualState, source: Dataset, target: Dataset,
                     path: Path) -> None:
-    """Final-epoch feature vectors of both models with domain tag and label, formatted
+    """Final-epoch feature vectors of both models with domain tag and label, written
     by one worker per CPU in ``os.sched_getaffinity`` at most (one if it is missing)."""
     k_sd, k_td = dual.sdm.feature_dim, dual.tdm.feature_dim
     header = ",".join(["domain", "label"] + [f"sd_{i}" for i in range(k_sd)]
                       + [f"td_{i}" for i in range(k_td)])
-    # + 0.0 turns -0.0 into 0.0, as _fmt does
-    values = np.vstack([np.hstack([predict_features(dual.sdm, ds.features),
-                                   predict_features(dual.tdm, ds.features)])
-                        for ds in (source, target)]) + 0.0
+    values = np.empty((source.n + target.n, k_sd + k_td))
+    for rows, ds in ((values[:source.n], source), (values[source.n:], target)):
+        # + 0.0 turns -0.0 into 0.0, as _fmt does
+        np.add(predict_features(dual.sdm, ds.features), 0.0, out=rows[:, :k_sd])
+        np.add(predict_features(dual.tdm, ds.features), 0.0, out=rows[:, k_sd:])
     heads = [f"{ds.domain_tag},{label}," for ds in (source, target)
              for label in ds.eval_labels().tolist()]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(cpus, values.size // _FORMAT_VALUES))
-    parts = _format_in_workers(heads, values, workers, path)
-    with open(path, "wb") as f:
-        f.writelines([(header + "\n").encode(), *parts])
+    _write_in_workers(path, header, heads, values, workers)
 
 
 # -- the experiment ----------------------------------------------------------

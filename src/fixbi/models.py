@@ -279,13 +279,13 @@ CKPT_MAGIC = "FIXBI-CKPT v1"
 
 
 def save_checkpoint(model: ClassifierModel, path) -> None:
-    lines = [CKPT_MAGIC]
-    for name, t in model.params.items():
-        dims = ",".join(str(s) for s in t.data.shape)
-        lines.append(f"name {name} shape {dims}")
-        lines.append(" ".join(map(repr, t.data.reshape(-1).tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CKPT_MAGIC + "\n")
+        for name, t in model.params.items():
+            dims = ",".join(str(s) for s in t.data.shape)
+            fh.write(f"name {name} shape {dims}\n")
+            fh.write(" ".join(map(repr, t.data.reshape(-1).tolist())))
+            fh.write("\n")
 
 
 def load_checkpoint(path) -> ClassifierModel:

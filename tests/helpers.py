@@ -420,6 +420,12 @@ def fail_in_children(monkeypatch) -> None:
     monkeypatch.setattr(harness, "_format_rows", format_rows)
 
 
+def open_fds() -> set[str]:
+    """This process's open file descriptors, where ``/proc`` lists them."""
+    fd_dir = "/proc/self/fd"
+    return set(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else set()
+
+
 def assert_no_child() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

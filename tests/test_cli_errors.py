@@ -1,10 +1,12 @@
 """Error paths through the CLI entry points."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from fixbi.cli import main as cli_main
-from fixbi.harness import run_experiment
+from fixbi.harness import ARTIFACTS, run_experiment
 from fixbi.models import init_model, save_checkpoint
 from helpers import (assert_no_child, count_forks, fail_in_children,
                      force_feature_workers, needs_fork)
@@ -30,6 +32,7 @@ def test_run_with_failed_features_worker_exits_1(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "features.csv" in err and "Traceback" not in err
     assert not (out / "features.csv").exists()
+    assert set(os.listdir(out)) <= set(ARTIFACTS)  # no temporary file is left
     assert_no_child()
 
 

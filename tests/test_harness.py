@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
 from fixbi.data import Dataset, as_target_view
 from fixbi.models import DualState, init_model, load_checkpoint
 from helpers import (assert_no_child, count_forks, fail_in_children,
-                     force_feature_workers, needs_fork, serial_features_csv)
+                     force_feature_workers, needs_fork, open_fds,
+                     serial_features_csv)
 
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -478,6 +480,35 @@ def feature_pair(n_source: int, n_target: int):
     return dual, labelled(n_source), as_target_view(labelled(n_target))
 
 
+def parent_blocks(monkeypatch) -> list[int]:
+    """``_format_rows`` that records the row count of each block this process
+    formats (forked children record into their own copy)."""
+    parent, real, blocks = os.getpid(), harness._format_rows, []
+
+    def format_rows(heads, values):
+        if os.getpid() == parent:
+            blocks.append(len(heads))
+        return real(heads, values)
+
+    monkeypatch.setattr(harness, "_format_rows", format_rows)
+    return blocks
+
+
+def fail_on_second_block(monkeypatch, in_parent: bool) -> None:
+    """``_format_rows`` that raises on the second block of the parent, or of
+    every child, so that the failing process has already written one block."""
+    parent, real, calls = os.getpid(), harness._format_rows, []
+
+    def format_rows(*chunk):
+        if (os.getpid() == parent) == in_parent:
+            calls.append(1)  # a child counts in its own copy of the list
+            if len(calls) == 2:
+                raise RuntimeError("parent fault" if in_parent else "worker fault")
+        return real(*chunk)
+
+    monkeypatch.setattr(harness, "_format_rows", format_rows)
+
+
 @needs_fork
 class TestSplitFeatures:
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -488,12 +519,36 @@ class TestSplitFeatures:
         rng = np.random.default_rng(n_rows)
         heads = [f"source,{i}," for i in range(n_rows)]
         values = rng.normal(size=(n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
+        blocks = parent_blocks(monkeypatch)
         forks = count_forks(monkeypatch)
-        parts = harness._format_in_workers(heads, values, workers, tmp_path / "features.csv")
+        path = tmp_path / "features.csv"
+        harness._write_in_workers(path, "h", heads, values, workers)
         lines = [head + ",".join(map(repr, row)) + "\n"
                  for head, row in zip(heads, values.tolist())]
-        cuts = [n_rows * k // workers for k in range(workers + 1)]
-        assert parts == ["".join(lines[lo:hi]).encode() for lo, hi in zip(cuts, cuts[1:])]
+        assert path.read_bytes() == ("h\n" + "".join(lines)).encode()
+        assert sum(blocks) == n_rows // workers  # the parent's chunk is the first cut
+        assert len(forks) == workers - 1
+        assert os.listdir(tmp_path) == ["features.csv"]
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows,block_values,expected", [
+        (3, 36, [3]), (4, 36, [4]), (5, 36, [4, 1]), (3, 8, [1, 1, 1])],
+        ids=["block-minus-a-row", "one-block", "block-plus-a-row", "row-wider-than-block"])
+    def test_block_boundaries(self, workers, rows, block_values, expected, monkeypatch,
+                              tmp_path):
+        # 9 values per row, so a 36-value block holds 4 rows and an 8-value
+        # block still one; every process's chunk holds `rows` rows
+        n = workers * rows
+        dual, source, target = feature_pair(n // 2, n - n // 2)
+        force_feature_workers(monkeypatch, workers)
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", block_values)
+        blocks = parent_blocks(monkeypatch)
+        forks = count_forks(monkeypatch)
+        path = tmp_path / "features.csv"
+        harness._write_features(dual, source, target, path)
+        assert path.read_bytes() == serial_features_csv(dual, source, target)
+        assert blocks == expected
         assert len(forks) == workers - 1
         assert_no_child()
 
@@ -531,8 +586,7 @@ class TestSplitFeatures:
         assert_no_child()
 
     def test_parent_chunk_fault_still_reaps_every_child(self, monkeypatch, tmp_path):
-        # each child's chunk (~240 KB) overfills its 64 KB pipe, so a child
-        # exits only once the parent has drained it
+        # the children write their whole chunks; the parent fails on its first block
         heads = [f"target,{i}," for i in range(6000)]
         values = 0.1 * np.arange(6000.0)[:, None] + 1e-7 * np.arange(8.0)
         parent, real = os.getpid(), harness._format_rows
@@ -545,9 +599,53 @@ class TestSplitFeatures:
         monkeypatch.setattr(harness, "_format_rows", format_rows)
         forks = count_forks(monkeypatch)
         with pytest.raises(RuntimeError, match="parent fault"):
-            harness._format_in_workers(heads, values, 3, tmp_path / "features.csv")
+            harness._write_in_workers(tmp_path / "features.csv", "h", heads, values, 3)
         assert len(forks) == 2
+        assert os.listdir(tmp_path) == []
         assert_no_child()
+
+    @pytest.mark.parametrize("fault,error,match", [
+        (None, None, None), ("child", OSError, "features.csv"),
+        ("parent", RuntimeError, "parent fault")], ids=["success", "child", "parent"])
+    def test_no_temporary_or_partial_file_is_left(self, fault, error, match, monkeypatch,
+                                                  tmp_path):
+        # 4-row blocks, so a failing process has written a block already
+        dual, source, target = feature_pair(20, 16)
+        force_feature_workers(monkeypatch, 3)
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", 36)
+        if fault is not None:
+            fail_on_second_block(monkeypatch, in_parent=fault == "parent")
+        fds = open_fds()
+        path = tmp_path / "features.csv"
+        if fault is None:
+            harness._write_features(dual, source, target, path)
+            assert path.read_bytes() == serial_features_csv(dual, source, target)
+        else:
+            with pytest.raises(error, match=match):
+                harness._write_features(dual, source, target, path)
+        assert os.listdir(tmp_path) == ([] if fault else ["features.csv"])
+        assert open_fds() == fds
+        assert_no_child()
+
+    def test_single_process_export_holds_one_block(self, monkeypatch, tmp_path):
+        # 2000 + 2000 rows of 64 + 64 values: the export may hold its value
+        # array and a block, but not a formatted copy of every row, which
+        # alone is larger than the array
+        rng = np.random.default_rng(7)
+
+        def labelled(n):
+            return Dataset(rng.normal(size=(n, 2)), rng.integers(0, 3, n), 3, "source")
+
+        dual = DualState(init_model(2, (64,), 3, seed=1), init_model(2, (64,), 3, seed=2))
+        source, target = labelled(2000), as_target_view(labelled(2000))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        tracemalloc.start()
+        try:
+            harness._write_features(dual, source, target, tmp_path / "features.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4000 * 128 * 8
 
     def test_execute_leaves_no_child(self, monkeypatch, tmp_path):
         force_feature_workers(monkeypatch, 2)
