@@ -276,6 +276,9 @@ class DualState:
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = "FIXBI-CKPT v1"
+_CKPT_BLOCK = 16_384
+"""Values of a tensor's line that :func:`save_checkpoint` formats at once:
+the memory it holds is one block's strings, not the largest tensor's."""
 
 
 def save_checkpoint(model: ClassifierModel, path) -> None:
@@ -284,7 +287,11 @@ def save_checkpoint(model: ClassifierModel, path) -> None:
         for name, t in model.params.items():
             dims = ",".join(str(s) for s in t.data.shape)
             fh.write(f"name {name} shape {dims}\n")
-            fh.write(" ".join(map(repr, t.data.reshape(-1).tolist())))
+            values = t.data.reshape(-1)
+            for lo in range(0, values.size, _CKPT_BLOCK):
+                if lo:
+                    fh.write(" ")
+                fh.write(" ".join(map(repr, values[lo:lo + _CKPT_BLOCK].tolist())))
             fh.write("\n")
 
 

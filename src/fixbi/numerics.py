@@ -4,7 +4,8 @@ Every loss in this package is composed from the handful of differentiable
 primitives defined here. Graphs are built dynamically: each operation returns
 a new :class:`Tensor` carrying vector-Jacobian closures back to its inputs,
 and :func:`backward` replays those closures in reverse topological order,
-adding parameter gradients into their :class:`ParamSet`'s gradient vector.
+writing parameter gradients into their :class:`ParamSet`'s gradient vector
+(the first contribution to a tensor is written, later ones are added).
 """
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ Array = np.ndarray
 
 LOG_CLAMP = 1e-12
 """Floor applied to probabilities before every log inside a loss."""
+
+_SGD_BLOCK = 32_768
+"""Values per block of :func:`sgd_step`: 256 KB of each of the four vectors
+it streams, so that a block's six passes stay in the core's cache."""
 
 
 class ShapeError(ValueError):
@@ -45,10 +50,12 @@ class Tensor:
     ``data`` is stored row-major (C order). Leaves created with
     ``requires_grad=True`` are trainable; operation results record
     ``(parent, vjp)`` pairs consumed by :func:`backward`. A tensor of a
-    :class:`ParamSet` has ``grad``, its view of the set's gradient vector.
+    :class:`ParamSet` has ``grad``, its view of the set's gradient vector;
+    ``_fresh`` is set on it while a :func:`backward` walk over its set has
+    not yet written it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_vjps")
+    __slots__ = ("data", "requires_grad", "grad", "_vjps", "_fresh")
 
     # keep numpy from absorbing us in mixed expressions like `array * tensor`;
     # our reflected operators handle those instead
@@ -60,6 +67,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._vjps = tuple(_vjps)
+        self._fresh = False
 
     # -- introspection -------------------------------------------------
 
@@ -159,14 +167,15 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> 
     side first. ``x`` is ``[..., B, in]``, each weight ``[..., in, out]`` and
     each bias ``[..., out]``, with the same leading axes on all (a stack of
     networks). Weights and biases are not graph parents: the reverse pass
-    adds their gradients into their ``grad`` views, and computes an input
+    writes their gradients into their ``grad`` views (with ``out=`` while the
+    walk has not yet reached them, else added), and computes an input
     gradient only when ``x`` requires one. Each layer runs the numpy
     operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so
     values and gradients are bit-identical to it.
     """
     x = as_tensor(x)
     h = x.data
-    saved = []  # per layer: input, ReLU mask or None, weight, grad views
+    saved = []  # per layer: input, ReLU mask or None, weight values, w and b
     for i, (w, b) in enumerate(layers):
         wd, bd = w.data, b.data
         if (h.ndim < 2 or h.shape[:-2] + h.shape[-1:] != wd.shape[:-1]
@@ -178,19 +187,29 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> 
         if relu_last or i < len(layers) - 1:
             mask = out > 0.0
             relu_inplace(out)
-        saved.append((h, mask, wd, w.grad, b.grad))
+        saved.append((h, mask, wd, w, b))
         h = out
 
     def reverse(g: Array) -> Array | None:
-        for i, (h_in, mask, wd, gw, gb) in reversed(list(enumerate(saved))):
+        for i, (h_in, mask, wd, w, b) in reversed(list(enumerate(saved))):
             if mask is not None:
                 g = g * mask
-            gw += h_in.swapaxes(-1, -2) @ g
-            gb += g.sum(axis=-2)
+            _grad_into(w, np.matmul, h_in.swapaxes(-1, -2), g)
+            _grad_into(b, np.add.reduce, g, axis=-2)
             g = g @ wd.swapaxes(-1, -2) if i or x.requires_grad else None
         return g
 
     return Tensor(h, requires_grad=True, _vjps=[(x, reverse)])
+
+
+def _grad_into(t: Tensor, op, *args, **kwargs) -> None:
+    """``op(*args, **kwargs)`` written into ``t.grad`` with ``out=`` while
+    ``t`` is fresh (see :func:`backward`), else added into it."""
+    if t._fresh:
+        op(*args, out=t.grad, **kwargs)
+        t._fresh = False
+    else:
+        t.grad += op(*args, **kwargs)
 
 
 def take(x: Tensor, index) -> Tensor:
@@ -310,16 +329,18 @@ def grl(x: Tensor, grl_lambda: float) -> Tensor:
 
 class ParamSet:
     """Named trainable tensors over one flat float64 value vector, plus a
-    gradient, an SGD momentum and a scratch vector of the same layout.
+    gradient and an SGD momentum vector of the same layout and one
+    :func:`sgd_step` block of scratch space.
 
     ``ParamSet(tensors)`` copies a name -> values mapping into the vectors in
-    one allocation. Each tensor's ``data`` is a view into the value vector
-    and its ``grad`` into the gradient vector, so :func:`backward` and
-    :func:`sgd_step` work on whole vectors in place. Code that changes a
-    parameter writes into its ``data`` (``t.data[...] = x``); rebinding
-    ``t.data`` detaches the tensor from the vector, and ``sgd_step`` rejects
-    it. Iteration order is the mapping's order, which is also the layout of
-    the vectors and keeps training and checkpointing deterministic.
+    one allocation each. Each tensor's ``data`` is a view into the value
+    vector and its ``grad`` into the gradient vector, so :func:`backward`
+    writes each tensor's gradient in place and :func:`sgd_step` updates the
+    whole vectors block by block. Code that changes a parameter writes into
+    its ``data`` (``t.data[...] = x``); rebinding ``t.data`` detaches the
+    tensor from the vector, and ``sgd_step`` rejects it. Iteration order is
+    the mapping's order, which is also the layout of the vectors and keeps
+    training and checkpointing deterministic.
     """
 
     def __init__(self, tensors: Mapping[str, object]):
@@ -328,7 +349,13 @@ class ParamSet:
         self._values = np.empty(size)
         self._grad = np.zeros(size)
         self._momentum = np.zeros(size)
-        self._scratch = np.empty(size)          # sgd_step's working vector
+        scratch = np.empty(min(size, _SGD_BLOCK))
+        # sgd_step's blocks: a slice of the layout, its views of the value and
+        # momentum vectors, and the scratch space it works in
+        self._blocks = [(slice(lo, lo + _SGD_BLOCK), self._values[lo:lo + _SGD_BLOCK],
+                         self._momentum[lo:lo + _SGD_BLOCK],
+                         scratch[:min(_SGD_BLOCK, size - lo)])
+                        for lo in range(0, size, _SGD_BLOCK)]
         self._params: dict[str, Tensor] = {}
         self._momenta: dict[str, Array] = {}    # each tensor's view of _momentum
         lo = 0
@@ -363,20 +390,42 @@ class ParamSet:
 
 def backward(loss: Tensor, params: ParamSet) -> Array:
     """Exact reverse-mode gradients of a scalar ``loss`` for every parameter
-    of ``params``: the set's gradient vector, zeroed, then filled by the walk.
+    of ``params``: the set's gradient vector, as the walk writes it.
 
-    A network node (:func:`mlp`) adds its weights' and biases' gradients
-    into their ``grad`` views, a parameter reached as a graph leaf its leaf
-    gradient; unreached parameters read 0. The walk is a deterministic
-    reverse topological order, so identical graphs give identical bits.
+    The walk first marks every tensor of ``params`` fresh. A network node
+    (:func:`mlp`) writes a fresh weight's or bias's gradient into its
+    ``grad`` view and adds into one it already wrote, so two applications
+    of one network sum; a parameter reached as a graph leaf gets its leaf
+    gradient the same way. After the walk the tensors it never reached are
+    zeroed, and no tensor stays marked. The walk is a deterministic reverse
+    topological order, so identical graphs give identical bits. The values
+    are those of zeroing the vector and adding every contribution, except
+    that a first-written -0.0 stays -0.0; :func:`sgd_step` forms
+    ``weight_decay * w`` before adding the gradient, so the weights it
+    computes do not depend on the sign of a zero gradient (see README).
 
     The result is the set's own buffer, not a copy: the next ``backward``
     over ``params`` overwrites it. A graph that also reaches another set's
-    tensors adds into that set's vector, which only its own walk zeroes.
+    tensors adds into that set's vector, which only its own walk rewrites.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    params._grad.fill(0.0)
+    tensors = params._params.values()
+    for t in tensors:
+        t._fresh = True
+    try:
+        _walk(loss)
+    finally:
+        for t in tensors:
+            if t._fresh:
+                t.grad.fill(0.0)
+                t._fresh = False
+    return params._grad
+
+
+def _walk(loss: Tensor) -> None:
+    """Replay the VJPs of ``loss``'s graph, handing each parameter its
+    gradient as :func:`backward` describes."""
 
     # iterative post-order DFS over the loss's ancestry; every parent requires
     # gradients but a network's constant input, for which its reverse pass
@@ -403,7 +452,11 @@ def backward(loss: Tensor, params: ParamSet) -> Array:
         if g is None:  # a network's constant input
             continue
         if node.grad is not None:
-            node.grad += g
+            if node._fresh:
+                node.grad[...] = g
+                node._fresh = False
+            else:
+                node.grad += g
         for parent, vjp in node._vjps:
             contrib = vjp(g)
             if contrib is None:
@@ -412,7 +465,6 @@ def backward(loss: Tensor, params: ParamSet) -> Array:
                 grads[parent] = grads[parent] + contrib
             else:
                 grads[parent] = contrib
-    return params._grad
 
 
 def sgd_step(params: ParamSet, grads: Array, lr: float,
@@ -420,11 +472,12 @@ def sgd_step(params: ParamSet, grads: Array, lr: float,
     """Momentum SGD with coupled weight decay, applied in place.
 
     For each parameter: ``v <- momentum*v + (g + weight_decay*w)`` then
-    ``w <- w - lr*v``, run as whole-vector operations on the set's vectors;
-    ``grads`` is a vector of their layout, as :func:`backward` returns it.
-    The arithmetic is the per-tensor arithmetic (``g + tmp`` commutes), so
-    the result is bit-identical to a loop over the tensors. Every check runs
-    before the first write. Returns the set.
+    ``w <- w - lr*v``, run as six in-place operations on the set's vectors,
+    one block of ``_SGD_BLOCK`` values after another; ``grads`` is a vector
+    of their layout, as :func:`backward` returns it. Each element goes
+    through the per-tensor arithmetic in its order (``g + tmp`` commutes),
+    so the result is bit-identical to a loop over the tensors. Every check
+    runs before the first write. Returns the set.
     """
     if not lr > 0.0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -432,19 +485,20 @@ def sgd_step(params: ParamSet, grads: Array, lr: float,
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    w, v, tmp = params._values, params._momentum, params._scratch
+    w = params._values
     if grads.shape != w.shape:
         raise ShapeError(f"gradient vector shape {grads.shape} != the set's {w.shape}")
     for name, t in params.items():
         if t.data.base is not w:
             raise ValueError(f"parameter {name!r} no longer views its set's value "
                              "vector: its .data was rebound instead of written in place")
-    v *= momentum
-    np.multiply(weight_decay, w, out=tmp)
-    tmp += grads
-    v += tmp
-    np.multiply(lr, v, out=tmp)
-    w -= tmp
+    for block, wb, vb, tb in params._blocks:
+        vb *= momentum
+        np.multiply(weight_decay, wb, out=tb)
+        tb += grads[block]
+        vb += tb
+        np.multiply(lr, vb, out=tb)
+        wb -= tb
     return params
 
 

@@ -13,7 +13,8 @@ from fixbi.core import loss_cr, loss_sp
 from fixbi.data import Dataset
 from fixbi.models import (ClassifierModel, DualState, forward_logits, init_model,
                           predict_features)
-from fixbi.numerics import Array, ParamSet, Tensor, as_tensor, backward, softmax_t
+from fixbi.numerics import (Array, ParamSet, Tensor, _walk, as_tensor, backward,
+                            softmax_t)
 
 # -- the composed reference --------------------------------------------------
 # Graph operations composed from Tensor nodes. Each layer of
@@ -83,6 +84,15 @@ def named_grads(loss, params: ParamSet) -> dict[str, Array]:
     walk returns the set's own gradient buffer, which the next walk
     overwrites."""
     backward(loss, params)
+    return {name: t.grad.copy() for name, t in params.items()}
+
+
+def zero_fill_grads(loss, params: ParamSet) -> dict[str, Array]:
+    """The zero-fill-and-add reference of :func:`named_grads`: the set's
+    gradient vector zeroed, then every contribution of the walk added into
+    it. No tensor is marked fresh, so the walk writes none of them first."""
+    params._grad.fill(0.0)
+    _walk(loss)
     return {name: t.grad.copy() for name, t in params.items()}
 
 

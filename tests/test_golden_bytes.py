@@ -1,4 +1,4 @@
-"""Golden bytes: two reduced runs at seed 1 against committed results.
+"""Golden bytes: three reduced runs at seed 1 against committed results.
 
 The determinism tests compare a run with its own rerun, so a change that
 reorders a float sum passes them. This suite compares against results
@@ -50,6 +50,15 @@ RUNS = {
         epochs=4, warmup_epochs=2, lr0=0.03, ratio_rule="range",
         pseudo_label_source="frozen-baseline", baseline="source-only",
         baseline_epochs=5, seed=1),
+    # the wide workload's widths: 16-dim blobs through 256,256,128, so the
+    # pair's vectors (206,856 values) and the DANN set's span several
+    # sgd_step blocks; 15 DANN epochs give a baseline confident enough that
+    # every dual loss term is non-zero by the last epoch
+    "wide": TrainConfig(
+        dataset=DatasetSpec(kind="blobs", num_classes=3, per_class=100, dim=16,
+                            rotation_deg=50.0, noise_sigma=0.15),
+        arch=(256, 256, 128), epochs=3, warmup_epochs=1, lr0=0.03, baseline="dann",
+        baseline_epochs=15, seed=1),
 }
 
 

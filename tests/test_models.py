@@ -1,14 +1,17 @@
 """Classifier networks, ensemble rule and checkpoint round-trips."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fixbi.models import (discriminator_logits, ensemble_predict, extract_features,
-                          forward, forward_logits, grl, init_discriminator,
-                          init_model, load_checkpoint, predict_features,
-                          predict_labels, predict_probs, save_checkpoint,
-                          stack_models, unstack_models)
+from fixbi.models import (_CKPT_BLOCK, CKPT_MAGIC, discriminator_logits,
+                          ensemble_predict, extract_features, forward,
+                          forward_logits, grl, init_discriminator, init_model,
+                          load_checkpoint, predict_features, predict_labels,
+                          predict_probs, save_checkpoint, stack_models,
+                          unstack_models)
 from fixbi.numerics import Tensor, softmax_t
 from helpers import manual_model, random_model, value_bytes
 
@@ -369,6 +372,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"unexpected tensor '{name}'") as err:
             load_checkpoint(path)
         assert str(err.value).startswith(str(path))
+
+    def test_block_written_lines_equal_one_join(self, tmp_path):
+        # ext.w0 holds 130 x 300 = 39,000 values: two whole blocks and a
+        # ragged third
+        model = init_model(130, (300,), 2, seed=18)
+        assert 2 * _CKPT_BLOCK < model.params["ext.w0"].data.size < 3 * _CKPT_BLOCK
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        want = [CKPT_MAGIC]
+        for name, t in model.params.items():
+            want.append(f"name {name} shape {','.join(map(str, t.data.shape))}")
+            want.append(" ".join(map(repr, t.data.reshape(-1).tolist())))
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+        assert value_bytes(load_checkpoint(path).params) == value_bytes(model.params)
+
+    def test_peak_memory_is_bounded_by_a_block(self, tmp_path):
+        # the wide workload's model: 2.16 MB on disk, and its 65,536-value
+        # ext.w1 took about 7.2 MB of peak when its line was joined at once
+        model = init_model(16, (256, 256, 128), 3, seed=19)
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "m.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestExtractFeatures:

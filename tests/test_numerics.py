@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fixbi.numerics import (LOG_CLAMP, ParamSet, ShapeError, Tensor, as_tensor,
-                            backward, grl, log_loss, lr_schedule, mlp,
+from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
+                            as_tensor, backward, grl, log_loss, lr_schedule, mlp,
                             relu_inplace, sgd_step, softmax_t, take)
 from helpers import (affine, check_grads, clamp_min, finite_diff_grads, flat_grads,
-                     log, matmul, max_rel_error, mean, named_grads, relu, squared_l2)
+                     log, matmul, max_rel_error, mean, named_grads, relu, squared_l2,
+                     zero_fill_grads)
 
 
 class TestSoftmaxT:
@@ -292,6 +293,93 @@ class TestDense:
             mlp(np.ones((2, 3)), [(params["w"], params["b"])])
         with pytest.raises(ShapeError, match="layer 1"):
             mlp(np.ones((2, 4)), [(params["w"], params["b"]), (params["v"], params["c"])])
+
+
+class TestFirstWriteGradients:
+    """``backward`` writes each tensor's first contribution and adds the
+    rest; each case runs two consecutive walks over one set, and compares
+    with the zero-fill-and-add reference only after both."""
+
+    @staticmethod
+    def _pair_loss(params, upstream, scale, depth=3):
+        """A stacked pair's network, a per-model temperature leaf reached
+        through ``exp`` and the input reached through the network."""
+        out = mlp(params["x"], _layers(params, depth), relu_last=True)
+        temp = params["theta"].exp()
+        return ((out * upstream).sum() * scale
+                + (softmax_t(out, temp) * upstream).sum())
+
+    @staticmethod
+    def _pair(seed, depth=3, extra=False):
+        params, upstream = _network(seed, depth, lead=(2,), extra=extra)
+        tensors = {name: t.data for name, t in params.items()}
+        tensors["theta"] = np.array([[0.1], [-0.2]])
+        return ParamSet(tensors), upstream
+
+    def test_equal_to_zero_fill_and_add(self):
+        params, upstream = self._pair(31)
+        losses = [self._pair_loss(params, upstream, s) for s in (0.5, -1.5)]
+        got = [named_grads(loss, params) for loss in losses]
+        for loss, g in zip(losses, got):
+            want = zero_fill_grads(loss, params)
+            assert all(np.array_equal(g[n], want[n]) for n in want)
+            assert all(g[n].any() for n in want)
+
+    def test_unreached_parameter_reads_zero_after_a_walk_that_reached_it(self):
+        # the first walk reaches the third layer but not theta, the second
+        # theta but not the third layer
+        params, upstream = self._pair(32, depth=2, extra=True)
+        first = named_grads(mlp(params["x"], _layers(params, 3)).sum(), params)
+        assert first["w2"].any() and first["b2"].any()
+        assert first["theta"].tobytes() == np.zeros((2, 1)).tobytes()
+        second = named_grads(self._pair_loss(params, upstream, 1.0, depth=2), params)
+        for name in ("w2", "b2"):
+            assert second[name].tobytes() == np.zeros_like(second[name]).tobytes()
+        assert second["theta"].all()
+
+    def test_two_applications_of_one_network_sum(self):
+        params, upstream = _network(33, 3)
+        x2 = Tensor(np.random.default_rng(34).normal(size=(6, _WIDTHS[0])))
+        one = (mlp(params["x"], _layers(params, 3)) * upstream).sum()
+        other = (mlp(x2, _layers(params, 3)) * upstream[::-1]).sum()
+        parts = [named_grads(part, params) for part in (one, other)]
+        for _ in range(2):
+            got = named_grads(one + other, params)
+            want = zero_fill_grads(one + other, params)
+            for n in want:
+                assert np.array_equal(got[n], want[n]), n
+                assert np.array_equal(got[n], parts[0][n] + parts[1][n]), n
+
+    def test_another_sets_tensors_keep_adding(self):
+        # set a's walk reaches set b's network and, as a leaf, b's w0: b's
+        # vector is only added into
+        a, upstream = _network(35, 1)
+        b, _ = _network(36, 2)
+        b_layers = [(b["w1"], b["b1"])]
+
+        def loss():
+            return ((mlp(mlp(a["x"], _layers(a, 1), relu_last=True), b_layers)
+                     * upstream[:, :_WIDTHS[2]]).sum() + (b["w0"] * 0.75).sum())
+
+        contrib = named_grads(loss(), b)  # b's walk writes b's tensors
+        b._grad.fill(0.0)
+        for k in (1, 2):
+            backward(loss(), a)
+            for name in ("w0", "w1", "b1"):
+                assert np.array_equal(b[name].grad, contrib[name] * k), (k, name)
+            assert not b["b0"].grad.any()
+
+    def test_a_failed_walk_leaves_no_tensor_marked(self):
+        params, upstream = _network(37, 2)
+
+        def fail(g):
+            raise RuntimeError("vjp failed")
+
+        out = mlp(params["x"], _layers(params, 2))
+        loss = Tensor._make(np.asarray(out.data.sum()), [(out, fail)])
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            backward(loss, params)
+        assert not any(t._fresh for _, t in params.items())
 
 
 def _model_slice(params: ParamSet, k: int) -> ParamSet:
@@ -653,6 +741,44 @@ class TestFlatParamSet:
         model = init_model(2, (6, 5), 3, seed=3)
         disc = init_discriminator(model.feature_dim, 4, seed=4)
         self._check_three_steps([model.params, disc.params], 28)
+
+    @staticmethod
+    def _blocked_set(seed):
+        """A set of about 2.5 sgd_step blocks, its last tensor ragged."""
+        rng = np.random.default_rng(seed)
+        return ParamSet({"w": rng.normal(size=(200, 400)), "b": rng.normal(size=2_000),
+                         "t": rng.normal(size=(1, 1))})
+
+    def test_blocked_update_equals_the_flat_formula(self):
+        params = self._blocked_set(29)
+        w, v = params["w"].data.base, params.momentum("w").base
+        assert 2 * _SGD_BLOCK < w.size < 3 * _SGD_BLOCK
+        rng = np.random.default_rng(30)
+        want_w, want_v = w.copy(), v.copy()
+        for lr, m, wd in ((0.03, 0.9, 0.005), (0.02, 0.9, 0.005), (0.01, 0.5, 0.0),
+                          (0.005, 0.0, 0.01)):
+            g = rng.normal(size=w.size)
+            g[::7] = -0.0
+            # the flat six-operation formula, each a whole-vector pass
+            want_v *= m
+            tmp = wd * want_w
+            tmp += g
+            want_v += tmp
+            tmp = lr * want_v
+            want_w -= tmp
+            sgd_step(params, g, lr, m, wd)
+            assert np.array_equal(w, want_w) and w.tobytes() == want_w.tobytes()
+            assert np.array_equal(v, want_v) and v.tobytes() == want_v.tobytes()
+
+    def test_rebound_tensor_rejected_before_any_block_is_written(self):
+        params = self._blocked_set(31)
+        w, v = params["w"].data.base, params.momentum("w").base
+        sgd_step(params, np.ones(w.size), lr=0.1, momentum=0.9)
+        before = w.tobytes(), v.tobytes()
+        params["t"].data = np.zeros((1, 1))  # the last tensor, in the last block
+        with pytest.raises(ValueError, match="'t'.*rebound"):
+            sgd_step(params, np.ones(w.size), lr=0.1, momentum=0.9)
+        assert (w.tobytes(), v.tobytes()) == before
 
     def test_rebound_tensor_rejected(self):
         params = ParamSet({"w": [1.0, 2.0], "b": [0.0]})
