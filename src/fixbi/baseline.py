@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import TrainConfig, validate_config
 from .core import NonFiniteLossError
-from .data import Dataset, PairedBatch, one_hot, paired_minibatches
+from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot,
+                   paired_minibatches)
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
@@ -60,7 +61,7 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
     carrying the rows of the completed epochs.
     """
     history: list[BaselineRow] = []
-    n_batches = max(source.n, target.n) // cfg.batch_size
+    n_batches = batches_per_epoch(source, target, cfg.batch_size)
     total_steps = cfg.baseline_epochs * n_batches
     step = 0
     for epoch in range(1, cfg.baseline_epochs + 1):

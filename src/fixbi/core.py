@@ -31,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MetricsRow, TrainConfig, validate_config
-from .data import Dataset, one_hot, paired_minibatches
+from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
                      ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
 from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
                        sgd_step, softmax_t, take)
-from .numerics import LOG_CLAMP  # re-exported: the floor under every loss's log
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
@@ -235,7 +234,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
     trace: list[tuple[int, int, float, float, int, int]] = []
     rows: list[MetricsRow] = []
     log_temperature = pair.params[LOG_TEMPERATURE]
-    n_batches = max(source.n, target.n) // cfg.batch_size
+    n_batches = batches_per_epoch(source, target, cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     ratio_rng = np.random.default_rng([cfg.seed, _RATIO_STREAM])
     step = 0

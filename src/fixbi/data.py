@@ -265,12 +265,6 @@ class PairedBatch:
     xt: Array   # (B, d)
     target_rows: Array  # (B,) the rows of the target set that xt holds
 
-    def __post_init__(self):
-        if self.xs.shape != self.xt.shape:
-            raise ValueError("xs and xt must share batch size and dim")
-        if self.ys.shape != (self.xs.shape[0],):
-            raise ValueError("ys length must match batch size")
-
 
 def _index_stream(n: int, needed: int, rng: np.random.Generator) -> Array:
     """Concatenated fresh permutations of range(n), truncated to ``needed``."""
@@ -282,14 +276,20 @@ def _index_stream(n: int, needed: int, rng: np.random.Generator) -> Array:
     return np.concatenate(chunks)[:needed]
 
 
+def batches_per_epoch(source: Dataset, target: Dataset, batch_size: int) -> int:
+    """Batches in one epoch of :func:`paired_minibatches`: the larger set's
+    size over ``batch_size``, rounded down."""
+    return max(source.n, target.n) // batch_size
+
+
 def paired_minibatches(source: Dataset, target: Dataset, batch_size: int,
                        epoch: int, seed: int) -> list[PairedBatch]:
     """Deterministic equal-size source/target batches for one epoch.
 
     Both datasets are shuffled with a stream derived from ``(seed, epoch)``;
     the shorter one cycles with a fresh shuffle at each wraparound. Trailing
-    partial batches are dropped. The source stream is drawn before the
-    target stream.
+    partial batches are dropped, leaving :func:`batches_per_epoch` of them.
+    The source stream is drawn before the target stream.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -298,7 +298,7 @@ def paired_minibatches(source: Dataset, target: Dataset, batch_size: int,
             f"batch_size {batch_size} exceeds smaller dataset size "
             f"{min(source.n, target.n)}")
     rng = np.random.default_rng([seed, epoch])
-    n_batches = max(source.n, target.n) // batch_size
+    n_batches = batches_per_epoch(source, target, batch_size)
     needed = n_batches * batch_size
     src_idx = _index_stream(source.n, needed, rng)
     tgt_idx = _index_stream(target.n, needed, rng)

@@ -3,7 +3,8 @@ final evaluation, and all on-disk artifacts (baseline and dual-phase
 metrics, thresholds, class-wise table, feature export, checkpoints, summary).
 
 Every run is reproducible from (config, seed): re-running a config writes
-byte-identical metrics.csv and checkpoints. Timing lives in summary.json only.
+every artifact byte-identical except summary.json, the only file that holds
+timing.
 """
 from __future__ import annotations
 

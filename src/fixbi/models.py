@@ -10,19 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, as_tensor, mlp, relu_inplace,
-                       softmax, softmax_t)
+from .numerics import (Array, ParamSet, Tensor, _dense, as_tensor, mlp, softmax,
+                       softmax_t)
 from .numerics import grl  # re-exported: reversal layer used by the DANN baseline
-
-__all__ = [
-    "ClassifierModel", "DomainDiscriminator", "DualState",
-    "init_model", "forward", "forward_logits", "grl",
-    "predict_probs", "predict_features", "predict_labels", "accuracy",
-    "ensemble_predict", "ensemble_labels",
-    "stack_models", "unstack_models",
-    "init_discriminator", "discriminator_logits",
-    "save_checkpoint", "load_checkpoint", "CKPT_MAGIC",
-]
 
 LOG_TEMPERATURE = "log_temperature"
 
@@ -162,17 +152,18 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
     """Features, or T = 1 probabilities when ``probs`` is set, of the rows
     of ``x`` in plain numpy, ``_INFER_ROWS`` rows at a time.
 
-    The arithmetic is that of :func:`forward`, so the values equal its
-    output bit for bit. A stacked model runs every block through all its
-    models in one batched product and returns ``[K x n x ...]``. A lone
-    last row joins the block before it, because numpy sends a one-row
+    Each layer is the :func:`numerics._dense` call that :func:`forward`'s
+    graph runs, and the softmax is the one it takes at T = 1, so the values
+    equal its output bit for bit. A stacked model runs every block through
+    all its models in one batched product and returns ``[K x n x ...]``. A
+    lone last row joins the block before it, because numpy sends a one-row
     product to gemv, which rounds differently from the gemm a batch of rows
     gets.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(model, x)
-    layers = [(w.data, b.data[..., None, :]) for w, b in _layers(model)]
-    head = (model.params["head.w"].data, model.params["head.b"].data[..., None, :])
+    layers = [(w.data, b.data) for w, b in _layers(model)]
+    head = (model.params["head.w"].data, model.params["head.b"].data)
     n = x.shape[0]
     out = np.empty(_model_axes(model)
                    + (n, model.num_classes if probs else model.feature_dim))
@@ -183,13 +174,9 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
             hi = n
         h = x[lo:hi]
         for w, b in layers:
-            h = h @ w
-            h += b
-            relu_inplace(h)
+            h = _dense(h, w, b, relu=True)
         if probs:
-            h = h @ head[0]
-            h += head[1]
-            h = softmax(h)
+            h = softmax(_dense(h, *head, relu=False))
         out[..., lo:hi, :] = h
         lo = hi
     return out

@@ -75,10 +75,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
@@ -159,8 +155,17 @@ def relu_inplace(a: Array) -> Array:
     return a
 
 
+def _dense(h: Array, w: Array, b: Array, relu: bool) -> Array:
+    """``h @ w + b`` on plain arrays, then :func:`relu_inplace` if ``relu``:
+    the layer step of both :func:`mlp` and graph-free inference, whose
+    values are therefore equal bit for bit."""
+    out = h @ w
+    out += b[..., None, :]
+    return relu_inplace(out) if relu else out
+
+
 def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> Tensor:
-    """Dense layers ``h @ w + b`` as one graph node, ``max(., 0)`` after
+    """Dense layers (:func:`_dense`) as one graph node, ``max(., 0)`` after
     each but the last (and the last too if ``relu_last``).
 
     ``layers`` holds (weight, bias) tensors of a :class:`ParamSet`, input
@@ -169,9 +174,10 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> 
     networks). Weights and biases are not graph parents: the reverse pass
     writes their gradients into their ``grad`` views (with ``out=`` while the
     walk has not yet reached them, else added), and computes an input
-    gradient only when ``x`` requires one. Each layer runs the numpy
-    operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so
-    values and gradients are bit-identical to it.
+    gradient only when ``x`` requires one. Its ReLU mask is ``out > 0.0`` on
+    the ReLU output, the bools of the product before it. Each layer runs the
+    numpy operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``,
+    so values and gradients are bit-identical to it.
     """
     x = as_tensor(x)
     h = x.data
@@ -181,13 +187,9 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> 
         if (h.ndim < 2 or h.shape[:-2] + h.shape[-1:] != wd.shape[:-1]
                 or bd.shape != wd.shape[:-2] + wd.shape[-1:]):
             raise ShapeError(f"mlp layer {i}: {h.shape} @ {wd.shape} + {bd.shape} do not chain")
-        out = h @ wd
-        out += bd[..., None, :]
-        mask = None
-        if relu_last or i < len(layers) - 1:
-            mask = out > 0.0
-            relu_inplace(out)
-        saved.append((h, mask, wd, w, b))
+        relu = relu_last or i < len(layers) - 1
+        out = _dense(h, wd, bd, relu)
+        saved.append((h, out > 0.0 if relu else None, wd, w, b))
         h = out
 
     def reverse(g: Array) -> Array | None:
@@ -265,12 +267,6 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _is_unit(t) -> bool:
-    """Whether ``t`` is the scalar 1, by which a division is exact and can
-    be skipped."""
-    return not isinstance(t, np.ndarray) and t == 1.0
-
-
 def softmax_t(logits, temperature=1.0) -> Tensor:
     """Row softmax of ``logits / T`` with max-subtraction stabilization.
 
@@ -298,13 +294,12 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
             raise ValueError(f"temperature must be positive, got {t}")
 
     zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_temperature reuses it
-    e = np.exp(zc if _is_unit(t) else zc / t)
+    e = np.exp(zc / t)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp_logits(g: Array) -> Array:
         inner = (g * y).sum(axis=-1, keepdims=True)
-        gz = y * (g - inner)
-        return gz if _is_unit(t) else gz / t
+        return y * (g - inner) / t
 
     vjps = [(z, vjp_logits)]
     if t_node is not None:
@@ -370,12 +365,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -452,11 +441,7 @@ def _walk(loss: Tensor) -> None:
         if g is None:  # a network's constant input
             continue
         if node.grad is not None:
-            if node._fresh:
-                node.grad[...] = g
-                node._fresh = False
-            else:
-                node.grad += g
+            _grad_into(node, np.positive, g)  # a parameter reached as a leaf
         for parent, vjp in node._vjps:
             contrib = vjp(g)
             if contrib is None:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixbi.baseline import train_dann, train_source_only
 from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
                         loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
@@ -600,6 +601,32 @@ class TestLoopShape:
         assert len(counts) == cfg.epochs * (16 // cfg.batch_size)
         for epoch, walks, steps, forwards, inferred in counts:
             assert (walks, steps, forwards, inferred) == (1, 1, 1, extra), epoch
+
+
+@pytest.mark.parametrize("trainer", [
+    train_source_only, train_dann,
+    lambda cfg, source, target: train_fixbi(
+        cfg, source, target, init_model(source.dim, cfg.arch, 2, cfg.seed))],
+    ids=["source-only", "dann", "fixbi"])
+def test_schedule_covers_every_step_on_domains_of_different_sizes(monkeypatch, trainer):
+    # 20 source rows and 12 target rows in batches of 4: the larger domain
+    # sets the epoch at 5 batches, so S = epochs * 5 steps run at k / S
+    import fixbi.baseline as baseline
+    import fixbi.core as core
+
+    progress: list[float] = []
+
+    def recorded(lr0, p):
+        progress.append(p)
+        return lr_schedule(lr0, p)
+
+    monkeypatch.setattr(baseline, "lr_schedule", recorded)
+    monkeypatch.setattr(core, "lr_schedule", recorded)
+    (source, _), (_, target) = tiny_pair(n=20), tiny_pair(n=12)
+    cfg = tiny_config(epochs=3, warmup_epochs=1, baseline_epochs=3)
+    trainer(cfg, source, target)
+    steps = 3 * 5
+    assert progress == [k / steps for k in range(steps)]
 
 
 class TestStackedMatchesTwoModels:

@@ -159,7 +159,6 @@ class TestReluCallCount:
             return relu(a)
 
         monkeypatch.setattr(numerics, "relu_inplace", counted)
-        monkeypatch.setattr(models, "relu_inplace", counted)
         return calls
 
     @pytest.mark.parametrize("depth", [1, 2, 3])

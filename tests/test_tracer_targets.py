@@ -14,7 +14,6 @@ from pathlib import Path
 
 import fixbi
 import fixbi.harness
-import fixbi.models
 from fixbi.config import DatasetSpec, TrainConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -34,8 +33,6 @@ def test_traced_functions_and_model_exports_exist():
                if not inspect.isfunction(
                    getattr(importlib.import_module(f"fixbi.{owner}"), fname, None))]
     assert not missing, f"traced but not defined: {missing}"
-    unexported = [n for n in fixbi.models.__all__ if not hasattr(fixbi.models, n)]
-    assert not unexported, f"in fixbi.models.__all__ but not defined: {unexported}"
 
 
 def test_wrappers_with_named_arguments_match_their_targets():
