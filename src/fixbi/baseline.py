@@ -123,9 +123,9 @@ def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
     feats, logits = forward_logits(model, x)
     class_onehot = np.zeros((b, model.num_classes))
     class_onehot[:b_s] = ys_onehot
-    class_loss = log_loss(softmax_t(logits, 1.0), class_onehot, b_s)
+    class_loss = log_loss(softmax_t(logits), class_onehot, b_s)
 
-    dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)), 1.0)
+    dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)))
     dom_onehot = np.zeros((b, 2))
     dom_onehot[:b_s, 0] = 1.0
     dom_onehot[b_s:, 1] = 1.0

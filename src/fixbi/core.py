@@ -32,8 +32,8 @@ import numpy as np
 
 from .config import MetricsRow, TrainConfig, validate_config
 from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
-from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, accuracy,
-                     ensemble_labels, forward_logits, predict_probs,
+from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
+                     accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
 from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
                        sgd_step, softmax_t, take)
@@ -161,7 +161,7 @@ def loss_sp(probs: Array, logits: Tensor, log_temperature: Tensor,
     also trains that parameter. A stack of models takes the ``[K x 1]``
     log-temperatures and one gate row per model.
     """
-    tempered = softmax_t(logits, log_temperature.exp())
+    tempered = softmax_t(logits, log_temperature)
     return log_loss(1.0 - tempered, _top1_mask(probs, selected), probs.shape[-2])
 
 
@@ -231,7 +231,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
     frozen = (np.tile(pseudo_labels(init_weights, target.features)[0], (2, 1))
               if cfg.pseudo_label_source == "frozen-baseline" else None)
     pair = stack_models([init_weights, init_weights])
-    trace: list[tuple[int, int, float, float, int, int]] = []
+    trace: list[ThresholdRow] = []
     rows: list[MetricsRow] = []
     log_temperature = pair.params[LOG_TEMPERATURE]
     n_batches = batches_per_epoch(source, target, cfg.batch_size)
@@ -268,8 +268,8 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             # the T = 1 probabilities of the target rows give the gates and
             # pseudo-labels as data and are the student input of matching;
             # the target rows' logits feed self-penalization
-            _, logits = forward_logits(pair, x)
-            probs = softmax_t(logits, 1.0)
+            logits = forward_logits(pair, x)[1]
+            probs = softmax_t(logits)
             target_probs = probs.data[:, t_rows]
             if not np.isfinite(target_probs).all():
                 bad = next(m for m, p in zip(_MODELS, target_probs)
@@ -295,42 +295,40 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
                 # the partner teaches, through its own gate
                 terms["bim"] = loss_bim(target_probs[::-1], take(probs, (both, t_rows)),
                                         stats.above[::-1])
-            if with_cr:
-                terms["cr"] = loss_cr(take(probs, (0, half_rows)),
-                                      take(probs, (1, half_rows)))
 
-            # entry k of a per-model node is model k's column; "cr" is one scalar
-            values = {f"{kind}_{m}": v for kind, node in terms.items() if kind != "cr"
+            # entry k of a per-model node is model k's column. One walk goes
+            # over the sum of every term: the models' slices of the stacked
+            # parameters are disjoint and teacher probabilities are
+            # constants, so each model gets exactly its own gradients
+            values = {f"{kind}_{m}": v for kind, node in terms.items()
                       for m, v in zip(_MODELS, node.data.tolist())}
-            if with_cr:
-                values["cr"] = terms["cr"].item()
+            loss = sum(list(terms.values())[1:], terms["fm"]).sum()
+            if with_cr:  # one scalar node, the "cr" column
+                cr = loss_cr(take(probs, (0, half_rows)), take(probs, (1, half_rows)))
+                values["cr"] = cr.item()
+                loss = loss + cr
             for col, v in values.items():
                 if not math.isfinite(v):
                     raise NonFiniteLossError(col, epoch, it, v, rows)
                 ledger[col] = ledger.get(col, 0.0) + v
-
-            # one walk over the sum of every term: the models' slices of the
-            # stacked parameters are disjoint and teacher probabilities are
-            # constants, so each model gets exactly its own gradients
-            per_model = [t for kind, t in terms.items() if kind != "cr"]
-            loss = sum(per_model[1:], per_model[0]).sum()
-            if with_cr:
-                loss = loss + terms["cr"]
             sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
                      cfg.weight_decay)
             step += 1
-            trace.append((epoch, it, *stats.tau.tolist(),
-                          *stats.above.sum(axis=1).tolist()))
+            trace.append(ThresholdRow(epoch, it, *stats.tau.tolist(),
+                                      *stats.above.sum(axis=1).tolist()))
 
         # losses and thresholds are averaged over the epoch's batches (every
         # epoch has n_batches of them), gate counts are totals; both gate
-        # columns are read off this epoch's rows of the trace
-        _, _, tau_sd, tau_td, n_above_sd, n_above_td = zip(*trace[-n_batches:])
+        # columns are summed off this epoch's rows of the trace
+        gates = {col: sum(getattr(r, col) for r in trace[-n_batches:])
+                 for col in ThresholdRow._fields[2:]}
         rows.append(MetricsRow(
             epoch=epoch, **{col: v / n_batches for col, v in ledger.items()},
-            tau_sd=sum(tau_sd, 0.0) / n_batches, tau_td=sum(tau_td, 0.0) / n_batches,
-            n_above_sd=sum(n_above_sd), n_above_td=sum(n_above_td),
+            tau_sd=gates["tau_sd"] / n_batches, tau_td=gates["tau_td"] / n_batches,
+            n_above_sd=gates["n_above_sd"], n_above_td=gates["n_above_td"],
             **_evaluate(pair, source, target)))
-    del logits, probs, terms, loss, per_model  # the last step's graph, before the unstack
+    del logits, probs, terms, loss  # the last step's graph, before the unstack
+    if with_cr:  # matching never closes again, so the last step made one
+        del cr
     sdm, tdm = unstack_models(pair)
     return DualState(sdm, tdm, threshold_trace=trace), rows

@@ -26,8 +26,8 @@ from .config import (ConfigError, METRICS_COLUMNS, MetricsRow, TrainConfig,
 from .core import NonFiniteLossError, train_fixbi
 from .data import (Array, CsvFormatError, Dataset, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv)
-from .models import (DualState, ensemble_labels, predict_features, predict_probs,
-                     save_checkpoint)
+from .models import (DualState, ThresholdRow, ensemble_labels, predict_features,
+                     predict_probs, save_checkpoint)
 
 METRICS_VERSION = "v2"
 BASELINE_VERSION = "v1"
@@ -201,8 +201,7 @@ def _write_classwise(report: ClasswiseReport, path: Path) -> None:
 
 
 def _write_threshold_trace(dual: DualState, path: Path) -> None:
-    _write_table(path, "epoch,iteration,tau_sd,tau_td,n_above_sd,n_above_td",
-                 dual.threshold_trace)
+    _write_table(path, ",".join(ThresholdRow._fields), dual.threshold_trace)
 
 
 def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> None:
@@ -210,8 +209,8 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
     training, with the warm-up boundary marked."""
     trace = dual.threshold_trace
     width, height, margin = 640, 320, 45
-    n_epochs = trace[-1][0]
-    per_epoch = max(it for _, it, *_ in trace)
+    n_epochs = trace[-1].epoch
+    per_epoch = max(row.iteration for row in trace)
 
     def x_pos(epoch: int, it: int) -> float:
         frac = (epoch - 1 + it / per_epoch) / n_epochs
@@ -220,8 +219,9 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
     def y_pos(tau: float) -> float:
         return height - margin - tau * (height - 2 * margin)
 
-    def polyline(idx: int, color: str, label: str, label_y: int) -> list[str]:
-        pts = " ".join(f"{x_pos(t[0], t[1]):.1f},{y_pos(t[idx]):.1f}" for t in trace)
+    def polyline(tau: str, color: str, label: str, label_y: int) -> list[str]:
+        pts = " ".join(f"{x_pos(row.epoch, row.iteration):.1f},{y_pos(getattr(row, tau)):.1f}"
+                       for row in trace)
         return [f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                 f'points="{pts}"/>',
                 f'<text x="{width - margin - 150}" y="{label_y}" fill="{color}" '
@@ -252,8 +252,8 @@ def _write_threshold_chart(dual: DualState, warmup_epochs: int, path: Path) -> N
                      f'y2="{height - margin}" stroke="gray" stroke-dasharray="4 3"/>')
         parts.append(f'<text x="{x + 4:.1f}" y="{margin + 12}" font-size="10" '
                      f'fill="gray">warm-up ends</text>')
-    parts += polyline(2, "#1f77b4", "source-dominant model", margin + 14)
-    parts += polyline(3, "#d62728", "target-dominant model", margin + 30)
+    parts += polyline("tau_sd", "#1f77b4", "source-dominant model", margin + 14)
+    parts += polyline("tau_td", "#d62728", "target-dominant model", margin + 30)
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
@@ -349,10 +349,10 @@ class ExperimentResult:
 def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     """Baseline pretrain, dual-model train, final eval; writes all artifacts."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     source, target = load_dataset_pair(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name in ARTIFACTS:  # a rerun leaves none of the previous run's files
         (out_dir / name).unlink(missing_ok=True)
     # each phase's completed epochs survive an abort, in that phase's file

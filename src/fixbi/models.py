@@ -7,6 +7,7 @@ softmax temperature parameterized as ``T = exp(theta)`` so it stays positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,13 +43,14 @@ class ClassifierModel:
     def feature_dim(self) -> int:
         return self.widths[-1] if self.widths else self.input_dim
 
-    def temperature(self) -> float:
-        return float(np.exp(self.params[LOG_TEMPERATURE].data[0]))
 
-
-def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> Array:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _init_params(layout: dict[str, tuple[int, ...]], seed) -> ParamSet:
+    """Fresh tensors of an ordered name -> shape layout, drawn in its order from ``seed``:
+    each weight (2-D) uniform in +-1/sqrt(fan_in), every other tensor zeros."""
+    rng = np.random.default_rng(seed)
+    return ParamSet({name: rng.uniform(-(bound := 1.0 / np.sqrt(shape[0])), bound, size=shape)
+                     if len(shape) == 2 else np.zeros(shape)
+                     for name, shape in layout.items()})
 
 
 def _layout(input_dim: int, widths: tuple[int, ...],
@@ -74,11 +76,8 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
 
-    rng = np.random.default_rng(seed)
-    tensors = {name: _uniform_fan_in(rng, shape[0], shape) if len(shape) == 2  # a weight
-               else np.zeros(shape)
-               for name, shape in _layout(input_dim, widths, num_classes).items()}
-    return ClassifierModel(input_dim, widths, num_classes, ParamSet(tensors))
+    return ClassifierModel(input_dim, widths, num_classes,
+                           _init_params(_layout(input_dim, widths, num_classes), seed))
 
 
 def stack_models(models) -> ClassifierModel:
@@ -145,7 +144,7 @@ def forward(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
     which computes its own tempered softmax from the logits.
     """
     feats, logits = forward_logits(model, x)
-    return feats, softmax_t(logits, 1.0)
+    return feats, softmax_t(logits)
 
 
 def _infer(model: ClassifierModel, x, probs: bool) -> Array:
@@ -225,14 +224,9 @@ class DomainDiscriminator:
 
 def init_discriminator(feature_dim: int, hidden: int, seed,
                        grl_lambda: float = 1.0) -> DomainDiscriminator:
-    rng = np.random.default_rng(seed)
-    params = ParamSet({
-        "disc.w0": _uniform_fan_in(rng, feature_dim, (feature_dim, hidden)),
-        "disc.b0": np.zeros(hidden),
-        "disc.w1": _uniform_fan_in(rng, hidden, (hidden, 2)),
-        "disc.b1": np.zeros(2),
-    })
-    return DomainDiscriminator(params, grl_lambda)
+    layout = {"disc.w0": (feature_dim, hidden), "disc.b0": (hidden,),
+              "disc.w1": (hidden, 2), "disc.b1": (2,)}
+    return DomainDiscriminator(_init_params(layout, seed), grl_lambda)
 
 
 def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
@@ -241,18 +235,27 @@ def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
     return mlp(features, [(p["disc.w0"], p["disc.b0"]), (p["disc.w1"], p["disc.b1"])])
 
 
+class ThresholdRow(NamedTuple):
+    """One dual iteration's adaptive gates, a ``threshold.csv`` row whose fields are the
+    file's columns: each model's threshold and its count of target samples above it."""
+
+    epoch: int
+    iteration: int
+    tau_sd: float
+    tau_td: float
+    n_above_sd: int
+    n_above_td: int
+
+
 @dataclass
 class DualState:
-    """The trained pair of models plus bookkeeping from the run.
-
-    ``threshold_trace`` rows are (epoch, iteration, tau_sd, tau_td,
-    n_above_sd, n_above_td), one per training iteration.
-    """
+    """The trained pair of models plus bookkeeping from the run:
+    ``threshold_trace`` holds one :class:`ThresholdRow` per training
+    iteration."""
 
     sdm: ClassifierModel
     tdm: ClassifierModel
-    threshold_trace: list[tuple[int, int, float, float, int, int]] = field(
-        default_factory=list)
+    threshold_trace: list[ThresholdRow] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction helpers ------------------------------------
 
     @staticmethod
@@ -124,10 +121,6 @@ class Tensor:
     __rmul__ = __mul__
 
     # -- nonlinearities and reductions ----------------------------------
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return Tensor._make(out, [(self, lambda g: g * out)])
 
     def sum(self) -> "Tensor":
         shape = self.data.shape
@@ -267,33 +260,31 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_t(logits, temperature=1.0) -> Tensor:
+def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
     """Row softmax of ``logits / T`` with max-subtraction stabilization.
 
     ``logits`` is ``[B x C]`` or a stack ``[..., B, C]`` of such blocks, one
-    per model. ``temperature`` is a positive float, or a Tensor of shape
-    ``[..., 1]`` (the logits' leading axes, then 1; ``(1,)`` for 2-D
-    logits) through which gradients also flow: each block gets its own
+    per model. Without ``log_temperature`` T = 1. With it, T =
+    ``exp(log_temperature)``, computed here, and gradients also flow into
+    ``log_temperature``, a Tensor of shape ``[..., 1]`` (the logits' leading
+    axes, then 1; ``(1,)`` for 2-D logits): each block gets its own
     temperature and gradient, bit-identical to the 2-D call on that block.
     """
     z = as_tensor(logits)
     if z.data.ndim < 2 or z.data.shape[-1] < 2:
         raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
-    t_node = temperature if isinstance(temperature, Tensor) else None
     lead = z.data.shape[:-2]
-    if t_node is not None:
-        if t_node.data.shape != lead + (1,):
-            raise ShapeError(f"temperature tensor must have shape {lead + (1,)} "
-                             f"for logits {z.shape}, got {t_node.shape}")
-        t = t_node.data[..., None]
-        if not (t > 0.0).all():
-            raise ValueError(f"temperature must be positive, got {t_node.data.ravel()}")
-    else:
-        t = float(temperature)
-        if not t > 0.0:
-            raise ValueError(f"temperature must be positive, got {t}")
+    t = 1.0
+    if log_temperature is not None:
+        if log_temperature.data.shape != lead + (1,):
+            raise ShapeError(f"log-temperature tensor must have shape {lead + (1,)} "
+                             f"for logits {z.shape}, got {log_temperature.shape}")
+        td = np.exp(log_temperature.data)
+        if not (td > 0.0).all():  # a NaN log-temperature, or one whose exp underflows
+            raise ValueError(f"temperature must be positive, got {td.ravel()}")
+        t = td[..., None]
 
-    zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_temperature reuses it
+    zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_log_temperature reuses it
     e = np.exp(zc / t)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -302,15 +293,14 @@ def softmax_t(logits, temperature=1.0) -> Tensor:
         return y * (g - inner) / t
 
     vjps = [(z, vjp_logits)]
-    if t_node is not None:
-        def vjp_temperature(g: Array) -> Array:
-            # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z)
+    if log_temperature is not None:
+        def vjp_log_temperature(g: Array) -> Array:
+            # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z), dT/dtheta = T
             m = (y * zc).sum(axis=-1, keepdims=True)
             terms = g * y * (zc - m)
-            td = t_node.data
-            return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td)
+            return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td) * td
 
-        vjps.append((t_node, vjp_temperature))
+        vjps.append((log_temperature, vjp_log_temperature))
     return Tensor._make(y, vjps)
 
 

@@ -155,14 +155,14 @@ def check_grads(loss_builder, params: ParamSet, eps: float = 1e-5,
 
 def probs_of(model: ClassifierModel, x):
     """The model's T = 1 probabilities as a graph tensor."""
-    return softmax_t(forward_logits(model, x)[1], 1.0)
+    return softmax_t(forward_logits(model, x)[1])
 
 
 def sp_of(model: ClassifierModel, x, selected):
     """Self-penalization of the ``selected`` rows from one forward, as the
     training loop builds it."""
     logits = forward_logits(model, x)[1]
-    return loss_sp(softmax_t(logits, 1.0).data, logits, model.params["log_temperature"],
+    return loss_sp(softmax_t(logits).data, logits, model.params["log_temperature"],
                    selected)
 
 

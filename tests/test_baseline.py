@@ -155,7 +155,7 @@ class TestDann:
         """Reference: separate extractor and discriminator passes for the
         source and the target batch."""
         def log_probs(z):
-            return log(clamp_min(softmax_t(z, 1.0), 1e-12))
+            return log(clamp_min(softmax_t(z), 1e-12))
 
         feat_s = extract_features(model, xs)
         feat_t = extract_features(model, xt)
@@ -260,10 +260,10 @@ class TestDiscriminatorOracle:
         feats = np.concatenate([feat_s, feat_t], axis=0)
         for _ in range(120):
             from fixbi.numerics import softmax_t
-            probs = softmax_t(discriminator_logits(disc, Tensor(feats)), 1.0)
+            probs = softmax_t(discriminator_logits(disc, Tensor(feats)))
             loss = (onehot * log(clamp_min(probs, 1e-12))).sum() * (-1.0 / 160)
             sgd_step(disc.params, backward(loss, disc.params), lr=0.1, momentum=0.9)
-        probs = softmax_t(discriminator_logits(disc, Tensor(feats)), 1.0).data
+        probs = softmax_t(discriminator_logits(disc, Tensor(feats))).data
         pred = np.argmax(probs, axis=1)
         truth = np.concatenate([np.zeros(80), np.ones(80)])
         assert (pred == truth).mean() > 0.95

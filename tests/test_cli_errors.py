@@ -284,6 +284,21 @@ def test_run_with_batch_larger_than_generated_domains(tmp_path, capsys):
     assert "60" in err
 
 
+def test_run_with_input_error_creates_no_out_dir(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("# classes=2 dim=1\n0.1,0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.kind = csv\n"
+                   f"dataset.source = {one}\n"
+                   f"dataset.target = {one}\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbatch_size = 32\n")
+    out = tmp_path / "out" / "new"
+    assert cli_main(["run", str(cfg), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: batch_size: 32 exceeds the smaller domain's 1 samples\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_with_batch_larger_than_target_csv(tmp_path, capsys):
     src = tmp_path / "s.csv"
     src.write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")

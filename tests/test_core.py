@@ -207,7 +207,7 @@ class TestStackedLosses:
     def _sp(params, selected):
         """loss_sp of the ``selected`` rows of ``params["z"]``."""
         z = params["z"]
-        return loss_sp(softmax_t(z, 1.0).data, z, params["log_t"], selected)
+        return loss_sp(softmax_t(z).data, z, params["log_t"], selected)
 
     @staticmethod
     def _check(params, stacked, single):
@@ -227,15 +227,15 @@ class TestStackedLosses:
     def test_loss_fm(self):
         rng, params = self._stack(14)
         y_mix = rng.dirichlet(np.ones(3), size=(2, 6))
-        self._check(params, lambda p: loss_fm(softmax_t(p["z"], 1.0), y_mix),
-                    lambda p, k: loss_fm(softmax_t(p["z"], 1.0), y_mix[k]))
+        self._check(params, lambda p: loss_fm(softmax_t(p["z"]), y_mix),
+                    lambda p, k: loss_fm(softmax_t(p["z"]), y_mix[k]))
 
     def test_loss_bim(self):
         rng, params = self._stack(15)
         teacher = rng.dirichlet(np.ones(3) * 0.5, size=(2, 6))
         above = np.array([split_gate(t.max(axis=1))[0] for t in teacher])
-        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"], 1.0), above),
-                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"], 1.0), above[k]))
+        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"]), above),
+                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"]), above[k]))
 
     def test_loss_sp(self):
         rng, params = self._stack(16)
@@ -648,7 +648,7 @@ class TestStackedMatchesTwoModels:
                 ys_hot = one_hot(batch.ys, init.num_classes)
                 logits = {m: forward_logits(model, batch.xt)[1]
                           for m, model in (("sd", sdm), ("td", tdm))}
-                q = {m: softmax_t(z, 1.0) for m, z in logits.items()}
+                q = {m: softmax_t(z) for m, z in logits.items()}
                 gate = {m: adaptive_threshold(p.data.max(axis=1)[None])
                         for m, p in q.items()}
                 terms = {}
@@ -656,7 +656,7 @@ class TestStackedMatchesTwoModels:
                                       ("td", tdm, cfg.lambda_td)):
                     pl = one_hot(np.argmax(q[m].data, axis=1), init.num_classes)
                     x_mix = mixup(batch.xs, batch.xt, lam)
-                    probs = softmax_t(forward_logits(model, x_mix)[1], 1.0)
+                    probs = softmax_t(forward_logits(model, x_mix)[1])
                     terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
                     terms[f"sp_{m}"] = loss_sp(q[m].data, logits[m],
                                                model.params["log_temperature"],
@@ -666,8 +666,8 @@ class TestStackedMatchesTwoModels:
                     terms["bim_td"] = loss_bim(q["sd"].data, q["td"], gate["sd"].above[0])
                     x_half = 0.5 * batch.xs + 0.5 * batch.xt
                     terms["cr"] = loss_cr(
-                        softmax_t(forward_logits(sdm, x_half)[1], 1.0),
-                        softmax_t(forward_logits(tdm, x_half)[1], 1.0))
+                        softmax_t(forward_logits(sdm, x_half)[1]),
+                        softmax_t(forward_logits(tdm, x_half)[1]))
                 losses.append({name: t.item() for name, t in terms.items()})
                 total = None
                 for t in terms.values():

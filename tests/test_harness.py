@@ -22,7 +22,7 @@ from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
                            execute, load_dataset_pair, load_metrics_csv,
                            rank_class_gaps, run_experiment)
 from fixbi.data import Dataset, as_target_view
-from fixbi.models import DualState, init_model, load_checkpoint
+from fixbi.models import DualState, ThresholdRow, init_model, load_checkpoint
 from helpers import (assert_no_child, count_forks, fail_in_children,
                      force_feature_workers, needs_fork, open_fds,
                      serial_features_csv)
@@ -329,6 +329,13 @@ class TestRunExperiment:
         lines = (tmp_path / "out" / "threshold.csv").read_text().strip().split("\n")
         n_batches = 32 // cfg.batch_size  # 16 per class, 2 classes
         assert len(lines) == 1 + cfg.epochs * n_batches
+
+    def test_threshold_csv_columns_are_threshold_row_fields(self, tmp_path):
+        cfg = parse_config(small_config_text())
+        result = execute(cfg, tmp_path / "out")
+        lines = (tmp_path / "out" / "threshold.csv").read_text().strip().split("\n")
+        assert lines[0] == ",".join(ThresholdRow._fields)
+        assert all(isinstance(row, ThresholdRow) for row in result.dual.threshold_trace)
 
     def test_features_csv_covers_both_domains(self, tmp_path):
         cfg = parse_config(small_config_text())

@@ -36,7 +36,7 @@ class TestInitModel:
         w0 = model.params["ext.w0"].data   # fan_in 4 -> bound 0.5
         assert np.abs(w0).max() <= 0.5
         assert np.abs(w0).max() > 0.25     # actually spread over the range
-        assert model.temperature() == 1.0
+        assert model.params["log_temperature"].data.tolist() == [0.0]  # T = 1
 
     def test_empty_widths_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestGraphFreeInference:
         feats, logits = forward_logits(model, x)
         probs = predict_probs(model, x)
         assert probs.shape == (rows, 3)
-        assert probs.tobytes() == softmax_t(logits, 1.0).data.tobytes()
+        assert probs.tobytes() == softmax_t(logits).data.tobytes()
         assert predict_features(model, x).tobytes() == feats.data.tobytes()
 
     def test_wrong_width_raises_the_graph_forwards_error(self):
@@ -139,7 +139,7 @@ class TestReluOnNonFiniteWeights:
         assert predict_features(model, x).tobytes() == feats.data.tobytes()
         probs = predict_probs(model, x)
         assert np.isfinite(probs).all()
-        assert probs.tobytes() == softmax_t(logits, 1.0).data.tobytes()
+        assert probs.tobytes() == softmax_t(logits).data.tobytes()
 
 
 class TestReluCallCount:

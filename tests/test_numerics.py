@@ -16,36 +16,40 @@ from helpers import (affine, check_grads, clamp_min, finite_diff_grads, flat_gra
 
 class TestSoftmaxT:
     def test_symmetric_row_is_uniform(self):
-        out = softmax_t([[0.0, 0.0, 0.0]], 1.0)
+        out = softmax_t([[0.0, 0.0, 0.0]])
         assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_hand_evaluated_row(self):
-        out = softmax_t([[math.log(2.0), 0.0]], 1.0)
+        out = softmax_t([[math.log(2.0), 0.0]])
         assert np.allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_large_temperature_flattens(self):
-        out = softmax_t([[5.0, 1.0]], 1000.0)
+        out = softmax_t([[5.0, 1.0]], Tensor([math.log(1000.0)]))
         assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-3)
 
     def test_rows_sum_to_one_under_huge_logits(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = rng.uniform(-1e3, 1e3, size=(4, 6))
-            rows = softmax_t(z, 1.0).data.sum(axis=1)
+            rows = softmax_t(z).data.sum(axis=1)
             assert np.abs(rows - 1.0).max() < 1e-12
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_t([[1.0, 2.0]], 0.0)
-        with pytest.raises(ValueError):
-            softmax_t([[1.0, 2.0]], -1.0)
+        # exp of these log-temperatures underflows to T = 0
+        for theta in (-800.0, -math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                softmax_t([[1.0, 2.0]], Tensor([theta]))
+
+    def test_nan_log_temperature_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            softmax_t([[1.0, 2.0]], Tensor([math.nan]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ShapeError):
-            softmax_t([[1.0]], 1.0)
+            softmax_t([[1.0]])
 
     def test_empty_batch(self):
-        out = softmax_t(np.zeros((0, 3)), 1.0)
+        out = softmax_t(np.zeros((0, 3)))
         assert out.data.shape == (0, 3)
 
     def test_gradient_wrt_logits_and_temperature(self):
@@ -55,14 +59,14 @@ class TestSoftmaxT:
         weights = rng.normal(size=(3, 4))  # random linear functional of softmax
 
         def build():
-            return (softmax_t(z, theta.exp()) * weights).sum()
+            return (softmax_t(z, theta) * weights).sum()
 
         check_grads(build, params, tol=1e-6)
 
     def test_determinism(self):
         z = np.linspace(-2, 2, 12).reshape(3, 4)
-        a = softmax_t(z, 0.7).data
-        b = softmax_t(z, 0.7).data
+        a = softmax_t(z, Tensor([math.log(0.7)])).data
+        b = softmax_t(z, Tensor([math.log(0.7)])).data
         assert a.tobytes() == b.tobytes()
 
 
@@ -109,7 +113,7 @@ class TestBackward:
                 h = affine(h, params[f"w{i}"], params[f"b{i}"])
                 if i < 2:
                     h = relu(h)
-            p = softmax_t(h, 1.0)
+            p = softmax_t(h)
             return (y * log(clamp_min(p, 1e-12))).sum() * (-1.0 / 5)
 
         analytic = named_grads(build(), params)
@@ -128,7 +132,7 @@ class TestBackward:
             def build():
                 mixed = relu(a * b + a - b) + 0.5
                 z = matmul(mixed, w)
-                p = softmax_t(z, 1.0)
+                p = softmax_t(z)
                 return (p * p).sum() * 0.25 + \
                     mean(log(clamp_min(mixed, 0.1))) + squared_l2(z) * 0.01
 
@@ -148,7 +152,7 @@ class TestBackward:
         x = rng.normal(size=(2, 4))
 
         def run():
-            loss = squared_l2(softmax_t(matmul(as_tensor(x), w), 1.0))
+            loss = squared_l2(softmax_t(matmul(as_tensor(x), w)))
             return named_grads(loss, params)["w"].tobytes()
 
         assert run() == run()
@@ -302,12 +306,11 @@ class TestFirstWriteGradients:
 
     @staticmethod
     def _pair_loss(params, upstream, scale, depth=3):
-        """A stacked pair's network, a per-model temperature leaf reached
-        through ``exp`` and the input reached through the network."""
+        """A stacked pair's network, a per-model log-temperature leaf reached
+        through ``softmax_t`` and the input reached through the network."""
         out = mlp(params["x"], _layers(params, depth), relu_last=True)
-        temp = params["theta"].exp()
         return ((out * upstream).sum() * scale
-                + (softmax_t(out, temp) * upstream).sum())
+                + (softmax_t(out, params["theta"]) * upstream).sum())
 
     @staticmethod
     def _pair(seed, depth=3, extra=False):
@@ -454,11 +457,11 @@ class TestStackedSoftmaxT:
 
     def test_slices_bit_identical_to_2d_calls(self):
         params, upstream = self._stack(35)
-        stacked = softmax_t(params["z"], 1.0)
+        stacked = softmax_t(params["z"])
         grads = named_grads((stacked * upstream).sum(), params)
         for k in range(2):
             single = _model_slice(params, k)
-            out = softmax_t(single["z"], 1.0)
+            out = softmax_t(single["z"])
             assert stacked.data[k].tobytes() == out.data.tobytes()
             want = named_grads((out * upstream[k]).sum(), single)
             assert grads["z"][k].tobytes() == want["z"].tobytes()
@@ -469,7 +472,7 @@ class TestStackedSoftmaxT:
         params, upstream = self._stack(36)
 
         def term(k):
-            y = softmax_t(take(params["z"], k), take(params["log_t"], k).exp())
+            y = softmax_t(take(params["z"], k), take(params["log_t"], k))
             return (y * upstream[k]).sum()
 
         check_grads(lambda: term(0) + term(1), params)
@@ -477,7 +480,7 @@ class TestStackedSoftmaxT:
         grads = named_grads(term(0) + term(1), params)
         for k in range(2):
             single = _model_slice(params, k)
-            y = softmax_t(single["z"], single["log_t"].exp())
+            y = softmax_t(single["z"], single["log_t"])
             want = named_grads((y * upstream[k]).sum(), single)
             assert grads["log_t"][k].tobytes() == want["log_t"].tobytes()
 
@@ -488,14 +491,14 @@ class TestStackedSoftmaxT:
         params, upstream = self._stack(37)
 
         def objective():
-            return (softmax_t(params["z"], params["log_t"].exp()) * upstream).sum()
+            return (softmax_t(params["z"], params["log_t"]) * upstream).sum()
 
         check_grads(objective, params)
-        y = softmax_t(params["z"], params["log_t"].exp())
+        y = softmax_t(params["z"], params["log_t"])
         grads = named_grads((y * upstream).sum(), params)
         for k in range(2):
             single = _model_slice(params, k)
-            out = softmax_t(single["z"], single["log_t"].exp())
+            out = softmax_t(single["z"], single["log_t"])
             assert y.data[k].tobytes() == out.data.tobytes()
             want = named_grads((out * upstream[k]).sum(), single)
             for name in want:
@@ -504,11 +507,21 @@ class TestStackedSoftmaxT:
     def test_temperature_tensor_shape_and_sign_checked(self):
         z = Tensor(np.zeros((2, 4, 3)))
         with pytest.raises(ShapeError):
-            softmax_t(z, Tensor(np.ones((3, 1))))
-        with pytest.raises(ShapeError):  # one temperature per block, no scalar
-            softmax_t(z, Tensor(np.array(1.0)))
+            softmax_t(z, Tensor(np.zeros((3, 1))))
+        with pytest.raises(ShapeError):  # one log-temperature per block, no scalar
+            softmax_t(z, Tensor(np.array(0.0)))
+        with pytest.raises(ValueError, match="positive"):  # exp(-800) is 0.0
+            softmax_t(z, Tensor(np.array([[0.0], [-800.0]])))
         with pytest.raises(ValueError, match="positive"):
-            softmax_t(z, Tensor(np.array([[1.0], [0.0]])))
+            softmax_t(z, Tensor(np.array([[math.nan], [0.0]])))
+
+    def test_log_temperature_gradient_far_from_one_matches_finite_differences(self):
+        # T = exp(+-2.5), about 12.2 and 0.08, on a (2, B, C) stack: the
+        # chain through T = exp(theta) is computed inside the node
+        params, upstream = self._stack(38)
+        params["log_t"].data[...] = [[2.5], [-2.5]]
+        check_grads(lambda: (softmax_t(params["z"], params["log_t"]) * upstream).sum(),
+                    params)
 
 
 class TestLogLoss:
@@ -526,7 +539,7 @@ class TestLogLoss:
 
     def test_bit_identical_to_composed_chain(self):
         params, weights = self._case(23)
-        probs = softmax_t(params["z"], 1.0)
+        probs = softmax_t(params["z"])
         assert (probs.data < LOG_CLAMP).any()
         fused = log_loss(probs, weights, 5)
         chain = (weights * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
@@ -535,7 +548,7 @@ class TestLogLoss:
 
     def test_gradients_match_finite_differences(self):
         params, weights = self._case(24)
-        check_grads(lambda: log_loss(softmax_t(params["z"], 1.0), weights, 5),
+        check_grads(lambda: log_loss(softmax_t(params["z"]), weights, 5),
                     params)
 
     def test_weight_shape_mismatch_rejected(self):
@@ -558,12 +571,12 @@ class TestStackedLogLoss:
     def test_entries_bit_identical_to_2d_calls(self):
         params, weights = self._stack(25)
         upstream = np.array([0.7, -1.3])  # a different upstream per entry
-        stacked = log_loss(softmax_t(params["z"], 1.0), weights, 5)
+        stacked = log_loss(softmax_t(params["z"]), weights, 5)
         assert stacked.shape == (2,)
         grads = named_grads((stacked * upstream).sum(), params)
         for k in range(2):
             single = _model_slice(params, k)
-            probs = softmax_t(single["z"], 1.0)
+            probs = softmax_t(single["z"])
             out = log_loss(probs, weights[k], 5)
             chain = (weights[k] * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
             for want in (out, chain):
@@ -573,7 +586,7 @@ class TestStackedLogLoss:
 
     def test_gradients_match_finite_differences(self):
         params, weights = self._stack(26)
-        check_grads(lambda: (log_loss(softmax_t(params["z"], 1.0), weights, 5)
+        check_grads(lambda: (log_loss(softmax_t(params["z"]), weights, 5)
                              * np.array([0.7, -1.3])).sum(), params)
 
 

@@ -85,6 +85,6 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     assert metrics["numerics.backward_calls_per_iter.baseline"] == 1.0
     # one node per network (extractor, head, discriminator) and no
     # parameter leaves: a return to per-layer nodes or leaves raises these
-    # (21 and 25 with one node per layer and a leaf per weight and bias)
+    # (21 and 24 with one node per layer and a leaf per weight and bias)
     assert metrics["numerics.graph_nodes_per_iter.baseline"] == 9.0
-    assert metrics["numerics.graph_nodes_per_iter.dual"] == 18.0
+    assert metrics["numerics.graph_nodes_per_iter.dual"] == 17.0
