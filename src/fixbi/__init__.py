@@ -22,10 +22,10 @@ from .harness import (ClasswiseReport, ExperimentResult, classwise_accuracy,
                       classwise_report, emit_report, execute, load_metrics_csv,
                       rank_class_gaps, run_experiment)
 from .models import (ClassifierModel, DomainDiscriminator, DualState,
-                     ensemble_predict, forward, forward_logits, grl,
+                     ensemble_predict, forward, forward_logits,
                      init_discriminator, init_model, load_checkpoint,
                      predict_labels, save_checkpoint)
-from .numerics import (ParamSet, ShapeError, Tensor, backward, lr_schedule,
+from .numerics import (ParamSet, ShapeError, Tensor, backward, grl, lr_schedule,
                        sgd_step, softmax_t)
 
 __version__ = "0.1.0"

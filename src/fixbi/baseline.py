@@ -126,10 +126,7 @@ def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
     class_loss = log_loss(softmax_t(logits), class_onehot, b_s)
 
     dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)))
-    dom_onehot = np.zeros((b, 2))
-    dom_onehot[:b_s, 0] = 1.0
-    dom_onehot[b_s:, 1] = 1.0
-    domain_loss = log_loss(dom, dom_onehot, b)
+    domain_loss = log_loss(dom, one_hot(np.arange(b) >= b_s, 2), b)
     return class_loss, domain_loss
 
 

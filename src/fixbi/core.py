@@ -118,14 +118,6 @@ def adaptive_threshold(confidences: Array) -> ThresholdStats:
                           conf.size - num_above)
 
 
-def _top1_mask(probs: Array, selected: Array) -> Array:
-    """One-hot rows at each row's argmax where ``selected``, zero rows
-    elsewhere."""
-    labels = np.argmax(probs, axis=-1)
-    hot = labels[..., None] == np.arange(probs.shape[-1])
-    return (hot & selected[..., None]).astype(np.float64)
-
-
 def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     """Cross-entropy of a model's T = 1 probabilities on a mixed batch
     against the mixed labels (rows on the simplex, as :func:`mixup` of two
@@ -138,31 +130,31 @@ def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
     return log_loss(probs, y_mix, probs.data.shape[-2])
 
 
-def loss_bim(teacher_probs: Array, student_probs: Tensor, selected: Array) -> Tensor:
-    """Teach the student the teacher's argmax labels on the ``selected``
-    samples (the teacher's ``above`` gate); the others contribute zero.
+def loss_bim(student_probs: Tensor, teacher_hot: Array) -> Tensor:
+    """Teach the student the teacher's top-1 labels: ``teacher_hot`` holds
+    one-hot rows at the teacher's argmax on the samples its ``above`` gate
+    selects and zero rows elsewhere, which contribute zero.
 
-    Both probabilities are T = 1 on the same target batch. Teacher
-    probabilities are plain arrays, so no gradient reaches the teacher. A
-    stack of students takes a stack of teachers and their gates.
+    Both come from T = 1 probabilities on the same target batch. The labels
+    are plain arrays, so no gradient reaches the teacher. A stack of
+    students takes a stack of label tables.
     """
-    return log_loss(student_probs, _top1_mask(teacher_probs, selected),
-                    teacher_probs.shape[-2])
+    return log_loss(student_probs, teacher_hot, teacher_hot.shape[-2])
 
 
-def loss_sp(probs: Array, logits: Tensor, log_temperature: Tensor,
-            selected: Array) -> Tensor:
-    """Push the probability of the ``selected`` samples' top-1 predictions
-    (the model's own ``below`` gate) toward zero.
+def loss_sp(logits: Tensor, log_temperature: Tensor, own_hot: Array) -> Tensor:
+    """Push the probability of the model's own top-1 predictions toward
+    zero on the rows of ``own_hot`` that are one-hot (the model's ``below``
+    gate); zero rows contribute zero.
 
-    ``probs`` are the T = 1 probabilities of ``logits`` as a plain array and
-    give the argmax. The penalized probability is a softmax of ``logits``
-    at the learnable temperature ``exp(log_temperature)``, so its gradient
-    also trains that parameter. A stack of models takes the ``[K x 1]``
-    log-temperatures and one gate row per model.
+    The argmax behind ``own_hot`` uses the T = 1 probabilities. The
+    penalized probability is a softmax of ``logits`` at the learnable
+    temperature ``exp(log_temperature)``, so its gradient also trains that
+    parameter. A stack of models takes the ``[K x 1]`` log-temperatures
+    and one label table per model.
     """
     tempered = softmax_t(logits, log_temperature)
-    return log_loss(1.0 - tempered, _top1_mask(probs, selected), probs.shape[-2])
+    return log_loss(1.0 - tempered, own_hot, own_hot.shape[-2])
 
 
 def loss_cr(p: Tensor, q: Tensor) -> Tensor:
@@ -228,7 +220,8 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
     Returns the final dual state and one metrics row per epoch.
     """
     validate_config(cfg)
-    frozen = (np.tile(pseudo_labels(init_weights, target.features)[0], (2, 1))
+    frozen = (one_hot(np.tile(pseudo_labels(init_weights, target.features)[0], (2, 1)),
+                      init_weights.num_classes)
               if cfg.pseudo_label_source == "frozen-baseline" else None)
     pair = stack_models([init_weights, init_weights])
     trace: list[ThresholdRow] = []
@@ -276,25 +269,25 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
                            if not np.isfinite(p).all())
                 raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, np.nan, rows)
             stats = adaptive_threshold(target_probs.max(axis=-1))
-            if frozen is not None:
-                labels = frozen[:, batch.target_rows]
-            else:
-                labels = np.argmax(target_probs, axis=-1)
+            # each model's top-1 labels, taken once: the live pseudo-labels,
+            # split by the gate into the matching and penalization tables
+            hot = one_hot(np.argmax(target_probs, axis=-1), pair.num_classes)
+            labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
 
             # one node per loss kind for both models; each per-model loss is
             # an entry of its node
             both = slice(None)
             ys_hot = one_hot(batch.ys, pair.num_classes)
-            y_mix = np.stack([mixup(ys_hot, one_hot(labels_k, pair.num_classes), lam)
-                              for labels_k, lam in zip(labels, lams)])
+            y_mix = np.stack([mixup(ys_hot, labels_k, lam)
+                              for labels_k, lam in zip(labels_hot, lams)])
             terms: dict[str, Tensor] = {"fm": loss_fm(take(probs, (both, mix_rows)), y_mix)}
             if cfg.loss_sp:
-                terms["sp"] = loss_sp(target_probs, take(logits, (both, t_rows)),
-                                      log_temperature, stats.below)
+                terms["sp"] = loss_sp(take(logits, (both, t_rows)), log_temperature,
+                                      hot * stats.below[..., None])
             if with_bim:
                 # the partner teaches, through its own gate
-                terms["bim"] = loss_bim(target_probs[::-1], take(probs, (both, t_rows)),
-                                        stats.above[::-1])
+                terms["bim"] = loss_bim(take(probs, (both, t_rows)),
+                                        (hot * stats.above[..., None])[::-1])
 
             # entry k of a per-model node is model k's column. One walk goes
             # over the sum of every term: the models' slices of the stacked

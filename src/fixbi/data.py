@@ -313,10 +313,8 @@ def paired_minibatches(source: Dataset, target: Dataset, batch_size: int,
 
 
 def one_hot(labels: Array, num_classes: int) -> Array:
-    """Row-wise one-hot encoding as float64."""
+    """One-hot rows as float64: labels of shape ``S`` give ``S + (C,)``."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels outside [0, num_classes) cannot be one-hot encoded")
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)

@@ -176,7 +176,7 @@ class ClasswiseReport:
     top_gaps: list[tuple[int, float]]
 
 
-def classwise_report(dual: DualState, eval_ds: Dataset, top_n: int = 10) -> ClasswiseReport:
+def classwise_report(dual: DualState, eval_ds: Dataset) -> ClasswiseReport:
     truth = eval_ds.eval_labels()
     # one forward per model serves its own labels and the ensemble rule
     p_sd = predict_probs(dual.sdm, eval_ds.features)
@@ -190,7 +190,7 @@ def classwise_report(dual: DualState, eval_ds: Dataset, top_n: int = 10) -> Clas
     acc_td = classwise_accuracy(pred_td, truth, c)
     acc_ens = classwise_accuracy(pred_ens, truth, c)
     return ClasswiseReport(counts, acc_sd, acc_td, acc_ens,
-                           rank_class_gaps(acc_sd, acc_td, top_n))
+                           rank_class_gaps(acc_sd, acc_td))
 
 
 def _write_classwise(report: ClasswiseReport, path: Path) -> None:

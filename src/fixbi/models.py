@@ -1,4 +1,4 @@
-"""Small classifier networks, the gradient-reversal hook and the dual-model
+"""Small classifier networks, the domain discriminator and the dual-model
 ensemble rule, plus bit-exact text checkpoints.
 
 A classifier is a ReLU MLP feature extractor, an affine head and a learnable
@@ -13,7 +13,6 @@ import numpy as np
 
 from .numerics import (Array, ParamSet, Tensor, _dense, as_tensor, mlp, softmax,
                        softmax_t)
-from .numerics import grl  # re-exported: reversal layer used by the DANN baseline
 
 LOG_TEMPERATURE = "log_temperature"
 

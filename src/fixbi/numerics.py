@@ -279,9 +279,10 @@ def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
         if log_temperature.data.shape != lead + (1,):
             raise ShapeError(f"log-temperature tensor must have shape {lead + (1,)} "
                              f"for logits {z.shape}, got {log_temperature.shape}")
-        td = np.exp(log_temperature.data)
-        if not (td > 0.0).all():  # a NaN log-temperature, or one whose exp underflows
-            raise ValueError(f"temperature must be positive, got {td.ravel()}")
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+            td = np.exp(log_temperature.data)
+        if not ((td > 0.0) & (td < np.inf)).all():  # NaN, or an exp that under- or overflows
+            raise ValueError(f"temperature must be positive and finite, got {td.ravel()}")
         t = td[..., None]
 
     zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_log_temperature reuses it

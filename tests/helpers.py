@@ -158,12 +158,20 @@ def probs_of(model: ClassifierModel, x):
     return softmax_t(forward_logits(model, x)[1])
 
 
+def gated_top1(probs, selected) -> Array:
+    """The gated top-1 label table of the dual losses: a one-hot row at each
+    row's argmax of ``probs`` where ``selected``, a zero row elsewhere."""
+    probs = np.asarray(probs)
+    hot = np.argmax(probs, axis=-1)[..., None] == np.arange(probs.shape[-1])
+    return (hot & np.asarray(selected)[..., None]).astype(np.float64)
+
+
 def sp_of(model: ClassifierModel, x, selected):
     """Self-penalization of the ``selected`` rows from one forward, as the
     training loop builds it."""
     logits = forward_logits(model, x)[1]
-    return loss_sp(softmax_t(logits).data, logits, model.params["log_temperature"],
-                   selected)
+    return loss_sp(logits, model.params["log_temperature"],
+                   gated_top1(softmax_t(logits).data, selected))
 
 
 def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):

@@ -21,9 +21,9 @@ from fixbi.data import one_hot
 from fixbi.harness import execute, load_metrics_csv
 from fixbi.models import (ensemble_predict, init_discriminator, init_model,
                           predict_probs)
-from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, manual_model,
-                     max_rel_error, named_grads, probs_of, random_batch,
-                     random_model, sp_of, split_gate)
+from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, gated_top1,
+                     manual_model, max_rel_error, named_grads, probs_of,
+                     random_batch, random_model, sp_of, split_gate)
 
 GRAD_TOL = 1e-4
 FD_EPS = 1e-5
@@ -81,8 +81,9 @@ def test_criterion_01_gradient_suite():
         xt = rng.normal(size=(5, 2))
         teacher_probs = predict_probs(teacher, xt)
         above, _ = split_gate(teacher_probs.max(axis=1))
-        err = _grad_trial_ok(lambda: loss_bim(teacher_probs, probs_of(student, xt), above),
-                             student.params)
+        err = _grad_trial_ok(
+            lambda: loss_bim(probs_of(student, xt), gated_top1(teacher_probs, above)),
+            student.params)
         worst["bim"] = max(worst["bim"], err)
 
     # self-penalization, including the temperature parameter

@@ -17,9 +17,9 @@ from fixbi.data import Dataset, one_hot, paired_minibatches
 from fixbi.models import ClassifierModel, forward_logits, init_model
 from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
                             softmax_t)
-from helpers import (check_grads, clone_model, cr_of, manual_model, named_grads,
-                     probs_of, random_batch, random_model, sp_of, split_gate,
-                     value_bytes)
+from helpers import (check_grads, clone_model, cr_of, gated_top1, manual_model,
+                     named_grads, probs_of, random_batch, random_model, sp_of,
+                     split_gate, value_bytes)
 
 LN2 = math.log(2.0)
 
@@ -207,7 +207,7 @@ class TestStackedLosses:
     def _sp(params, selected):
         """loss_sp of the ``selected`` rows of ``params["z"]``."""
         z = params["z"]
-        return loss_sp(softmax_t(z).data, z, params["log_t"], selected)
+        return loss_sp(z, params["log_t"], gated_top1(softmax_t(z).data, selected))
 
     @staticmethod
     def _check(params, stacked, single):
@@ -234,8 +234,9 @@ class TestStackedLosses:
         rng, params = self._stack(15)
         teacher = rng.dirichlet(np.ones(3) * 0.5, size=(2, 6))
         above = np.array([split_gate(t.max(axis=1))[0] for t in teacher])
-        self._check(params, lambda p: loss_bim(teacher, softmax_t(p["z"]), above),
-                    lambda p, k: loss_bim(teacher[k], softmax_t(p["z"]), above[k]))
+        hot = gated_top1(teacher, above)
+        self._check(params, lambda p: loss_bim(softmax_t(p["z"]), hot),
+                    lambda p, k: loss_bim(softmax_t(p["z"]), hot[k]))
 
     def test_loss_sp(self):
         rng, params = self._stack(16)
@@ -288,22 +289,22 @@ class TestLossBim:
         rng = np.random.default_rng(6)
         student = random_model(rng, input_dim=2, num_classes=2, widths=(3,))
         teacher_probs = np.array([[0.6, 0.4], [0.55, 0.45]])
-        out = loss_bim(teacher_probs, probs_of(student, rng.normal(size=(2, 2))),
-                       selected=np.array([False, False]))
+        out = loss_bim(probs_of(student, rng.normal(size=(2, 2))),
+                       gated_top1(teacher_probs, np.array([False, False])))
         assert out.item() == 0.0
         grads = named_grads(out, student.params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
     def test_confident_teacher_uniform_student_gives_ln2(self):
         student = manual_model([[0.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
-                       selected=np.array([True]))
+        out = loss_bim(probs_of(student, np.array([[1.0]])),
+                       gated_top1(np.array([[0.99, 0.01]]), np.array([True])))
         assert out.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_student_matching_teacher_is_near_zero(self):
         student = manual_model([[60.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(np.array([[0.99, 0.01]]), probs_of(student, np.array([[1.0]])),
-                       selected=np.array([True]))
+        out = loss_bim(probs_of(student, np.array([[1.0]])),
+                       gated_top1(np.array([[0.99, 0.01]]), np.array([True])))
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -314,7 +315,7 @@ class TestLossBim:
         from fixbi.models import predict_probs
         teacher_probs = predict_probs(teacher, xt)
         above, _ = split_gate(teacher_probs.max(axis=1))  # some selected, some not
-        check_grads(lambda: loss_bim(teacher_probs, probs_of(student, xt), above),
+        check_grads(lambda: loss_bim(probs_of(student, xt), gated_top1(teacher_probs, above)),
                     student.params)
 
 
@@ -530,6 +531,35 @@ class TestTrainFixbi:
         assert len(err.rows) == err.epoch - 1
         assert all(r.epoch == i + 1 for i, r in enumerate(err.rows))
 
+    def test_each_model_is_taught_by_its_partner_through_the_partners_gate(
+            self, monkeypatch):
+        # model k's matching labels are its partner's gated top-1 rows. The
+        # models start equal, so the check only bites once their tables
+        # differ; at lr0 = 0.5 they do in some iterations
+        import fixbi.core as core
+
+        stats, calls = [], []
+        real_threshold, real_bim = core.adaptive_threshold, core.loss_bim
+
+        def threshold(conf):
+            stats.append(real_threshold(conf))
+            return stats[-1]
+
+        def bim(student_probs, teacher_hot):
+            own = gated_top1(student_probs.data, stats[-1].above)
+            calls.append((own, teacher_hot))
+            return real_bim(student_probs, teacher_hot)
+
+        monkeypatch.setattr(core, "adaptive_threshold", threshold)
+        monkeypatch.setattr(core, "loss_bim", bim)
+        source, target = tiny_pair()
+        cfg = tiny_config(lr0=0.5, lambda_sd=0.9, lambda_td=0.1)
+        train_fixbi(cfg, source, target, init_model(source.dim, cfg.arch, 2, cfg.seed))
+        assert len(calls) == 8  # two matching epochs of four batches
+        for own, teacher_hot in calls:
+            assert teacher_hot.tobytes() == own[::-1].tobytes()
+        assert any(not np.array_equal(own[0], own[1]) for own, _ in calls)
+
 
 class TestLoopShape:
     """One stacked graph forward, one reverse walk and one SGD step per
@@ -658,12 +688,13 @@ class TestStackedMatchesTwoModels:
                     x_mix = mixup(batch.xs, batch.xt, lam)
                     probs = softmax_t(forward_logits(model, x_mix)[1])
                     terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
-                    terms[f"sp_{m}"] = loss_sp(q[m].data, logits[m],
-                                               model.params["log_temperature"],
-                                               gate[m].below[0])
+                    terms[f"sp_{m}"] = loss_sp(logits[m], model.params["log_temperature"],
+                                               gated_top1(q[m].data, gate[m].below[0]))
                 if matching:
-                    terms["bim_sd"] = loss_bim(q["td"].data, q["sd"], gate["td"].above[0])
-                    terms["bim_td"] = loss_bim(q["sd"].data, q["td"], gate["sd"].above[0])
+                    terms["bim_sd"] = loss_bim(q["sd"], gated_top1(q["td"].data,
+                                                                   gate["td"].above[0]))
+                    terms["bim_td"] = loss_bim(q["td"], gated_top1(q["sd"].data,
+                                                                   gate["sd"].above[0]))
                     x_half = 0.5 * batch.xs + 0.5 * batch.xt
                     terms["cr"] = loss_cr(
                         softmax_t(forward_logits(sdm, x_half)[1]),

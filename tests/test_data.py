@@ -282,6 +282,14 @@ class TestOneHot:
         with pytest.raises(ValueError):
             one_hot(np.array([-1]), 3)
 
+    def test_labels_of_any_shape_keep_their_axes(self):
+        labels = np.array([[0, 2, 1], [1, 1, 3]])
+        out = one_hot(labels, 4)
+        assert out.shape == (2, 3, 4) and out.dtype == np.float64
+        for row, want in zip(out, labels):
+            assert row.tobytes() == one_hot(want, 4).tobytes()
+        assert one_hot(np.zeros(0, dtype=np.int64), 4).shape == (0, 4)
+
 
 class TestDatasetViews:
     def test_eval_labels_refuses_unlabeled_rows(self):

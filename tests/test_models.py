@@ -8,11 +8,11 @@ import pytest
 
 from fixbi.models import (_CKPT_BLOCK, CKPT_MAGIC, discriminator_logits,
                           ensemble_predict, extract_features, forward,
-                          forward_logits, grl, init_discriminator, init_model,
+                          forward_logits, init_discriminator, init_model,
                           load_checkpoint, predict_features, predict_labels,
                           predict_probs, save_checkpoint, stack_models,
                           unstack_models)
-from fixbi.numerics import Tensor, softmax_t
+from fixbi.numerics import Tensor, grl, softmax_t
 from helpers import manual_model, random_model, value_bytes
 
 

@@ -44,6 +44,15 @@ class TestSoftmaxT:
         with pytest.raises(ValueError, match="positive"):
             softmax_t([[1.0, 2.0]], Tensor([math.nan]))
 
+    def test_overflowing_temperature_rejected(self):
+        # exp(710) overflows to T = inf: a uniform softmax and a NaN
+        # temperature gradient, were it let through
+        for theta in (710.0, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                softmax_t([[1.0, 2.0, 0.5]], Tensor([theta]))
+        with pytest.raises(ValueError, match="finite"):
+            softmax_t(np.zeros((2, 3, 2)), Tensor([[0.0], [710.0]]))
+
     def test_single_class_rejected(self):
         with pytest.raises(ShapeError):
             softmax_t([[1.0]])

@@ -79,6 +79,13 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     finally:
         tracer.restore()
     json.dumps(spans.records(tracer.spans))
+    # a traced name left defined but never called would read 0 ms in
+    # core.loss_ms, core.threshold_ms or core.mixup_ms instead of failing
+    opened = {s.name for s in tracer.spans}
+    never = [f"core.{f}" for f in ("loss_fm", "loss_bim", "loss_sp", "loss_cr",
+                                   "adaptive_threshold", "mixup")
+             if f"core.{f}" not in opened]
+    assert not never, f"traced but never called: {never}"
     metrics = spans.layer_metrics(tracer.spans, cfg.warmup_epochs)
     assert 0.0 < metrics["core.gate_above_frac"] <= 1.0
     assert metrics["numerics.backward_calls_per_iter.dual"] == 1.0
