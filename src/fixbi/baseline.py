@@ -19,8 +19,8 @@ from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot,
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
-from .numerics import (ParamSet, Tensor, backward, grl, log_loss, lr_schedule,
-                       sgd_step, softmax_t)
+from .numerics import (ParamSet, Tensor, backward, grl, log_loss, log_loss_vjp,
+                       loss_node, lr_schedule, sgd_step, softmax_vjp)
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -103,15 +103,15 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     return _train(cfg, source, target_eval, model, objective, "source_ce")
 
 
-def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
-                xs, ys_onehot, xt) -> tuple[Tensor, Tensor]:
-    """(source classification loss, domain classification loss).
-
-    Domain labels: source = 0, target = 1, averaged over all 2B samples.
-    The reversal layer scales the domain gradient into the extractor by
-    ``-disc.grl_lambda``; the discriminator itself trains normally, so the
-    extractor effectively descends class_loss - lambda * domain_loss while
-    the discriminator descends domain_loss.
+def _dann(model: ClassifierModel, disc: DomainDiscriminator,
+          xs, ys_onehot, xt) -> tuple[Tensor, float, float]:
+    """(objective, class loss, domain loss) of one DANN step: the objective
+    is the sum of the losses as one node over the head and discriminator
+    logits. Domain labels: source = 0, target = 1, averaged over all 2B
+    samples. The reversal layer scales the domain gradient into the
+    extractor by ``-disc.grl_lambda``, so the extractor effectively descends
+    class_loss - lambda * domain_loss while the discriminator descends
+    domain_loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
     b_s = xs.shape[0]
@@ -123,18 +123,27 @@ def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
     feats, logits = forward_logits(model, x)
     class_onehot = np.zeros((b, model.num_classes))
     class_onehot[:b_s] = ys_onehot
-    class_loss = log_loss(softmax_t(logits), class_onehot, b_s)
+    losses, grads = [], []
+    for z, labels, n in ((logits, class_onehot, b_s),
+                         (discriminator_logits(disc, grl(feats, disc.grl_lambda)),
+                          one_hot(np.arange(b) >= b_s, 2), b)):
+        probs, vjp_z, _ = softmax_vjp(z.data)
+        value, vjp = log_loss_vjp(probs, labels, n)
+        losses.append(value)
+        grads.append((z, vjp_z(vjp(1.0))))
+    return loss_node(losses[0] + losses[1], grads), *losses
 
-    dom = softmax_t(discriminator_logits(disc, grl(feats, disc.grl_lambda)))
-    domain_loss = log_loss(dom, one_hot(np.arange(b) >= b_s, 2), b)
-    return class_loss, domain_loss
+
+def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
+                xs, ys_onehot, xt) -> tuple[float, float]:
+    """(source classification loss, domain classification loss)."""
+    return _dann(model, disc, xs, ys_onehot, xt)[1:]
 
 
 def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
                    xs, ys_onehot, xt) -> Tensor:
-    """Combined scalar whose reverse-mode gradients drive both updates."""
-    class_loss, domain_loss = dann_losses(model, disc, xs, ys_onehot, xt)
-    return class_loss + domain_loss
+    """Their sum as one graph node, whose gradients drive both updates."""
+    return _dann(model, disc, xs, ys_onehot, xt)[0]
 
 
 def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:

@@ -35,8 +35,8 @@ from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
-from .numerics import (Array, Tensor, backward, log_loss, lr_schedule,
-                       sgd_step, softmax_t, take)
+from .numerics import (Array, backward, log_loss_vjp, loss_node, lr_schedule,
+                       sgd_step, softmax_vjp, temperature)
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
@@ -118,51 +118,57 @@ def adaptive_threshold(confidences: Array) -> ThresholdStats:
                           conf.size - num_above)
 
 
-def loss_fm(probs: Tensor, y_mix: Array) -> Tensor:
+def loss_fm(probs: Array, y_mix: Array) -> tuple[Array, Array]:
     """Cross-entropy of a model's T = 1 probabilities on a mixed batch
     against the mixed labels (rows on the simplex, as :func:`mixup` of two
     one-hot rows builds them), averaged over the batch.
 
+    Each loss returns its value and its gradient for each array it trains.
     A ``[K x B x C]`` stack of models gives one loss per model, each
     bit-identical to the 2-D call on its slice; so do :func:`loss_bim` and
     :func:`loss_sp`.
     """
-    return log_loss(probs, y_mix, probs.data.shape[-2])
+    value, vjp = log_loss_vjp(probs, y_mix, probs.shape[-2])
+    return value, vjp(1.0)
 
 
-def loss_bim(student_probs: Tensor, teacher_hot: Array) -> Tensor:
+def loss_bim(student_probs: Array, teacher_hot: Array) -> tuple[Array, Array]:
     """Teach the student the teacher's top-1 labels: ``teacher_hot`` holds
     one-hot rows at the teacher's argmax on the samples its ``above`` gate
     selects and zero rows elsewhere, which contribute zero.
 
     Both come from T = 1 probabilities on the same target batch. The labels
-    are plain arrays, so no gradient reaches the teacher. A stack of
+    are constants, so no gradient reaches the teacher. A stack of
     students takes a stack of label tables.
     """
-    return log_loss(student_probs, teacher_hot, teacher_hot.shape[-2])
+    value, vjp = log_loss_vjp(student_probs, teacher_hot, teacher_hot.shape[-2])
+    return value, vjp(1.0)
 
 
-def loss_sp(logits: Tensor, log_temperature: Tensor, own_hot: Array) -> Tensor:
+def loss_sp(logits: Array, temperature: Array, own_hot: Array) -> tuple[Array, Array, Array]:
     """Push the probability of the model's own top-1 predictions toward
     zero on the rows of ``own_hot`` that are one-hot (the model's ``below``
     gate); zero rows contribute zero.
 
     The argmax behind ``own_hot`` uses the T = 1 probabilities. The
     penalized probability is a softmax of ``logits`` at the learnable
-    temperature ``exp(log_temperature)``, so its gradient also trains that
-    parameter. A stack of models takes the ``[K x 1]`` log-temperatures
-    and one label table per model.
+    temperature (``temperature`` holds T = exp(log_temperature)), so the
+    second gradient trains the log-temperature. A stack of models takes the
+    ``[K x 1]`` temperatures and one label table per model.
     """
-    tempered = softmax_t(logits, log_temperature)
-    return log_loss(1.0 - tempered, own_hot, own_hot.shape[-2])
+    tempered, vjp_z, vjp_log_t = softmax_vjp(logits, temperature)
+    value, vjp = log_loss_vjp(1.0 - tempered, own_hot, own_hot.shape[-2])
+    g = -vjp(1.0)
+    return value, vjp_z(g), vjp_log_t(g)
 
 
-def loss_cr(p: Tensor, q: Tensor) -> Tensor:
+def loss_cr(p: Array, q: Array) -> tuple[float, Array]:
     """Squared-L2 disagreement of the two models' T = 1 probabilities on the
-    half-half mixup batch; gradients flow into both models."""
-    b = p.data.shape[0]
+    half-half mixup batch; the gradient is ``p``'s, and ``q``'s its negation."""
+    b = p.shape[0]
     d = p - q
-    return (d * d).sum() * (1.0 / b)
+    g = (1.0 / b) * d
+    return float((d * d).sum() * (1.0 / b)), g + g
 
 
 def ratio_rule_sample(rule: str, alpha: float, lambda_fixed_pair: tuple[float, float],
@@ -262,8 +268,9 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             # pseudo-labels as data and are the student input of matching;
             # the target rows' logits feed self-penalization
             logits = forward_logits(pair, x)[1]
-            probs = softmax_t(logits)
-            target_probs = probs.data[:, t_rows]
+            z = logits.data
+            probs, probs_vjp, _ = softmax_vjp(z)
+            target_probs = probs[:, t_rows]
             if not np.isfinite(target_probs).all():
                 bad = next(m for m, p in zip(_MODELS, target_probs)
                            if not np.isfinite(p).all())
@@ -274,36 +281,48 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             hot = one_hot(np.argmax(target_probs, axis=-1), pair.num_classes)
             labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
 
-            # one node per loss kind for both models; each per-model loss is
-            # an entry of its node
-            both = slice(None)
+            # one call per loss kind for both models, entry k of its value
+            # model k's; the rows the losses read are disjoint, so each
+            # gradient is added into zeros, as zero-padded slices would sum
             ys_hot = one_hot(batch.ys, pair.num_classes)
             y_mix = np.stack([mixup(ys_hot, labels_k, lam)
                               for labels_k, lam in zip(labels_hot, lams)])
-            terms: dict[str, Tensor] = {"fm": loss_fm(take(probs, (both, mix_rows)), y_mix)}
+            g_probs, g_logits = np.zeros(z.shape), np.zeros(z.shape)
+            g_log_t = np.zeros(log_temperature.data.shape)
+            terms = {}
+            terms["fm"], g = loss_fm(probs[:, mix_rows], y_mix)
+            g_probs[:, mix_rows] += g
             if cfg.loss_sp:
-                terms["sp"] = loss_sp(take(logits, (both, t_rows)), log_temperature,
-                                      hot * stats.below[..., None])
+                temps, usable = temperature(log_temperature.data)
+                if not usable.all():
+                    k = int(np.argmin(usable))
+                    raise NonFiniteLossError(f"temp_{_MODELS[k]}", epoch, it, temps.item(k), rows)
+                terms["sp"], g_logits[:, t_rows], g_log_t = loss_sp(
+                    z[:, t_rows], temps, hot * stats.below[..., None])
             if with_bim:
                 # the partner teaches, through its own gate
-                terms["bim"] = loss_bim(take(probs, (both, t_rows)),
-                                        (hot * stats.above[..., None])[::-1])
+                terms["bim"], g = loss_bim(probs[:, t_rows],
+                                           (hot * stats.above[..., None])[::-1])
+                g_probs[:, t_rows] += g
 
-            # entry k of a per-model node is model k's column. One walk goes
-            # over the sum of every term: the models' slices of the stacked
-            # parameters are disjoint and teacher probabilities are
-            # constants, so each model gets exactly its own gradients
-            values = {f"{kind}_{m}": v for kind, node in terms.items()
-                      for m, v in zip(_MODELS, node.data.tolist())}
-            loss = sum(list(terms.values())[1:], terms["fm"]).sum()
-            if with_cr:  # one scalar node, the "cr" column
-                cr = loss_cr(take(probs, (0, half_rows)), take(probs, (1, half_rows)))
-                values["cr"] = cr.item()
-                loss = loss + cr
+            values = {f"{kind}_{m}": v for kind, value in terms.items()
+                      for m, v in zip(_MODELS, value.tolist())}
+            total = sum(list(terms.values())[1:], terms["fm"]).sum()
+            if with_cr:  # one scalar, the "cr" column
+                values["cr"], g = loss_cr(probs[0, half_rows], probs[1, half_rows])
+                total += values["cr"]
+                g_probs[0, half_rows] += g
+                g_probs[1, half_rows] -= g
             for col, v in values.items():
                 if not math.isfinite(v):
                     raise NonFiniteLossError(col, epoch, it, v, rows)
                 ledger[col] = ledger.get(col, 0.0) + v
+
+            # the objective is one node over the logits and log-temperature,
+            # walked once: the models' parameter slices are disjoint and the
+            # teachers' probabilities constants, so each gets its own gradients
+            g_logits += probs_vjp(g_probs)
+            loss = loss_node(total, [(logits, g_logits), (log_temperature, g_log_t)])
             sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
                      cfg.weight_decay)
             step += 1
@@ -320,8 +339,6 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             tau_sd=gates["tau_sd"] / n_batches, tau_td=gates["tau_td"] / n_batches,
             n_above_sd=gates["n_above_sd"], n_above_td=gates["n_above_td"],
             **_evaluate(pair, source, target)))
-    del logits, probs, terms, loss  # the last step's graph, before the unstack
-    if with_cr:  # matching never closes again, so the last step made one
-        del cr
+    del logits, loss  # the last step's graph, before the unstack
     sdm, tdm = unstack_models(pair)
     return DualState(sdm, tdm, threshold_trace=trace), rows

@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, _dense, as_tensor, mlp, softmax,
-                       softmax_t)
+from .numerics import (Array, ParamSet, Tensor, _dense, as_tensor, mlp, softmax_t,
+                       softmax_vjp)
 
 LOG_TEMPERATURE = "log_temperature"
 
@@ -174,7 +174,7 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
         for w, b in layers:
             h = _dense(h, w, b, relu=True)
         if probs:
-            h = softmax(_dense(h, *head, relu=False))
+            h = softmax_vjp(_dense(h, *head, relu=False))[0]
         out[..., lo:hi, :] = h
         lo = hi
     return out

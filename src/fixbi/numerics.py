@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode autodiff, momentum SGD and LR decay.
 
-Every loss in this package is composed from the handful of differentiable
-primitives defined here. Graphs are built dynamically: each operation returns
-a new :class:`Tensor` carrying vector-Jacobian closures back to its inputs,
-and :func:`backward` replays those closures in reverse topological order,
-writing parameter gradients into their :class:`ParamSet`'s gradient vector
-(the first contribution to a tensor is written, later ones are added).
+Graphs are built dynamically: each node is a :class:`Tensor` carrying
+vector-Jacobian closures back to its inputs, and :func:`backward` replays
+those closures in reverse topological order, writing parameter gradients
+into their :class:`ParamSet`'s gradient vector (the first contribution to a
+tensor is written, later ones are added). A network is one node
+(:func:`mlp`); a loss is computed on plain arrays by value-and-VJP pieces
+(:func:`log_loss_vjp`, :func:`softmax_vjp`) and enters the graph as one
+node (:func:`loss_node`, or the :func:`log_loss` and :func:`softmax_t`
+nodes that wrap the pieces).
 """
 from __future__ import annotations
 
@@ -31,19 +34,6 @@ def _as_array(values) -> Array:
     return np.asarray(values, dtype=np.float64)
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
     """A float64 array node in a dynamically built computation graph.
 
@@ -57,10 +47,6 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_vjps", "_fresh")
 
-    # keep numpy from absorbing us in mixed expressions like `array * tensor`;
-    # our reflected operators handle those instead
-    __array_ufunc__ = None
-
     def __init__(self, values, requires_grad: bool = False,
                  _vjps: Iterable[tuple["Tensor", Callable[[Array], Array]]] = ()):
         self.data = _as_array(values)
@@ -68,8 +54,6 @@ class Tensor:
         self.grad: Array | None = None
         self._vjps = tuple(_vjps)
         self._fresh = False
-
-    # -- introspection -------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,52 +64,10 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    # -- graph construction helpers ------------------------------------
-
     @staticmethod
     def _make(data: Array, vjps) -> "Tensor":
         vjps = [(p, fn) for p, fn in vjps if p.requires_grad]
         return Tensor(data, requires_grad=bool(vjps), _vjps=vjps)
-
-    # -- elementwise arithmetic (numpy broadcasting allowed) ------------
-
-    def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = self.data + other.data
-        return Tensor._make(out, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (other, lambda g: _unbroadcast(g, other.data.shape)),
-        ])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = self.data - other.data
-        return Tensor._make(out, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (other, lambda g: _unbroadcast(-g, other.data.shape)),
-        ])
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        sd, od = self.data, other.data  # capture forward-time values
-        return Tensor._make(sd * od, [
-            (self, lambda g: _unbroadcast(g * od, sd.shape)),
-            (other, lambda g: _unbroadcast(g * sd, od.shape)),
-        ])
-
-    __rmul__ = __mul__
-
-    # -- nonlinearities and reductions ----------------------------------
-
-    def sum(self) -> "Tensor":
-        shape = self.data.shape
-        return Tensor._make(np.asarray(self.data.sum()),
-                            [(self, lambda g: np.full(shape, g))])
 
 
 def as_tensor(x) -> Tensor:
@@ -207,102 +149,101 @@ def _grad_into(t: Tensor, op, *args, **kwargs) -> None:
         t.grad += op(*args, **kwargs)
 
 
-def take(x: Tensor, index) -> Tensor:
-    """``x[index]`` for a basic index (integers and slices) as one graph
-    node; its VJP writes the upstream gradient into zeros of ``x``'s shape.
-
-    This is how one model's rows of a stacked forward reach a per-model loss.
-    """
-    x = as_tensor(x)
-    xd = x.data
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros(xd.shape)
-        out[index] = g
-        return out
-
-    return Tensor._make(xd[index], [(x, vjp)])
-
-
-def log_loss(probs: Tensor, weights, n: int) -> Tensor:
-    """``-(1/n) * sum(weights * log(max(probs, LOG_CLAMP)))`` as one graph node.
+def log_loss_vjp(probs: Array, weights, n: int) -> tuple[Array, Callable[[Array], Array]]:
+    """``-(1/n) * sum(weights * log(max(probs, LOG_CLAMP)))`` on plain arrays
+    and its VJP, ``vjp(g)``: the gradient an upstream ``g`` gives ``probs``.
 
     ``weights`` is a constant array of ``probs``' shape (one-hot targets,
     label mixtures or gate masks). ``probs`` ``[B x C]`` gives a scalar; a
-    stack ``[..., B x C]`` gives one loss per leading index, each equal in
-    value and gradient, bit for bit, to the 2-D call on its block. The
-    arithmetic runs in the order of the composed ``clamp_min -> log -> mul
-    -> sum -> mul`` chain of ``tests/helpers.py``, so values and gradients
-    are bit-identical to it.
+    stack ``[..., B x C]`` one loss per leading index, each bit-identical in
+    value and gradient to the 2-D call on its block. The arithmetic runs in
+    the order of the ``clamp_min -> log -> mul -> sum -> mul`` chain of
+    ``tests/helpers.py``, so both are bit-identical to it too.
     """
-    pd = probs.data
     weights = _as_array(weights)
-    if weights.shape != pd.shape:
-        raise ShapeError(f"log_loss weights {weights.shape} != probs {pd.shape}")
-    if pd.ndim < 2:
-        raise ShapeError(f"log_loss needs [..., B, C] probabilities, got {pd.shape}")
-    lead = pd.shape[:-2]
+    if weights.shape != probs.shape:
+        raise ShapeError(f"log_loss weights {weights.shape} != probs {probs.shape}")
+    if probs.ndim < 2:
+        raise ShapeError(f"log_loss needs [..., B, C] probabilities, got {probs.shape}")
     scale = -1.0 / n
-    mask = pd >= LOG_CLAMP
-    clamped = np.maximum(pd, LOG_CLAMP)
+    mask = probs >= LOG_CLAMP
+    clamped = np.maximum(probs, LOG_CLAMP)
     # each block summed as one flat run, the order of the 2-D call's .sum()
-    total = (weights * np.log(clamped)).reshape(lead + (-1,)).sum(axis=-1) * scale
-    return Tensor._make(np.asarray(total), [
-        (probs, lambda g: (((g * scale)[..., None, None] * weights) / clamped) * mask),
-    ])
+    total = (weights * np.log(clamped)).reshape(probs.shape[:-2] + (-1,)).sum(axis=-1) * scale
+    return total, lambda g: ((np.multiply(g, scale)[..., None, None] * weights)
+                             / clamped) * mask
 
 
-def softmax(z: Array) -> Array:
-    """Softmax over the last axis of the plain array ``z`` with
-    max-subtraction; the values :func:`softmax_t` puts in its output node
-    at T = 1."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def log_loss(probs: Tensor, weights, n: int) -> Tensor:
+    """:func:`log_loss_vjp` as one graph node over ``probs``."""
+    total, vjp = log_loss_vjp(probs.data, weights, n)
+    return Tensor._make(np.asarray(total), [(probs, vjp)])
+
+
+def temperature(log_temperature: Array) -> tuple[Array, Array]:
+    """``T = exp(log_temperature)`` and where it is usable: positive and
+    finite (not NaN, nor an exp that under- or overflows)."""
+    with np.errstate(over="ignore"):  # an overflow to inf is flagged instead
+        t = np.exp(log_temperature)
+    return t, (t > 0.0) & (t < np.inf)
+
+
+def softmax_vjp(z: Array, t: Array | None = None):
+    """``(y, vjp_z, vjp_log_t)``: the row softmax of ``z / T`` with
+    max-subtraction, on plain arrays, and the gradients an upstream ``g`` on
+    ``y`` gives ``z`` and ``log T``.
+
+    ``z`` is ``[B x C]`` or a stack ``[..., B, C]``, one block per model; ``t``
+    holds a usable temperature per block, shape ``[..., 1]``. Without it
+    T = 1 and ``vjp_log_t`` is None. Each block is bit-identical to the 2-D
+    call on it.
+    """
+    tb = 1.0 if t is None else t[..., None]
+    zc = z - z.max(axis=-1, keepdims=True)  # vjp_log_t reuses it
+    e = np.exp(zc / tb)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp_z(g: Array) -> Array:
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - inner) / tb
+
+    def vjp_log_t(g: Array) -> Array:
+        # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z), dT/dtheta = T
+        m = (y * zc).sum(axis=-1, keepdims=True)
+        terms = g * y * (zc - m)
+        return -terms.reshape(z.shape[:-2] + (-1,)).sum(axis=-1, keepdims=True) / (t * t) * t
+
+    return y, vjp_z, None if t is None else vjp_log_t
 
 
 def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
-    """Row softmax of ``logits / T`` with max-subtraction stabilization.
-
-    ``logits`` is ``[B x C]`` or a stack ``[..., B, C]`` of such blocks, one
-    per model. Without ``log_temperature`` T = 1. With it, T =
-    ``exp(log_temperature)``, computed here, and gradients also flow into
-    ``log_temperature``, a Tensor of shape ``[..., 1]`` (the logits' leading
-    axes, then 1; ``(1,)`` for 2-D logits): each block gets its own
-    temperature and gradient, bit-identical to the 2-D call on that block.
-    """
+    """:func:`softmax_vjp` as one graph node over ``logits`` and, if given,
+    ``log_temperature``: a Tensor of shape ``[..., 1]`` (else a
+    :class:`ShapeError`) whose T must be usable (else a ``ValueError``)."""
     z = as_tensor(logits)
     if z.data.ndim < 2 or z.data.shape[-1] < 2:
         raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
-    lead = z.data.shape[:-2]
-    t = 1.0
+    t = None
     if log_temperature is not None:
+        lead = z.data.shape[:-2]
         if log_temperature.data.shape != lead + (1,):
             raise ShapeError(f"log-temperature tensor must have shape {lead + (1,)} "
                              f"for logits {z.shape}, got {log_temperature.shape}")
-        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-            td = np.exp(log_temperature.data)
-        if not ((td > 0.0) & (td < np.inf)).all():  # NaN, or an exp that under- or overflows
-            raise ValueError(f"temperature must be positive and finite, got {td.ravel()}")
-        t = td[..., None]
+        t, usable = temperature(log_temperature.data)
+        if not usable.all():
+            raise ValueError(f"temperature must be positive and finite, got {t.ravel()}")
+    y, vjp_z, vjp_log_t = softmax_vjp(z.data, t)
+    return Tensor._make(y, [(z, vjp_z)] + ([(log_temperature, vjp_log_t)] if vjp_log_t else []))
 
-    zc = z.data - z.data.max(axis=-1, keepdims=True)  # as softmax; vjp_log_temperature reuses it
-    e = np.exp(zc / t)
-    y = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp_logits(g: Array) -> Array:
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - inner) / t
-
-    vjps = [(z, vjp_logits)]
-    if log_temperature is not None:
-        def vjp_log_temperature(g: Array) -> Array:
-            # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z), dT/dtheta = T
-            m = (y * zc).sum(axis=-1, keepdims=True)
-            terms = g * y * (zc - m)
-            return -terms.reshape(lead + (-1,)).sum(axis=-1, keepdims=True) / (td * td) * td
-
-        vjps.append((log_temperature, vjp_log_temperature))
-    return Tensor._make(y, vjps)
+def loss_node(value, grads: Sequence[tuple[Tensor, Array]]) -> Tensor:
+    """A loss computed on plain arrays as one graph node: ``grads`` pairs
+    each tensor it read with the gradient a unit upstream gives it, which the
+    VJP scales by the upstream. ``value`` is a scalar, or one loss per
+    leading index of every gradient (a per-model loss of a stack)."""
+    return Tensor._make(np.asarray(value), [
+        (p, lambda g, d=d: np.reshape(g, np.shape(g) + (1,) * (d.ndim - np.ndim(g))) * d)
+        for p, d in grads])
 
 
 def grl(x: Tensor, grl_lambda: float) -> Tensor:

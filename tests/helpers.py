@@ -1,27 +1,97 @@
-"""Shared test utilities: the composed autodiff reference, a
-finite-difference gradient oracle, the serial features.csv writer, hooks
-into the split one, and small randomized model/batch factories."""
+"""Shared test utilities: the composed autodiff reference, the loss
+functions as graph nodes, a finite-difference gradient oracle, the serial
+features.csv writer, hooks into the split one, and small randomized
+model/batch factories."""
 from __future__ import annotations
 
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from fixbi import harness
-from fixbi.core import loss_cr, loss_sp
-from fixbi.data import Dataset
+from fixbi.core import adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp, mixup
+from fixbi.data import Dataset, one_hot
 from fixbi.models import (ClassifierModel, DualState, forward_logits, init_model,
                           predict_features)
 from fixbi.numerics import (Array, ParamSet, Tensor, _walk, as_tensor, backward,
-                            softmax_t)
+                            log_loss, loss_node, softmax_t, temperature)
 
 # -- the composed reference --------------------------------------------------
 # Graph operations composed from Tensor nodes. Each layer of
-# ``numerics.mlp`` must match ``relu(affine(x, w, b))`` and
-# ``numerics.log_loss`` the ``clamp_min -> log -> mul -> sum -> mul`` chain
-# bit for bit, in values and gradients; both run the same numpy operations
-# as these.
+# ``numerics.mlp`` must match ``relu(affine(x, w, b))``, ``numerics.log_loss``
+# the ``clamp_min -> log -> mul -> sum -> mul`` chain and each trainer's
+# one objective node the graph of slices, sums and products below
+# (:func:`composed_dual_loss`) bit for bit, in values and gradients; they
+# run the same numpy operations as these.
+
+
+def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
+    """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    """``a + b`` with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    return Tensor._make(a.data + b.data, [
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    ])
+
+
+def sub(a, b) -> Tensor:
+    """``a - b`` with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    return Tensor._make(a.data - b.data, [
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(-g, b.data.shape)),
+    ])
+
+
+def mul(a, b) -> Tensor:
+    """``a * b`` with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data  # capture forward-time values
+    return Tensor._make(ad * bd, [
+        (a, lambda g: _unbroadcast(g * bd, ad.shape)),
+        (b, lambda g: _unbroadcast(g * ad, bd.shape)),
+    ])
+
+
+def total(x) -> Tensor:
+    """The sum of every entry, a scalar."""
+    x = as_tensor(x)
+    shape = x.data.shape
+    return Tensor._make(np.asarray(x.data.sum()), [(x, lambda g: np.full(shape, g))])
+
+
+def dot(x, w) -> Tensor:
+    """``sum(x * w)``: a linear functional of ``x``, the usual test loss."""
+    return total(mul(x, w))
+
+
+def take(x, index) -> Tensor:
+    """``x[index]`` for a basic index (integers and slices); its VJP writes
+    the upstream gradient into zeros of ``x``'s shape."""
+    x = as_tensor(x)
+    xd = x.data
+
+    def vjp(g: Array) -> Array:
+        out = np.zeros(xd.shape)
+        out[index] = g
+        return out
+
+    return Tensor._make(xd[index], [(x, vjp)])
 
 
 def matmul(a, b) -> Tensor:
@@ -36,7 +106,7 @@ def matmul(a, b) -> Tensor:
 
 def affine(x, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` with the bias broadcast over rows."""
-    return matmul(x, w) + b
+    return add(matmul(x, w), b)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -57,13 +127,78 @@ def log(x: Tensor) -> Tensor:
 
 
 def mean(x: Tensor) -> Tensor:
-    return x.sum() * (1.0 / x.data.size)
+    return mul(total(x), 1.0 / x.data.size)
 
 
 def squared_l2(x) -> Tensor:
     """Sum of squared entries."""
     x = as_tensor(x)
-    return (x * x).sum()
+    return total(mul(x, x))
+
+
+def composed_cr(p: Tensor, q: Tensor) -> Tensor:
+    """Consistency regularization as the composed graph builds it."""
+    d = sub(p, q)
+    return mul(total(mul(d, d)), 1.0 / p.data.shape[0])
+
+
+def composed_dual_loss(cfg, pair: ClassifierModel, x: Array, batch, matching: bool,
+                       frozen=None):
+    """``(objective, gate)`` of one dual step on the stacked input ``x`` of
+    ``batch``, built as a composed graph: one ``take`` per slice a loss
+    reads, one log-loss node per loss kind, ``1 - p`` for self-penalization,
+    the per-model terms added and summed, then ``cr`` added; ``bim`` and
+    ``cr`` join only when ``matching``. ``frozen`` is the frozen baseline's
+    one-hot table of the whole target set, tiled over both models."""
+    b = batch.xt.shape[0]
+    t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
+    both = slice(None)
+    logits = forward_logits(pair, x)[1]
+    probs = softmax_t(logits)
+    target_probs = probs.data[:, t_rows]
+    stats = adaptive_threshold(target_probs.max(axis=-1))
+    hot = one_hot(np.argmax(target_probs, axis=-1), pair.num_classes)
+    labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
+    ys_hot = one_hot(batch.ys, pair.num_classes)
+    y_mix = np.stack([mixup(ys_hot, labels_k, lam)
+                      for labels_k, lam in zip(labels_hot, (cfg.lambda_sd, cfg.lambda_td))])
+    terms = [log_loss(take(probs, (both, mix_rows)), y_mix, b)]
+    if cfg.loss_sp:
+        tempered = softmax_t(take(logits, (both, t_rows)), pair.params["log_temperature"])
+        terms.append(log_loss(sub(1.0, tempered), hot * stats.below[..., None], b))
+    if cfg.loss_bim and matching:
+        terms.append(log_loss(take(probs, (both, t_rows)),
+                              (hot * stats.above[..., None])[::-1], b))
+    loss = total(reduce(add, terms))
+    if cfg.loss_cr and matching:
+        loss = add(loss, composed_cr(take(probs, (0, half_rows)), take(probs, (1, half_rows))))
+    return loss, stats
+
+
+# -- the loss functions as graph nodes ---------------------------------------
+# ``core.loss_*`` return values and gradients; these put each call in a
+# graph as one node over the tensors it reads, for gradient checks.
+
+
+def fm_node(probs: Tensor, y_mix) -> Tensor:
+    value, grad = loss_fm(probs.data, y_mix)
+    return loss_node(value, [(probs, grad)])
+
+
+def bim_node(student_probs: Tensor, teacher_hot) -> Tensor:
+    value, grad = loss_bim(student_probs.data, teacher_hot)
+    return loss_node(value, [(student_probs, grad)])
+
+
+def sp_node(logits: Tensor, log_temperature: Tensor, own_hot) -> Tensor:
+    value, g_z, g_log_t = loss_sp(logits.data, temperature(log_temperature.data)[0],
+                                  own_hot)
+    return loss_node(value, [(logits, g_z), (log_temperature, g_log_t)])
+
+
+def cr_node(p: Tensor, q: Tensor) -> Tensor:
+    value, grad = loss_cr(p.data, q.data)
+    return loss_node(value, [(p, grad), (q, -grad)])
 
 
 # -- parameter sets ----------------------------------------------------------
@@ -170,14 +305,14 @@ def sp_of(model: ClassifierModel, x, selected):
     """Self-penalization of the ``selected`` rows from one forward, as the
     training loop builds it."""
     logits = forward_logits(model, x)[1]
-    return loss_sp(logits, model.params["log_temperature"],
+    return sp_node(logits, model.params["log_temperature"],
                    gated_top1(softmax_t(logits).data, selected))
 
 
 def cr_of(a: ClassifierModel, b: ClassifierModel, xs, xt):
     """Consistency regularization on the half-half mixup of ``xs`` and ``xt``."""
     x_half = 0.5 * xs + 0.5 * xt
-    return loss_cr(probs_of(a, x_half), probs_of(b, x_half))
+    return cr_node(probs_of(a, x_half), probs_of(b, x_half))
 
 
 def manual_model(w, b, theta: float = 0.0) -> ClassifierModel:

@@ -15,14 +15,13 @@ import pytest
 
 from fixbi.baseline import dann_losses, dann_objective
 from fixbi.config import DatasetSpec, TrainConfig
-from fixbi.core import (adaptive_threshold, loss_bim, loss_fm, mixup,
-                        ratio_rule_sample, train_fixbi)
+from fixbi.core import adaptive_threshold, mixup, ratio_rule_sample, train_fixbi
 from fixbi.data import one_hot
 from fixbi.harness import execute, load_metrics_csv
 from fixbi.models import (ensemble_predict, init_discriminator, init_model,
                           predict_probs)
-from helpers import (ExactOracleCheck, cr_of, finite_diff_grads, gated_top1,
-                     manual_model, max_rel_error, named_grads, probs_of,
+from helpers import (ExactOracleCheck, bim_node, cr_of, finite_diff_grads, fm_node,
+                     gated_top1, manual_model, max_rel_error, named_grads, probs_of,
                      random_batch, random_model, sp_of, split_gate)
 
 GRAD_TOL = 1e-4
@@ -69,7 +68,7 @@ def test_criterion_01_gradient_suite():
         xs, ys, xt, yt = random_batch(rng, 4, 2, c)
         lam = float(rng.uniform())
         x_mix, y_mix = mixup(xs, xt, lam), mixup(one_hot(ys, c), one_hot(yt, c), lam)
-        err = _grad_trial_ok(lambda: loss_fm(probs_of(model, x_mix), y_mix),
+        err = _grad_trial_ok(lambda: fm_node(probs_of(model, x_mix), y_mix),
                              model.params)
         worst["fm"] = max(worst["fm"], err)
 
@@ -82,7 +81,7 @@ def test_criterion_01_gradient_suite():
         teacher_probs = predict_probs(teacher, xt)
         above, _ = split_gate(teacher_probs.max(axis=1))
         err = _grad_trial_ok(
-            lambda: loss_bim(probs_of(student, xt), gated_top1(teacher_probs, above)),
+            lambda: bim_node(probs_of(student, xt), gated_top1(teacher_probs, above)),
             student.params)
         worst["bim"] = max(worst["bim"], err)
 

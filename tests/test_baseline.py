@@ -13,8 +13,8 @@ from fixbi.data import gen_blobs_shift
 from fixbi.models import (discriminator_logits, extract_features,
                           init_discriminator, init_model)
 from fixbi.numerics import Tensor, backward, grl, sgd_step, softmax_t
-from helpers import (affine, clamp_min, log, named_grads, random_batch,
-                     random_model, value_bytes)
+from helpers import (add, affine, clamp_min, dot, log, mul, named_grads,
+                     random_batch, random_model, value_bytes)
 
 
 def blob_config(**overrides) -> TrainConfig:
@@ -160,12 +160,11 @@ class TestDann:
         feat_s = extract_features(model, xs)
         feat_t = extract_features(model, xt)
         logits = affine(feat_s, model.params["head.w"], model.params["head.b"])
-        class_loss = (ys_hot * log_probs(logits)).sum() * (-1.0 / len(xs))
+        class_loss = mul(dot(ys_hot, log_probs(logits)), -1.0 / len(xs))
         log_s = log_probs(discriminator_logits(disc, grl(feat_s, disc.grl_lambda)))
         log_t = log_probs(discriminator_logits(disc, grl(feat_t, disc.grl_lambda)))
-        domain_loss = (log_s * np.array([1.0, 0.0])).sum() + \
-            (log_t * np.array([0.0, 1.0])).sum()
-        return class_loss, domain_loss * (-1.0 / (len(xs) + len(xt)))
+        domain_loss = add(dot(log_s, np.array([1.0, 0.0])), dot(log_t, np.array([0.0, 1.0])))
+        return class_loss, mul(domain_loss, -1.0 / (len(xs) + len(xt)))
 
     def test_stacked_losses_match_two_pass_reference(self):
         rng = np.random.default_rng(22)
@@ -182,8 +181,8 @@ class TestDann:
             for g, w in zip(got, want):
                 assert abs(g.item() - w.item()) <= 1e-12
             for params in (model.params, disc.params):
-                got_grads = named_grads(got[0] + got[1], params)
-                want_grads = named_grads(want[0] + want[1], params)
+                got_grads = named_grads(dann_objective(model, disc, xs, ys_hot, xt), params)
+                want_grads = named_grads(add(want[0], want[1]), params)
                 for name in want_grads:
                     assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
 
@@ -261,7 +260,7 @@ class TestDiscriminatorOracle:
         for _ in range(120):
             from fixbi.numerics import softmax_t
             probs = softmax_t(discriminator_logits(disc, Tensor(feats)))
-            loss = (onehot * log(clamp_min(probs, 1e-12))).sum() * (-1.0 / 160)
+            loss = mul(dot(onehot, log(clamp_min(probs, 1e-12))), -1.0 / 160)
             sgd_step(disc.params, backward(loss, disc.params), lr=0.1, momentum=0.9)
         probs = softmax_t(discriminator_logits(disc, Tensor(feats))).data
         pred = np.argmax(probs, axis=1)

@@ -10,15 +10,15 @@ import pytest
 
 from fixbi.baseline import train_dann, train_source_only
 from fixbi.config import ConfigError, DatasetSpec, TrainConfig
-from fixbi.core import (NonFiniteLossError, adaptive_threshold, loss_bim,
-                        loss_cr, loss_fm, loss_sp, mixup, pseudo_labels,
-                        ratio_rule_sample, train_fixbi)
+from fixbi.core import (NonFiniteLossError, adaptive_threshold, mixup,
+                        pseudo_labels, ratio_rule_sample, train_fixbi)
 from fixbi.data import Dataset, one_hot, paired_minibatches
-from fixbi.models import ClassifierModel, forward_logits, init_model
+from fixbi.models import ClassifierModel, forward_logits, init_model, stack_models
 from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
                             softmax_t)
-from helpers import (check_grads, clone_model, cr_of, gated_top1, manual_model,
-                     named_grads, probs_of, random_batch, random_model, sp_of,
+from helpers import (add, bim_node, check_grads, clone_model, composed_dual_loss,
+                     cr_node, cr_of, dot, fm_node, gated_top1, manual_model, mul,
+                     named_grads, probs_of, random_batch, random_model, sp_node, sp_of,
                      split_gate, value_bytes)
 
 LN2 = math.log(2.0)
@@ -207,7 +207,7 @@ class TestStackedLosses:
     def _sp(params, selected):
         """loss_sp of the ``selected`` rows of ``params["z"]``."""
         z = params["z"]
-        return loss_sp(z, params["log_t"], gated_top1(softmax_t(z).data, selected))
+        return sp_node(z, params["log_t"], gated_top1(softmax_t(z).data, selected))
 
     @staticmethod
     def _check(params, stacked, single):
@@ -215,28 +215,28 @@ class TestStackedLosses:
         out = stacked(params)
         assert out.shape == (2,)
         upstream = np.array([0.7, -1.3])
-        grads = named_grads((out * upstream).sum(), params)
+        grads = named_grads(dot(out, upstream), params)
         for k in range(2):
             mine = ParamSet({name: t.data[k] for name, t in params.items()})
             want = single(mine, k)
             assert out.data[k].tobytes() == want.data.tobytes(), k
-            want_grads = named_grads(want * upstream[k], mine)
+            want_grads = named_grads(mul(want, upstream[k]), mine)
             for name, g in want_grads.items():
                 assert grads[name][k].tobytes() == g.tobytes(), (k, name)
 
     def test_loss_fm(self):
         rng, params = self._stack(14)
         y_mix = rng.dirichlet(np.ones(3), size=(2, 6))
-        self._check(params, lambda p: loss_fm(softmax_t(p["z"]), y_mix),
-                    lambda p, k: loss_fm(softmax_t(p["z"]), y_mix[k]))
+        self._check(params, lambda p: fm_node(softmax_t(p["z"]), y_mix),
+                    lambda p, k: fm_node(softmax_t(p["z"]), y_mix[k]))
 
     def test_loss_bim(self):
         rng, params = self._stack(15)
         teacher = rng.dirichlet(np.ones(3) * 0.5, size=(2, 6))
         above = np.array([split_gate(t.max(axis=1))[0] for t in teacher])
         hot = gated_top1(teacher, above)
-        self._check(params, lambda p: loss_bim(softmax_t(p["z"]), hot),
-                    lambda p, k: loss_bim(softmax_t(p["z"]), hot[k]))
+        self._check(params, lambda p: bim_node(softmax_t(p["z"]), hot),
+                    lambda p, k: bim_node(softmax_t(p["z"]), hot[k]))
 
     def test_loss_sp(self):
         rng, params = self._stack(16)
@@ -246,7 +246,7 @@ class TestStackedLosses:
                     lambda p, k: self._sp(p, below[k]))
         out = self._sp(params, below)
         assert (out.data > 0.0).all()  # both gates let something through
-        check_grads(lambda: (self._sp(params, below) * np.array([0.7, -1.3])).sum(),
+        check_grads(lambda: dot(self._sp(params, below), np.array([0.7, -1.3])),
                     params)
 
 
@@ -256,13 +256,13 @@ class TestLossFm:
         model = manual_model([[60.0, 0.0]], [0.0, 0.0])
         x_mix = mixup(np.array([[1.0]]), np.array([[1.0]]), 1.0)
         y_mix = mixup(one_hot(np.array([0]), 2), one_hot(np.array([0]), 2), 1.0)
-        assert loss_fm(probs_of(model, x_mix), y_mix).item() == 0.0
+        assert fm_node(probs_of(model, x_mix), y_mix).item() == 0.0
 
     def test_uniform_prediction_gives_ln2(self):
         model = manual_model([[0.0, 0.0]], [0.0, 0.0])
         x_mix = mixup(np.array([[1.0]]), np.array([[0.5]]), 1.0)
         y_mix = mixup(one_hot(np.array([0]), 2), one_hot(np.array([1]), 2), 1.0)
-        assert loss_fm(probs_of(model, x_mix), y_mix).item() == \
+        assert fm_node(probs_of(model, x_mix), y_mix).item() == \
             pytest.approx(LN2, abs=1e-12)
 
     def test_lambda_one_reduces_to_source_cross_entropy(self):
@@ -270,7 +270,7 @@ class TestLossFm:
         model = random_model(rng, input_dim=2, widths=(4,), num_classes=3)
         xs, ys, xt, yt = random_batch(rng, 5, 2, 3)
         x_mix, y_mix = mixup(xs, xt, 1.0), mixup(one_hot(ys, 3), one_hot(yt, 3), 1.0)
-        got = loss_fm(probs_of(model, x_mix), y_mix).item()
+        got = fm_node(probs_of(model, x_mix), y_mix).item()
         from fixbi.models import predict_probs
         p = predict_probs(model, xs)
         want = -np.mean(np.log(p[np.arange(5), ys]))
@@ -281,7 +281,7 @@ class TestLossFm:
         model = random_model(rng)
         xs, ys, xt, yt = random_batch(rng, 4, 3, 3)
         x_mix, y_mix = mixup(xs, xt, 0.7), mixup(one_hot(ys, 3), one_hot(yt, 3), 0.7)
-        check_grads(lambda: loss_fm(probs_of(model, x_mix), y_mix), model.params)
+        check_grads(lambda: fm_node(probs_of(model, x_mix), y_mix), model.params)
 
 
 class TestLossBim:
@@ -289,7 +289,7 @@ class TestLossBim:
         rng = np.random.default_rng(6)
         student = random_model(rng, input_dim=2, num_classes=2, widths=(3,))
         teacher_probs = np.array([[0.6, 0.4], [0.55, 0.45]])
-        out = loss_bim(probs_of(student, rng.normal(size=(2, 2))),
+        out = bim_node(probs_of(student, rng.normal(size=(2, 2))),
                        gated_top1(teacher_probs, np.array([False, False])))
         assert out.item() == 0.0
         grads = named_grads(out, student.params)
@@ -297,13 +297,13 @@ class TestLossBim:
 
     def test_confident_teacher_uniform_student_gives_ln2(self):
         student = manual_model([[0.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(probs_of(student, np.array([[1.0]])),
+        out = bim_node(probs_of(student, np.array([[1.0]])),
                        gated_top1(np.array([[0.99, 0.01]]), np.array([True])))
         assert out.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_student_matching_teacher_is_near_zero(self):
         student = manual_model([[60.0, 0.0]], [0.0, 0.0])
-        out = loss_bim(probs_of(student, np.array([[1.0]])),
+        out = bim_node(probs_of(student, np.array([[1.0]])),
                        gated_top1(np.array([[0.99, 0.01]]), np.array([True])))
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -315,7 +315,7 @@ class TestLossBim:
         from fixbi.models import predict_probs
         teacher_probs = predict_probs(teacher, xt)
         above, _ = split_gate(teacher_probs.max(axis=1))  # some selected, some not
-        check_grads(lambda: loss_bim(probs_of(student, xt), gated_top1(teacher_probs, above)),
+        check_grads(lambda: bim_node(probs_of(student, xt), gated_top1(teacher_probs, above)),
                     student.params)
 
 
@@ -517,6 +517,49 @@ class TestTrainFixbi:
                            match=r"target_probs_sd.*epoch 1 iteration 1"):
             train_fixbi(cfg, source, target, init)
 
+    @pytest.mark.parametrize("theta", [710.0, -800.0, math.nan])
+    def test_unusable_temperature_aborts_before_the_step(self, monkeypatch, theta):
+        # exp(710) overflows to T = inf (a uniform tempered softmax and a NaN
+        # temperature gradient, were it let through), exp(-800) underflows
+        # to 0: the run stops with the model's term, not a bare ValueError
+        import fixbi.core as core
+
+        steps = []
+        monkeypatch.setattr(core, "sgd_step", lambda *args: steps.append(args))
+        source, target = tiny_pair()
+        cfg = tiny_config()
+        init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+        init.params["log_temperature"].data[...] = theta
+        with pytest.raises(NonFiniteLossError, match=r"temp_sd=.* epoch 1 iteration 1") as info:
+            train_fixbi(cfg, source, target, init)
+        assert (info.value.term, info.value.rows, steps) == ("temp_sd", [], [])
+
+    def test_unusable_temperature_names_its_model_and_carries_rows(self, monkeypatch):
+        # model td's temperature overflows after the first epoch: the abort
+        # names it, carries epoch 1's row and takes no step in epoch 2
+        import fixbi.core as core
+
+        steps, real_step, real_evaluate = [], core.sgd_step, core._evaluate
+
+        def step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        def evaluate(pair, source, target):
+            pair.params["log_temperature"].data[1] = 710.0
+            return real_evaluate(pair, source, target)
+
+        monkeypatch.setattr(core, "sgd_step", step)
+        monkeypatch.setattr(core, "_evaluate", evaluate)
+        source, target = tiny_pair()
+        cfg = tiny_config()
+        init = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"temp_td=inf at epoch 2 iteration 1") as info:
+            train_fixbi(cfg, source, target, init)
+        assert [r.epoch for r in info.value.rows] == [1]
+        assert len(steps) == 16 // cfg.batch_size
+
     def test_abort_carries_completed_epoch_rows(self):
         # an absurd learning rate blows the weights up after a few steps;
         # the error must carry the epochs that finished before the abort
@@ -546,7 +589,7 @@ class TestTrainFixbi:
             return stats[-1]
 
         def bim(student_probs, teacher_hot):
-            own = gated_top1(student_probs.data, stats[-1].above)
+            own = gated_top1(student_probs, stats[-1].above)
             calls.append((own, teacher_hot))
             return real_bim(student_probs, teacher_hot)
 
@@ -687,22 +730,22 @@ class TestStackedMatchesTwoModels:
                     pl = one_hot(np.argmax(q[m].data, axis=1), init.num_classes)
                     x_mix = mixup(batch.xs, batch.xt, lam)
                     probs = softmax_t(forward_logits(model, x_mix)[1])
-                    terms[f"fm_{m}"] = loss_fm(probs, mixup(ys_hot, pl, lam))
-                    terms[f"sp_{m}"] = loss_sp(logits[m], model.params["log_temperature"],
+                    terms[f"fm_{m}"] = fm_node(probs, mixup(ys_hot, pl, lam))
+                    terms[f"sp_{m}"] = sp_node(logits[m], model.params["log_temperature"],
                                                gated_top1(q[m].data, gate[m].below[0]))
                 if matching:
-                    terms["bim_sd"] = loss_bim(q["sd"], gated_top1(q["td"].data,
+                    terms["bim_sd"] = bim_node(q["sd"], gated_top1(q["td"].data,
                                                                    gate["td"].above[0]))
-                    terms["bim_td"] = loss_bim(q["td"], gated_top1(q["sd"].data,
+                    terms["bim_td"] = bim_node(q["td"], gated_top1(q["sd"].data,
                                                                    gate["sd"].above[0]))
                     x_half = 0.5 * batch.xs + 0.5 * batch.xt
-                    terms["cr"] = loss_cr(
+                    terms["cr"] = cr_node(
                         softmax_t(forward_logits(sdm, x_half)[1]),
                         softmax_t(forward_logits(tdm, x_half)[1]))
                 losses.append({name: t.item() for name, t in terms.items()})
                 total = None
                 for t in terms.values():
-                    total = t if total is None else total + t
+                    total = t if total is None else add(total, t)
                 # a copy: the second walk reaches sdm's networks too and
                 # adds into sdm's gradient buffer again
                 g_sd = backward(total, sdm.params).copy()
@@ -738,6 +781,67 @@ class TestStackedMatchesTwoModels:
             assert (row.cr > 0.0) == (row.epoch > cfg.warmup_epochs)
             for name, value in want.items():
                 assert abs(getattr(row, name) - value) < 1e-12, (row.epoch, name)
+
+
+class TestOneObjectiveNode:
+    """Each dual step's gradient and update against the composed graph of
+    ``helpers.composed_dual_loss``: a ``take`` per slice, a log-loss node per
+    loss kind and the terms added, bit for bit."""
+
+    @pytest.mark.parametrize("pseudo", ["live", "frozen-baseline"])
+    @pytest.mark.parametrize("losses", ["fm", "fm+bim", "fm+bim+sp", "fm+sp+cr",
+                                        "fm+bim+sp+cr"])
+    def test_steps_bit_identical_to_composed_graph(self, monkeypatch, losses, pseudo):
+        # a warm-up step, then a matching step between the models it made
+        # differ, so that cr and bim see two different models
+        import fixbi.core as core
+
+        steps = []
+        real_forward, real_step = core.forward_logits, core.sgd_step
+
+        def forward(model, x):
+            steps.append({"x": x})
+            return real_forward(model, x)
+
+        def step(params, grads, *args):
+            steps[-1].update(grads=grads.copy(), args=args)
+            return real_step(params, grads, *args)
+
+        monkeypatch.setattr(core, "forward_logits", forward)
+        monkeypatch.setattr(core, "sgd_step", step)
+        # one batch of the whole set; two target points near the origin sit
+        # below the gate, the rest above it
+        rng = np.random.default_rng(5)
+        xt = rng.normal(size=(16, 3)) * 3.0
+        xt[:2] *= 0.01
+        source = Dataset(rng.normal(size=(16, 3)), rng.integers(0, 3, size=16), 3,
+                         "source")
+        target = Dataset(xt, np.full(16, -1), 3, "target",
+                         hidden_labels=rng.integers(0, 3, size=16))
+        init = random_model(rng, 3, (6, 5), 3)
+        on = losses.split("+")
+        cfg = tiny_config(arch=(6, 5), batch_size=16, epochs=2, warmup_epochs=1,
+                          loss_bim="bim" in on, loss_sp="sp" in on, loss_cr="cr" in on,
+                          pseudo_label_source=pseudo,
+                          dataset=DatasetSpec(kind="blobs", num_classes=3, per_class=8))
+        state, _ = train_fixbi(cfg, source, target, init)
+
+        pair = stack_models([init, init])
+        frozen = (one_hot(np.tile(pseudo_labels(init, xt)[0], (2, 1)), 3)
+                  if pseudo == "frozen-baseline" else None)
+        steps = [s for s in steps if "grads" in s]  # the evaluation's forwards aside
+        assert len(steps) == 2
+        for epoch, seen in enumerate(steps, start=1):
+            batch = next(iter(paired_minibatches(source, target, 16, epoch, cfg.seed)))
+            loss, stats = composed_dual_loss(cfg, pair, seen["x"], batch, epoch > 1, frozen)
+            assert stats.above.any(axis=1).all() and stats.below.any(axis=1).all()
+            want = backward(loss, pair.params)
+            assert np.array_equal(seen["grads"], want), epoch
+            sgd_step(pair.params, want, *seen["args"])
+        assert not np.array_equal(pair.params["head.w"].data[0], pair.params["head.w"].data[1])
+        for k, model in enumerate((state.sdm, state.tdm)):
+            for name, t in model.params.items():
+                assert t.data.tobytes() == pair.params[name].data[k].tobytes(), (k, name)
 
 
 class TestExactOracleIteration:

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
-                            as_tensor, backward, grl, log_loss, lr_schedule, mlp,
-                            relu_inplace, sgd_step, softmax_t, take)
-from helpers import (affine, check_grads, clamp_min, finite_diff_grads, flat_grads,
-                     log, matmul, max_rel_error, mean, named_grads, relu, squared_l2,
-                     zero_fill_grads)
+                            as_tensor, backward, grl, log_loss, loss_node,
+                            lr_schedule, mlp, relu_inplace, sgd_step, softmax_t)
+from helpers import (add, affine, check_grads, clamp_min, dot, finite_diff_grads,
+                     flat_grads, log, matmul, max_rel_error, mean, mul, named_grads,
+                     relu, squared_l2, sub, take, total, zero_fill_grads)
 
 
 class TestSoftmaxT:
@@ -68,7 +68,7 @@ class TestSoftmaxT:
         weights = rng.normal(size=(3, 4))  # random linear functional of softmax
 
         def build():
-            return (softmax_t(z, theta) * weights).sum()
+            return dot(softmax_t(z, theta), weights)
 
         check_grads(build, params, tol=1e-6)
 
@@ -83,25 +83,25 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         params = ParamSet({"w": np.arange(6.0).reshape(2, 3)})
         w = params["w"]
-        g = named_grads(w.sum(), params)
+        g = named_grads(total(w), params)
         assert np.array_equal(g["w"], np.ones((2, 3)))
 
     def test_half_squared_norm_gradient_is_w(self):
         params = ParamSet({"w": [[1.0, -2.0], [0.5, 3.0]]})
         w = params["w"]
-        g = named_grads(squared_l2(w) * 0.5, params)
+        g = named_grads(mul(squared_l2(w), 0.5), params)
         assert np.allclose(g["w"], w.data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         params = ParamSet({"w": [1.0, 2.0]})
         w = params["w"]
         with pytest.raises(ShapeError):
-            backward(w * 2.0, params)
+            backward(mul(w, 2.0), params)
 
     def test_unreachable_parameter_gets_zeros(self):
         params = ParamSet({"w": [1.0], "unused": [(5.0)]})
         w = params["w"]
-        g = named_grads((w * w).sum(), params)
+        g = named_grads(dot(w, w), params)
         assert np.array_equal(g["unused"], np.zeros(1))
 
     def test_three_layer_mlp_cross_entropy_matches_finite_differences(self):
@@ -123,7 +123,7 @@ class TestBackward:
                 if i < 2:
                     h = relu(h)
             p = softmax_t(h)
-            return (y * log(clamp_min(p, 1e-12))).sum() * (-1.0 / 5)
+            return mul(dot(y, log(clamp_min(p, 1e-12))), -1.0 / 5)
 
         analytic = named_grads(build(), params)
         numeric = finite_diff_grads(lambda: build().item(), params, eps=1e-5)
@@ -139,19 +139,19 @@ class TestBackward:
             a, b, w = params["a"], params["b"], params["w"]
 
             def build():
-                mixed = relu(a * b + a - b) + 0.5
+                mixed = add(relu(sub(add(mul(a, b), a), b)), 0.5)
                 z = matmul(mixed, w)
                 p = softmax_t(z)
-                return (p * p).sum() * 0.25 + \
-                    mean(log(clamp_min(mixed, 0.1))) + squared_l2(z) * 0.01
+                return add(add(mul(dot(p, p), 0.25), mean(log(clamp_min(mixed, 0.1)))),
+                           mul(squared_l2(z), 0.01))
 
             check_grads(build, params, tol=1e-4)
 
     def test_shared_subexpression_accumulates(self):
         params = ParamSet({"w": [2.0]})
         w = params["w"]
-        y = w * w           # used twice below
-        g = named_grads((y + y).sum(), params)
+        y = mul(w, w)           # used twice below
+        g = named_grads(total(add(y, y)), params)
         assert np.allclose(g["w"], [8.0])
 
     def test_determinism_bitwise(self):
@@ -251,17 +251,17 @@ class TestDense:
                 _assert_same_bits(fused, chain)
                 if relu_last:
                     assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
-                want = named_grads((chain * upstream).sum(), params)
-                _assert_same_grads(named_grads((fused * upstream).sum(), params), want)
+                want = named_grads(dot(chain, upstream), params)
+                _assert_same_grads(named_grads(dot(fused, upstream), params), want)
                 # a second walk over the same node sees a fresh upstream array
-                _assert_same_grads(named_grads((fused * upstream).sum(), params), want)
+                _assert_same_grads(named_grads(dot(fused, upstream), params), want)
 
     @pytest.mark.parametrize("relu_last", [False, True])
     def test_gradients_match_finite_differences(self, relu_last):
         for depth in (1, 2, 3):
             params, upstream = _network(22 + depth, depth)
-            check_grads(lambda: (mlp(params["x"], _layers(params, depth), relu_last)
-                                 * upstream).sum(), params)
+            check_grads(lambda: dot(mlp(params["x"], _layers(params, depth), relu_last),
+                                    upstream), params)
 
     def test_network_applied_twice_accumulates(self):
         # one set of weights reached by two nodes: each adds its share into
@@ -270,8 +270,8 @@ class TestDense:
         x2 = np.random.default_rng(24).normal(size=(6, _WIDTHS[0]))
 
         def twice(net):
-            return ((net(params["x"]) * upstream).sum()
-                    + (net(Tensor(x2)) * upstream[::-1]).sum())
+            return add(dot(net(params["x"]), upstream),
+                       dot(net(Tensor(x2)), upstream[::-1]))
 
         fused = twice(lambda x: mlp(x, _layers(params, 3)))
         chain = twice(lambda x: _chain(x, params, 3, False))
@@ -283,18 +283,18 @@ class TestDense:
         # the second walk's graph reaches only the first layer: the other
         # layers' views must read 0, not what the first walk left there
         params, upstream = _network(25, 3)
-        g = backward((mlp(params["x"], _layers(params, 3)) * upstream).sum(), params)
+        g = backward(dot(mlp(params["x"], _layers(params, 3)), upstream), params)
         assert np.shares_memory(g, params["w2"].grad) and g.any()
-        part = (mlp(params["x"], _layers(params, 1)) * 0.5).sum()
+        part = dot(mlp(params["x"], _layers(params, 1)), 0.5)
         got = named_grads(part, params)
         assert not any(got[n].any() for n in ("w1", "b1", "w2", "b2"))
         fresh = ParamSet({name: t.data for name, t in params.items()})
-        _assert_same_grads(got, named_grads((mlp(fresh["x"], _layers(fresh, 1)) * 0.5)
-                                            .sum(), fresh))
+        _assert_same_grads(got, named_grads(dot(mlp(fresh["x"], _layers(fresh, 1)), 0.5),
+                                            fresh))
 
     def test_unreachable_parameter_reads_zero(self):
         params, upstream = _network(26, 2, extra=True)
-        got = named_grads((mlp(params["x"], _layers(params, 2)) * upstream).sum(), params)
+        got = named_grads(dot(mlp(params["x"], _layers(params, 2)), upstream), params)
         assert got["w2"].tobytes() == np.zeros((3, 6)).tobytes()
         assert got["b2"].tobytes() == np.zeros(6).tobytes()
         assert got["w1"].any()
@@ -318,8 +318,8 @@ class TestFirstWriteGradients:
         """A stacked pair's network, a per-model log-temperature leaf reached
         through ``softmax_t`` and the input reached through the network."""
         out = mlp(params["x"], _layers(params, depth), relu_last=True)
-        return ((out * upstream).sum() * scale
-                + (softmax_t(out, params["theta"]) * upstream).sum())
+        return add(mul(dot(out, upstream), scale),
+                   dot(softmax_t(out, params["theta"]), upstream))
 
     @staticmethod
     def _pair(seed, depth=3, extra=False):
@@ -341,7 +341,7 @@ class TestFirstWriteGradients:
         # the first walk reaches the third layer but not theta, the second
         # theta but not the third layer
         params, upstream = self._pair(32, depth=2, extra=True)
-        first = named_grads(mlp(params["x"], _layers(params, 3)).sum(), params)
+        first = named_grads(total(mlp(params["x"], _layers(params, 3))), params)
         assert first["w2"].any() and first["b2"].any()
         assert first["theta"].tobytes() == np.zeros((2, 1)).tobytes()
         second = named_grads(self._pair_loss(params, upstream, 1.0, depth=2), params)
@@ -352,12 +352,12 @@ class TestFirstWriteGradients:
     def test_two_applications_of_one_network_sum(self):
         params, upstream = _network(33, 3)
         x2 = Tensor(np.random.default_rng(34).normal(size=(6, _WIDTHS[0])))
-        one = (mlp(params["x"], _layers(params, 3)) * upstream).sum()
-        other = (mlp(x2, _layers(params, 3)) * upstream[::-1]).sum()
+        one = dot(mlp(params["x"], _layers(params, 3)), upstream)
+        other = dot(mlp(x2, _layers(params, 3)), upstream[::-1])
         parts = [named_grads(part, params) for part in (one, other)]
         for _ in range(2):
-            got = named_grads(one + other, params)
-            want = zero_fill_grads(one + other, params)
+            got = named_grads(add(one, other), params)
+            want = zero_fill_grads(add(one, other), params)
             for n in want:
                 assert np.array_equal(got[n], want[n]), n
                 assert np.array_equal(got[n], parts[0][n] + parts[1][n]), n
@@ -370,8 +370,8 @@ class TestFirstWriteGradients:
         b_layers = [(b["w1"], b["b1"])]
 
         def loss():
-            return ((mlp(mlp(a["x"], _layers(a, 1), relu_last=True), b_layers)
-                     * upstream[:, :_WIDTHS[2]]).sum() + (b["w0"] * 0.75).sum())
+            return add(dot(mlp(mlp(a["x"], _layers(a, 1), relu_last=True), b_layers),
+                           upstream[:, :_WIDTHS[2]]), dot(b["w0"], 0.75))
 
         contrib = named_grads(loss(), b)  # b's walk writes b's tensors
         b._grad.fill(0.0)
@@ -407,12 +407,12 @@ class TestStackedDense:
         for depth in (1, 2, 3):
             params, upstream = _network(31 + depth, depth, lead=(2,))
             stacked = mlp(params["x"], _layers(params, depth), relu_last)
-            grads = named_grads((stacked * upstream).sum(), params)
+            grads = named_grads(dot(stacked, upstream), params)
             for k in range(2):
                 single = _model_slice(params, k)
                 out = mlp(single["x"], _layers(single, depth), relu_last)
                 assert stacked.data[k].tobytes() == out.data.tobytes()
-                want = named_grads((out * upstream[k]).sum(), single)
+                want = named_grads(dot(out, upstream[k]), single)
                 for name in want:
                     assert grads[name][k].tobytes() == want[name].tobytes(), (k, name)
 
@@ -420,8 +420,8 @@ class TestStackedDense:
     def test_gradients_match_finite_differences(self, relu_last):
         for depth in (1, 2, 3):
             params, upstream = _network(32 + depth, depth, lead=(2,))
-            check_grads(lambda: (mlp(params["x"], _layers(params, depth), relu_last)
-                                 * upstream).sum(), params)
+            check_grads(lambda: dot(mlp(params["x"], _layers(params, depth), relu_last),
+                                    upstream), params)
 
     @pytest.mark.parametrize("x,w,b", [
         ((2, 3, 4), (3, 4, 2), (3, 2)),   # leading axes differ
@@ -444,7 +444,7 @@ class TestTake:
         assert part.data.tobytes() == z.data[1, 1:3].tobytes()
         want = np.zeros((2, 5, 3))
         want[1, 1:3] = upstream
-        assert np.array_equal(named_grads((part * upstream).sum(), params)["z"], want)
+        assert np.array_equal(named_grads(dot(part, upstream), params)["z"], want)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(34)
@@ -452,8 +452,8 @@ class TestTake:
         z = params["z"]
         up_a, up_b = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
         # overlapping slices: their gradients add up in the parent
-        check_grads(lambda: (take(z, (0, slice(0, 2))) * up_a).sum()
-                    + (take(z, 0) * up_b).sum(), params)
+        check_grads(lambda: add(dot(take(z, (0, slice(0, 2))), up_a),
+                                dot(take(z, 0), up_b)), params)
 
 
 class TestStackedSoftmaxT:
@@ -467,12 +467,12 @@ class TestStackedSoftmaxT:
     def test_slices_bit_identical_to_2d_calls(self):
         params, upstream = self._stack(35)
         stacked = softmax_t(params["z"])
-        grads = named_grads((stacked * upstream).sum(), params)
+        grads = named_grads(dot(stacked, upstream), params)
         for k in range(2):
             single = _model_slice(params, k)
             out = softmax_t(single["z"])
             assert stacked.data[k].tobytes() == out.data.tobytes()
-            want = named_grads((out * upstream[k]).sum(), single)
+            want = named_grads(dot(out, upstream[k]), single)
             assert grads["z"][k].tobytes() == want["z"].tobytes()
 
     def test_per_model_temperature_gradients_match_finite_differences(self):
@@ -482,15 +482,15 @@ class TestStackedSoftmaxT:
 
         def term(k):
             y = softmax_t(take(params["z"], k), take(params["log_t"], k))
-            return (y * upstream[k]).sum()
+            return dot(y, upstream[k])
 
-        check_grads(lambda: term(0) + term(1), params)
+        check_grads(lambda: add(term(0), term(1)), params)
         # and each temperature's gradient comes from its own model's rows only
-        grads = named_grads(term(0) + term(1), params)
+        grads = named_grads(add(term(0), term(1)), params)
         for k in range(2):
             single = _model_slice(params, k)
             y = softmax_t(single["z"], single["log_t"])
-            want = named_grads((y * upstream[k]).sum(), single)
+            want = named_grads(dot(y, upstream[k]), single)
             assert grads["log_t"][k].tobytes() == want["log_t"].tobytes()
 
 
@@ -500,16 +500,16 @@ class TestStackedSoftmaxT:
         params, upstream = self._stack(37)
 
         def objective():
-            return (softmax_t(params["z"], params["log_t"]) * upstream).sum()
+            return dot(softmax_t(params["z"], params["log_t"]), upstream)
 
         check_grads(objective, params)
         y = softmax_t(params["z"], params["log_t"])
-        grads = named_grads((y * upstream).sum(), params)
+        grads = named_grads(dot(y, upstream), params)
         for k in range(2):
             single = _model_slice(params, k)
             out = softmax_t(single["z"], single["log_t"])
             assert y.data[k].tobytes() == out.data.tobytes()
-            want = named_grads((out * upstream[k]).sum(), single)
+            want = named_grads(dot(out, upstream[k]), single)
             for name in want:
                 assert grads[name][k].tobytes() == want[name].tobytes(), (k, name)
 
@@ -529,7 +529,7 @@ class TestStackedSoftmaxT:
         # chain through T = exp(theta) is computed inside the node
         params, upstream = self._stack(38)
         params["log_t"].data[...] = [[2.5], [-2.5]]
-        check_grads(lambda: (softmax_t(params["z"], params["log_t"]) * upstream).sum(),
+        check_grads(lambda: dot(softmax_t(params["z"], params["log_t"]), upstream),
                     params)
 
 
@@ -551,7 +551,7 @@ class TestLogLoss:
         probs = softmax_t(params["z"])
         assert (probs.data < LOG_CLAMP).any()
         fused = log_loss(probs, weights, 5)
-        chain = (weights * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
+        chain = mul(dot(weights, log(clamp_min(probs, LOG_CLAMP))), -1.0 / 5)
         _assert_same_bits(fused, chain)
         _assert_same_grads(named_grads(fused, params), named_grads(chain, params))
 
@@ -582,21 +582,38 @@ class TestStackedLogLoss:
         upstream = np.array([0.7, -1.3])  # a different upstream per entry
         stacked = log_loss(softmax_t(params["z"]), weights, 5)
         assert stacked.shape == (2,)
-        grads = named_grads((stacked * upstream).sum(), params)
+        grads = named_grads(dot(stacked, upstream), params)
         for k in range(2):
             single = _model_slice(params, k)
             probs = softmax_t(single["z"])
             out = log_loss(probs, weights[k], 5)
-            chain = (weights[k] * log(clamp_min(probs, LOG_CLAMP))).sum() * (-1.0 / 5)
+            chain = mul(dot(weights[k], log(clamp_min(probs, LOG_CLAMP))), -1.0 / 5)
             for want in (out, chain):
                 assert stacked.data[k].tobytes() == want.data.tobytes()
-                want_grads = named_grads(want * upstream[k], single)
+                want_grads = named_grads(mul(want, upstream[k]), single)
                 assert grads["z"][k].tobytes() == want_grads["z"].tobytes()
 
     def test_gradients_match_finite_differences(self):
         params, weights = self._stack(26)
-        check_grads(lambda: (log_loss(softmax_t(params["z"]), weights, 5)
-                             * np.array([0.7, -1.3])).sum(), params)
+        check_grads(lambda: dot(log_loss(softmax_t(params["z"]), weights, 5),
+                                np.array([0.7, -1.3])), params)
+
+
+class TestLossNode:
+    def test_vjp_scales_each_gradient_by_the_upstream(self):
+        # a scalar loss, and one loss per leading index whose upstream
+        # scales that block of each gradient
+        rng = np.random.default_rng(27)
+        params = ParamSet({"z": rng.normal(size=(2, 4, 3)), "t": rng.normal(size=(2, 1))})
+        gz, gt = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 1))
+        scalar = loss_node(1.5, [(params["z"], gz), (params["t"], gt)])
+        g = named_grads(mul(scalar, -2.0), params)
+        assert np.array_equal(g["z"], -2.0 * gz) and np.array_equal(g["t"], -2.0 * gt)
+        upstream = np.array([0.7, -1.3])
+        per_model = loss_node(np.array([1.0, 2.0]), [(params["z"], gz), (params["t"], gt)])
+        g = named_grads(dot(per_model, upstream), params)
+        assert np.array_equal(g["z"], upstream[:, None, None] * gz)
+        assert np.array_equal(g["t"], upstream[:, None] * gt)
 
 
 class TestGradientReversal:
@@ -607,20 +624,20 @@ class TestGradientReversal:
     def test_zero_lambda_kills_gradient(self):
         params = ParamSet({"w": [3.0]})
         w = params["w"]
-        g = named_grads((grl(w, 0.0) * 2.0).sum(), params)
+        g = named_grads(dot(grl(w, 0.0), 2.0), params)
         assert np.array_equal(g["w"], [0.0])
 
     def test_scalar_chain_scales_by_minus_lambda(self):
         params = ParamSet({"w": [1.5]})
         w = params["w"]
         c = 4.0
-        g = named_grads((grl(w, 0.9) * c).sum(), params)
+        g = named_grads(dot(grl(w, 0.9), c), params)
         assert np.allclose(g["w"], [-0.9 * c])
 
     def test_double_reversal_restores_gradient(self):
         params = ParamSet({"w": [2.0]})
         w = params["w"]
-        g = named_grads((grl(grl(w, 1.0), 1.0) * 3.0).sum(), params)
+        g = named_grads(dot(grl(grl(w, 1.0), 1.0), 3.0), params)
         assert np.allclose(g["w"], [3.0])
 
     def test_negative_lambda_rejected(self):

@@ -86,12 +86,26 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
                                    "adaptive_threshold", "mixup")
              if f"core.{f}" not in opened]
     assert not never, f"traced but never called: {never}"
+    # each enabled loss opens exactly one span per dual iteration (fm and sp
+    # from the first, bim and cr once matching opens), so core.loss_ms
+    # times one call of each and a fused branch that skips or repeats a
+    # loss fails here
+    iters = {i: s.tag for i, s in enumerate(tracer.spans) if s.name == "core.dual_iter"}
+    assert iters
+    for i, epoch in iters.items():
+        matching = epoch > cfg.warmup_epochs
+        calls = [s.name for s in tracer.spans if s.iteration == i and s.name in spans.LOSSES]
+        want = {"core.loss_fm": 1, "core.loss_sp": 1,
+                "core.loss_bim": int(matching), "core.loss_cr": int(matching)}
+        assert {name: calls.count(name) for name in want} == want, (epoch, calls)
     metrics = spans.layer_metrics(tracer.spans, cfg.warmup_epochs)
     assert 0.0 < metrics["core.gate_above_frac"] <= 1.0
     assert metrics["numerics.backward_calls_per_iter.dual"] == 1.0
     assert metrics["numerics.backward_calls_per_iter.baseline"] == 1.0
-    # one node per network (extractor, head, discriminator) and no
-    # parameter leaves: a return to per-layer nodes or leaves raises these
-    # (21 and 24 with one node per layer and a leaf per weight and bias)
-    assert metrics["numerics.graph_nodes_per_iter.baseline"] == 9.0
-    assert metrics["numerics.graph_nodes_per_iter.dual"] == 17.0
+    # one node per network (extractor, head, discriminator) and per
+    # trainer's objective, and no parameter leaf but the log-temperature:
+    # DANN walks extractor, head, reversal, discriminator and objective,
+    # the dual pair extractor, head, objective and log-temperature. A
+    # return to per-loss nodes (9 and 17) or to per-layer nodes raises these
+    assert metrics["numerics.graph_nodes_per_iter.baseline"] == 5.0
+    assert metrics["numerics.graph_nodes_per_iter.dual"] == 4.0
