@@ -25,7 +25,7 @@ from .models import (ClassifierModel, DomainDiscriminator, DualState,
                      ensemble_predict, forward, forward_logits,
                      init_discriminator, init_model, load_checkpoint,
                      predict_labels, save_checkpoint)
-from .numerics import (ParamSet, ShapeError, Tensor, backward, grl, lr_schedule,
-                       sgd_step, softmax_t)
+from .numerics import (ParamSet, ShapeError, Tensor, backward, lr_schedule,
+                       sgd_step)
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot,
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
-from .numerics import (ParamSet, Tensor, backward, grl, log_loss, log_loss_vjp,
-                       loss_node, lr_schedule, sgd_step, softmax_vjp)
+from .numerics import (ParamSet, Tensor, backward, log_loss_vjp, lr_schedule,
+                       sgd_step, softmax_vjp, step_node)
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -54,7 +54,7 @@ def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
            model: ClassifierModel, objective: Callable[[PairedBatch], Tensor],
            term: str) -> BaselineResult:
     """The loop both baselines share: per iteration one ``objective(batch)``
-    scalar, one ``backward`` walk over ``model.params`` and one SGD step;
+    scalar, one ``backward`` over ``model.params`` and one SGD step;
     after each epoch one history row.
 
     A non-finite loss raises :class:`NonFiniteLossError` named ``term``,
@@ -97,8 +97,10 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
 
     def objective(batch: PairedBatch) -> Tensor:
-        _, probs = forward(model, batch.xs)
-        return log_loss(probs, one_hot(batch.ys, model.num_classes), batch.xs.shape[0])
+        _, probs, reverse = forward(model, batch.xs)
+        value, vjp = log_loss_vjp(probs, one_hot(batch.ys, model.num_classes),
+                                  batch.xs.shape[0])
+        return step_node(value, batch.xs, lambda: reverse(vjp(1.0)))
 
     return _train(cfg, source, target_eval, model, objective, "source_ce")
 
@@ -106,10 +108,10 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
 def _dann(model: ClassifierModel, disc: DomainDiscriminator,
           xs, ys_onehot, xt) -> tuple[Tensor, float, float]:
     """(objective, class loss, domain loss) of one DANN step: the objective
-    is the sum of the losses as one node over the head and discriminator
-    logits. Domain labels: source = 0, target = 1, averaged over all 2B
-    samples. The reversal layer scales the domain gradient into the
-    extractor by ``-disc.grl_lambda``, so the extractor effectively descends
+    is the sum of the losses as one node over the stacked input. Domain
+    labels: source = 0, target = 1, averaged over all 2B samples. The
+    reversal layer scales the domain gradient into the extractor by
+    ``-disc.grl_lambda``, so the extractor effectively descends
     class_loss - lambda * domain_loss while the discriminator descends
     domain_loss.
     """
@@ -120,18 +122,20 @@ def _dann(model: ClassifierModel, disc: DomainDiscriminator,
     # one extractor and one discriminator pass over the stacked [xs; xt]
     # rows; target rows carry zero class labels, so the class loss sees
     # only the source rows
-    feats, logits = forward_logits(model, x)
+    feats, logits, reverse = forward_logits(model, x)
+    d_logits, d_reverse = discriminator_logits(disc, feats)
     class_onehot = np.zeros((b, model.num_classes))
     class_onehot[:b_s] = ys_onehot
     losses, grads = [], []
     for z, labels, n in ((logits, class_onehot, b_s),
-                         (discriminator_logits(disc, grl(feats, disc.grl_lambda)),
-                          one_hot(np.arange(b) >= b_s, 2), b)):
-        probs, vjp_z, _ = softmax_vjp(z.data)
+                         (d_logits, one_hot(np.arange(b) >= b_s, 2), b)):
+        probs, vjp_z, _ = softmax_vjp(z)
         value, vjp = log_loss_vjp(probs, labels, n)
         losses.append(value)
-        grads.append((z, vjp_z(vjp(1.0))))
-    return loss_node(losses[0] + losses[1], grads), *losses
+        grads.append(vjp_z(vjp(1.0)))
+    g_class, g_domain = grads
+    return step_node(losses[0] + losses[1], x, lambda: reverse(
+        g_class, d_reverse(g_domain) * (-disc.grl_lambda))), *losses
 
 
 def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,

@@ -35,8 +35,8 @@ from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
-from .numerics import (Array, backward, log_loss_vjp, loss_node, lr_schedule,
-                       sgd_step, softmax_vjp, temperature)
+from .numerics import (Array, _grad_into, backward, log_loss_vjp, lr_schedule,
+                       sgd_step, softmax_vjp, step_node, temperature)
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
@@ -263,12 +263,11 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             x = np.stack([np.concatenate(rows_k) for rows_k in zip(*blocks)])
             t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
 
-            # one graph forward of both models from the pre-update weights:
-            # the T = 1 probabilities of the target rows give the gates and
+            # one forward of both models from the pre-update weights: the
+            # T = 1 probabilities of the target rows give the gates and
             # pseudo-labels as data and are the student input of matching;
             # the target rows' logits feed self-penalization
-            logits = forward_logits(pair, x)[1]
-            z = logits.data
+            _, z, reverse = forward_logits(pair, x)
             probs, probs_vjp, _ = softmax_vjp(z)
             target_probs = probs[:, t_rows]
             if not np.isfinite(target_probs).all():
@@ -318,11 +317,16 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
                     raise NonFiniteLossError(col, epoch, it, v, rows)
                 ledger[col] = ledger.get(col, 0.0) + v
 
-            # the objective is one node over the logits and log-temperature,
-            # walked once: the models' parameter slices are disjoint and the
-            # teachers' probabilities constants, so each gets its own gradients
+            # the step is one node, its reverse run once: the models'
+            # parameter slices are disjoint and the teachers' probabilities
+            # constants, so each gets its own gradients
             g_logits += probs_vjp(g_probs)
-            loss = loss_node(total, [(logits, g_logits), (log_temperature, g_log_t)])
+
+            def step_reverse():
+                _grad_into(log_temperature, np.positive, g_log_t)
+                reverse(g_logits)
+
+            loss = step_node(total, x, step_reverse)
             sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
                      cfg.weight_decay)
             step += 1
@@ -339,6 +343,6 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             tau_sd=gates["tau_sd"] / n_batches, tau_td=gates["tau_td"] / n_batches,
             n_above_sd=gates["n_above_sd"], n_above_td=gates["n_above_td"],
             **_evaluate(pair, source, target)))
-    del logits, loss  # the last step's graph, before the unstack
+    del reverse, loss  # the last step's reverse pass, before the unstack
     sdm, tdm = unstack_models(pair)
     return DualState(sdm, tdm, threshold_trace=trace), rows

@@ -7,17 +7,16 @@ softmax temperature parameterized as ``T = exp(theta)`` so it stays positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import (Array, ParamSet, Tensor, _dense, as_tensor, mlp, softmax_t,
-                       softmax_vjp)
+from .numerics import Array, ParamSet, Tensor, _dense, mlp, softmax_vjp
 
 LOG_TEMPERATURE = "log_temperature"
 
 _INFER_ROWS = 64
-"""Rows per block in graph-free inference. 64 rows is the stacked DANN
+"""Rows per block in inference. 64 rows is the stacked DANN
 batch, and at the default widths a 64 x 64 @ 64 x 64 block stays on
 OpenBLAS's single-thread path
 (M*N*K <= 262,144). A whole-set product past that limit wakes a second BLAS
@@ -82,7 +81,7 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
 def stack_models(models) -> ClassifierModel:
     """One model holding the parameters of ``models`` (one architecture) on
     a leading model axis: ``ext.w{i}`` becomes ``[K x in x out]``, every
-    other tensor ``[K x ...]`` of its per-model shape. The graph forward
+    other tensor ``[K x ...]`` of its per-model shape. The training forward
     takes a ``[K x B x in]`` input, one row block per model; inference takes
     ``[B x in]`` rows and returns ``[K x B x ...]``."""
     first = models[0]
@@ -117,41 +116,49 @@ def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
     return [(p[f"ext.w{i}"], p[f"ext.b{i}"]) for i in range(len(model.widths))]
 
 
-def extract_features(model: ClassifierModel, x) -> Tensor:
-    """Run the ReLU extractor stack as one graph node; identity when there
-    are no layers.
+def extract_features(model: ClassifierModel, x) -> tuple[Array, Callable]:
+    """(features, reverse) of the ReLU extractor stack (:func:`numerics.mlp`
+    over a constant input); the identity when there are no layers.
 
     A stacked model (see :func:`stack_models`) takes one row block per model
     and runs every layer as one batched product."""
-    h = as_tensor(x)
-    _check_input(model, h.data, _model_axes(model))
-    return mlp(h, _layers(model), relu_last=True) if model.widths else h
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(model, x, _model_axes(model))
+    return mlp(x, _layers(model), relu_last=True, input_grad=False)
 
 
-def forward_logits(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
-    """(features, head logits) as graph tensors: one node for the extractor,
-    one for the head."""
-    feats = extract_features(model, x)
-    logits = mlp(feats, [(model.params["head.w"], model.params["head.b"])])
-    return feats, logits
+def forward_logits(model: ClassifierModel, x) -> tuple[Array, Array, Callable]:
+    """(features, head logits, reverse). ``reverse(g_logits, g_features=None)``
+    writes the head's and the extractor's gradients; ``g_features``, a
+    gradient the features receive from elsewhere, is added to the head's."""
+    feats, ext_reverse = extract_features(model, x)
+    logits, head_reverse = mlp(feats, [(model.params["head.w"], model.params["head.b"])])
+
+    def reverse(g_logits: Array, g_features: Array | None = None) -> None:
+        g = head_reverse(g_logits)
+        ext_reverse(g if g_features is None else g + g_features)
+
+    return feats, logits, reverse
 
 
-def forward(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
-    """(features, class probabilities at T = 1).
+def forward(model: ClassifierModel, x) -> tuple[Array, Array, Callable]:
+    """(features, class probabilities at T = 1, reverse): ``reverse(g_probs)``
+    runs the softmax's VJP, then :func:`forward_logits`'.
 
     The learnable temperature is applied only inside self-penalization,
     which computes its own tempered softmax from the logits.
     """
-    feats, logits = forward_logits(model, x)
-    return feats, softmax_t(logits)
+    feats, logits, reverse = forward_logits(model, x)
+    probs, vjp_z, _ = softmax_vjp(logits)
+    return feats, probs, lambda g_probs: reverse(vjp_z(g_probs))
 
 
 def _infer(model: ClassifierModel, x, probs: bool) -> Array:
     """Features, or T = 1 probabilities when ``probs`` is set, of the rows
     of ``x`` in plain numpy, ``_INFER_ROWS`` rows at a time.
 
-    Each layer is the :func:`numerics._dense` call that :func:`forward`'s
-    graph runs, and the softmax is the one it takes at T = 1, so the values
+    Each layer is the :func:`numerics._dense` call that :func:`forward`
+    runs, and the softmax is the one it takes at T = 1, so the values
     equal its output bit for bit. A stacked model runs every block through
     all its models in one batched product and returns ``[K x n x ...]``. A
     lone last row joins the block before it, because numpy sends a one-row
@@ -181,12 +188,12 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
 
 
 def predict_probs(model: ClassifierModel, x) -> Array:
-    """Probabilities at T = 1 as a plain array, computed without a graph."""
+    """Probabilities at T = 1, computed without a reverse pass."""
     return _infer(model, x, probs=True)
 
 
 def predict_features(model: ClassifierModel, x) -> Array:
-    """Extractor features as a plain array, computed without a graph."""
+    """Extractor features, computed without a reverse pass."""
     return _infer(model, x, probs=False)
 
 
@@ -215,10 +222,15 @@ def accuracy(pred: Array, truth: Array) -> float:
 
 @dataclass
 class DomainDiscriminator:
-    """Features -> 2 domain logits (source vs target) behind a reversal layer."""
+    """Features -> 2 domain logits (source vs target) behind a reversal
+    layer, which scales the features' gradient by ``-grl_lambda``."""
 
     params: ParamSet
     grl_lambda: float = 1.0
+
+    def __post_init__(self):
+        if not self.grl_lambda >= 0.0:
+            raise ValueError(f"grl_lambda must be >= 0, got {self.grl_lambda}")
 
 
 def init_discriminator(feature_dim: int, hidden: int, seed,
@@ -228,8 +240,9 @@ def init_discriminator(feature_dim: int, hidden: int, seed,
     return DomainDiscriminator(_init_params(layout, seed), grl_lambda)
 
 
-def discriminator_logits(disc: DomainDiscriminator, features: Tensor) -> Tensor:
-    """The hidden ReLU layer and the logit layer as one graph node."""
+def discriminator_logits(disc: DomainDiscriminator, features: Array) -> tuple[Array, Callable]:
+    """(logits, reverse) of the hidden ReLU layer and the logit layer;
+    ``reverse`` returns the features' gradient, before the reversal."""
     p = disc.params
     return mlp(features, [(p["disc.w0"], p["disc.b0"]), (p["disc.w1"], p["disc.b1"])])
 

@@ -1,14 +1,12 @@
-"""Dense float64 tensors with reverse-mode autodiff, momentum SGD and LR decay.
+"""Dense float64 tensors with hand-written reverse passes, momentum SGD and LR decay.
 
-Graphs are built dynamically: each node is a :class:`Tensor` carrying
-vector-Jacobian closures back to its inputs, and :func:`backward` replays
-those closures in reverse topological order, writing parameter gradients
-into their :class:`ParamSet`'s gradient vector (the first contribution to a
-tensor is written, later ones are added). A network is one node
-(:func:`mlp`); a loss is computed on plain arrays by value-and-VJP pieces
-(:func:`log_loss_vjp`, :func:`softmax_vjp`) and enters the graph as one
-node (:func:`loss_node`, or the :func:`log_loss` and :func:`softmax_t`
-nodes that wrap the pieces).
+A network (:func:`mlp`) runs its forward on plain arrays and returns its
+output and its reverse pass, which writes each layer's gradients into the
+layer's :class:`ParamSet` gradient vector (the first contribution to a
+tensor is written, later ones are added). A loss is a value-and-VJP pair on
+plain arrays (:func:`log_loss_vjp`, :func:`softmax_vjp`). A training step
+chains them in straight-line code and enters :func:`backward` as one graph
+node (:func:`step_node`) whose VJP runs the whole reverse.
 """
 from __future__ import annotations
 
@@ -35,14 +33,13 @@ def _as_array(values) -> Array:
 
 
 class Tensor:
-    """A float64 array node in a dynamically built computation graph.
+    """A float64 array: a parameter of a :class:`ParamSet` or a training
+    step's node (:func:`step_node`).
 
-    ``data`` is stored row-major (C order). Leaves created with
-    ``requires_grad=True`` are trainable; operation results record
-    ``(parent, vjp)`` pairs consumed by :func:`backward`. A tensor of a
-    :class:`ParamSet` has ``grad``, its view of the set's gradient vector;
-    ``_fresh`` is set on it while a :func:`backward` walk over its set has
-    not yet written it.
+    ``data`` is stored row-major (C order). A parameter has
+    ``requires_grad`` set and ``grad``, its view of the set's gradient
+    vector; ``_fresh`` is set on it while a :func:`backward` over its set has
+    not yet written it. A step's node records one ``(input, vjp)`` pair.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_vjps", "_fresh")
@@ -64,16 +61,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    @staticmethod
-    def _make(data: Array, vjps) -> "Tensor":
-        vjps = [(p, fn) for p, fn in vjps if p.requires_grad]
-        return Tensor(data, requires_grad=bool(vjps), _vjps=vjps)
-
-
-def as_tensor(x) -> Tensor:
-    """Wrap arrays/scalars as constant tensors; pass tensors through."""
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def relu_inplace(a: Array) -> Array:
     """``max(a, 0)`` written into ``a``, which it returns: bit-identical to
@@ -92,30 +79,30 @@ def relu_inplace(a: Array) -> Array:
 
 def _dense(h: Array, w: Array, b: Array, relu: bool) -> Array:
     """``h @ w + b`` on plain arrays, then :func:`relu_inplace` if ``relu``:
-    the layer step of both :func:`mlp` and graph-free inference, whose
+    the layer step of both :func:`mlp` and inference, whose
     values are therefore equal bit for bit."""
     out = h @ w
     out += b[..., None, :]
     return relu_inplace(out) if relu else out
 
 
-def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> Tensor:
-    """Dense layers (:func:`_dense`) as one graph node, ``max(., 0)`` after
-    each but the last (and the last too if ``relu_last``).
+def mlp(x: Array, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False,
+        input_grad: bool = True) -> tuple[Array, Callable[[Array], Array | None]]:
+    """Dense layers (:func:`_dense`), ``max(., 0)`` after each but the last
+    (and the last too if ``relu_last``): ``(out, reverse)``.
 
     ``layers`` holds (weight, bias) tensors of a :class:`ParamSet`, input
     side first. ``x`` is ``[..., B, in]``, each weight ``[..., in, out]`` and
     each bias ``[..., out]``, with the same leading axes on all (a stack of
-    networks). Weights and biases are not graph parents: the reverse pass
-    writes their gradients into their ``grad`` views (with ``out=`` while the
-    walk has not yet reached them, else added), and computes an input
-    gradient only when ``x`` requires one. Its ReLU mask is ``out > 0.0`` on
-    the ReLU output, the bools of the product before it. Each layer runs the
-    numpy operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``,
-    so values and gradients are bit-identical to it.
+    networks). ``reverse(g)`` takes the gradient of ``out`` and writes each
+    layer's gradients through :func:`_grad_into`; it returns the gradient of
+    ``x``, or None without ``input_grad`` (no layers: the identity, whose
+    input gradient is ``g``). Its ReLU mask is ``out > 0.0`` on the ReLU
+    output, the bools of the product before it. Each layer runs the numpy
+    operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so
+    values and gradients are bit-identical to it.
     """
-    x = as_tensor(x)
-    h = x.data
+    h = x
     saved = []  # per layer: input, ReLU mask or None, weight values, w and b
     for i, (w, b) in enumerate(layers):
         wd, bd = w.data, b.data
@@ -133,10 +120,10 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = False) -> 
                 g = g * mask
             _grad_into(w, np.matmul, h_in.swapaxes(-1, -2), g)
             _grad_into(b, np.add.reduce, g, axis=-2)
-            g = g @ wd.swapaxes(-1, -2) if i or x.requires_grad else None
+            g = g @ wd.swapaxes(-1, -2) if i or input_grad else None
         return g
 
-    return Tensor(h, requires_grad=True, _vjps=[(x, reverse)])
+    return h, reverse
 
 
 def _grad_into(t: Tensor, op, *args, **kwargs) -> None:
@@ -172,12 +159,6 @@ def log_loss_vjp(probs: Array, weights, n: int) -> tuple[Array, Callable[[Array]
     total = (weights * np.log(clamped)).reshape(probs.shape[:-2] + (-1,)).sum(axis=-1) * scale
     return total, lambda g: ((np.multiply(g, scale)[..., None, None] * weights)
                              / clamped) * mask
-
-
-def log_loss(probs: Tensor, weights, n: int) -> Tensor:
-    """:func:`log_loss_vjp` as one graph node over ``probs``."""
-    total, vjp = log_loss_vjp(probs.data, weights, n)
-    return Tensor._make(np.asarray(total), [(probs, vjp)])
 
 
 def temperature(log_temperature: Array) -> tuple[Array, Array]:
@@ -216,42 +197,13 @@ def softmax_vjp(z: Array, t: Array | None = None):
     return y, vjp_z, None if t is None else vjp_log_t
 
 
-def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
-    """:func:`softmax_vjp` as one graph node over ``logits`` and, if given,
-    ``log_temperature``: a Tensor of shape ``[..., 1]`` (else a
-    :class:`ShapeError`) whose T must be usable (else a ``ValueError``)."""
-    z = as_tensor(logits)
-    if z.data.ndim < 2 or z.data.shape[-1] < 2:
-        raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
-    t = None
-    if log_temperature is not None:
-        lead = z.data.shape[:-2]
-        if log_temperature.data.shape != lead + (1,):
-            raise ShapeError(f"log-temperature tensor must have shape {lead + (1,)} "
-                             f"for logits {z.shape}, got {log_temperature.shape}")
-        t, usable = temperature(log_temperature.data)
-        if not usable.all():
-            raise ValueError(f"temperature must be positive and finite, got {t.ravel()}")
-    y, vjp_z, vjp_log_t = softmax_vjp(z.data, t)
-    return Tensor._make(y, [(z, vjp_z)] + ([(log_temperature, vjp_log_t)] if vjp_log_t else []))
-
-
-def loss_node(value, grads: Sequence[tuple[Tensor, Array]]) -> Tensor:
-    """A loss computed on plain arrays as one graph node: ``grads`` pairs
-    each tensor it read with the gradient a unit upstream gives it, which the
-    VJP scales by the upstream. ``value`` is a scalar, or one loss per
-    leading index of every gradient (a per-model loss of a stack)."""
-    return Tensor._make(np.asarray(value), [
-        (p, lambda g, d=d: np.reshape(g, np.shape(g) + (1,) * (d.ndim - np.ndim(g))) * d)
-        for p, d in grads])
-
-
-def grl(x: Tensor, grl_lambda: float) -> Tensor:
-    """Gradient reversal: identity forward, upstream gradient scaled by -lambda."""
-    if grl_lambda < 0.0:
-        raise ValueError(f"grl_lambda must be >= 0, got {grl_lambda}")
-    x = as_tensor(x)
-    return Tensor._make(x.data.copy(), [(x, lambda g: g * (-grl_lambda))])
+def step_node(value, x: Array, reverse: Callable[[], object]) -> Tensor:
+    """A training step's scalar objective ``value`` as one graph node over
+    its input batch ``x``, for :func:`backward`. ``reverse()`` runs the
+    step's whole reverse pass, writing every gradient through
+    :func:`_grad_into`; the node is the root of its graph, so its VJP is
+    ``reverse`` at the unit upstream."""
+    return Tensor(value, _vjps=[(Tensor(x), lambda g: reverse())])
 
 
 class ParamSet:
@@ -310,24 +262,25 @@ class ParamSet:
 
 
 def backward(loss: Tensor, params: ParamSet) -> Array:
-    """Exact reverse-mode gradients of a scalar ``loss`` for every parameter
-    of ``params``: the set's gradient vector, as the walk writes it.
+    """Exact reverse-mode gradients of a step's scalar ``loss`` (a
+    :func:`step_node`) for every parameter of ``params``: the set's gradient
+    vector, as the node's VJP writes it.
 
-    The walk first marks every tensor of ``params`` fresh. A network node
-    (:func:`mlp`) writes a fresh weight's or bias's gradient into its
-    ``grad`` view and adds into one it already wrote, so two applications
-    of one network sum; a parameter reached as a graph leaf gets its leaf
-    gradient the same way. After the walk the tensors it never reached are
-    zeroed, and no tensor stays marked. The walk is a deterministic reverse
-    topological order, so identical graphs give identical bits. The values
-    are those of zeroing the vector and adding every contribution, except
-    that a first-written -0.0 stays -0.0; :func:`sgd_step` forms
-    ``weight_decay * w`` before adding the gradient, so the weights it
-    computes do not depend on the sign of a zero gradient (see README).
+    ``backward`` first marks every tensor of ``params`` fresh. The VJP's
+    networks (:func:`mlp`) write a fresh weight's or bias's gradient into
+    its ``grad`` view and add into one already written, so two applications
+    of one network sum; a parameter outside a network gets its gradient the
+    same way. Afterwards the tensors the VJP never reached are zeroed, and
+    no tensor stays marked. The values are those of zeroing the vector and
+    adding every contribution, except that a first-written -0.0 stays -0.0;
+    :func:`sgd_step` forms ``weight_decay * w`` before adding the gradient,
+    so the weights it computes do not depend on the sign of a zero gradient
+    (see README).
 
     The result is the set's own buffer, not a copy: the next ``backward``
-    over ``params`` overwrites it. A graph that also reaches another set's
-    tensors adds into that set's vector, which only its own walk rewrites.
+    over ``params`` overwrites it. A VJP that also reaches another set's
+    tensors adds into that set's vector, which only its own ``backward``
+    rewrites.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -335,53 +288,14 @@ def backward(loss: Tensor, params: ParamSet) -> Array:
     for t in tensors:
         t._fresh = True
     try:
-        _walk(loss)
+        for _, vjp in loss._vjps:
+            vjp(1.0)
     finally:
         for t in tensors:
             if t._fresh:
                 t.grad.fill(0.0)
                 t._fresh = False
     return params._grad
-
-
-def _walk(loss: Tensor) -> None:
-    """Replay the VJPs of ``loss``'s graph, handing each parameter its
-    gradient as :func:`backward` describes."""
-
-    # iterative post-order DFS over the loss's ancestry; every parent requires
-    # gradients but a network's constant input, for which its reverse pass
-    # returns None. Tensors key the visited set and gradient map by identity
-    topo: list[Tensor] = []
-    visited: set[Tensor] = {loss}
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
-    while stack:
-        node, i = stack.pop()
-        while i < len(node._vjps):
-            parent = node._vjps[i][0]
-            i += 1
-            if parent not in visited:
-                visited.add(parent)
-                stack.append((node, i))
-                stack.append((parent, 0))
-                break
-        else:
-            topo.append(node)
-
-    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(node, None)
-        if g is None:  # a network's constant input
-            continue
-        if node.grad is not None:
-            _grad_into(node, np.positive, g)  # a parameter reached as a leaf
-        for parent, vjp in node._vjps:
-            contrib = vjp(g)
-            if contrib is None:
-                continue
-            if parent in grads:
-                grads[parent] = grads[parent] + contrib
-            else:
-                grads[parent] = contrib
 
 
 def sgd_step(params: ParamSet, grads: Array, lr: float,

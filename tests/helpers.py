@@ -1,7 +1,7 @@
-"""Shared test utilities: the composed autodiff reference, the loss
-functions as graph nodes, a finite-difference gradient oracle, the serial
-features.csv writer, hooks into the split one, and small randomized
-model/batch factories."""
+"""Shared test utilities: the composed autodiff reference with its own
+graph walk, the networks and loss functions as graph nodes, a
+finite-difference gradient oracle, the serial features.csv writer, hooks
+into the split one, and small randomized model/batch factories."""
 from __future__ import annotations
 
 import os
@@ -13,18 +13,78 @@ import pytest
 from fixbi import harness
 from fixbi.core import adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp, mixup
 from fixbi.data import Dataset, one_hot
-from fixbi.models import (ClassifierModel, DualState, forward_logits, init_model,
-                          predict_features)
-from fixbi.numerics import (Array, ParamSet, Tensor, _walk, as_tensor, backward,
-                            log_loss, loss_node, softmax_t, temperature)
+from fixbi.models import (ClassifierModel, DualState, discriminator_logits,
+                          extract_features, init_model, predict_features)
+from fixbi.numerics import (Array, ParamSet, ShapeError, Tensor, _grad_into, backward,
+                            log_loss_vjp, mlp, softmax_vjp, temperature)
 
 # -- the composed reference --------------------------------------------------
-# Graph operations composed from Tensor nodes. Each layer of
-# ``numerics.mlp`` must match ``relu(affine(x, w, b))``, ``numerics.log_loss``
-# the ``clamp_min -> log -> mul -> sum -> mul`` chain and each trainer's
-# one objective node the graph of slices, sums and products below
-# (:func:`composed_dual_loss`) bit for bit, in values and gradients; they
-# run the same numpy operations as these.
+# A general graph of Tensor nodes, each carrying VJP closures back to its
+# parents, and a walk that replays them in reverse topological order. Each
+# layer of ``numerics.mlp`` must match ``relu(affine(x, w, b))``,
+# ``numerics.log_loss_vjp`` the ``clamp_min -> log -> mul -> sum -> mul``
+# chain and each trainer's step node the graph of networks, slices, sums and
+# products below (:func:`composed_dual_loss`) bit for bit, in values and
+# gradients; they run the same numpy operations as these.
+
+
+def make(data: Array, vjps) -> Tensor:
+    """A graph node over those parents of ``vjps`` that need gradients."""
+    vjps = [(p, fn) for p, fn in vjps if p.requires_grad]
+    return Tensor(data, requires_grad=bool(vjps), _vjps=vjps)
+
+
+def as_tensor(x) -> Tensor:
+    """Wrap arrays/scalars as constant tensors; pass tensors through."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def walk(loss: Tensor) -> None:
+    """Replay the VJPs of ``loss``'s graph from a unit upstream, handing each
+    parameter its gradient through ``numerics._grad_into``."""
+
+    # iterative post-order DFS over the loss's ancestry; every parent requires
+    # gradients but a network's or a step's constant input, for which its
+    # reverse pass returns None. Tensors key the visited set and gradient map
+    # by identity
+    topo: list[Tensor] = []
+    visited: set[Tensor] = {loss}
+    stack: list[tuple[Tensor, int]] = [(loss, 0)]
+    while stack:
+        node, i = stack.pop()
+        while i < len(node._vjps):
+            parent = node._vjps[i][0]
+            i += 1
+            if parent not in visited:
+                visited.add(parent)
+                stack.append((node, i))
+                stack.append((parent, 0))
+                break
+        else:
+            topo.append(node)
+
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(node, None)
+        if g is None:  # a network's or a step's constant input
+            continue
+        if node.grad is not None:
+            _grad_into(node, np.positive, g)  # a parameter reached as a leaf
+        for parent, vjp in node._vjps:
+            contrib = vjp(g)
+            if contrib is None:
+                continue
+            if parent in grads:
+                grads[parent] = grads[parent] + contrib
+            else:
+                grads[parent] = contrib
+
+
+def graph_backward(loss: Tensor, params: ParamSet) -> Array:
+    """``numerics.backward`` over a composed graph, which enters it as one
+    node whose VJP walks the graph (:func:`walk`); a step node's graph is
+    that node alone."""
+    return backward(Tensor(loss.data, _vjps=[(loss, lambda g: walk(loss))]), params)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -43,7 +103,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a, b) -> Tensor:
     """``a + b`` with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._make(a.data + b.data, [
+    return make(a.data + b.data, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
     ])
@@ -52,7 +112,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     """``a - b`` with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._make(a.data - b.data, [
+    return make(a.data - b.data, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(-g, b.data.shape)),
     ])
@@ -62,7 +122,7 @@ def mul(a, b) -> Tensor:
     """``a * b`` with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data  # capture forward-time values
-    return Tensor._make(ad * bd, [
+    return make(ad * bd, [
         (a, lambda g: _unbroadcast(g * bd, ad.shape)),
         (b, lambda g: _unbroadcast(g * ad, bd.shape)),
     ])
@@ -72,7 +132,7 @@ def total(x) -> Tensor:
     """The sum of every entry, a scalar."""
     x = as_tensor(x)
     shape = x.data.shape
-    return Tensor._make(np.asarray(x.data.sum()), [(x, lambda g: np.full(shape, g))])
+    return make(np.asarray(x.data.sum()), [(x, lambda g: np.full(shape, g))])
 
 
 def dot(x, w) -> Tensor:
@@ -91,14 +151,14 @@ def take(x, index) -> Tensor:
         out[index] = g
         return out
 
-    return Tensor._make(xd[index], [(x, vjp)])
+    return make(xd[index], [(x, vjp)])
 
 
 def matmul(a, b) -> Tensor:
     """``a @ b`` of two 2-D tensors."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    return Tensor._make(ad @ bd, [
+    return make(ad @ bd, [
         (a, lambda g: g @ bd.T),
         (b, lambda g: ad.T @ g),
     ])
@@ -111,19 +171,19 @@ def affine(x, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    return Tensor._make(np.where(mask, x.data, 0.0), [(x, lambda g: g * mask)])
+    return make(np.where(mask, x.data, 0.0), [(x, lambda g: g * mask)])
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
     """Elementwise ``max(x, lo)``; gradient passes where ``x >= lo``."""
     mask = x.data >= lo
-    return Tensor._make(np.maximum(x.data, lo), [(x, lambda g: g * mask)])
+    return make(np.maximum(x.data, lo), [(x, lambda g: g * mask)])
 
 
 def log(x: Tensor) -> Tensor:
     """Raw elementwise log; callers guard the domain with :func:`clamp_min`."""
     xd = x.data
-    return Tensor._make(np.log(xd), [(x, lambda g: g / xd)])
+    return make(np.log(xd), [(x, lambda g: g / xd)])
 
 
 def mean(x: Tensor) -> Tensor:
@@ -142,6 +202,84 @@ def composed_cr(p: Tensor, q: Tensor) -> Tensor:
     return mul(total(mul(d, d)), 1.0 / p.data.shape[0])
 
 
+def grl(x: Tensor, grl_lambda: float) -> Tensor:
+    """Gradient reversal: identity forward, upstream gradient scaled by -lambda."""
+    if grl_lambda < 0.0:
+        raise ValueError(f"grl_lambda must be >= 0, got {grl_lambda}")
+    x = as_tensor(x)
+    return make(x.data.copy(), [(x, lambda g: g * (-grl_lambda))])
+
+
+def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
+    """``numerics.softmax_vjp`` as one graph node over ``logits`` and, if
+    given, ``log_temperature``: a Tensor of shape ``[..., 1]`` (else a
+    ``ShapeError``) whose T must be usable (else a ``ValueError``)."""
+    z = as_tensor(logits)
+    if z.data.ndim < 2 or z.data.shape[-1] < 2:
+        raise ShapeError(f"softmax_t expects a [B x C] tensor with C >= 2, got {z.shape}")
+    t = None
+    if log_temperature is not None:
+        lead = z.data.shape[:-2]
+        if log_temperature.data.shape != lead + (1,):
+            raise ShapeError(f"log-temperature tensor must have shape {lead + (1,)} "
+                             f"for logits {z.shape}, got {log_temperature.shape}")
+        t, usable = temperature(log_temperature.data)
+        if not usable.all():
+            raise ValueError(f"temperature must be positive and finite, got {t.ravel()}")
+    y, vjp_z, vjp_log_t = softmax_vjp(z.data, t)
+    return make(y, [(z, vjp_z)] + ([(log_temperature, vjp_log_t)] if vjp_log_t else []))
+
+
+def log_loss(probs: Tensor, weights, n: int) -> Tensor:
+    """``numerics.log_loss_vjp`` as one graph node over ``probs``."""
+    value, vjp = log_loss_vjp(probs.data, weights, n)
+    return make(np.asarray(value), [(probs, vjp)])
+
+
+def loss_node(value, grads) -> Tensor:
+    """A loss computed on plain arrays as one graph node: ``grads`` pairs
+    each tensor it read with the gradient a unit upstream gives it, which the
+    VJP scales by the upstream. ``value`` is a scalar, or one loss per
+    leading index of every gradient (a per-model loss of a stack)."""
+    return make(np.asarray(value), [
+        (p, lambda g, d=d: np.reshape(g, np.shape(g) + (1,) * (d.ndim - np.ndim(g))) * d)
+        for p, d in grads])
+
+
+# -- the networks as graph nodes ---------------------------------------------
+# Each network returns its output and its reverse pass; these put one in a
+# graph as one node over its input. Its weights are not graph parents: the
+# reverse pass writes their gradients itself.
+
+
+def mlp_node(x, layers, relu_last: bool = False) -> Tensor:
+    """``numerics.mlp`` as one node; it returns an input gradient only when
+    ``x`` requires one."""
+    x = as_tensor(x)
+    out, reverse = mlp(x.data, layers, relu_last, input_grad=x.requires_grad)
+    return Tensor(out, requires_grad=True, _vjps=[(x, reverse)])
+
+
+def features_node(model: ClassifierModel, x) -> Tensor:
+    """``models.extract_features`` on a constant input as one node."""
+    x = as_tensor(x)
+    feats, reverse = extract_features(model, x.data)
+    return Tensor(feats, requires_grad=True, _vjps=[(x, reverse)])
+
+
+def network(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
+    """(features, logits) of ``model`` on ``x``: one node for the extractor,
+    one for the head."""
+    feats = features_node(model, x)
+    return feats, mlp_node(feats, [(model.params["head.w"], model.params["head.b"])])
+
+
+def disc_node(disc, features: Tensor) -> Tensor:
+    """``models.discriminator_logits`` as one node over ``features``."""
+    logits, reverse = discriminator_logits(disc, features.data)
+    return Tensor(logits, requires_grad=True, _vjps=[(features, reverse)])
+
+
 def composed_dual_loss(cfg, pair: ClassifierModel, x: Array, batch, matching: bool,
                        frozen=None):
     """``(objective, gate)`` of one dual step on the stacked input ``x`` of
@@ -153,7 +291,7 @@ def composed_dual_loss(cfg, pair: ClassifierModel, x: Array, batch, matching: bo
     b = batch.xt.shape[0]
     t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
     both = slice(None)
-    logits = forward_logits(pair, x)[1]
+    logits = network(pair, x)[1]
     probs = softmax_t(logits)
     target_probs = probs.data[:, t_rows]
     stats = adaptive_threshold(target_probs.max(axis=-1))
@@ -173,6 +311,21 @@ def composed_dual_loss(cfg, pair: ClassifierModel, x: Array, batch, matching: bo
     if cfg.loss_cr and matching:
         loss = add(loss, composed_cr(take(probs, (0, half_rows)), take(probs, (1, half_rows))))
     return loss, stats
+
+
+def composed_dann_loss(model: ClassifierModel, disc, xs: Array, ys_hot: Array,
+                       xt: Array) -> Tensor:
+    """One DANN step's objective on the stacked ``[xs; xt]`` rows as a
+    composed graph: the extractor and head nodes, a reversal node into the
+    discriminator node, and a log-loss node per softmax, added."""
+    b_s, x = xs.shape[0], np.concatenate([xs, xt])
+    feats, logits = network(model, x)
+    class_hot = np.zeros((x.shape[0], model.num_classes))
+    class_hot[:b_s] = ys_hot
+    domain = disc_node(disc, grl(feats, disc.grl_lambda))
+    return add(log_loss(softmax_t(logits), class_hot, b_s),
+               log_loss(softmax_t(domain), one_hot(np.arange(x.shape[0]) >= b_s, 2),
+                        x.shape[0]))
 
 
 # -- the loss functions as graph nodes ---------------------------------------
@@ -215,10 +368,10 @@ def clone_model(model: ClassifierModel) -> ClassifierModel:
 
 
 def named_grads(loss, params: ParamSet) -> dict[str, Array]:
-    """``backward(loss, params)`` as a name -> gradient map of copies: the
-    walk returns the set's own gradient buffer, which the next walk
+    """``graph_backward(loss, params)`` as a name -> gradient map of copies:
+    it returns the set's own gradient buffer, which the next call
     overwrites."""
-    backward(loss, params)
+    graph_backward(loss, params)
     return {name: t.grad.copy() for name, t in params.items()}
 
 
@@ -227,7 +380,7 @@ def zero_fill_grads(loss, params: ParamSet) -> dict[str, Array]:
     gradient vector zeroed, then every contribution of the walk added into
     it. No tensor is marked fresh, so the walk writes none of them first."""
     params._grad.fill(0.0)
-    _walk(loss)
+    walk(loss)
     return {name: t.grad.copy() for name, t in params.items()}
 
 
@@ -290,7 +443,7 @@ def check_grads(loss_builder, params: ParamSet, eps: float = 1e-5,
 
 def probs_of(model: ClassifierModel, x):
     """The model's T = 1 probabilities as a graph tensor."""
-    return softmax_t(forward_logits(model, x)[1])
+    return softmax_t(network(model, x)[1])
 
 
 def gated_top1(probs, selected) -> Array:
@@ -304,7 +457,7 @@ def gated_top1(probs, selected) -> Array:
 def sp_of(model: ClassifierModel, x, selected):
     """Self-penalization of the ``selected`` rows from one forward, as the
     training loop builds it."""
-    logits = forward_logits(model, x)[1]
+    logits = network(model, x)[1]
     return sp_node(logits, model.params["log_temperature"],
                    gated_top1(softmax_t(logits).data, selected))
 

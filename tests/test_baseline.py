@@ -9,12 +9,12 @@ from fixbi.baseline import (dann_losses, dann_objective, train_dann,
                             train_source_only)
 from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import NonFiniteLossError
-from fixbi.data import gen_blobs_shift
-from fixbi.models import (discriminator_logits, extract_features,
-                          init_discriminator, init_model)
-from fixbi.numerics import Tensor, backward, grl, sgd_step, softmax_t
-from helpers import (add, affine, clamp_min, dot, log, mul, named_grads,
-                     random_batch, random_model, value_bytes)
+from fixbi.data import gen_blobs_shift, one_hot
+from fixbi.models import init_discriminator, init_model
+from fixbi.numerics import ParamSet, Tensor, sgd_step
+from helpers import (add, affine, clamp_min, composed_dann_loss, disc_node, dot,
+                     features_node, graph_backward, grl, log, log_loss, mul, named_grads,
+                     probs_of, random_batch, random_model, softmax_t, value_bytes)
 
 
 def blob_config(**overrides) -> TrainConfig:
@@ -157,12 +157,12 @@ class TestDann:
         def log_probs(z):
             return log(clamp_min(softmax_t(z), 1e-12))
 
-        feat_s = extract_features(model, xs)
-        feat_t = extract_features(model, xt)
+        feat_s = features_node(model, xs)
+        feat_t = features_node(model, xt)
         logits = affine(feat_s, model.params["head.w"], model.params["head.b"])
         class_loss = mul(dot(ys_hot, log_probs(logits)), -1.0 / len(xs))
-        log_s = log_probs(discriminator_logits(disc, grl(feat_s, disc.grl_lambda)))
-        log_t = log_probs(discriminator_logits(disc, grl(feat_t, disc.grl_lambda)))
+        log_s = log_probs(disc_node(disc, grl(feat_s, disc.grl_lambda)))
+        log_t = log_probs(disc_node(disc, grl(feat_t, disc.grl_lambda)))
         domain_loss = add(dot(log_s, np.array([1.0, 0.0])), dot(log_t, np.array([0.0, 1.0])))
         return class_loss, mul(domain_loss, -1.0 / (len(xs) + len(xt)))
 
@@ -191,6 +191,63 @@ class TestDann:
         dann_accs = [r["dann"].target_acc for r in cells]
         src_accs = [r["source_only"].target_acc for r in cells]
         assert np.mean(dann_accs) >= np.mean(src_accs)
+
+
+class TestStepsMatchComposedGraph:
+    """Each baseline step's gradient vector and update against the helpers'
+    composed graph, bit for bit: DANN at a zero and a non-unit reversal
+    weight, and source-only."""
+
+    @staticmethod
+    def _check(monkeypatch, trainer, cfg, params, composed):
+        """Run ``trainer`` for ``cfg`` (two steps), then replay each step on
+        ``params`` from the gradient of ``composed(batch)``."""
+        import fixbi.baseline as baseline
+
+        steps = []
+        batches, real_step = baseline.paired_minibatches, baseline.sgd_step
+
+        def recorded_batches(*args):
+            for batch in batches(*args):
+                steps.append({"batch": batch})
+                yield batch
+
+        def step(ps, grads, *args):
+            steps[-1].update(before=value_bytes(ps), grads=grads.copy(), args=args)
+            real_step(ps, grads, *args)
+            steps[-1]["after"] = value_bytes(ps)
+            return ps
+
+        monkeypatch.setattr(baseline, "paired_minibatches", recorded_batches)
+        monkeypatch.setattr(baseline, "sgd_step", step)
+        source, target = separable_pair(seed=cfg.seed)
+        trainer(cfg, source, target)
+        assert len(steps) == 2
+        for seen in steps:
+            assert value_bytes(params) == seen["before"]
+            want = graph_backward(composed(seen["batch"]), params)
+            assert want.any() and np.array_equal(seen["grads"], want)
+            sgd_step(params, want, *seen["args"])
+            assert value_bytes(params) == seen["after"]
+
+    @pytest.mark.parametrize("grl_lambda", [0.0, 0.6])
+    def test_dann(self, monkeypatch, grl_lambda):
+        import fixbi.baseline as baseline
+
+        cfg = blob_config(baseline_epochs=1, batch_size=50, grl_lambda=grl_lambda, seed=4)
+        model = init_model(2, cfg.arch, 2, cfg.seed)
+        disc = init_discriminator(model.feature_dim, baseline._DISC_HIDDEN,
+                                  [cfg.seed, baseline._DISC_STREAM], grl_lambda)
+        model.params = disc.params = ParamSet(
+            {name: t.data for ps in (model.params, disc.params) for name, t in ps.items()})
+        self._check(monkeypatch, train_dann, cfg, model.params, lambda b: composed_dann_loss(
+            model, disc, b.xs, one_hot(b.ys, 2), b.xt))
+
+    def test_source_only(self, monkeypatch):
+        cfg = blob_config(baseline_epochs=1, batch_size=50, seed=5)
+        model = init_model(2, cfg.arch, 2, cfg.seed)
+        self._check(monkeypatch, train_source_only, cfg, model.params, lambda b: log_loss(
+            probs_of(model, b.xs), one_hot(b.ys, 2), b.xs.shape[0]))
 
 
 @pytest.mark.parametrize("trainer", [train_dann, train_source_only])
@@ -258,11 +315,10 @@ class TestDiscriminatorOracle:
         onehot[80:, 1] = 1.0
         feats = np.concatenate([feat_s, feat_t], axis=0)
         for _ in range(120):
-            from fixbi.numerics import softmax_t
-            probs = softmax_t(discriminator_logits(disc, Tensor(feats)))
+            probs = softmax_t(disc_node(disc, Tensor(feats)))
             loss = mul(dot(onehot, log(clamp_min(probs, 1e-12))), -1.0 / 160)
-            sgd_step(disc.params, backward(loss, disc.params), lr=0.1, momentum=0.9)
-        probs = softmax_t(discriminator_logits(disc, Tensor(feats))).data
+            sgd_step(disc.params, graph_backward(loss, disc.params), lr=0.1, momentum=0.9)
+        probs = softmax_t(disc_node(disc, Tensor(feats))).data
         pred = np.argmax(probs, axis=1)
         truth = np.concatenate([np.zeros(80), np.ones(80)])
         assert (pred == truth).mean() > 0.95

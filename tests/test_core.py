@@ -13,12 +13,12 @@ from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import (NonFiniteLossError, adaptive_threshold, mixup,
                         pseudo_labels, ratio_rule_sample, train_fixbi)
 from fixbi.data import Dataset, one_hot, paired_minibatches
-from fixbi.models import ClassifierModel, forward_logits, init_model, stack_models
-from fixbi.numerics import (ParamSet, backward, lr_schedule, sgd_step,
-                            softmax_t)
+from fixbi.models import init_model, stack_models
+from fixbi.numerics import ParamSet, lr_schedule, sgd_step
 from helpers import (add, bim_node, check_grads, clone_model, composed_dual_loss,
-                     cr_node, cr_of, dot, fm_node, gated_top1, manual_model, mul,
-                     named_grads, probs_of, random_batch, random_model, sp_node, sp_of,
+                     cr_node, cr_of, dot, fm_node, gated_top1, graph_backward, manual_model,
+                     mul, named_grads, network, probs_of, random_batch, random_model,
+                     softmax_t, sp_node, sp_of,
                      split_gate, value_bytes)
 
 LN2 = math.log(2.0)
@@ -719,7 +719,7 @@ class TestStackedMatchesTwoModels:
                                             epoch, cfg.seed):
                 lr = lr_schedule(cfg.lr0, step / total_steps)
                 ys_hot = one_hot(batch.ys, init.num_classes)
-                logits = {m: forward_logits(model, batch.xt)[1]
+                logits = {m: network(model, batch.xt)[1]
                           for m, model in (("sd", sdm), ("td", tdm))}
                 q = {m: softmax_t(z) for m, z in logits.items()}
                 gate = {m: adaptive_threshold(p.data.max(axis=1)[None])
@@ -729,7 +729,7 @@ class TestStackedMatchesTwoModels:
                                       ("td", tdm, cfg.lambda_td)):
                     pl = one_hot(np.argmax(q[m].data, axis=1), init.num_classes)
                     x_mix = mixup(batch.xs, batch.xt, lam)
-                    probs = softmax_t(forward_logits(model, x_mix)[1])
+                    probs = probs_of(model, x_mix)
                     terms[f"fm_{m}"] = fm_node(probs, mixup(ys_hot, pl, lam))
                     terms[f"sp_{m}"] = sp_node(logits[m], model.params["log_temperature"],
                                                gated_top1(q[m].data, gate[m].below[0]))
@@ -739,17 +739,15 @@ class TestStackedMatchesTwoModels:
                     terms["bim_td"] = bim_node(q["td"], gated_top1(q["sd"].data,
                                                                    gate["sd"].above[0]))
                     x_half = 0.5 * batch.xs + 0.5 * batch.xt
-                    terms["cr"] = cr_node(
-                        softmax_t(forward_logits(sdm, x_half)[1]),
-                        softmax_t(forward_logits(tdm, x_half)[1]))
+                    terms["cr"] = cr_node(probs_of(sdm, x_half), probs_of(tdm, x_half))
                 losses.append({name: t.item() for name, t in terms.items()})
                 total = None
                 for t in terms.values():
                     total = t if total is None else add(total, t)
                 # a copy: the second walk reaches sdm's networks too and
                 # adds into sdm's gradient buffer again
-                g_sd = backward(total, sdm.params).copy()
-                g_td = backward(total, tdm.params)
+                g_sd = graph_backward(total, sdm.params).copy()
+                g_td = graph_backward(total, tdm.params)
                 sgd_step(sdm.params, g_sd, lr, cfg.momentum, cfg.weight_decay)
                 sgd_step(tdm.params, g_td, lr, cfg.momentum, cfg.weight_decay)
                 step += 1
@@ -835,7 +833,7 @@ class TestOneObjectiveNode:
             batch = next(iter(paired_minibatches(source, target, 16, epoch, cfg.seed)))
             loss, stats = composed_dual_loss(cfg, pair, seen["x"], batch, epoch > 1, frozen)
             assert stats.above.any(axis=1).all() and stats.below.any(axis=1).all()
-            want = backward(loss, pair.params)
+            want = graph_backward(loss, pair.params)
             assert np.array_equal(seen["grads"], want), epoch
             sgd_step(pair.params, want, *seen["args"])
         assert not np.array_equal(pair.params["head.w"].data[0], pair.params["head.w"].data[1])

@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fixbi.models import (_CKPT_BLOCK, CKPT_MAGIC, discriminator_logits,
+from fixbi.models import (_CKPT_BLOCK, CKPT_MAGIC, DomainDiscriminator,
+                          discriminator_logits,
                           ensemble_predict, extract_features, forward,
                           forward_logits, init_discriminator, init_model,
                           load_checkpoint, predict_features, predict_labels,
                           predict_probs, save_checkpoint, stack_models,
                           unstack_models)
-from fixbi.numerics import Tensor, grl, softmax_t
+from fixbi.baseline import dann_objective
+from fixbi.numerics import Tensor, backward
 from helpers import manual_model, random_model, value_bytes
 
 
@@ -26,9 +28,9 @@ class TestInitModel:
 
     def test_zero_input_logits_equal_bias(self):
         model = init_model(3, (6, 4), 3, seed=0)
-        _, probs = forward(model, np.zeros((2, 3)))
+        _, probs, _ = forward(model, np.zeros((2, 3)))
         # zero biases at init: zero input gives the bias vector as logits
-        assert np.allclose(probs.data, 1.0 / 3, atol=1e-15)
+        assert np.allclose(probs, 1.0 / 3, atol=1e-15)
         assert np.array_equal(model.params["head.b"].data, np.zeros(3))
 
     def test_fan_in_bounds_sampled_weights(self):
@@ -46,25 +48,25 @@ class TestInitModel:
 class TestForward:
     def test_empty_batch_shapes(self):
         model = init_model(3, (5,), 4, seed=1)
-        feats, probs = forward(model, np.zeros((0, 3)))
-        assert feats.data.shape == (0, 5)
-        assert probs.data.shape == (0, 4)
+        feats, probs, _ = forward(model, np.zeros((0, 3)))
+        assert feats.shape == (0, 5)
+        assert probs.shape == (0, 4)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         model = init_model(3, (5, 4), 3, seed=2)
-        _, probs = forward(model, rng.normal(size=(7, 3)))
-        assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-12
+        _, probs, _ = forward(model, rng.normal(size=(7, 3)))
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_hand_computed_one_layer(self):
         w = [[1.0, -1.0], [0.5, 2.0]]
         b = [0.1, -0.2]
         model = manual_model(w, b)
         x = np.array([[1.0, 0.0]])
-        _, probs = forward(model, x)
+        _, probs, _ = forward(model, x)
         z = x @ np.array(w) + np.array(b)
         e = np.exp(z - z.max())
-        assert np.allclose(probs.data, e / e.sum(), atol=1e-15)
+        assert np.allclose(probs, e / e.sum(), atol=1e-15)
 
     def test_input_width_mismatch_rejected(self):
         model = init_model(3, (5,), 2, seed=3)
@@ -74,27 +76,28 @@ class TestForward:
     def test_pure_function_of_inputs(self):
         model = init_model(2, (4,), 2, seed=4)
         x = np.array([[0.3, -0.7]])
-        assert forward(model, x)[1].data.tobytes() == forward(model, x)[1].data.tobytes()
+        assert forward(model, x)[1].tobytes() == forward(model, x)[1].tobytes()
 
 
 class TestGraphForwardShape:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_one_node_per_network(self, depth):
-        # the extractor, the head and the discriminator are one node each,
-        # and no node records a parameter tensor as a parent: each network
-        # adds its weights' gradients into its set's gradient vector
+        # each network is a forward that returns its reverse pass, and the
+        # DANN step is one node over its stacked input batch: no parameter
+        # tensor is a graph parent, each network writes its weights'
+        # gradients into its set's gradient vector
         model = init_model(3, (5,) * depth, 4, seed=depth)
         disc = init_discriminator(5, 6, seed=depth)
-        x = Tensor(np.ones((2, 3)))
-        feats, logits = forward_logits(model, x)
-        reversed_feats = grl(feats, 1.0)
-        dom = discriminator_logits(disc, reversed_feats)
-        for node, parent in ((logits, feats), (feats, x), (dom, reversed_feats),
-                             (reversed_feats, feats)):
-            assert [p for p, _ in node._vjps] == [parent]
+        xs, xt = np.ones((2, 3)), -np.ones((2, 3))
+        node = dann_objective(model, disc, xs, np.eye(4)[[0, 1]], xt)
+        [(parent, _)] = node._vjps
+        assert isinstance(parent, Tensor) and not parent.requires_grad
+        assert parent.data.tobytes() == np.concatenate([xs, xt]).tobytes()
         params = {id(t) for ps in (model.params, disc.params) for _, t in ps.items()}
-        assert not params & {id(p) for n in (logits, feats, dom, reversed_feats)
-                             for p, _ in n._vjps}
+        assert id(parent) not in params
+        for ps in (model.params, disc.params):
+            backward(node, ps)
+            assert ps["head.b" if ps is model.params else "disc.b1"].grad.any()
 
 
 class TestGraphFreeInference:
@@ -103,11 +106,11 @@ class TestGraphFreeInference:
         rng = np.random.default_rng(rows)
         model = random_model(rng, input_dim=2, widths=(64, 64, 32))
         x = rng.normal(size=(rows, 2))
-        feats, logits = forward_logits(model, x)
+        feats, graph_probs, _ = forward(model, x)
         probs = predict_probs(model, x)
         assert probs.shape == (rows, 3)
-        assert probs.tobytes() == softmax_t(logits).data.tobytes()
-        assert predict_features(model, x).tobytes() == feats.data.tobytes()
+        assert probs.tobytes() == graph_probs.tobytes()
+        assert predict_features(model, x).tobytes() == feats.tobytes()
 
     def test_wrong_width_raises_the_graph_forwards_error(self):
         model = init_model(3, (5,), 2, seed=3)
@@ -134,12 +137,12 @@ class TestReluOnNonFiniteWeights:
         # a negative first input makes unit 2's pre-activation -inf
         x = rng.normal(size=(rows, 2))
         x[:, 0] = -np.abs(x[:, 0]) - 0.1
-        feats, logits = forward_logits(model, x)
-        assert feats.data[:, 1:3].tobytes() == np.zeros((rows, 2)).tobytes()
-        assert predict_features(model, x).tobytes() == feats.data.tobytes()
+        feats, graph_probs, _ = forward(model, x)
+        assert feats[:, 1:3].tobytes() == np.zeros((rows, 2)).tobytes()
+        assert predict_features(model, x).tobytes() == feats.tobytes()
         probs = predict_probs(model, x)
         assert np.isfinite(probs).all()
-        assert probs.tobytes() == softmax_t(logits).data.tobytes()
+        assert probs.tobytes() == graph_probs.tobytes()
 
 
 class TestReluCallCount:
@@ -224,13 +227,13 @@ class TestStackedModels:
         # iteration; each block equals that model's own 32-row forward
         rng, models, pair = self._pair(41)
         x = rng.normal(size=(2, 96, 2))
-        feats, logits = forward_logits(pair, x)
-        assert logits.data.shape == (2, 96, 3)
+        feats, logits, _ = forward_logits(pair, x)
+        assert logits.shape == (2, 96, 3)
         for k, model in enumerate(models):
             for lo in (0, 32, 64):
-                f, z = forward_logits(model, x[k, lo:lo + 32])
-                assert feats.data[k, lo:lo + 32].tobytes() == f.data.tobytes()
-                assert logits.data[k, lo:lo + 32].tobytes() == z.data.tobytes()
+                f, z, _ = forward_logits(model, x[k, lo:lo + 32])
+                assert feats[k, lo:lo + 32].tobytes() == f.tobytes()
+                assert logits[k, lo:lo + 32].tobytes() == z.tobytes()
 
     def test_input_needs_one_row_block_per_model(self):
         _, _, pair = self._pair(42)
@@ -286,10 +289,16 @@ class TestCloneAndDiscriminator:
 
     def test_discriminator_shapes(self):
         disc = init_discriminator(8, 16, seed=0)
-        from fixbi.models import discriminator_logits
-        from fixbi.numerics import Tensor
-        out = discriminator_logits(disc, Tensor(np.zeros((5, 8))))
-        assert out.data.shape == (5, 2)
+        out, _ = discriminator_logits(disc, np.zeros((5, 8)))
+        assert out.shape == (5, 2)
+
+    @pytest.mark.parametrize("grl_lambda", [-0.1, float("nan")])
+    def test_negative_grl_lambda_rejected_once_built(self, grl_lambda):
+        with pytest.raises(ValueError, match="grl_lambda"):
+            init_discriminator(4, 8, 0, grl_lambda=grl_lambda)
+        disc = init_discriminator(4, 8, 0, grl_lambda=0.0)
+        with pytest.raises(ValueError, match="grl_lambda"):
+            DomainDiscriminator(disc.params, grl_lambda)
 
 
 class TestCheckpoint:
@@ -403,4 +412,6 @@ class TestExtractFeatures:
     def test_identity_extractor(self):
         model = manual_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         x = np.array([[0.5, -0.5]])
-        assert np.array_equal(extract_features(model, x).data, x)
+        feats, reverse = extract_features(model, x)
+        assert np.array_equal(feats, x)
+        assert reverse(x) is x  # no layers to write

@@ -1,4 +1,5 @@
-"""Tensor engine contracts: softmax, reverse-mode gradients, SGD, LR decay."""
+"""Numerics contracts: networks and their reverse passes against the composed
+reference, softmax, the step node's backward, SGD, LR decay."""
 from __future__ import annotations
 
 import math
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
-                            as_tensor, backward, grl, log_loss, loss_node,
-                            lr_schedule, mlp, relu_inplace, sgd_step, softmax_t)
-from helpers import (add, affine, check_grads, clamp_min, dot, finite_diff_grads,
-                     flat_grads, log, matmul, max_rel_error, mean, mul, named_grads,
-                     relu, squared_l2, sub, take, total, zero_fill_grads)
+                            _grad_into, backward, lr_schedule, mlp, relu_inplace,
+                            sgd_step, step_node)
+from helpers import (add, affine, as_tensor, check_grads, clamp_min, dot,
+                     finite_diff_grads, flat_grads, graph_backward, grl, log, log_loss,
+                     loss_node, matmul, max_rel_error, mean, mlp_node, mul, named_grads,
+                     relu, softmax_t, squared_l2, sub, take, total, zero_fill_grads)
 
 
 class TestSoftmaxT:
@@ -103,6 +105,22 @@ class TestBackward:
         w = params["w"]
         g = named_grads(dot(w, w), params)
         assert np.array_equal(g["unused"], np.zeros(1))
+
+    def test_step_node_runs_its_reverse_once(self):
+        # the node's one VJP is the step's reverse; a tensor it never wrote
+        # reads zero, and a first-written -0.0 stays -0.0
+        params = ParamSet({"w": [1.0, 2.0], "unused": [5.0]})
+        params["unused"].grad[...] = 3.0
+        calls = []
+
+        def reverse():
+            calls.append(None)
+            _grad_into(params["w"], np.positive, np.array([0.5, -0.0]))
+
+        node = step_node(1.5, np.ones((2, 3)), reverse)
+        assert [p.requires_grad for p, _ in node._vjps] == [False]
+        assert backward(node, params).tobytes() == np.array([0.5, -0.0, 0.0]).tobytes()
+        assert len(calls) == 1
 
     def test_three_layer_mlp_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -246,9 +264,11 @@ class TestDense:
             # an input that needs its gradient, as the discriminator's
             # does, and a constant one, as the extractor's is
             for x in (params["x"], Tensor(params["x"].data)):
-                fused = mlp(x, _layers(params, depth), relu_last)
+                fused = mlp_node(x, _layers(params, depth), relu_last)
                 chain = _chain(x, params, depth, relu_last)
                 _assert_same_bits(fused, chain)
+                # the reverse pass returns an input gradient only when asked
+                assert (fused._vjps[0][1](upstream) is None) == (not x.requires_grad)
                 if relu_last:
                     assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
                 want = named_grads(dot(chain, upstream), params)
@@ -260,7 +280,7 @@ class TestDense:
     def test_gradients_match_finite_differences(self, relu_last):
         for depth in (1, 2, 3):
             params, upstream = _network(22 + depth, depth)
-            check_grads(lambda: dot(mlp(params["x"], _layers(params, depth), relu_last),
+            check_grads(lambda: dot(mlp_node(params["x"], _layers(params, depth), relu_last),
                                     upstream), params)
 
     def test_network_applied_twice_accumulates(self):
@@ -273,28 +293,28 @@ class TestDense:
             return add(dot(net(params["x"]), upstream),
                        dot(net(Tensor(x2)), upstream[::-1]))
 
-        fused = twice(lambda x: mlp(x, _layers(params, 3)))
+        fused = twice(lambda x: mlp_node(x, _layers(params, 3)))
         chain = twice(lambda x: _chain(x, params, 3, False))
         _assert_same_bits(fused, chain)
         _assert_same_grads(named_grads(fused, params), named_grads(chain, params))
-        check_grads(lambda: twice(lambda x: mlp(x, _layers(params, 3))), params)
+        check_grads(lambda: twice(lambda x: mlp_node(x, _layers(params, 3))), params)
 
     def test_successive_walks_leave_no_stale_gradient(self):
         # the second walk's graph reaches only the first layer: the other
         # layers' views must read 0, not what the first walk left there
         params, upstream = _network(25, 3)
-        g = backward(dot(mlp(params["x"], _layers(params, 3)), upstream), params)
+        g = graph_backward(dot(mlp_node(params["x"], _layers(params, 3)), upstream), params)
         assert np.shares_memory(g, params["w2"].grad) and g.any()
-        part = dot(mlp(params["x"], _layers(params, 1)), 0.5)
+        part = dot(mlp_node(params["x"], _layers(params, 1)), 0.5)
         got = named_grads(part, params)
         assert not any(got[n].any() for n in ("w1", "b1", "w2", "b2"))
         fresh = ParamSet({name: t.data for name, t in params.items()})
-        _assert_same_grads(got, named_grads(dot(mlp(fresh["x"], _layers(fresh, 1)), 0.5),
+        _assert_same_grads(got, named_grads(dot(mlp_node(fresh["x"], _layers(fresh, 1)), 0.5),
                                             fresh))
 
     def test_unreachable_parameter_reads_zero(self):
         params, upstream = _network(26, 2, extra=True)
-        got = named_grads(dot(mlp(params["x"], _layers(params, 2)), upstream), params)
+        got = named_grads(dot(mlp_node(params["x"], _layers(params, 2)), upstream), params)
         assert got["w2"].tobytes() == np.zeros((3, 6)).tobytes()
         assert got["b2"].tobytes() == np.zeros(6).tobytes()
         assert got["w1"].any()
@@ -317,7 +337,7 @@ class TestFirstWriteGradients:
     def _pair_loss(params, upstream, scale, depth=3):
         """A stacked pair's network, a per-model log-temperature leaf reached
         through ``softmax_t`` and the input reached through the network."""
-        out = mlp(params["x"], _layers(params, depth), relu_last=True)
+        out = mlp_node(params["x"], _layers(params, depth), relu_last=True)
         return add(mul(dot(out, upstream), scale),
                    dot(softmax_t(out, params["theta"]), upstream))
 
@@ -341,7 +361,7 @@ class TestFirstWriteGradients:
         # the first walk reaches the third layer but not theta, the second
         # theta but not the third layer
         params, upstream = self._pair(32, depth=2, extra=True)
-        first = named_grads(total(mlp(params["x"], _layers(params, 3))), params)
+        first = named_grads(total(mlp_node(params["x"], _layers(params, 3))), params)
         assert first["w2"].any() and first["b2"].any()
         assert first["theta"].tobytes() == np.zeros((2, 1)).tobytes()
         second = named_grads(self._pair_loss(params, upstream, 1.0, depth=2), params)
@@ -352,8 +372,8 @@ class TestFirstWriteGradients:
     def test_two_applications_of_one_network_sum(self):
         params, upstream = _network(33, 3)
         x2 = Tensor(np.random.default_rng(34).normal(size=(6, _WIDTHS[0])))
-        one = dot(mlp(params["x"], _layers(params, 3)), upstream)
-        other = dot(mlp(x2, _layers(params, 3)), upstream[::-1])
+        one = dot(mlp_node(params["x"], _layers(params, 3)), upstream)
+        other = dot(mlp_node(x2, _layers(params, 3)), upstream[::-1])
         parts = [named_grads(part, params) for part in (one, other)]
         for _ in range(2):
             got = named_grads(add(one, other), params)
@@ -370,27 +390,30 @@ class TestFirstWriteGradients:
         b_layers = [(b["w1"], b["b1"])]
 
         def loss():
-            return add(dot(mlp(mlp(a["x"], _layers(a, 1), relu_last=True), b_layers),
+            return add(dot(mlp_node(mlp_node(a["x"], _layers(a, 1), relu_last=True), b_layers),
                            upstream[:, :_WIDTHS[2]]), dot(b["w0"], 0.75))
 
         contrib = named_grads(loss(), b)  # b's walk writes b's tensors
         b._grad.fill(0.0)
         for k in (1, 2):
-            backward(loss(), a)
+            graph_backward(loss(), a)
             for name in ("w0", "w1", "b1"):
                 assert np.array_equal(b[name].grad, contrib[name] * k), (k, name)
             assert not b["b0"].grad.any()
 
     def test_a_failed_walk_leaves_no_tensor_marked(self):
+        # the step's reverse fails after its network wrote the layers, with
+        # the input tensor still unwritten
         params, upstream = _network(37, 2)
+        x = params["x"].data
+        out, reverse = mlp(x, _layers(params, 2), input_grad=False)
 
-        def fail(g):
+        def fail():
+            reverse(upstream)
             raise RuntimeError("vjp failed")
 
-        out = mlp(params["x"], _layers(params, 2))
-        loss = Tensor._make(np.asarray(out.data.sum()), [(out, fail)])
         with pytest.raises(RuntimeError, match="vjp failed"):
-            backward(loss, params)
+            backward(step_node(out.sum(), x, fail), params)
         assert not any(t._fresh for _, t in params.items())
 
 
@@ -406,11 +429,11 @@ class TestStackedDense:
     def test_slices_bit_identical_to_2d_calls(self, relu_last):
         for depth in (1, 2, 3):
             params, upstream = _network(31 + depth, depth, lead=(2,))
-            stacked = mlp(params["x"], _layers(params, depth), relu_last)
+            stacked = mlp_node(params["x"], _layers(params, depth), relu_last)
             grads = named_grads(dot(stacked, upstream), params)
             for k in range(2):
                 single = _model_slice(params, k)
-                out = mlp(single["x"], _layers(single, depth), relu_last)
+                out = mlp_node(single["x"], _layers(single, depth), relu_last)
                 assert stacked.data[k].tobytes() == out.data.tobytes()
                 want = named_grads(dot(out, upstream[k]), single)
                 for name in want:
@@ -420,7 +443,7 @@ class TestStackedDense:
     def test_gradients_match_finite_differences(self, relu_last):
         for depth in (1, 2, 3):
             params, upstream = _network(32 + depth, depth, lead=(2,))
-            check_grads(lambda: dot(mlp(params["x"], _layers(params, depth), relu_last),
+            check_grads(lambda: dot(mlp_node(params["x"], _layers(params, depth), relu_last),
                                     upstream), params)
 
     @pytest.mark.parametrize("x,w,b", [

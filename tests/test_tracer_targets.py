@@ -64,6 +64,23 @@ def test_wrappers_with_named_arguments_match_their_targets():
     assert {"backward", "paired_minibatches"} <= checked
 
 
+def test_by_name_imports_are_wrapped():
+    # core and baseline call backward, and baseline forward, through names
+    # they imported; the tracer must wrap those copies too, and put them back
+    spans = _spans()
+    originals = fixbi.numerics.backward, fixbi.models.forward
+    tracer = spans.Tracer()
+    tracer.install(fixbi)
+    try:
+        for wrapped, original in ((fixbi.core.backward, originals[0]),
+                                  (fixbi.baseline.backward, originals[0]),
+                                  (fixbi.baseline.forward, originals[1])):
+            assert wrapped is not original and wrapped.__wrapped__ is original
+    finally:
+        tracer.restore()
+    assert (fixbi.core.backward, fixbi.baseline.forward) == originals
+
+
 def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     # --trace 1 in miniature: a run whose warm-up ends inside it, traced as
     # the benchmark traces it; a tag that json cannot write (a numpy scalar,
@@ -102,10 +119,8 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     assert 0.0 < metrics["core.gate_above_frac"] <= 1.0
     assert metrics["numerics.backward_calls_per_iter.dual"] == 1.0
     assert metrics["numerics.backward_calls_per_iter.baseline"] == 1.0
-    # one node per network (extractor, head, discriminator) and per
-    # trainer's objective, and no parameter leaf but the log-temperature:
-    # DANN walks extractor, head, reversal, discriminator and objective,
-    # the dual pair extractor, head, objective and log-temperature. A
-    # return to per-loss nodes (9 and 17) or to per-layer nodes raises these
-    assert metrics["numerics.graph_nodes_per_iter.baseline"] == 5.0
-    assert metrics["numerics.graph_nodes_per_iter.dual"] == 4.0
+    # each training step is one node over its input batch, whose VJP runs
+    # the step's whole reverse pass: a return to a node per network (5 and
+    # 4) or per loss raises these
+    assert metrics["numerics.graph_nodes_per_iter.baseline"] == 1.0
+    assert metrics["numerics.graph_nodes_per_iter.dual"] == 1.0
