@@ -8,7 +8,7 @@ A source-only trainer and a gradient-reversal adversarial baseline provide
 the pretrained starting weights and the comparison anchors.
 """
 
-from .baseline import (BaselineResult, dann_losses, dann_objective, train_dann,
+from .baseline import (BaselineResult, dann_objective, train_dann,
                        train_source_only)
 from .config import (ConfigError, DatasetSpec, MetricsRow, TrainConfig,
                      load_config, parse_config, serialize_config, validate_config)
@@ -18,7 +18,7 @@ from .core import (NonFiniteLossError, ThresholdStats,
 from .data import (CsvFormatError, Dataset, PairedBatch, as_target_view,
                    gen_blobs_shift, gen_moons_shift, load_csv, one_hot,
                    paired_minibatches, save_csv)
-from .harness import (ClasswiseReport, ExperimentResult, classwise_accuracy,
+from .harness import (ClasswiseRow, ExperimentResult, classwise_accuracy,
                       classwise_report, emit_report, execute, load_metrics_csv,
                       rank_class_gaps, run_experiment)
 from .models import (ClassifierModel, DomainDiscriminator, DualState,

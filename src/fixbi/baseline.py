@@ -19,7 +19,7 @@ from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot,
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
-from .numerics import (ParamSet, Tensor, backward, log_loss_vjp, lr_schedule,
+from .numerics import (ParamSet, Tensor, backward, log_loss, lr_schedule,
                        sgd_step, softmax_vjp, step_node)
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
@@ -98,22 +98,22 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
 
     def objective(batch: PairedBatch) -> Tensor:
         _, probs, reverse = forward(model, batch.xs)
-        value, vjp = log_loss_vjp(probs, one_hot(batch.ys, model.num_classes),
-                                  batch.xs.shape[0])
-        return step_node(value, batch.xs, lambda: reverse(vjp(1.0)))
+        value, g = log_loss(probs, one_hot(batch.ys, model.num_classes),
+                            batch.xs.shape[0])
+        return step_node(value, batch.xs, lambda: reverse(g))
 
     return _train(cfg, source, target_eval, model, objective, "source_ce")
 
 
-def _dann(model: ClassifierModel, disc: DomainDiscriminator,
-          xs, ys_onehot, xt) -> tuple[Tensor, float, float]:
+def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
+                   xs, ys_onehot, xt) -> tuple[Tensor, float, float]:
     """(objective, class loss, domain loss) of one DANN step: the objective
-    is the sum of the losses as one node over the stacked input. Domain
-    labels: source = 0, target = 1, averaged over all 2B samples. The
-    reversal layer scales the domain gradient into the extractor by
-    ``-disc.grl_lambda``, so the extractor effectively descends
-    class_loss - lambda * domain_loss while the discriminator descends
-    domain_loss.
+    is the sum of the losses as one node over the stacked input, whose
+    gradients drive both updates. Domain labels: source = 0, target = 1,
+    averaged over all 2B samples. The reversal layer scales the domain
+    gradient into the extractor by ``-disc.grl_lambda``, so the extractor
+    effectively descends class_loss - lambda * domain_loss while the
+    discriminator descends domain_loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
     b_s = xs.shape[0]
@@ -130,24 +130,12 @@ def _dann(model: ClassifierModel, disc: DomainDiscriminator,
     for z, labels, n in ((logits, class_onehot, b_s),
                          (d_logits, one_hot(np.arange(b) >= b_s, 2), b)):
         probs, vjp_z, _ = softmax_vjp(z)
-        value, vjp = log_loss_vjp(probs, labels, n)
+        value, g = log_loss(probs, labels, n)
         losses.append(value)
-        grads.append(vjp_z(vjp(1.0)))
+        grads.append(vjp_z(g))
     g_class, g_domain = grads
     return step_node(losses[0] + losses[1], x, lambda: reverse(
         g_class, d_reverse(g_domain) * (-disc.grl_lambda))), *losses
-
-
-def dann_losses(model: ClassifierModel, disc: DomainDiscriminator,
-                xs, ys_onehot, xt) -> tuple[float, float]:
-    """(source classification loss, domain classification loss)."""
-    return _dann(model, disc, xs, ys_onehot, xt)[1:]
-
-
-def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
-                   xs, ys_onehot, xt) -> Tensor:
-    """Their sum as one graph node, whose gradients drive both updates."""
-    return _dann(model, disc, xs, ys_onehot, xt)[0]
 
 
 def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineResult:
@@ -168,7 +156,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
 
     def objective(batch: PairedBatch) -> Tensor:
         return dann_objective(model, disc, batch.xs,
-                              one_hot(batch.ys, model.num_classes), batch.xt)
+                              one_hot(batch.ys, model.num_classes), batch.xt)[0]
 
     result = _train(cfg, source, target, model, objective, "dann")
     result.model = replace(model, params=ParamSet(

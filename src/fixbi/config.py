@@ -75,9 +75,15 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
     """Check every field; raises :class:`ConfigError` naming the bad field.
 
     A dataset field that the kind does not read (see :data:`DATASET_KEYS`)
-    must keep its default.
+    must keep its default. Every float field, and every entry of a float
+    tuple, must be finite.
     """
     ds = cfg.dataset
+    for key, parse in _KEY_PARSERS.items():
+        if parse in (_TYPE_PARSERS[float], _TYPE_PARSERS[tuple[float, ...]]):
+            value = getattr(ds if key.startswith("dataset.") else cfg, key.rpartition(".")[2])
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
     if ds.kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind: must be one of {DATASET_KINDS}, got {ds.kind!r}")
     for f in fields(DatasetSpec):

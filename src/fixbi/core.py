@@ -35,7 +35,7 @@ from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
-from .numerics import (Array, _grad_into, backward, log_loss_vjp, lr_schedule,
+from .numerics import (Array, _grad_into, backward, log_loss, lr_schedule,
                        sgd_step, softmax_vjp, step_node, temperature)
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
@@ -128,8 +128,7 @@ def loss_fm(probs: Array, y_mix: Array) -> tuple[Array, Array]:
     bit-identical to the 2-D call on its slice; so do :func:`loss_bim` and
     :func:`loss_sp`.
     """
-    value, vjp = log_loss_vjp(probs, y_mix, probs.shape[-2])
-    return value, vjp(1.0)
+    return log_loss(probs, y_mix, probs.shape[-2])
 
 
 def loss_bim(student_probs: Array, teacher_hot: Array) -> tuple[Array, Array]:
@@ -141,8 +140,7 @@ def loss_bim(student_probs: Array, teacher_hot: Array) -> tuple[Array, Array]:
     are constants, so no gradient reaches the teacher. A stack of
     students takes a stack of label tables.
     """
-    value, vjp = log_loss_vjp(student_probs, teacher_hot, teacher_hot.shape[-2])
-    return value, vjp(1.0)
+    return log_loss(student_probs, teacher_hot, teacher_hot.shape[-2])
 
 
 def loss_sp(logits: Array, temperature: Array, own_hot: Array) -> tuple[Array, Array, Array]:
@@ -157,8 +155,8 @@ def loss_sp(logits: Array, temperature: Array, own_hot: Array) -> tuple[Array, A
     ``[K x 1]`` temperatures and one label table per model.
     """
     tempered, vjp_z, vjp_log_t = softmax_vjp(logits, temperature)
-    value, vjp = log_loss_vjp(1.0 - tempered, own_hot, own_hot.shape[-2])
-    g = -vjp(1.0)
+    value, g = log_loss(1.0 - tempered, own_hot, own_hot.shape[-2])
+    g = -g
     return value, vjp_z(g), vjp_log_t(g)
 
 

@@ -16,7 +16,7 @@ import tempfile
 import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -154,49 +154,40 @@ def classwise_accuracy(pred: Array, truth: Array, num_classes: int) -> list[floa
     return out
 
 
-def rank_class_gaps(acc_sd: list[float | None], acc_td: list[float | None],
-                    top_n: int = 10) -> list[tuple[int, float]]:
-    """Classes ranked by |SDM - TDM| class-wise accuracy gap, largest first.
+class ClasswiseRow(NamedTuple):
+    """One class of the eval set; the fields are classwise.csv's columns,
+    ``label`` its ``class`` column."""
 
-    Classes undefined for either model are skipped. Ties keep the lower
-    class index first.
-    """
-    gaps = [(c, abs(a - b)) for c, (a, b) in enumerate(zip(acc_sd, acc_td))
-            if a is not None and b is not None]
-    gaps.sort(key=lambda item: (-item[1], item[0]))
-    return gaps[:top_n]
-
-
-@dataclass
-class ClasswiseReport:
-    counts: list[int]
-    acc_sd: list[float | None]
-    acc_td: list[float | None]
-    acc_ens: list[float | None]
-    top_gaps: list[tuple[int, float]]
+    label: int
+    n: int
+    acc_sd: float | None
+    acc_td: float | None
+    acc_ens: float | None
+    gap: float | None  # |acc_sd - acc_td|, None where either is
 
 
-def classwise_report(dual: DualState, eval_ds: Dataset) -> ClasswiseReport:
+def classwise_report(dual: DualState, eval_ds: Dataset) -> list[ClasswiseRow]:
+    """One row per class of ``eval_ds``, for both models and their ensemble."""
     truth = eval_ds.eval_labels()
     # one forward per model serves its own labels and the ensemble rule
     p_sd = predict_probs(dual.sdm, eval_ds.features)
     p_td = predict_probs(dual.tdm, eval_ds.features)
-    pred_sd = np.argmax(p_sd, axis=1)
-    pred_td = np.argmax(p_td, axis=1)
-    pred_ens = ensemble_labels(p_sd, p_td)
     c = eval_ds.num_classes
-    counts = [int((truth == k).sum()) for k in range(c)]
-    acc_sd = classwise_accuracy(pred_sd, truth, c)
-    acc_td = classwise_accuracy(pred_td, truth, c)
-    acc_ens = classwise_accuracy(pred_ens, truth, c)
-    return ClasswiseReport(counts, acc_sd, acc_td, acc_ens,
-                           rank_class_gaps(acc_sd, acc_td))
+    accs = [classwise_accuracy(pred, truth, c) for pred in (
+        np.argmax(p_sd, axis=1), np.argmax(p_td, axis=1), ensemble_labels(p_sd, p_td))]
+    return [ClasswiseRow(k, int((truth == k).sum()), a, b, e,
+                         None if a is None or b is None else abs(a - b))
+            for k, (a, b, e) in enumerate(zip(*accs))]
 
 
-def _write_classwise(report: ClasswiseReport, path: Path) -> None:
-    rows = [(c, n, a, b, e, None if a is None or b is None else abs(a - b))
-            for c, (n, a, b, e) in enumerate(zip(report.counts, report.acc_sd,
-                                                 report.acc_td, report.acc_ens))]
+def rank_class_gaps(rows: list[ClasswiseRow], top_n: int = 10) -> list[ClasswiseRow]:
+    """The rows ranked by their gap, largest first; rows without one are
+    skipped, and ties keep the lower class first."""
+    ranked = sorted((r for r in rows if r.gap is not None), key=lambda r: (-r.gap, r.label))
+    return ranked[:top_n]
+
+
+def _write_classwise(rows: list[ClasswiseRow], path: Path) -> None:
     _write_table(path, "class,n,acc_sd,acc_td,acc_ens,gap", rows)
 
 
@@ -372,8 +363,8 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     emit_report(rows, out_dir)
     _write_threshold_trace(dual, out_dir / "threshold.csv")
     _write_threshold_chart(dual, cfg.warmup_epochs, out_dir / "threshold.svg")
-    report = classwise_report(dual, target)
-    _write_classwise(report, out_dir / "classwise.csv")
+    classwise = classwise_report(dual, target)
+    _write_classwise(classwise, out_dir / "classwise.csv")
     _write_features(dual, source, target, out_dir / "features.csv")
     save_checkpoint(dual.sdm, out_dir / "sdm.ckpt")
     save_checkpoint(dual.tdm, out_dir / "tdm.ckpt")
@@ -391,7 +382,7 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
         "acc_tgt_sd": last.acc_tgt_sd,
         "acc_tgt_td": last.acc_tgt_td,
         "acc_tgt_ens": last.acc_tgt_ens,
-        "top_gap_classes": [[c, g] for c, g in report.top_gaps],
+        "top_gap_classes": [[r.label, r.gap] for r in rank_class_gaps(classwise)],
         "total_wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     (out_dir / "summary.json").write_text(

@@ -3,10 +3,10 @@
 A network (:func:`mlp`) runs its forward on plain arrays and returns its
 output and its reverse pass, which writes each layer's gradients into the
 layer's :class:`ParamSet` gradient vector (the first contribution to a
-tensor is written, later ones are added). A loss is a value-and-VJP pair on
-plain arrays (:func:`log_loss_vjp`, :func:`softmax_vjp`). A training step
-chains them in straight-line code and enters :func:`backward` as one graph
-node (:func:`step_node`) whose VJP runs the whole reverse.
+tensor is written, later ones are added). A loss returns its value and
+gradient on plain arrays (:func:`log_loss`; :func:`softmax_vjp` its VJPs). A
+training step chains them in straight-line code and enters :func:`backward`
+as one graph node (:func:`step_node`) whose VJP runs the whole reverse.
 """
 from __future__ import annotations
 
@@ -136,9 +136,9 @@ def _grad_into(t: Tensor, op, *args, **kwargs) -> None:
         t.grad += op(*args, **kwargs)
 
 
-def log_loss_vjp(probs: Array, weights, n: int) -> tuple[Array, Callable[[Array], Array]]:
+def log_loss(probs: Array, weights, n: int) -> tuple[Array, Array]:
     """``-(1/n) * sum(weights * log(max(probs, LOG_CLAMP)))`` on plain arrays
-    and its VJP, ``vjp(g)``: the gradient an upstream ``g`` gives ``probs``.
+    and its gradient with respect to ``probs``.
 
     ``weights`` is a constant array of ``probs``' shape (one-hot targets,
     label mixtures or gate masks). ``probs`` ``[B x C]`` gives a scalar; a
@@ -153,12 +153,10 @@ def log_loss_vjp(probs: Array, weights, n: int) -> tuple[Array, Callable[[Array]
     if probs.ndim < 2:
         raise ShapeError(f"log_loss needs [..., B, C] probabilities, got {probs.shape}")
     scale = -1.0 / n
-    mask = probs >= LOG_CLAMP
     clamped = np.maximum(probs, LOG_CLAMP)
     # each block summed as one flat run, the order of the 2-D call's .sum()
     total = (weights * np.log(clamped)).reshape(probs.shape[:-2] + (-1,)).sum(axis=-1) * scale
-    return total, lambda g: ((np.multiply(g, scale)[..., None, None] * weights)
-                             / clamped) * mask
+    return total, ((scale * weights) / clamped) * (probs >= LOG_CLAMP)
 
 
 def temperature(log_temperature: Array) -> tuple[Array, Array]:
@@ -270,12 +268,13 @@ def backward(loss: Tensor, params: ParamSet) -> Array:
     networks (:func:`mlp`) write a fresh weight's or bias's gradient into
     its ``grad`` view and add into one already written, so two applications
     of one network sum; a parameter outside a network gets its gradient the
-    same way. Afterwards the tensors the VJP never reached are zeroed, and
-    no tensor stays marked. The values are those of zeroing the vector and
-    adding every contribution, except that a first-written -0.0 stays -0.0;
-    :func:`sgd_step` forms ``weight_decay * w`` before adding the gradient,
-    so the weights it computes do not depend on the sign of a zero gradient
-    (see README).
+    same way. Afterwards the tensors the VJP never reached are zeroed and
+    no tensor stays marked, also when the VJP raises; a VJP that returns a
+    gradient for its input is a :class:`ShapeError`. The values are those
+    of zeroing the vector and adding every contribution, except that a
+    first-written -0.0 stays -0.0; :func:`sgd_step` forms ``weight_decay *
+    w`` before adding the gradient, so the weights it computes do not depend
+    on the sign of a zero gradient (see README).
 
     The result is the set's own buffer, not a copy: the next ``backward``
     over ``params`` overwrites it. A VJP that also reaches another set's
@@ -289,7 +288,9 @@ def backward(loss: Tensor, params: ParamSet) -> Array:
         t._fresh = True
     try:
         for _, vjp in loss._vjps:
-            vjp(1.0)
+            if vjp(1.0) is not None:
+                raise ShapeError("backward: the loss's VJP returned its input's gradient; "
+                                 "a step_node's reverse writes every gradient itself")
     finally:
         for t in tensors:
             if t._fresh:

@@ -10,19 +10,19 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fixbi import harness
+from fixbi import harness, numerics
 from fixbi.core import adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp, mixup
 from fixbi.data import Dataset, one_hot
 from fixbi.models import (ClassifierModel, DualState, discriminator_logits,
                           extract_features, init_model, predict_features)
-from fixbi.numerics import (Array, ParamSet, ShapeError, Tensor, _grad_into, backward,
-                            log_loss_vjp, mlp, softmax_vjp, temperature)
+from fixbi.numerics import (LOG_CLAMP, Array, ParamSet, ShapeError, Tensor, _grad_into,
+                            backward, mlp, softmax_vjp, temperature)
 
 # -- the composed reference --------------------------------------------------
 # A general graph of Tensor nodes, each carrying VJP closures back to its
 # parents, and a walk that replays them in reverse topological order. Each
 # layer of ``numerics.mlp`` must match ``relu(affine(x, w, b))``,
-# ``numerics.log_loss_vjp`` the ``clamp_min -> log -> mul -> sum -> mul``
+# ``numerics.log_loss`` the ``clamp_min -> log -> mul -> sum -> mul``
 # chain and each trainer's step node the graph of networks, slices, sums and
 # products below (:func:`composed_dual_loss`) bit for bit, in values and
 # gradients; they run the same numpy operations as these.
@@ -231,9 +231,14 @@ def softmax_t(logits, log_temperature: Tensor | None = None) -> Tensor:
 
 
 def log_loss(probs: Tensor, weights, n: int) -> Tensor:
-    """``numerics.log_loss_vjp`` as one graph node over ``probs``."""
-    value, vjp = log_loss_vjp(probs.data, weights, n)
-    return make(np.asarray(value), [(probs, vjp)])
+    """``numerics.log_loss``'s value as one graph node over ``probs``, whose
+    VJP takes any upstream ``g``, one per loss of a stack; at ``g = 1`` it
+    runs the numpy operations of ``numerics.log_loss``' gradient."""
+    value, _ = numerics.log_loss(probs.data, weights, n)
+    weights, scale = np.asarray(weights, dtype=np.float64), -1.0 / n
+    clamped, mask = np.maximum(probs.data, LOG_CLAMP), probs.data >= LOG_CLAMP
+    return make(np.asarray(value), [(probs, lambda g: (
+        (np.multiply(g, scale)[..., None, None] * weights) / clamped) * mask)])
 
 
 def loss_node(value, grads) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixbi.baseline import dann_losses, dann_objective
+from fixbi.baseline import dann_objective
 from fixbi.config import DatasetSpec, TrainConfig
 from fixbi.core import adaptive_threshold, mixup, ratio_rule_sample, train_fixbi
 from fixbi.data import one_hot
@@ -125,17 +125,17 @@ def test_criterion_01_gradient_suite():
         xs, ys, xt, _ = random_batch(rng, 3, 2, model.num_classes)
         ys_hot = one_hot(ys, model.num_classes)
 
-        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt)[0],
                                    model.params)
-        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt)[0],
                                     disc.params)
 
         def clf_target():
-            c, d = dann_losses(model, disc, xs, ys_hot, xt)
+            _, c, d = dann_objective(model, disc, xs, ys_hot, xt)
             return c.item() - lam * d.item()
 
         def disc_target():
-            c, d = dann_losses(model, disc, xs, ys_hot, xt)
+            _, c, d = dann_objective(model, disc, xs, ys_hot, xt)
             return c.item() + d.item()
 
         worst["dann"] = max(

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fixbi.baseline import (dann_losses, dann_objective, train_dann,
-                            train_source_only)
+from fixbi.baseline import dann_objective, train_dann, train_source_only
 from fixbi.config import ConfigError, DatasetSpec, TrainConfig
 from fixbi.core import NonFiniteLossError
 from fixbi.data import gen_blobs_shift, one_hot
@@ -131,17 +130,17 @@ class TestDann:
         xs, ys, xt, _ = random_batch(rng, 4, 3, 3)
         ys_hot = np.eye(3)[ys]
 
-        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+        analytic_clf = named_grads(dann_objective(model, disc, xs, ys_hot, xt)[0],
                                    model.params)
-        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt),
+        analytic_disc = named_grads(dann_objective(model, disc, xs, ys_hot, xt)[0],
                                     disc.params)
 
         def clf_target():
-            c, d = dann_losses(model, disc, xs, ys_hot, xt)
+            _, c, d = dann_objective(model, disc, xs, ys_hot, xt)
             return c.item() - lam * d.item()
 
         def disc_target():
-            c, d = dann_losses(model, disc, xs, ys_hot, xt)
+            _, c, d = dann_objective(model, disc, xs, ys_hot, xt)
             return c.item() + d.item()
 
         from helpers import finite_diff_grads, max_rel_error
@@ -176,12 +175,12 @@ class TestDann:
                 t.data[...] = rng.normal(0.0, 0.5, size=t.data.shape)
             xs, ys, xt, _ = random_batch(rng, int(rng.integers(1, 6)), 3, 3)
             ys_hot = np.eye(3)[ys]
-            got = dann_losses(model, disc, xs, ys_hot, xt)
+            got = dann_objective(model, disc, xs, ys_hot, xt)[1:]
             want = self._two_pass_losses(model, disc, xs, ys_hot, xt)
             for g, w in zip(got, want):
                 assert abs(g.item() - w.item()) <= 1e-12
             for params in (model.params, disc.params):
-                got_grads = named_grads(dann_objective(model, disc, xs, ys_hot, xt), params)
+                got_grads = named_grads(dann_objective(model, disc, xs, ys_hot, xt)[0], params)
                 want_grads = named_grads(add(want[0], want[1]), params)
                 for name in want_grads:
                     assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name

@@ -18,9 +18,9 @@ from fixbi.cli import main as cli_main
 from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
                           TrainConfig, load_config, parse_config, serialize_config,
                           validate_config)
-from fixbi.harness import (METRICS_VERSION, classwise_accuracy, emit_report,
-                           execute, load_dataset_pair, load_metrics_csv,
-                           rank_class_gaps, run_experiment)
+from fixbi.harness import (METRICS_VERSION, ClasswiseRow, classwise_accuracy,
+                           classwise_report, emit_report, execute, load_dataset_pair,
+                           load_metrics_csv, rank_class_gaps, run_experiment)
 from fixbi.data import Dataset, as_target_view
 from fixbi.models import DualState, ThresholdRow, init_model, load_checkpoint
 from helpers import (assert_no_child, count_forks, fail_in_children,
@@ -138,6 +138,23 @@ class TestConfig:
                 check(cfg)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "lr0", "momentum", "weight_decay", "lambda_sd", "lambda_td", "lambda_cr", "alpha",
+        "grl_lambda", "dataset.rotation_deg", "dataset.noise_sigma", "dataset.translation"])
+    def test_config_built_in_code_rejects_non_finite_numbers(self, key, bad, tmp_path):
+        # a parsed config never holds one (the parser rejects it); one built
+        # in code meets the same rule before any data is made or written
+        cfg = parse_config(small_config_text())
+        owner, _, name = key.rpartition(".")
+        setattr(cfg.dataset if owner else cfg, name,
+                (0.5, bad) if name == "translation" else bad)
+        out = tmp_path / "out"
+        for check in (validate_config, load_dataset_pair, lambda c: execute(c, out)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite, got"):
+                check(cfg)
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,reads", [
         ("blobs", "num_classes per_class dim rotation_deg translation noise_sigma seed"),
         ("moons", "per_class rotation_deg noise_sigma seed"),
@@ -249,17 +266,26 @@ class TestClasswise:
 
     def test_gap_ranking_matches_hand_sorted_fixture(self):
         # per-class accuracies for the two models, gaps 0.1 / 0.4 / 0.2
-        acc_sd = [0.9, 0.5, 0.8]
-        acc_td = [0.8, 0.9, 0.6]
-        ranked = rank_class_gaps(acc_sd, acc_td, top_n=3)
-        assert [c for c, _ in ranked] == [1, 2, 0]
-        assert ranked[0][1] == pytest.approx(0.4)
-        top2 = rank_class_gaps(acc_sd, acc_td, top_n=2)
-        assert [c for c, _ in top2] == [1, 2]
+        rows = [ClasswiseRow(c, 10, a, b, a, abs(a - b))
+                for c, (a, b) in enumerate([(0.9, 0.8), (0.5, 0.9), (0.8, 0.6)])]
+        ranked = rank_class_gaps(rows, top_n=3)
+        assert [r.label for r in ranked] == [1, 2, 0]
+        assert ranked[0].gap == pytest.approx(0.4)
+        top2 = rank_class_gaps(rows, top_n=2)
+        assert [r.label for r in top2] == [1, 2]
 
     def test_undefined_classes_skipped_in_ranking(self):
-        ranked = rank_class_gaps([0.9, None, 0.5], [0.1, 0.2, None], top_n=5)
-        assert [c for c, _ in ranked] == [0]
+        # class 2 is absent from the eval set: both models' accuracies on it
+        # are undefined, so its gap is too, and the ranking skips it
+        rng = np.random.default_rng(4)
+        dual = DualState(init_model(2, (4,), 3, seed=1), init_model(2, (4,), 3, seed=2))
+        eval_ds = Dataset(rng.normal(size=(8, 2)), np.array([0, 1] * 4), 3, "source")
+        rows = classwise_report(dual, eval_ds)
+        assert [(r.label, r.n) for r in rows] == [(0, 4), (1, 4), (2, 0)]
+        assert rows[2][2:] == (None, None, None, None)
+        for r in rows[:2]:
+            assert r.gap == abs(r.acc_sd - r.acc_td)
+        assert sorted(r.label for r in rank_class_gaps(rows, top_n=5)) == [0, 1]
 
 
 class TestRunExperiment:
@@ -277,6 +303,17 @@ class TestRunExperiment:
         assert summary["acc_tgt_ens"] == rows[-1].acc_tgt_ens  # exact echo
         model = load_checkpoint(out / "sdm.ckpt")
         assert model.num_classes == 2
+
+    def test_summary_top_gap_classes_rank_the_classwise_rows(self, tmp_path):
+        cfg = parse_config(small_config_text(**{"dataset.num_classes": 4}))
+        execute(cfg, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        lines = (tmp_path / "classwise.csv").read_text().splitlines()
+        assert lines[0] == "class,n,acc_sd,acc_td,acc_ens,gap"
+        rows = [ClasswiseRow(int(c), int(n), *(None if v == "NA" else float(v) for v in rest))
+                for c, n, *rest in (line.split(",") for line in lines[1:])]
+        assert len(rows) == 4
+        assert summary["top_gap_classes"] == [[r.label, r.gap] for r in rank_class_gaps(rows)]
 
     def test_finished_run_holds_exactly_the_artifacts(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -89,7 +89,7 @@ class TestGraphForwardShape:
         model = init_model(3, (5,) * depth, 4, seed=depth)
         disc = init_discriminator(5, 6, seed=depth)
         xs, xt = np.ones((2, 3)), -np.ones((2, 3))
-        node = dann_objective(model, disc, xs, np.eye(4)[[0, 1]], xt)
+        node = dann_objective(model, disc, xs, np.eye(4)[[0, 1]], xt)[0]
         [(parent, _)] = node._vjps
         assert isinstance(parent, Tensor) and not parent.requires_grad
         assert parent.data.tobytes() == np.concatenate([xs, xt]).tobytes()

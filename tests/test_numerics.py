@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fixbi import numerics
 from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
                             _grad_into, backward, lr_schedule, mlp, relu_inplace,
                             sgd_step, step_node)
@@ -121,6 +122,20 @@ class TestBackward:
         assert [p.requires_grad for p, _ in node._vjps] == [False]
         assert backward(node, params).tobytes() == np.array([0.5, -0.0, 0.0]).tobytes()
         assert len(calls) == 1
+
+    def test_vjp_that_returns_a_gradient_is_rejected(self):
+        # a loss node whose VJP hands its input a gradient (a network node
+        # under a dot, not a step node) would have it dropped: backward
+        # raises, and still zeroes the set and clears every mark
+        rng = np.random.default_rng(9)
+        params = ParamSet({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
+        params._grad.fill(7.0)
+        layers = [(params["w"], params["b"])]
+        loss = dot(mlp_node(rng.normal(size=(2, 3)), layers), rng.normal(size=(2, 4)))
+        with pytest.raises(ShapeError, match="step_node"):
+            backward(loss, params)
+        assert not params._grad.any()
+        assert not any(t._fresh for _, t in params.items())
 
     def test_three_layer_mlp_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -577,6 +592,26 @@ class TestLogLoss:
         chain = mul(dot(weights, log(clamp_min(probs, LOG_CLAMP))), -1.0 / 5)
         _assert_same_bits(fused, chain)
         _assert_same_grads(named_grads(fused, params), named_grads(chain, params))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["2d", "stack"])
+    def test_numerics_gradient_bit_identical_to_composed_chain(self, shape):
+        # numerics.log_loss's own gradient, not the oracle node's VJP: the
+        # 2-D call, and each block of a stack, against the chain's gradient
+        # of the probabilities
+        rng = np.random.default_rng(28)
+        z = rng.normal(size=shape)
+        z[..., 0, :] = [0.0, -40.0, 5.0]  # one probability below the clamp
+        probs = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+        weights = rng.uniform(size=shape) * (rng.uniform(size=shape) > 0.3)
+        value, grad = numerics.log_loss(probs, weights, 5)
+        blocks = zip(probs, weights, value, grad) if len(shape) == 3 else \
+            [(probs, weights, value, grad)]
+        for p, w, v, g in blocks:
+            assert (p < LOG_CLAMP).any()
+            params = ParamSet({"p": p})
+            chain = mul(dot(w, log(clamp_min(params["p"], LOG_CLAMP))), -1.0 / 5)
+            assert np.asarray(v).tobytes() == chain.data.tobytes()
+            assert g.tobytes() == named_grads(chain, params)["p"].tobytes()
 
     def test_gradients_match_finite_differences(self):
         params, weights = self._case(24)

@@ -103,6 +103,13 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
                                    "adaptive_threshold", "mixup")
              if f"core.{f}" not in opened]
     assert not never, f"traced but never called: {never}"
+    # so would a report writer in harness.write_ms.*: the run opens exactly
+    # one span of each
+    writers = ("classwise_report", "emit_report", "_write_threshold_trace",
+               "_write_threshold_chart", "_write_classwise", "_write_features")
+    names = [s.name for s in tracer.spans]
+    calls = {f: names.count(f"harness.{f}") for f in writers}
+    assert calls == dict.fromkeys(writers, 1), f"harness spans per run: {calls}"
     # each enabled loss opens exactly one span per dual iteration (fm and sp
     # from the first, bim and cr once matching opens), so core.loss_ms
     # times one call of each and a fused branch that skips or repeats a
