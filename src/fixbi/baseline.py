@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import TrainConfig, validate_config
 from .core import NonFiniteLossError
-from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot,
+from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot, one_hot_table,
                    paired_minibatches)
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
@@ -95,14 +96,22 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     """
     validate_config(cfg)
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+    eye = one_hot_table(source, model.num_classes)
 
     def objective(batch: PairedBatch) -> Tensor:
         _, probs, reverse = forward(model, batch.xs)
-        value, g = log_loss(probs, one_hot(batch.ys, model.num_classes),
-                            batch.xs.shape[0])
+        value, g = log_loss(probs, eye[batch.ys], batch.xs.shape[0])
         return step_node(value, batch.xs, lambda: reverse(g))
 
     return _train(cfg, source, target_eval, model, objective, "source_ce")
+
+
+@lru_cache(maxsize=8)
+def _domain_labels(b: int, b_s: int) -> np.ndarray:
+    """A DANN step's read-only domain one-hot table, built once per shape."""
+    table = one_hot(np.arange(b) >= b_s, 2)
+    table.flags.writeable = False
+    return table
 
 
 def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
@@ -128,7 +137,7 @@ def dann_objective(model: ClassifierModel, disc: DomainDiscriminator,
     class_onehot[:b_s] = ys_onehot
     losses, grads = [], []
     for z, labels, n in ((logits, class_onehot, b_s),
-                         (d_logits, one_hot(np.arange(b) >= b_s, 2), b)):
+                         (d_logits, _domain_labels(b, b_s), b)):
         probs, vjp_z, _ = softmax_vjp(z)
         value, g = log_loss(probs, labels, n)
         losses.append(value)
@@ -148,6 +157,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
     """
     validate_config(cfg)
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
+    eye = one_hot_table(source, model.num_classes)
     disc = init_discriminator(model.feature_dim, _DISC_HIDDEN,
                               [cfg.seed, _DISC_STREAM], cfg.grl_lambda)
     names = model.params.names()
@@ -155,8 +165,7 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
         {name: t.data for ps in (model.params, disc.params) for name, t in ps.items()})
 
     def objective(batch: PairedBatch) -> Tensor:
-        return dann_objective(model, disc, batch.xs,
-                              one_hot(batch.ys, model.num_classes), batch.xt)[0]
+        return dann_objective(model, disc, batch.xs, eye[batch.ys], batch.xt)[0]
 
     result = _train(cfg, source, target, model, objective, "dann")
     result.model = replace(model, params=ParamSet(

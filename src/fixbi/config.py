@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import get_type_hints
 
 RATIO_RULES = ("fixed", "random", "range")
@@ -75,15 +76,19 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
     """Check every field; raises :class:`ConfigError` naming the bad field.
 
     A dataset field that the kind does not read (see :data:`DATASET_KEYS`)
-    must keep its default. Every float field, and every entry of a float
-    tuple, must be finite.
+    must keep its default. Each value of a float field or tuple must be
+    finite, and each of an int field or tuple an integer (not a bool).
     """
     ds = cfg.dataset
     for key, parse in _KEY_PARSERS.items():
+        value = getattr(ds if key.startswith("dataset.") else cfg, key.rpartition(".")[2])
+        values = value if isinstance(value, tuple) else (value,)
         if parse in (_TYPE_PARSERS[float], _TYPE_PARSERS[tuple[float, ...]]):
-            value = getattr(ds if key.startswith("dataset.") else cfg, key.rpartition(".")[2])
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
+        elif parse in (_TYPE_PARSERS[int], _TYPE_PARSERS[tuple[int, ...]]):
+            if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values):
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
     if ds.kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind: must be one of {DATASET_KINDS}, got {ds.kind!r}")
     for f in fields(DatasetSpec):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MetricsRow, TrainConfig, validate_config
-from .data import Dataset, batches_per_epoch, one_hot, paired_minibatches
+from .data import Dataset, batches_per_epoch, one_hot, one_hot_table, paired_minibatches
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
@@ -104,7 +104,7 @@ def adaptive_threshold(confidences: Array) -> ThresholdStats:
     lo, hi = conf.min(axis=1), conf.max(axis=1)  # NaN propagates into both
     if not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    mean = conf.mean(axis=1)
+    mean = np.add.reduce(conf, axis=1) / conf.shape[1]  # conf.mean(axis=1), unwrapped
     std = np.sqrt(np.square(conf - mean[:, None]).sum(axis=1) / conf.shape[1])  # population
     const = lo == hi
     if const.any():
@@ -224,6 +224,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
     Returns the final dual state and one metrics row per epoch.
     """
     validate_config(cfg)
+    eye = one_hot_table(source, init_weights.num_classes)
     frozen = (one_hot(np.tile(pseudo_labels(init_weights, target.features)[0], (2, 1)),
                       init_weights.num_classes)
               if cfg.pseudo_label_source == "frozen-baseline" else None)
@@ -251,14 +252,13 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             # one stacked input: model k's rows are the target batch, then
             # its mixup batch (the mixed features do not depend on the
             # pseudo-labels, only the mixed labels do), then the half-half
-            # batch once consistency regularization is on
-            b = batch.xt.shape[0]
-            blocks = [(batch.xt, batch.xt),
-                      tuple(mixup(batch.xs, batch.xt, lam) for lam in lams)]
-            if with_cr:
-                x_half = mixup(batch.xs, batch.xt, 0.5)
-                blocks.append((x_half, x_half))
-            x = np.stack([np.concatenate(rows_k) for rows_k in zip(*blocks)])
+            # batch once consistency regularization is on; one concatenate
+            # of the row blocks in memory order, model 0's first
+            b, d = batch.xt.shape
+            mixes = [mixup(batch.xs, batch.xt, lam) for lam in lams]
+            half = [mixup(batch.xs, batch.xt, 0.5)] if with_cr else []
+            x = np.concatenate([rows for mix in mixes
+                                for rows in (batch.xt, mix, *half)]).reshape(2, -1, d)
             t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
 
             # one forward of both models from the pre-update weights: the
@@ -275,13 +275,13 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             stats = adaptive_threshold(target_probs.max(axis=-1))
             # each model's top-1 labels, taken once: the live pseudo-labels,
             # split by the gate into the matching and penalization tables
-            hot = one_hot(np.argmax(target_probs, axis=-1), pair.num_classes)
+            hot = eye[np.argmax(target_probs, axis=-1)]
             labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
 
             # one call per loss kind for both models, entry k of its value
             # model k's; the rows the losses read are disjoint, so each
             # gradient is added into zeros, as zero-padded slices would sum
-            ys_hot = one_hot(batch.ys, pair.num_classes)
+            ys_hot = eye[batch.ys]
             y_mix = np.stack([mixup(ys_hot, labels_k, lam)
                               for labels_k, lam in zip(labels_hot, lams)])
             g_probs, g_logits = np.zeros(z.shape), np.zeros(z.shape)

@@ -312,6 +312,17 @@ def paired_minibatches(source: Dataset, target: Dataset, batch_size: int,
     return batches
 
 
+def one_hot_table(source: Dataset, num_classes: int) -> Array:
+    """``np.eye(num_classes)``, whose row y is ``one_hot(y)``, after checking every label
+    of ``source`` once: a ``ValueError`` names the first row out of range."""
+    bad = (source.labels < 0) | (source.labels >= num_classes)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{source.domain_tag} row {row}: label {source.labels[row]}, but "
+                         f"training needs every row's class in [0, {num_classes})")
+    return np.eye(num_classes)
+
+
 def one_hot(labels: Array, num_classes: int) -> Array:
     """One-hot rows as float64: labels of shape ``S`` give ``S + (C,)``."""
     labels = np.asarray(labels, dtype=np.int64)

@@ -110,10 +110,13 @@ def _check_input(model: ClassifierModel, x: Array, lead: tuple[int, ...] = ()) -
         raise ValueError(f"expected input of shape [{want}], got {x.shape}")
 
 
-def _layers(model: ClassifierModel) -> list[tuple[Tensor, Tensor]]:
-    """(weight, bias) of each extractor layer, input side first."""
-    p = model.params
-    return [(p[f"ext.w{i}"], p[f"ext.b{i}"]) for i in range(len(model.widths))]
+def _layers(params: ParamSet, net: str, depth: int = 1) -> list[tuple[Tensor, Tensor]]:
+    """``(net.w{i}, net.b{i})`` for i < ``depth``, input side first (the
+    head's one layer is ``head.w``/``head.b``); built once per set."""
+    if net not in params.lists:
+        ids = [""] if net == "head" else range(depth)
+        params.lists[net] = [(params[f"{net}.w{i}"], params[f"{net}.b{i}"]) for i in ids]
+    return params.lists[net]
 
 
 def extract_features(model: ClassifierModel, x) -> tuple[Array, Callable]:
@@ -124,7 +127,8 @@ def extract_features(model: ClassifierModel, x) -> tuple[Array, Callable]:
     and runs every layer as one batched product."""
     x = np.asarray(x, dtype=np.float64)
     _check_input(model, x, _model_axes(model))
-    return mlp(x, _layers(model), relu_last=True, input_grad=False)
+    return mlp(x, _layers(model.params, "ext", len(model.widths)), relu_last=True,
+               input_grad=False)
 
 
 def forward_logits(model: ClassifierModel, x) -> tuple[Array, Array, Callable]:
@@ -132,7 +136,7 @@ def forward_logits(model: ClassifierModel, x) -> tuple[Array, Array, Callable]:
     writes the head's and the extractor's gradients; ``g_features``, a
     gradient the features receive from elsewhere, is added to the head's."""
     feats, ext_reverse = extract_features(model, x)
-    logits, head_reverse = mlp(feats, [(model.params["head.w"], model.params["head.b"])])
+    logits, head_reverse = mlp(feats, _layers(model.params, "head"))
 
     def reverse(g_logits: Array, g_features: Array | None = None) -> None:
         g = head_reverse(g_logits)
@@ -159,16 +163,17 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
 
     Each layer is the :func:`numerics._dense` call that :func:`forward`
     runs, and the softmax is the one it takes at T = 1, so the values
-    equal its output bit for bit. A stacked model runs every block through
-    all its models in one batched product and returns ``[K x n x ...]``. A
-    lone last row joins the block before it, because numpy sends a one-row
-    product to gemv, which rounds differently from the gemm a batch of rows
-    gets.
+    equal its output bit for bit; being row-wise, it runs once, on all
+    blocks' logits. A stacked model runs every block through all its models
+    in one batched product and returns ``[K x n x ...]``. A lone last row
+    joins the block before it, because numpy sends a one-row product to
+    gemv, which rounds differently from the gemm a batch of rows gets.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(model, x)
-    layers = [(w.data, b.data) for w, b in _layers(model)]
-    head = (model.params["head.w"].data, model.params["head.b"].data)
+    layers = [(w.data, b.data, True) for w, b in _layers(model.params, "ext", len(model.widths))]
+    if probs:
+        layers += [(w.data, b.data, False) for w, b in _layers(model.params, "head")]
     n = x.shape[0]
     out = np.empty(_model_axes(model)
                    + (n, model.num_classes if probs else model.feature_dim))
@@ -178,13 +183,11 @@ def _infer(model: ClassifierModel, x, probs: bool) -> Array:
         if n - hi <= 1:
             hi = n
         h = x[lo:hi]
-        for w, b in layers:
-            h = _dense(h, w, b, relu=True)
-        if probs:
-            h = softmax_vjp(_dense(h, *head, relu=False))[0]
+        for w, b, relu in layers:
+            h = _dense(h, w, b, relu)
         out[..., lo:hi, :] = h
         lo = hi
-    return out
+    return softmax_vjp(out)[0] if probs else out
 
 
 def predict_probs(model: ClassifierModel, x) -> Array:
@@ -243,8 +246,7 @@ def init_discriminator(feature_dim: int, hidden: int, seed,
 def discriminator_logits(disc: DomainDiscriminator, features: Array) -> tuple[Array, Callable]:
     """(logits, reverse) of the hidden ReLU layer and the logit layer;
     ``reverse`` returns the features' gradient, before the reversal."""
-    p = disc.params
-    return mlp(features, [(p["disc.w0"], p["disc.b0"]), (p["disc.w1"], p["disc.b1"])])
+    return mlp(features, _layers(disc.params, "disc", 2))
 
 
 class ThresholdRow(NamedTuple):

@@ -103,7 +103,7 @@ def mlp(x: Array, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = Fal
     values and gradients are bit-identical to it.
     """
     h = x
-    saved = []  # per layer: input, ReLU mask or None, weight values, w and b
+    saved = []  # per layer, last first: input, ReLU mask or None, wd, w, b, grad_in
     for i, (w, b) in enumerate(layers):
         wd, bd = w.data, b.data
         if (h.ndim < 2 or h.shape[:-2] + h.shape[-1:] != wd.shape[:-1]
@@ -111,16 +111,16 @@ def mlp(x: Array, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = Fal
             raise ShapeError(f"mlp layer {i}: {h.shape} @ {wd.shape} + {bd.shape} do not chain")
         relu = relu_last or i < len(layers) - 1
         out = _dense(h, wd, bd, relu)
-        saved.append((h, out > 0.0 if relu else None, wd, w, b))
+        saved.insert(0, (h, out > 0.0 if relu else None, wd, w, b, i > 0 or input_grad))
         h = out
 
     def reverse(g: Array) -> Array | None:
-        for i, (h_in, mask, wd, w, b) in reversed(list(enumerate(saved))):
+        for h_in, mask, wd, w, b, grad_in in saved:
             if mask is not None:
                 g = g * mask
             _grad_into(w, np.matmul, h_in.swapaxes(-1, -2), g)
             _grad_into(b, np.add.reduce, g, axis=-2)
-            g = g @ wd.swapaxes(-1, -2) if i or input_grad else None
+            g = g @ wd.swapaxes(-1, -2) if grad_in else None
         return g
 
     return h, reverse
@@ -174,17 +174,16 @@ def softmax_vjp(z: Array, t: Array | None = None):
 
     ``z`` is ``[B x C]`` or a stack ``[..., B, C]``, one block per model; ``t``
     holds a usable temperature per block, shape ``[..., 1]``. Without it
-    T = 1 and ``vjp_log_t`` is None. Each block is bit-identical to the 2-D
-    call on it.
+    T = 1 (no division: ``x / 1.0`` is ``x``) and ``vjp_log_t`` is None.
+    Each block is bit-identical to the 2-D call on it.
     """
-    tb = 1.0 if t is None else t[..., None]
     zc = z - z.max(axis=-1, keepdims=True)  # vjp_log_t reuses it
-    e = np.exp(zc / tb)
+    e = np.exp(zc if t is None else zc / t[..., None])
     y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp_z(g: Array) -> Array:
         inner = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - inner) / tb
+        return y * (g - inner) if t is None else y * (g - inner) / t[..., None]
 
     def vjp_log_t(g: Array) -> Array:
         # dy/dT = -y * (zc - sum_k y_k zc_k) / T^2 (shift-invariant in z), dT/dtheta = T
@@ -235,6 +234,7 @@ class ParamSet:
                         for lo in range(0, size, _SGD_BLOCK)]
         self._params: dict[str, Tensor] = {}
         self._momenta: dict[str, Array] = {}    # each tensor's view of _momentum
+        self.lists: dict[str, list] = {}  # network name -> its (weight, bias) list
         lo = 0
         for name, a in zip(tensors, arrays):
             hi = lo + a.size

@@ -37,6 +37,19 @@ def test_trainer_validates_its_config(trainer):
         trainer(blob_config(lr0=-1.0), source, target)
 
 
+def test_dann_domain_table_is_built_once_per_shape_and_read_only():
+    import fixbi.baseline as baseline
+
+    baseline._domain_labels.cache_clear()
+    table = baseline._domain_labels(6, 4)
+    assert table.tobytes() == one_hot(np.arange(6) >= 4, 2).tobytes()
+    assert baseline._domain_labels(6, 4) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    assert baseline._domain_labels(8, 4) is not table
+
+
 class TestSourceOnly:
     def test_separable_source_reaches_full_accuracy(self):
         source, target = separable_pair()

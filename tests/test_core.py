@@ -702,6 +702,57 @@ def test_schedule_covers_every_step_on_domains_of_different_sizes(monkeypatch, t
     assert progress == [k / steps for k in range(steps)]
 
 
+_TRAINERS = {
+    "source-only": train_source_only, "dann": train_dann,
+    "fixbi": lambda cfg, source, target: train_fixbi(
+        cfg, source, target, init_model(source.dim, cfg.arch, 2, cfg.seed))}
+
+
+@pytest.mark.parametrize("name,pseudo,calls", [
+    ("source-only", "live", 0), ("dann", "live", 1),
+    ("fixbi", "live", 0), ("fixbi", "frozen-baseline", 1)])
+def test_one_hot_runs_a_fixed_number_of_times_per_run(monkeypatch, name, pseudo, calls):
+    # label rows come from each run's identity table: one_hot builds only
+    # the DANN domain table (once per batch shape) and the frozen labels
+    import fixbi.baseline as baseline
+    import fixbi.core as core
+
+    counted: list[tuple] = []
+
+    def counted_one_hot(labels, num_classes):
+        counted.append(np.shape(labels))
+        return one_hot(labels, num_classes)
+
+    monkeypatch.setattr(baseline, "one_hot", counted_one_hot)
+    monkeypatch.setattr(core, "one_hot", counted_one_hot)
+    source, target = tiny_pair()
+    for epochs in (2, 4):
+        baseline._domain_labels.cache_clear()
+        counted.clear()
+        _TRAINERS[name](tiny_config(epochs=epochs, warmup_epochs=1, baseline_epochs=epochs,
+                                    pseudo_label_source=pseudo), source, target)
+        assert len(counted) == calls, (epochs, counted)
+
+
+@pytest.mark.parametrize("name", sorted(_TRAINERS))
+@pytest.mark.parametrize("label", [-1, 2])
+def test_trainer_checks_every_source_label_on_entry(monkeypatch, name, label):
+    # the label-row gather trusts the labels, so an unlabeled row (or one
+    # past the class count) stops the run before its first step
+    import fixbi.baseline as baseline
+    import fixbi.core as core
+
+    monkeypatch.setattr(baseline, "paired_minibatches", None)
+    monkeypatch.setattr(core, "paired_minibatches", None)
+    source, target = tiny_pair()
+    source.labels[5] = label
+    source.labels[9] = -1
+    with pytest.raises(ValueError) as exc:
+        _TRAINERS[name](tiny_config(), source, target)
+    assert str(exc.value) == (f"source row 5: label {label}, but training needs "
+                              "every row's class in [0, 2)")
+
+
 class TestStackedMatchesTwoModels:
     """The stacked loop against the two-model composition of the public
     losses: a separate forward per model and input, then one walk and one

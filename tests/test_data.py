@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixbi.data import (CsvFormatError, Dataset, as_target_view,
-                        gen_blobs_shift, gen_moons_shift, load_csv, one_hot,
+                        gen_blobs_shift, gen_moons_shift, load_csv, one_hot, one_hot_table,
                         paired_minibatches, save_csv)
 
 
@@ -289,6 +289,35 @@ class TestOneHot:
         for row, want in zip(out, labels):
             assert row.tobytes() == one_hot(want, 4).tobytes()
         assert one_hot(np.zeros(0, dtype=np.int64), 4).shape == (0, 4)
+
+
+class TestOneHotTable:
+    """A trainer's label rows are gathered from one identity table per run,
+    with the bytes of ``one_hot``; the source labels are checked once."""
+
+    @staticmethod
+    def _source(labels, c):
+        return Dataset(np.zeros((len(labels), 2)), np.array(labels), c, "source")
+
+    @pytest.mark.parametrize("c", [2, 3, 31])
+    def test_rows_have_the_bytes_of_one_hot(self, c):
+        rng = np.random.default_rng(c)
+        eye = one_hot_table(self._source(list(range(c)), c), c)
+        for shape in ((32,), (2, 32), (0,)):
+            labels = rng.integers(0, c, size=shape)
+            assert eye[labels].shape == one_hot(labels, c).shape
+            assert eye[labels].tobytes() == one_hot(labels, c).tobytes()
+
+    def test_names_the_first_row_without_a_label(self):
+        with pytest.raises(ValueError) as exc:
+            one_hot_table(self._source([0, 1, -1, 2, -1], 3), 3)
+        assert str(exc.value) == ("source row 2: label -1, but training needs every "
+                                  "row's class in [0, 3)")
+
+    def test_names_a_label_past_the_models_classes(self):
+        # the set has 3 classes, the model being trained 2
+        with pytest.raises(ValueError, match=r"^source row 1: label 2, .* \[0, 2\)$"):
+            one_hot_table(self._source([0, 2, 1], 3), 2)
 
 
 class TestDatasetViews:

@@ -9,6 +9,7 @@ import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def test_presets_ship():
 def test_shipped_preset_loads(path):
     # a renamed or deleted key would strand the preset
     assert isinstance(load_config(path), TrainConfig)
+
+
+# key -> int or tuple, for every integer-valued config key
+_INT_KEYS = {prefix + name: (tuple if hint == tuple[int, ...] else int)
+             for cls, prefix in ((DatasetSpec, "dataset."), (TrainConfig, ""))
+             for name, hint in get_type_hints(cls).items()
+             if hint in (int, tuple[int, ...])}
 
 
 def small_config_text(seed: int = 0, **extra) -> str:
@@ -154,6 +162,30 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite, got"):
                 check(cfg)
         assert not out.exists()
+
+    # every int field and int tuple of both records, each with a float and a bool
+    @pytest.mark.parametrize("key,bad", [
+        (key, bad) for key, hint in _INT_KEYS.items()
+        for bad in ([(8.5, 4), (8, True)] if hint is tuple else [2.5, True])])
+    def test_config_built_in_code_rejects_non_integers(self, key, bad, tmp_path):
+        # a parsed config never holds one; one built in code meets the rule
+        # before any comparison on the field, and before any data or output
+        cfg = parse_config(small_config_text())
+        owner, _, name = key.rpartition(".")
+        setattr(cfg.dataset if owner else cfg, name, bad)
+        out = tmp_path / "out"
+        for check in (validate_config, load_dataset_pair, lambda c: execute(c, out)):
+            with pytest.raises(ConfigError,
+                               match=f"^{re.escape(key)}: must be an integer, got "
+                                     f"{re.escape(repr(bad))}$"):
+                check(cfg)
+        assert not out.exists()
+
+    def test_config_built_in_code_accepts_numpy_integers(self):
+        cfg = parse_config(small_config_text())
+        cfg.batch_size, cfg.arch = np.int64(8), (np.int32(8), 4)
+        cfg.dataset.per_class = np.uint16(16)
+        assert validate_config(cfg) is cfg
 
     @pytest.mark.parametrize("kind,reads", [
         ("blobs", "num_classes per_class dim rotation_deg translation noise_sigma seed"),

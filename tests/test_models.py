@@ -2,19 +2,22 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fixbi.models import (_CKPT_BLOCK, CKPT_MAGIC, DomainDiscriminator,
+from fixbi.config import DatasetSpec, TrainConfig
+from fixbi.data import gen_blobs_shift
+from fixbi.models import (_CKPT_BLOCK, _INFER_ROWS, CKPT_MAGIC, DomainDiscriminator, _layers,
                           discriminator_logits,
                           ensemble_predict, extract_features, forward,
                           forward_logits, init_discriminator, init_model,
                           load_checkpoint, predict_features, predict_labels,
                           predict_probs, save_checkpoint, stack_models,
                           unstack_models)
-from fixbi.baseline import dann_objective
-from fixbi.numerics import Tensor, backward
+from fixbi.baseline import dann_objective, train_dann
+from fixbi.numerics import ParamSet, Tensor, _dense, backward, softmax_vjp
 from helpers import manual_model, random_model, value_bytes
 
 
@@ -186,6 +189,120 @@ class TestReluCallCount:
             calls.clear()
             infer(model, np.ones((rows, 3)))
             assert len(calls) == depth * blocks
+
+
+class TestInferenceSoftmaxOnce:
+    """Inference takes one row-wise softmax over all blocks' logits, with the
+    bytes of a softmax per block."""
+
+    @staticmethod
+    def _blockwise(model, x):
+        # the block rule of models._infer, with the softmax in each block
+        n, lo, blocks = x.shape[0], 0, []
+        while lo < n:
+            hi = n if n - (lo + _INFER_ROWS) <= 1 else lo + _INFER_ROWS
+            h = x[lo:hi]
+            for w, b in _layers(model.params, "ext", len(model.widths)):
+                h = _dense(h, w.data, b.data, relu=True)
+            z = _dense(h, model.params["head.w"].data, model.params["head.b"].data, relu=False)
+            blocks.append(softmax_vjp(z)[0])
+            lo = hi
+        return np.concatenate(blocks, axis=-2)
+
+    @pytest.mark.parametrize("classes", [3, 31])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+    def test_bytes_equal_a_softmax_per_block(self, n, classes):
+        rng = np.random.default_rng(n + classes)
+        models = [random_model(rng, input_dim=2, widths=(64, 64, 32), num_classes=classes)
+                  for _ in range(2)]
+        x = rng.normal(size=(n, 2)) * 3.0
+        for model in (models[0], stack_models(models)):
+            got = predict_probs(model, x)
+            assert got.tobytes() == self._blockwise(model, x).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 64, 65, 300])
+    def test_one_softmax_per_predict_probs_call(self, monkeypatch, rows):
+        import fixbi.models as models
+
+        calls = []
+        softmax = models.softmax_vjp
+
+        def counted(z, t=None):
+            calls.append(z.shape)
+            return softmax(z, t)
+
+        monkeypatch.setattr(models, "softmax_vjp", counted)
+        model = init_model(3, (5, 4), 3, seed=0)
+        predict_probs(model, np.ones((rows, 3)))
+        assert calls == [(rows, 3)]
+        calls.clear()
+        predict_probs(stack_models([model, model]), np.ones((rows, 3)))
+        assert calls == [(2, rows, 3)]
+        calls.clear()
+        predict_features(model, np.ones((rows, 3)))
+        assert calls == []
+
+
+class TestLayerListsBuiltOnce:
+    """Each network's (weight, bias) list is built once per parameter set,
+    and a new set gets its own."""
+
+    def test_second_calls_look_up_no_tensor(self, monkeypatch):
+        model = init_model(3, (5, 4), 3, seed=0)
+        disc = init_discriminator(model.feature_dim, 6, seed=1)
+        x = np.ones((4, 3))
+        forward_logits(model, x)
+        predict_probs(model, x)
+        discriminator_logits(disc, np.ones((4, 4)))
+        lookups = []
+        getitem = ParamSet.__getitem__
+
+        def counted(self, name):
+            lookups.append(name)
+            return getitem(self, name)
+
+        monkeypatch.setattr(ParamSet, "__getitem__", counted)
+        for _ in range(3):
+            forward_logits(model, x)
+            predict_probs(model, x)
+            predict_features(model, x)
+            discriminator_logits(disc, np.ones((4, 4)))
+        # the one lookup left is the head weight whose shape gives the model axes
+        assert set(lookups) == {"head.w"}
+        ext = _layers(model.params, "ext", 2)
+        assert ext is _layers(model.params, "ext", 2)
+        assert [(w, b) for w, b in ext] == [(model.params["ext.w0"], model.params["ext.b0"]),
+                                            (model.params["ext.w1"], model.params["ext.b1"])]
+
+    def test_a_new_set_gets_its_own_lists(self):
+        model = init_model(3, (5, 4), 3, seed=0)
+        x = np.ones((4, 3))
+        before = predict_probs(model, x)
+        moved = replace(model, params=ParamSet(
+            {name: t.data + 1.0 for name, t in model.params.items()}))
+        for net, depth in (("ext", 2), ("head", 1)):
+            for (w, b), (w0, b0) in zip(_layers(moved.params, net, depth),
+                                        _layers(model.params, net, depth)):
+                assert w is not w0 and b is not b0
+                assert w.data.base is moved.params._values
+        assert not np.array_equal(predict_probs(moved, x), before)
+        assert predict_probs(model, x).tobytes() == before.tobytes()
+
+    def test_dann_model_reads_its_own_set(self):
+        # train_dann trains on a merged set and returns a copy of the
+        # classifier's tensors: the returned model's lists are the copy's
+        cfg = TrainConfig(dataset=DatasetSpec(kind="blobs", num_classes=2, per_class=8),
+                          arch=(4,), batch_size=4, baseline_epochs=1, seed=0)
+        source, target = gen_blobs_shift(2, 8, 2, 30.0, (), 0.1, seed=0)
+        model = train_dann(cfg, source, target).model
+        for net, depth in (("ext", 1), ("head", 1)):
+            for w, b in _layers(model.params, net, depth):
+                assert w.data.base is model.params._values
+                assert b.data.base is model.params._values
+        fresh = replace(model, params=ParamSet(
+            {name: t.data for name, t in model.params.items()}))
+        assert (predict_probs(model, source.features).tobytes()
+                == predict_probs(fresh, source.features).tobytes())
 
 
 class TestStackedModels:

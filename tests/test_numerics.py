@@ -10,7 +10,7 @@ import pytest
 from fixbi import numerics
 from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
                             _grad_into, backward, lr_schedule, mlp, relu_inplace,
-                            sgd_step, step_node)
+                            sgd_step, softmax_vjp, step_node)
 from helpers import (add, affine, as_tensor, check_grads, clamp_min, dot,
                      finite_diff_grads, flat_grads, graph_backward, grl, log, log_loss,
                      loss_node, matmul, max_rel_error, mean, mlp_node, mul, named_grads,
@@ -492,6 +492,35 @@ class TestTake:
         # overlapping slices: their gradients add up in the parent
         check_grads(lambda: add(dot(take(z, (0, slice(0, 2))), up_a),
                                 dot(take(z, 0), up_b)), params)
+
+
+class TestSoftmaxAtUnitTemperature:
+    """Without a temperature the divisions by T = 1 are skipped; ``x / 1.0``
+    is ``x`` for every float64, so the bytes are those of the formula with
+    them, signed zeros and subnormals included."""
+
+    @staticmethod
+    def _with_divisions(z, g):
+        zc = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(zc / 1.0)
+        y = e / e.sum(axis=-1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return y, y * (g - inner) / 1.0
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3), (3, 31)])
+    def test_bit_identical_to_the_explicit_division(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        tiny = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-320])
+        z = rng.normal(0.0, 3.0, size=shape)
+        z.reshape(-1)[:tiny.size] = tiny
+        z[..., -1, :] = -0.0  # a row whose max is -0.0
+        g = rng.normal(size=shape)
+        g.reshape(-1)[-tiny.size:] = tiny
+        y, vjp_z, vjp_log_t = softmax_vjp(z)
+        want_y, want_gz = self._with_divisions(z, g)
+        assert vjp_log_t is None
+        assert y.tobytes() == want_y.tobytes()
+        assert vjp_z(g).tobytes() == want_gz.tobytes()
 
 
 class TestStackedSoftmaxT:
