@@ -82,7 +82,7 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
     ds = cfg.dataset
     for key, parse in _KEY_PARSERS.items():
         value = getattr(ds if key.startswith("dataset.") else cfg, key.rpartition(".")[2])
-        values = value if isinstance(value, tuple) else (value,)
+        values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
         if parse in (_TYPE_PARSERS[float], _TYPE_PARSERS[tuple[float, ...]]):
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
@@ -243,7 +243,7 @@ def parse_config(text: str) -> TrainConfig:
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in v)
     if isinstance(v, float):
         return repr(v)

@@ -181,11 +181,22 @@ class TestConfig:
                 check(cfg)
         assert not out.exists()
 
-    def test_config_built_in_code_accepts_numpy_integers(self):
+    def test_config_built_in_code_accepts_numpy_integers_and_lists(self):
         cfg = parse_config(small_config_text())
         cfg.batch_size, cfg.arch = np.int64(8), (np.int32(8), 4)
         cfg.dataset.per_class = np.uint16(16)
         assert validate_config(cfg) is cfg
+        # a list where the record declares a tuple meets the same rules
+        cfg.arch, cfg.dataset.translation = [8, 4], [0.5, 0.5]
+        assert validate_config(cfg) is cfg
+        again = parse_config(serialize_config(cfg))
+        assert (again.arch, again.dataset.translation) == ((8, 4), (0.5, 0.5))
+        cfg.arch = [8, 4.0]
+        with pytest.raises(ConfigError, match=r"^arch: must be an integer, got \[8, 4\.0\]$"):
+            validate_config(cfg)
+        cfg.arch, cfg.dataset.translation = [8, 4], [0.5, math.nan]
+        with pytest.raises(ConfigError, match=r"^dataset\.translation: must be finite"):
+            validate_config(cfg)
 
     @pytest.mark.parametrize("kind,reads", [
         ("blobs", "num_classes per_class dim rotation_deg translation noise_sigma seed"),
