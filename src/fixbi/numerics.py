@@ -179,10 +179,10 @@ def softmax_vjp(z: Array, t: Array | None = None):
     """
     zc = z - z.max(axis=-1, keepdims=True)  # vjp_log_t reuses it
     e = np.exp(zc if t is None else zc / t[..., None])
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)  # e.sum(...), unwrapped
 
     def vjp_z(g: Array) -> Array:
-        inner = (g * y).sum(axis=-1, keepdims=True)
+        inner = np.add.reduce(g * y, axis=-1, keepdims=True)
         return y * (g - inner) if t is None else y * (g - inner) / t[..., None]
 
     def vjp_log_t(g: Array) -> Array:
