@@ -58,7 +58,7 @@ def _cmd_eval(args) -> int:
         model = load_checkpoint(args.checkpoint)
         second = load_checkpoint(args.ensemble_with) if args.ensemble_with else None
         ds = load_csv(args.dataset)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:  # each loader's error names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problem = _eval_error(args, model, second, ds)

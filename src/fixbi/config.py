@@ -265,9 +265,22 @@ def serialize_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path, error: type[ValueError]) -> str:
+    """The UTF-8 text of ``path``, decoded in one call (a bad byte's offset is
+    the file's); an unreadable file or bad byte is ``error``, naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} "
+                    "is not UTF-8") from None
+
+
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read_text(path, ConfigError))
 
 
 @dataclass

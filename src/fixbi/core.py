@@ -35,8 +35,8 @@ from .data import Dataset, batches_per_epoch, one_hot, one_hot_table, paired_min
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
-from .numerics import (Array, _grad_into, backward, log_loss, lr_schedule,
-                       sgd_step, softmax_vjp, step_node, temperature)
+from .numerics import (Array, backward, log_loss, lr_schedule, sgd_step,
+                       softmax_vjp, step_node, temperature)
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
@@ -321,7 +321,7 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
             g_logits += probs_vjp(g_probs)
 
             def step_reverse():
-                _grad_into(log_temperature, np.positive, g_log_t)
+                np.positive(g_log_t, out=log_temperature.grad)
                 reverse(g_logits)
 
             loss = step_node(total, x, step_reverse)

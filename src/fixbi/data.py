@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _read_text
 from .numerics import Array
 
 SOURCE = "source"
@@ -203,8 +204,7 @@ def save_csv(ds: Dataset, path, with_eval_labels: bool = False) -> None:
 def load_csv(path) -> Dataset:
     """Parse the interchange format; errors start with ``path`` and carry
     1-based line numbers (``<path>: line 3: ...``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
+    raw = _read_text(path, CsvFormatError).split("\n")
     if raw and raw[-1] == "":
         raw.pop()
     if not raw:
@@ -223,6 +223,8 @@ def load_csv(path) -> Dataset:
             f"{path}: line 1: non-integer classes/dim in {header!r}") from None
     if num_classes < 1 or dim < 1:
         raise CsvFormatError(f"{path}: line 1: classes and dim must be positive")
+    if len(raw) == 1:
+        raise CsvFormatError(f"{path}: line 2: no samples after the header")
 
     feats: list[list[float]] = []
     labels: list[int] = []
@@ -252,7 +254,7 @@ def load_csv(path) -> Dataset:
         raise CsvFormatError(
             f"{path}: line {int(np.argmin(finite)) + 2}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    tag = TARGET if labels_arr.size and (labels_arr == -1).all() else SOURCE
+    tag = TARGET if (labels_arr == -1).all() else SOURCE
     return Dataset(features, labels_arr, num_classes, tag)
 
 

@@ -398,7 +398,7 @@ def run_experiment(config_path, out_dir, seed: int | None = None) -> int:
     tag = "" if seed is None else f"seed {seed}: "
     try:
         cfg = load_config(config_path)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"{tag}error: {exc}", file=sys.stderr)
         return 2
     if seed is not None:

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import _read_text
 from .numerics import Array, ParamSet, Tensor, _dense, mlp, softmax_vjp
 
 LOG_TEMPERATURE = "log_temperature"
@@ -302,8 +303,7 @@ def save_checkpoint(model: ClassifierModel, path) -> None:
 def load_checkpoint(path) -> ClassifierModel:
     """Read a checkpoint; every error is a ``ValueError`` that starts with
     ``path`` and names the line or the tensor at fault."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path, ValueError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != CKPT_MAGIC:
@@ -324,6 +324,8 @@ def load_checkpoint(path) -> ClassifierModel:
         except ValueError:
             raise ValueError(f"{path}: non-numeric shape or value for tensor "
                              f"{name!r} at line {i + 1}") from None
+        if min(shape) < 0:
+            raise ValueError(f"{path}: negative dimension in the shape at line {i + 1}")
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise ValueError(
@@ -335,7 +337,10 @@ def load_checkpoint(path) -> ClassifierModel:
         tensors[name] = values.reshape(shape)
         i += 2
 
-    # the widths and class count are read off the file; the rest must be the layout
+    # the widths and class count are read off the 2-D weights; the rest must be the layout
+    for name in [n for n in tensors if n == "head.w" or n.startswith("ext.w")]:
+        if tensors[name].ndim != 2:
+            raise ValueError(f"{path}: tensor {name!r} has rank {tensors[name].ndim}, not 2")
     widths: list[int] = []
     while f"ext.w{len(widths)}" in tensors:
         widths.append(tensors[f"ext.w{len(widths)}"].shape[-1])

@@ -2,11 +2,11 @@
 
 A network (:func:`mlp`) runs its forward on plain arrays and returns its
 output and its reverse pass, which writes each layer's gradients into the
-layer's :class:`ParamSet` gradient vector (the first contribution to a
-tensor is written, later ones are added). A loss returns its value and
-gradient on plain arrays (:func:`log_loss`; :func:`softmax_vjp` its VJPs). A
-training step chains them in straight-line code and enters :func:`backward`
-as one graph node (:func:`step_node`) whose VJP runs the whole reverse.
+layer's :class:`ParamSet` gradient vector with ``out=``. A loss returns its
+value and gradient on plain arrays (:func:`log_loss`; :func:`softmax_vjp` its
+VJPs). A training step chains them in straight-line code and enters
+:func:`backward` as one graph node (:func:`step_node`) whose VJP runs the
+whole reverse, writing each gradient once.
 """
 from __future__ import annotations
 
@@ -38,11 +38,10 @@ class Tensor:
 
     ``data`` is stored row-major (C order). A parameter has
     ``requires_grad`` set and ``grad``, its view of the set's gradient
-    vector; ``_fresh`` is set on it while a :func:`backward` over its set has
-    not yet written it. A step's node records one ``(input, vjp)`` pair.
+    vector. A step's node records one ``(input, vjp)`` pair.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_vjps", "_fresh")
+    __slots__ = ("data", "requires_grad", "grad", "_vjps")
 
     def __init__(self, values, requires_grad: bool = False,
                  _vjps: Iterable[tuple["Tensor", Callable[[Array], Array]]] = ()):
@@ -50,7 +49,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._vjps = tuple(_vjps)
-        self._fresh = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,10 +93,10 @@ def mlp(x: Array, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = Fal
     side first. ``x`` is ``[..., B, in]``, each weight ``[..., in, out]`` and
     each bias ``[..., out]``, with the same leading axes on all (a stack of
     networks). ``reverse(g)`` takes the gradient of ``out`` and writes each
-    layer's gradients through :func:`_grad_into`; it returns the gradient of
-    ``x``, or None without ``input_grad`` (no layers: the identity, whose
-    input gradient is ``g``). Its ReLU mask is ``out > 0.0`` on the ReLU
-    output, the bools of the product before it. Each layer runs the numpy
+    layer's gradients into its ``grad`` views with ``out=``; it returns the
+    gradient of ``x``, or None without ``input_grad`` (no layers: the
+    identity, whose input gradient is ``g``). Its ReLU mask is ``out > 0.0``
+    on the ReLU output, the bools of the product before it. Each layer runs the numpy
     operations of ``relu(affine(x, w, b))`` in ``tests/helpers.py``, so
     values and gradients are bit-identical to it.
     """
@@ -118,22 +116,12 @@ def mlp(x: Array, layers: Sequence[tuple[Tensor, Tensor]], relu_last: bool = Fal
         for h_in, mask, wd, w, b, grad_in in saved:
             if mask is not None:
                 g = g * mask
-            _grad_into(w, np.matmul, h_in.swapaxes(-1, -2), g)
-            _grad_into(b, np.add.reduce, g, axis=-2)
+            np.matmul(h_in.swapaxes(-1, -2), g, out=w.grad)
+            np.add.reduce(g, axis=-2, out=b.grad)
             g = g @ wd.swapaxes(-1, -2) if grad_in else None
         return g
 
     return h, reverse
-
-
-def _grad_into(t: Tensor, op, *args, **kwargs) -> None:
-    """``op(*args, **kwargs)`` written into ``t.grad`` with ``out=`` while
-    ``t`` is fresh (see :func:`backward`), else added into it."""
-    if t._fresh:
-        op(*args, out=t.grad, **kwargs)
-        t._fresh = False
-    else:
-        t.grad += op(*args, **kwargs)
 
 
 def log_loss(probs: Array, weights, n: int) -> tuple[Array, Array]:
@@ -197,9 +185,9 @@ def softmax_vjp(z: Array, t: Array | None = None):
 def step_node(value, x: Array, reverse: Callable[[], object]) -> Tensor:
     """A training step's scalar objective ``value`` as one graph node over
     its input batch ``x``, for :func:`backward`. ``reverse()`` runs the
-    step's whole reverse pass, writing every gradient through
-    :func:`_grad_into`; the node is the root of its graph, so its VJP is
-    ``reverse`` at the unit upstream."""
+    step's whole reverse pass, writing each gradient it trains once; the
+    node is the root of its graph, so its VJP is ``reverse`` at the unit
+    upstream."""
     return Tensor(value, _vjps=[(Tensor(x), lambda g: reverse())])
 
 
@@ -260,42 +248,19 @@ class ParamSet:
 
 
 def backward(loss: Tensor, params: ParamSet) -> Array:
-    """Exact reverse-mode gradients of a step's scalar ``loss`` (a
-    :func:`step_node`) for every parameter of ``params``: the set's gradient
-    vector, as the node's VJP writes it.
-
-    ``backward`` first marks every tensor of ``params`` fresh. The VJP's
-    networks (:func:`mlp`) write a fresh weight's or bias's gradient into
-    its ``grad`` view and add into one already written, so two applications
-    of one network sum; a parameter outside a network gets its gradient the
-    same way. Afterwards the tensors the VJP never reached are zeroed and
-    no tensor stays marked, also when the VJP raises; a VJP that returns a
-    gradient for its input is a :class:`ShapeError`. The values are those
-    of zeroing the vector and adding every contribution, except that a
-    first-written -0.0 stays -0.0; :func:`sgd_step` forms ``weight_decay *
-    w`` before adding the gradient, so the weights it computes do not depend
-    on the sign of a zero gradient (see README).
-
-    The result is the set's own buffer, not a copy: the next ``backward``
-    over ``params`` overwrites it. A VJP that also reaches another set's
-    tensors adds into that set's vector, which only its own ``backward``
-    rewrites.
+    """Run the reverse of a step's scalar ``loss`` (a :func:`step_node`),
+    which writes each gradient of the set it trains once, with ``out=``; a
+    VJP that returns its input's gradient is a :class:`ShapeError`. Returns
+    ``params``' own gradient vector, not a copy. A tensor the reverse never
+    writes keeps its contents: in every trainer only the baselines'
+    ``log_temperature``, which keeps the zeros :class:`ParamSet` starts with.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    tensors = params._params.values()
-    for t in tensors:
-        t._fresh = True
-    try:
-        for _, vjp in loss._vjps:
-            if vjp(1.0) is not None:
-                raise ShapeError("backward: the loss's VJP returned its input's gradient; "
-                                 "a step_node's reverse writes every gradient itself")
-    finally:
-        for t in tensors:
-            if t._fresh:
-                t.grad.fill(0.0)
-                t._fresh = False
+    for _, vjp in loss._vjps:
+        if vjp(1.0) is not None:
+            raise ShapeError("backward: the loss's VJP returned its input's gradient; "
+                             "a step_node's reverse writes every gradient itself")
     return params._grad
 
 

@@ -13,10 +13,10 @@ import pytest
 from fixbi import harness, numerics
 from fixbi.core import adaptive_threshold, loss_bim, loss_cr, loss_fm, loss_sp, mixup
 from fixbi.data import Dataset, one_hot
-from fixbi.models import (ClassifierModel, DualState, discriminator_logits,
+from fixbi.models import (ClassifierModel, DualState, _layers, discriminator_logits,
                           extract_features, init_model, predict_features)
-from fixbi.numerics import (LOG_CLAMP, Array, ParamSet, ShapeError, Tensor, _grad_into,
-                            backward, mlp, softmax_vjp, temperature)
+from fixbi.numerics import (LOG_CLAMP, Array, ParamSet, ShapeError, Tensor, backward, mlp,
+                            softmax_vjp, temperature)
 
 # -- the composed reference --------------------------------------------------
 # A general graph of Tensor nodes, each carrying VJP closures back to its
@@ -26,6 +26,28 @@ from fixbi.numerics import (LOG_CLAMP, Array, ParamSet, ShapeError, Tensor, _gra
 # chain and each trainer's step node the graph of networks, slices, sums and
 # products below (:func:`composed_dual_loss`) bit for bit, in values and
 # gradients; they run the same numpy operations as these.
+#
+# Only this reference applies one network twice or reaches two sets under one
+# loss, so accumulation lives here: a walk writes the first contribution to
+# each tensor of the set it computes (as a production step writes every
+# gradient once, -0.0 included) and adds every later one, and every
+# contribution to another set's tensors.
+
+_unwritten: set[Tensor] = set()
+"""The tensors the current walk writes on their next contribution."""
+
+
+def _contribute(tensors, write):
+    """``write()``, which writes the gradients of ``tensors`` with ``out=``,
+    as one contribution to each: kept as written for a tensor the walk has
+    not written yet (see :func:`walk`), else added to what it held before.
+    Returns what ``write`` returns."""
+    added = [(t, t.grad.copy()) for t in tensors if t not in _unwritten]
+    _unwritten.difference_update(tensors)
+    result = write()
+    for t, before in added:
+        t.grad += before
+    return result
 
 
 def make(data: Array, vjps) -> Tensor:
@@ -39,9 +61,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def walk(loss: Tensor) -> None:
-    """Replay the VJPs of ``loss``'s graph from a unit upstream, handing each
-    parameter its gradient through ``numerics._grad_into``."""
+def walk(loss: Tensor, unwritten=()) -> None:
+    """Replay the VJPs of ``loss``'s graph from a unit upstream, writing the
+    first contribution to each tensor of ``unwritten`` and adding the rest
+    (:func:`_contribute`)."""
+    _unwritten.clear()
+    _unwritten.update(unwritten)
 
     # iterative post-order DFS over the loss's ancestry; every parent requires
     # gradients but a network's or a step's constant input, for which its
@@ -68,8 +93,8 @@ def walk(loss: Tensor) -> None:
         g = grads.pop(node, None)
         if g is None:  # a network's or a step's constant input
             continue
-        if node.grad is not None:
-            _grad_into(node, np.positive, g)  # a parameter reached as a leaf
+        if node.grad is not None:  # a parameter reached as a leaf
+            _contribute([node], lambda: np.positive(g, out=node.grad))
         for parent, vjp in node._vjps:
             contrib = vjp(g)
             if contrib is None:
@@ -82,9 +107,14 @@ def walk(loss: Tensor) -> None:
 
 def graph_backward(loss: Tensor, params: ParamSet) -> Array:
     """``numerics.backward`` over a composed graph, which enters it as one
-    node whose VJP walks the graph (:func:`walk`); a step node's graph is
-    that node alone."""
-    return backward(Tensor(loss.data, _vjps=[(loss, lambda g: walk(loss))]), params)
+    node whose VJP zero-fills ``params``' gradient vector and walks the graph
+    (:func:`walk`), writing each tensor of the set first; a step node's graph
+    is that node alone. A tensor the walk never reaches reads zero."""
+    def vjp(g):
+        params._grad.fill(0.0)
+        walk(loss, [t for _, t in params.items()])
+
+    return backward(Tensor(loss.data, _vjps=[(loss, vjp)]), params)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -254,7 +284,16 @@ def loss_node(value, grads) -> Tensor:
 # -- the networks as graph nodes ---------------------------------------------
 # Each network returns its output and its reverse pass; these put one in a
 # graph as one node over its input. Its weights are not graph parents: the
-# reverse pass writes their gradients itself.
+# reverse pass writes their gradients itself, as one contribution to each
+# (:func:`_contribute`).
+
+
+def network_node(out: Array, reverse, x: Tensor, layers) -> Tensor:
+    """A network's output as one node over ``x``, whose VJP runs
+    ``reverse`` over ``layers``' (weight, bias) tensors."""
+    tensors = [t for layer in layers for t in layer]
+    return Tensor(out, requires_grad=True,
+                  _vjps=[(x, lambda g: _contribute(tensors, lambda: reverse(g)))])
 
 
 def mlp_node(x, layers, relu_last: bool = False) -> Tensor:
@@ -262,14 +301,14 @@ def mlp_node(x, layers, relu_last: bool = False) -> Tensor:
     ``x`` requires one."""
     x = as_tensor(x)
     out, reverse = mlp(x.data, layers, relu_last, input_grad=x.requires_grad)
-    return Tensor(out, requires_grad=True, _vjps=[(x, reverse)])
+    return network_node(out, reverse, x, layers)
 
 
 def features_node(model: ClassifierModel, x) -> Tensor:
     """``models.extract_features`` on a constant input as one node."""
     x = as_tensor(x)
     feats, reverse = extract_features(model, x.data)
-    return Tensor(feats, requires_grad=True, _vjps=[(x, reverse)])
+    return network_node(feats, reverse, x, _layers(model.params, "ext", len(model.widths)))
 
 
 def network(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
@@ -282,7 +321,7 @@ def network(model: ClassifierModel, x) -> tuple[Tensor, Tensor]:
 def disc_node(disc, features: Tensor) -> Tensor:
     """``models.discriminator_logits`` as one node over ``features``."""
     logits, reverse = discriminator_logits(disc, features.data)
-    return Tensor(logits, requires_grad=True, _vjps=[(features, reverse)])
+    return network_node(logits, reverse, features, _layers(disc.params, "disc", 2))
 
 
 def composed_dual_loss(cfg, pair: ClassifierModel, x: Array, batch, matching: bool,
@@ -383,7 +422,7 @@ def named_grads(loss, params: ParamSet) -> dict[str, Array]:
 def zero_fill_grads(loss, params: ParamSet) -> dict[str, Array]:
     """The zero-fill-and-add reference of :func:`named_grads`: the set's
     gradient vector zeroed, then every contribution of the walk added into
-    it. No tensor is marked fresh, so the walk writes none of them first."""
+    it: the walk writes no tensor first."""
     params._grad.fill(0.0)
     walk(loss)
     return {name: t.grad.copy() for name, t in params.items()}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -366,3 +367,60 @@ def test_run_with_unusable_config_key(tmp_path, capsys, line, message):
     assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _append_bad_byte(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def _replace(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# (file, what is wrong with it, how to make it so, what the message says
+# besides the path); each row reaches every command that reads that file:
+# run the config and the CSV, eval the CSV and the checkpoint
+_MANGLED = [
+    *[(kind, "non-utf8-byte", _append_bad_byte, r"line \d+: byte 0xff is not UTF-8")
+      for kind in ("config", "csv", "ckpt")],
+    ("csv", "header-only", lambda p: p.write_text(p.read_text().split("\n")[0] + "\n"),
+     "line 2: no samples"),
+    ("ckpt", "truncated", lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]),
+     "values"),
+    ("ckpt", "negative-shape", lambda p: _replace(p, "shape 1,4", "shape 1,-4"),
+     "negative dimension in the shape at line 2"),
+    ("ckpt", "wrong-rank-shape", lambda p: _replace(p, "shape 1,4", "shape 1,4,1"),
+     "'ext.w0' has rank 3"),
+    *[(kind, "missing", lambda p: p.unlink(), "No such file")
+      for kind in ("config", "csv", "ckpt")],
+    *[(kind, "directory", _directory, "Is a directory")
+      for kind in ("config", "csv", "ckpt")],
+]
+
+
+@pytest.mark.parametrize("command,kind,mangle,says", [
+    pytest.param(command, kind, mangle, says, id=f"{command}-{kind}-{what}")
+    for command, reads in (("run", ("config", "csv")), ("eval", ("csv", "ckpt")))
+    for kind, what, mangle, says in _MANGLED if kind in reads])
+def test_mangled_input_exits_2_naming_the_file(tmp_path, capsys, command, kind, mangle, says):
+    files = {"config": tmp_path / "exp.cfg", "csv": tmp_path / "d.csv",
+             "ckpt": tmp_path / "a.ckpt"}
+    files["csv"].write_text("# classes=2 dim=1\n0.1,0\n0.2,1\n")
+    files["config"].write_text(f"dataset.kind = csv\ndataset.source = {files['csv']}\n"
+                               f"dataset.target = {files['csv']}\n"
+                               "epochs = 2\nwarmup_epochs = 1\nbatch_size = 1\n")
+    _checkpoint(files["ckpt"], 1, 2)
+    mangle(files[kind])
+    out = tmp_path / "out"
+    argv = ([command, str(files["config"]), str(out)] if command == "run"
+            else [command, str(files["ckpt"]), str(files["csv"])])
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {files[kind]}: ")
+    assert re.search(says, err) and "Traceback" not in err
+    assert not out.exists()

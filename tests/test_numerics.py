@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from fixbi import numerics
-from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor,
-                            _grad_into, backward, lr_schedule, mlp, relu_inplace,
-                            sgd_step, softmax_vjp, step_node)
+from fixbi.numerics import (_SGD_BLOCK, LOG_CLAMP, ParamSet, ShapeError, Tensor, backward,
+                            lr_schedule, mlp, relu_inplace, sgd_step, softmax_vjp, step_node)
 from helpers import (add, affine, as_tensor, check_grads, clamp_min, dot,
                      finite_diff_grads, flat_grads, graph_backward, grl, log, log_loss,
                      loss_node, matmul, max_rel_error, mean, mlp_node, mul, named_grads,
@@ -108,34 +107,31 @@ class TestBackward:
         assert np.array_equal(g["unused"], np.zeros(1))
 
     def test_step_node_runs_its_reverse_once(self):
-        # the node's one VJP is the step's reverse; a tensor it never wrote
-        # reads zero, and a first-written -0.0 stays -0.0
+        # the node's one VJP is the step's reverse; a written -0.0 stays
+        # -0.0, and a tensor it never writes keeps its contents
         params = ParamSet({"w": [1.0, 2.0], "unused": [5.0]})
         params["unused"].grad[...] = 3.0
         calls = []
 
         def reverse():
             calls.append(None)
-            _grad_into(params["w"], np.positive, np.array([0.5, -0.0]))
+            np.positive(np.array([0.5, -0.0]), out=params["w"].grad)
 
         node = step_node(1.5, np.ones((2, 3)), reverse)
         assert [p.requires_grad for p, _ in node._vjps] == [False]
-        assert backward(node, params).tobytes() == np.array([0.5, -0.0, 0.0]).tobytes()
+        assert backward(node, params).tobytes() == np.array([0.5, -0.0, 3.0]).tobytes()
         assert len(calls) == 1
 
     def test_vjp_that_returns_a_gradient_is_rejected(self):
         # a loss node whose VJP hands its input a gradient (a network node
         # under a dot, not a step node) would have it dropped: backward
-        # raises, and still zeroes the set and clears every mark
+        # raises
         rng = np.random.default_rng(9)
         params = ParamSet({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
-        params._grad.fill(7.0)
         layers = [(params["w"], params["b"])]
         loss = dot(mlp_node(rng.normal(size=(2, 3)), layers), rng.normal(size=(2, 4)))
         with pytest.raises(ShapeError, match="step_node"):
             backward(loss, params)
-        assert not params._grad.any()
-        assert not any(t._fresh for _, t in params.items())
 
     def test_three_layer_mlp_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -334,6 +330,19 @@ class TestDense:
         assert got["b2"].tobytes() == np.zeros(6).tobytes()
         assert got["w1"].any()
 
+    def test_a_network_reverse_run_twice_leaves_the_second_write(self):
+        # numerics writes each gradient with out=: a second reverse over one
+        # set replaces the first one's gradients, it does not add to them
+        params, upstream = _network(37, 2)
+        _, reverse = mlp(params["x"].data, _layers(params, 2), input_grad=False)
+        reverse(upstream)
+        first = params._grad.copy()
+        reverse(upstream[::-1])
+        fresh = ParamSet({name: t.data for name, t in params.items()})
+        mlp(fresh["x"].data, _layers(fresh, 2), input_grad=False)[1](upstream[::-1])
+        assert first.any() and params._grad.tobytes() == fresh._grad.tobytes()
+        assert not np.array_equal(params._grad, first + fresh._grad)
+
     def test_inner_dim_mismatch_rejected(self):
         params = ParamSet({"w": np.ones((4, 2)), "b": np.ones(2),
                            "v": np.ones((3, 2)), "c": np.ones(2)})
@@ -344,9 +353,10 @@ class TestDense:
 
 
 class TestFirstWriteGradients:
-    """``backward`` writes each tensor's first contribution and adds the
-    rest; each case runs two consecutive walks over one set, and compares
-    with the zero-fill-and-add reference only after both."""
+    """The composed reference (``helpers.graph_backward``) writes each
+    tensor's first contribution and adds the rest; each case runs two
+    consecutive walks over one set, and compares with the zero-fill-and-add
+    reference only after both."""
 
     @staticmethod
     def _pair_loss(params, upstream, scale, depth=3):
@@ -415,21 +425,6 @@ class TestFirstWriteGradients:
             for name in ("w0", "w1", "b1"):
                 assert np.array_equal(b[name].grad, contrib[name] * k), (k, name)
             assert not b["b0"].grad.any()
-
-    def test_a_failed_walk_leaves_no_tensor_marked(self):
-        # the step's reverse fails after its network wrote the layers, with
-        # the input tensor still unwritten
-        params, upstream = _network(37, 2)
-        x = params["x"].data
-        out, reverse = mlp(x, _layers(params, 2), input_grad=False)
-
-        def fail():
-            reverse(upstream)
-            raise RuntimeError("vjp failed")
-
-        with pytest.raises(RuntimeError, match="vjp failed"):
-            backward(step_node(out.sum(), x, fail), params)
-        assert not any(t._fresh for _, t in params.items())
 
 
 def _model_slice(params: ParamSet, k: int) -> ParamSet:
