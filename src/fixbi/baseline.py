@@ -6,7 +6,6 @@ from, and their target accuracies anchor the adaptation comparisons.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -14,14 +13,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import TrainConfig, validate_config
-from .core import NonFiniteLossError
+from .core import train_epochs
 from .data import (Dataset, PairedBatch, batches_per_epoch, one_hot, one_hot_table,
                    paired_minibatches)
 from .models import (ClassifierModel, DomainDiscriminator, accuracy,
                      discriminator_logits, forward, forward_logits,
                      init_discriminator, init_model, predict_labels)
-from .numerics import (ParamSet, Tensor, backward, log_loss, lr_schedule,
-                       sgd_step, softmax_vjp, step_node)
+from .numerics import ParamSet, Tensor, log_loss, softmax_vjp, step_node
 
 _DISC_STREAM = 1  # rng namespace for discriminator init
 _DISC_HIDDEN = 32
@@ -51,36 +49,17 @@ def _accuracies(model: ClassifierModel, source: Dataset,
             accuracy(predict_labels(model, target.features), target.eval_labels()))
 
 
-def _train(cfg: TrainConfig, source: Dataset, target: Dataset,
-           model: ClassifierModel, objective: Callable[[PairedBatch], Tensor],
-           term: str) -> BaselineResult:
-    """The loop both baselines share: per iteration one ``objective(batch)``
-    scalar, one ``backward`` over ``model.params`` and one SGD step;
-    after each epoch one history row.
+def _train(cfg: TrainConfig, source: Dataset, target: Dataset, model: ClassifierModel,
+           step: Callable[..., tuple[Tensor, dict[str, float]]]) -> BaselineResult:
+    """Both baselines' :func:`core.train_epochs` run, one history row per epoch."""
+    def epoch_row(epoch, means):
+        return BaselineRow(epoch, *means.values(), *_accuracies(model, source, target))
 
-    A non-finite loss raises :class:`NonFiniteLossError` named ``term``,
-    carrying the rows of the completed epochs.
-    """
-    history: list[BaselineRow] = []
-    n_batches = batches_per_epoch(source, target, cfg.batch_size)
-    total_steps = cfg.baseline_epochs * n_batches
-    step = 0
-    for epoch in range(1, cfg.baseline_epochs + 1):
-        loss_sum = 0.0
-        for it, batch in enumerate(
-                paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
-                start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps)
-            loss = objective(batch)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NonFiniteLossError(term, epoch, it, value, history)
-            sgd_step(model.params, backward(loss, model.params), lr,
-                     cfg.momentum, cfg.weight_decay)
-            step += 1
-            loss_sum += value
-        src_acc, tgt_acc = _accuracies(model, source, target)
-        history.append(BaselineRow(epoch, loss_sum / n_batches, src_acc, tgt_acc))
+    # fetched here, as the benchmark's tracer names an iteration by its caller
+    history = train_epochs(
+        cfg, cfg.baseline_epochs, model.params, batches_per_epoch(source, target, cfg.batch_size),
+        lambda epoch: paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
+        step, epoch_row)
     # the last epoch's row already holds the returned model's accuracies
     accs = ((history[-1].acc_src, history[-1].acc_tgt) if history
             else _accuracies(model, source, target))
@@ -98,12 +77,12 @@ def train_source_only(cfg: TrainConfig, source: Dataset,
     model = init_model(source.dim, cfg.arch, source.num_classes, cfg.seed)
     eye = one_hot_table(source, model.num_classes)
 
-    def objective(batch: PairedBatch) -> Tensor:
+    def step(batch: PairedBatch, *_) -> tuple[Tensor, dict[str, float]]:
         _, probs, reverse = forward(model, batch.xs)
         value, g = log_loss(probs, eye[batch.ys], batch.xs.shape[0])
-        return step_node(value, batch.xs, lambda: reverse(g))
+        return step_node(value, batch.xs, lambda: reverse(g)), {"source_ce": float(value)}
 
-    return _train(cfg, source, target_eval, model, objective, "source_ce")
+    return _train(cfg, source, target_eval, model, step)
 
 
 @lru_cache(maxsize=8)
@@ -164,10 +143,11 @@ def train_dann(cfg: TrainConfig, source: Dataset, target: Dataset) -> BaselineRe
     model.params = disc.params = ParamSet(
         {name: t.data for ps in (model.params, disc.params) for name, t in ps.items()})
 
-    def objective(batch: PairedBatch) -> Tensor:
-        return dann_objective(model, disc, batch.xs, eye[batch.ys], batch.xt)[0]
+    def step(batch: PairedBatch, *_) -> tuple[Tensor, dict[str, float]]:
+        loss = dann_objective(model, disc, batch.xs, eye[batch.ys], batch.xt)[0]
+        return loss, {"dann": loss.item()}
 
-    result = _train(cfg, source, target, model, objective, "dann")
+    result = _train(cfg, source, target, model, step)
     result.model = replace(model, params=ParamSet(
         {name: model.params[name].data for name in names}))
     return result

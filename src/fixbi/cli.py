@@ -13,14 +13,15 @@ from .models import accuracy, ensemble_predict, load_checkpoint, predict_labels
 
 def _parse_seeds(spec: str) -> list[int]:
     """'1..5' or '0,3,7' -> explicit seed list; ``ValueError`` unless it
-    names at least one seed and every seed is non-negative."""
+    names at least one seed, every seed is non-negative and none repeats
+    (each seed runs into its own ``seed_<n>`` directory)."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         seeds = list(range(int(lo), int(hi) + 1))
     else:
         seeds = [int(s) for s in spec.split(",") if s]
-    if not seeds or min(seeds) < 0:
-        raise ValueError(f"no seeds or a negative seed in {spec!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"no seeds, a negative seed or a repeated seed in {spec!r}")
     return seeds
 
 

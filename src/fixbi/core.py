@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .data import Dataset, batches_per_epoch, one_hot, one_hot_table, paired_min
 from .models import (LOG_TEMPERATURE, ClassifierModel, DualState, ThresholdRow,
                      accuracy, ensemble_labels, forward_logits, predict_probs,
                      stack_models, unstack_models)
-from .numerics import (Array, backward, log_loss, lr_schedule, sgd_step,
-                       softmax_vjp, step_node, temperature)
+from .numerics import (Array, ParamSet, backward, log_loss, lr_schedule,
+                       sgd_step, softmax_vjp, step_node, temperature)
 
 _RATIO_STREAM = 3  # rng namespace for the per-iteration ratio draws
 _MODELS = ("sd", "td")  # the model axis of the stacked pair, in order
@@ -56,6 +57,28 @@ class NonFiniteLossError(RuntimeError):
         self.epoch = epoch
         self.iteration = iteration
         self.rows = rows
+
+
+def train_epochs(cfg: TrainConfig, epochs: int, params: ParamSet, n_batches: int,
+                 batches: Callable, step: Callable, epoch_row: Callable) -> list:
+    """The SGD loop of every trainer: each batch of ``batches(epoch)`` gives
+    ``step(batch, epoch, it) -> (node, {column: loss})``, whose losses are
+    checked and summed before one ``backward`` and one step at the decayed
+    rate. A non-finite loss, or no node, raises :class:`NonFiniteLossError`
+    with the rows so far; each epoch ends with ``epoch_row(epoch, means)``."""
+    rows: list = []
+    for epoch in range(1, epochs + 1):
+        ledger: dict[str, float] = {}  # per-epoch loss sums, keyed by column
+        for it, batch in enumerate(batches(epoch), start=1):
+            node, values = step(batch, epoch, it)
+            for col, v in values.items():
+                if node is None or not math.isfinite(v):
+                    raise NonFiniteLossError(col, epoch, it, v, rows)
+                ledger[col] = ledger.get(col, 0.0) + v
+            lr = lr_schedule(cfg.lr0, ((epoch - 1) * n_batches + it - 1) / (epochs * n_batches))
+            sgd_step(params, backward(node, params), lr, cfg.momentum, cfg.weight_decay)
+        rows.append(epoch_row(epoch, {col: v / n_batches for col, v in ledger.items()}))
+    return rows
 
 
 def mixup(a: Array, b: Array, lam: float) -> Array:
@@ -230,117 +253,105 @@ def train_fixbi(cfg: TrainConfig, source: Dataset, target: Dataset,
               if cfg.pseudo_label_source == "frozen-baseline" else None)
     pair = stack_models([init_weights, init_weights])
     trace: list[ThresholdRow] = []
-    rows: list[MetricsRow] = []
     log_temperature = pair.params[LOG_TEMPERATURE]
     n_batches = batches_per_epoch(source, target, cfg.batch_size)
-    total_steps = cfg.epochs * n_batches
     ratio_rng = np.random.default_rng([cfg.seed, _RATIO_STREAM])
-    step = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        matching_open = epoch > cfg.warmup_epochs
-        with_bim = matching_open and cfg.loss_bim
-        with_cr = matching_open and cfg.loss_cr
-        ledger: dict[str, float] = {}  # per-epoch loss sums, keyed by metrics.csv column
+    def step(batch, epoch, it):
+        with_bim = epoch > cfg.warmup_epochs and cfg.loss_bim
+        with_cr = epoch > cfg.warmup_epochs and cfg.loss_cr
+        lams = ratio_rule_sample(
+            cfg.ratio_rule, cfg.alpha, (cfg.lambda_sd, cfg.lambda_td), ratio_rng)
 
-        for it, batch in enumerate(
-                paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed), start=1):
-            lr = lr_schedule(cfg.lr0, step / total_steps)
-            lams = ratio_rule_sample(
-                cfg.ratio_rule, cfg.alpha, (cfg.lambda_sd, cfg.lambda_td), ratio_rng)
+        # one stacked input: model k's rows are the target batch, then
+        # its mixup batch (the mixed features do not depend on the
+        # pseudo-labels, only the mixed labels do), then the half-half
+        # batch once consistency regularization is on; one concatenate
+        # of the row blocks in memory order, model 0's first
+        b, d = batch.xt.shape
+        mixes = [mixup(batch.xs, batch.xt, lam) for lam in lams]
+        half = [mixup(batch.xs, batch.xt, 0.5)] if with_cr else []
+        x = np.concatenate([rows for mix in mixes
+                            for rows in (batch.xt, mix, *half)]).reshape(2, -1, d)
+        t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
 
-            # one stacked input: model k's rows are the target batch, then
-            # its mixup batch (the mixed features do not depend on the
-            # pseudo-labels, only the mixed labels do), then the half-half
-            # batch once consistency regularization is on; one concatenate
-            # of the row blocks in memory order, model 0's first
-            b, d = batch.xt.shape
-            mixes = [mixup(batch.xs, batch.xt, lam) for lam in lams]
-            half = [mixup(batch.xs, batch.xt, 0.5)] if with_cr else []
-            x = np.concatenate([rows for mix in mixes
-                                for rows in (batch.xt, mix, *half)]).reshape(2, -1, d)
-            t_rows, mix_rows, half_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
+        # one forward of both models from the pre-update weights: the
+        # T = 1 probabilities of the target rows give the gates and
+        # pseudo-labels as data and are the student input of matching;
+        # the target rows' logits feed self-penalization
+        _, z, reverse = forward_logits(pair, x)
+        probs, probs_vjp, _ = softmax_vjp(z)
+        target_probs = probs[:, t_rows]
+        if not np.isfinite(target_probs).all():
+            k = int(np.argmin(np.isfinite(target_probs).all(axis=(1, 2))))
+            return None, {f"target_probs_{_MODELS[k]}": np.nan}
+        stats = adaptive_threshold(target_probs.max(axis=-1))
+        # each model's top-1 labels, taken once: the live pseudo-labels,
+        # split by the gate into the matching and penalization tables
+        hot = eye[np.argmax(target_probs, axis=-1)]
+        labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
 
-            # one forward of both models from the pre-update weights: the
-            # T = 1 probabilities of the target rows give the gates and
-            # pseudo-labels as data and are the student input of matching;
-            # the target rows' logits feed self-penalization
-            _, z, reverse = forward_logits(pair, x)
-            probs, probs_vjp, _ = softmax_vjp(z)
-            target_probs = probs[:, t_rows]
-            if not np.isfinite(target_probs).all():
-                bad = next(m for m, p in zip(_MODELS, target_probs)
-                           if not np.isfinite(p).all())
-                raise NonFiniteLossError(f"target_probs_{bad}", epoch, it, np.nan, rows)
-            stats = adaptive_threshold(target_probs.max(axis=-1))
-            # each model's top-1 labels, taken once: the live pseudo-labels,
-            # split by the gate into the matching and penalization tables
-            hot = eye[np.argmax(target_probs, axis=-1)]
-            labels_hot = hot if frozen is None else frozen[:, batch.target_rows]
+        # one call per loss kind for both models, entry k of its value
+        # model k's; the rows the losses read are disjoint, so each
+        # gradient is added into zeros, as zero-padded slices would sum
+        ys_hot = eye[batch.ys]
+        y_mix = np.stack([mixup(ys_hot, labels_k, lam)
+                          for labels_k, lam in zip(labels_hot, lams)])
+        g_probs, g_logits = np.zeros(z.shape), np.zeros(z.shape)
+        g_log_t = np.zeros(log_temperature.data.shape)
+        terms = {}
+        terms["fm"], g = loss_fm(probs[:, mix_rows], y_mix)
+        g_probs[:, mix_rows] += g
+        if cfg.loss_sp:
+            temps, usable = temperature(log_temperature.data)
+            if not usable.all():
+                k = int(np.argmin(usable))
+                return None, {f"temp_{_MODELS[k]}": temps.item(k)}
+            terms["sp"], g_logits[:, t_rows], g_log_t = loss_sp(
+                z[:, t_rows], temps, hot * stats.below[..., None])
+        if with_bim:
+            # the partner teaches, through its own gate
+            terms["bim"], g = loss_bim(probs[:, t_rows],
+                                       (hot * stats.above[..., None])[::-1])
+            g_probs[:, t_rows] += g
 
-            # one call per loss kind for both models, entry k of its value
-            # model k's; the rows the losses read are disjoint, so each
-            # gradient is added into zeros, as zero-padded slices would sum
-            ys_hot = eye[batch.ys]
-            y_mix = np.stack([mixup(ys_hot, labels_k, lam)
-                              for labels_k, lam in zip(labels_hot, lams)])
-            g_probs, g_logits = np.zeros(z.shape), np.zeros(z.shape)
-            g_log_t = np.zeros(log_temperature.data.shape)
-            terms = {}
-            terms["fm"], g = loss_fm(probs[:, mix_rows], y_mix)
-            g_probs[:, mix_rows] += g
-            if cfg.loss_sp:
-                temps, usable = temperature(log_temperature.data)
-                if not usable.all():
-                    k = int(np.argmin(usable))
-                    raise NonFiniteLossError(f"temp_{_MODELS[k]}", epoch, it, temps.item(k), rows)
-                terms["sp"], g_logits[:, t_rows], g_log_t = loss_sp(
-                    z[:, t_rows], temps, hot * stats.below[..., None])
-            if with_bim:
-                # the partner teaches, through its own gate
-                terms["bim"], g = loss_bim(probs[:, t_rows],
-                                           (hot * stats.above[..., None])[::-1])
-                g_probs[:, t_rows] += g
+        values = {f"{kind}_{m}": v for kind, value in terms.items()
+                  for m, v in zip(_MODELS, value.tolist())}
+        total = sum(list(terms.values())[1:], terms["fm"]).sum()
+        if with_cr:  # one scalar, the "cr" column
+            values["cr"], g = loss_cr(probs[0, half_rows], probs[1, half_rows])
+            total += values["cr"]
+            g_probs[0, half_rows] += g
+            g_probs[1, half_rows] -= g
 
-            values = {f"{kind}_{m}": v for kind, value in terms.items()
-                      for m, v in zip(_MODELS, value.tolist())}
-            total = sum(list(terms.values())[1:], terms["fm"]).sum()
-            if with_cr:  # one scalar, the "cr" column
-                values["cr"], g = loss_cr(probs[0, half_rows], probs[1, half_rows])
-                total += values["cr"]
-                g_probs[0, half_rows] += g
-                g_probs[1, half_rows] -= g
-            for col, v in values.items():
-                if not math.isfinite(v):
-                    raise NonFiniteLossError(col, epoch, it, v, rows)
-                ledger[col] = ledger.get(col, 0.0) + v
+        # the step is one node, its reverse run once: the models'
+        # parameter slices are disjoint and the teachers' probabilities
+        # constants, so each gets its own gradients
+        g_logits += probs_vjp(g_probs)
 
-            # the step is one node, its reverse run once: the models'
-            # parameter slices are disjoint and the teachers' probabilities
-            # constants, so each gets its own gradients
-            g_logits += probs_vjp(g_probs)
+        def step_reverse():
+            np.positive(g_log_t, out=log_temperature.grad)
+            reverse(g_logits)
 
-            def step_reverse():
-                np.positive(g_log_t, out=log_temperature.grad)
-                reverse(g_logits)
+        trace.append(ThresholdRow(epoch, it, *stats.tau.tolist(),
+                                  *stats.above.sum(axis=1).tolist()))
+        return step_node(total, x, step_reverse), values
 
-            loss = step_node(total, x, step_reverse)
-            sgd_step(pair.params, backward(loss, pair.params), lr, cfg.momentum,
-                     cfg.weight_decay)
-            step += 1
-            trace.append(ThresholdRow(epoch, it, *stats.tau.tolist(),
-                                      *stats.above.sum(axis=1).tolist()))
-
+    def epoch_row(epoch, means):
         # losses and thresholds are averaged over the epoch's batches (every
         # epoch has n_batches of them), gate counts are totals; both gate
         # columns are summed off this epoch's rows of the trace
         gates = {col: sum(getattr(r, col) for r in trace[-n_batches:])
                  for col in ThresholdRow._fields[2:]}
-        rows.append(MetricsRow(
-            epoch=epoch, **{col: v / n_batches for col, v in ledger.items()},
+        return MetricsRow(
+            epoch=epoch, **means,
             tau_sd=gates["tau_sd"] / n_batches, tau_td=gates["tau_td"] / n_batches,
             n_above_sd=gates["n_above_sd"], n_above_td=gates["n_above_td"],
-            **_evaluate(pair, source, target)))
-    del reverse, loss  # the last step's reverse pass, before the unstack
+            **_evaluate(pair, source, target))
+
+    # fetched here, as the benchmark's tracer names an iteration by its caller
+    rows = train_epochs(cfg, cfg.epochs, pair.params, n_batches, lambda epoch:
+                        paired_minibatches(source, target, cfg.batch_size, epoch, cfg.seed),
+                        step, epoch_row)
     sdm, tdm = unstack_models(pair)
     return DualState(sdm, tdm, threshold_trace=trace), rows

@@ -55,12 +55,17 @@ def _init_params(layout: dict[str, tuple[int, ...]], seed) -> ParamSet:
 def _layout(input_dim: int, widths: tuple[int, ...],
             num_classes: int) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape map of a model's tensors: each extractor layer's weight
-    and bias, input side first, then the head's, then the log-temperature."""
+    and bias, input side first, then the head's, then the log-temperature. A
+    width below 1 or fewer than 2 classes is a ``ValueError`` naming the weight."""
     layout: dict[str, tuple[int, ...]] = {}
     fan_in = input_dim
     for i, w in enumerate(widths):
+        if w < 1:
+            raise ValueError(f"'ext.w{i}': widths must be positive, got {w}")
         layout[f"ext.w{i}"], layout[f"ext.b{i}"] = (fan_in, w), (w,)
         fan_in = w
+    if num_classes < 2:
+        raise ValueError(f"'head.w': num_classes must be >= 2, got {num_classes}")
     return {**layout, "head.w": (fan_in, num_classes), "head.b": (num_classes,),
             LOG_TEMPERATURE: (1,)}
 
@@ -70,11 +75,6 @@ def init_model(input_dim: int, widths, num_classes: int, seed) -> ClassifierMode
     widths = tuple(int(w) for w in widths)
     if not widths:
         raise ValueError("widths must be non-empty")
-    if any(w < 1 for w in widths):
-        raise ValueError("widths must be positive")
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-
     return ClassifierModel(input_dim, widths, num_classes,
                            _init_params(_layout(input_dim, widths, num_classes), seed))
 
@@ -344,9 +344,14 @@ def load_checkpoint(path) -> ClassifierModel:
     widths: list[int] = []
     while f"ext.w{len(widths)}" in tensors:
         widths.append(tensors[f"ext.w{len(widths)}"].shape[-1])
-    head_w = tensors.get("head.w", np.zeros((0, 0)))  # absent: reported as missing
+    if "head.w" not in tensors:
+        raise ValueError(f"{path}: checkpoint missing tensor 'head.w'")
+    head_w = tensors["head.w"]
     input_dim = tensors["ext.w0"].shape[0] if widths else head_w.shape[0]
-    layout = _layout(input_dim, tuple(widths), head_w.shape[-1])
+    try:  # init_model's rules: every width >= 1, at least 2 classes
+        layout = _layout(input_dim, tuple(widths), head_w.shape[-1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: tensor {exc}") from None
     for name in tensors:
         if name not in layout:
             raise ValueError(f"{path}: unexpected tensor {name!r}, not in the model's layout")

@@ -215,9 +215,10 @@ class TestStepsMatchComposedGraph:
         """Run ``trainer`` for ``cfg`` (two steps), then replay each step on
         ``params`` from the gradient of ``composed(batch)``."""
         import fixbi.baseline as baseline
+        import fixbi.core as core
 
         steps = []
-        batches, real_step = baseline.paired_minibatches, baseline.sgd_step
+        batches, real_step = baseline.paired_minibatches, core.sgd_step
 
         def recorded_batches(*args):
             for batch in batches(*args):
@@ -231,7 +232,7 @@ class TestStepsMatchComposedGraph:
             return ps
 
         monkeypatch.setattr(baseline, "paired_minibatches", recorded_batches)
-        monkeypatch.setattr(baseline, "sgd_step", step)
+        monkeypatch.setattr(core, "sgd_step", step)
         source, target = separable_pair(seed=cfg.seed)
         trainer(cfg, source, target)
         assert len(steps) == 2
@@ -265,12 +266,14 @@ class TestStepsMatchComposedGraph:
 @pytest.mark.parametrize("trainer", [train_dann, train_source_only])
 def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
     # and one SGD step: DANN's classifier and discriminator are one set
+    # (the walk and the step run in core's training loop)
     import fixbi.baseline as baseline
+    import fixbi.core as core
     import fixbi.models as models
 
     counts: list[list[int]] = []  # [walks, forwards up to the walk, steps]
-    batches, walk, extract, step = (baseline.paired_minibatches, baseline.backward,
-                                    models.extract_features, baseline.sgd_step)
+    batches, walk, extract, step = (baseline.paired_minibatches, core.backward,
+                                    models.extract_features, core.sgd_step)
 
     def counted_batches(*args):
         for batch in batches(*args):
@@ -291,9 +294,9 @@ def test_one_walk_and_one_forward_per_iteration(monkeypatch, trainer):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(baseline, "paired_minibatches", counted_batches)
-    monkeypatch.setattr(baseline, "backward", counted_walk)
+    monkeypatch.setattr(core, "backward", counted_walk)
     monkeypatch.setattr(models, "extract_features", counted_extract)
-    monkeypatch.setattr(baseline, "sgd_step", counted_step)
+    monkeypatch.setattr(core, "sgd_step", counted_step)
     source, target = separable_pair()
     trainer(blob_config(baseline_epochs=2), source, target)
     assert len(counts) == 2 * (100 // 16)

@@ -1,6 +1,7 @@
 """Error paths through the CLI entry points."""
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -315,8 +316,12 @@ def test_run_with_batch_larger_than_target_csv(tmp_path, capsys):
     assert err.count("\n") == 1 and "batch_size: 3" in err and " 2 " in err
 
 
-@pytest.mark.parametrize("spec", ["5..1", ",", "1..-2", "-1", "0,-3", "x"])
-def test_seed_sweep_must_name_non_negative_seeds(tmp_path, capsys, spec):
+# a repeated seed would train twice into one seed_<n> directory
+@pytest.mark.parametrize("spec", ["5..1", ",", "1..-2", "-1", "0,-3", "x", "0,0", "3,3,1"])
+def test_seed_sweep_must_name_non_negative_seeds(tmp_path, capsys, monkeypatch, spec):
+    import fixbi.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", None)  # the spec fails before any seed runs
     cfg = _blobs_config(tmp_path / "exp.cfg")
     out = tmp_path / "out"
     assert cli_main(["run", cfg, str(out), "--seeds", spec]) == 2
@@ -382,6 +387,22 @@ def _directory(path):
     path.mkdir()
 
 
+def _hand_checkpoint(path, width, classes):
+    """A checkpoint of one extractor layer ``width`` wide and ``classes``
+    classes, every value 0.5; a tensor with no values has an empty line."""
+    shapes = {"ext.w0": (1, width), "ext.b0": (width,), "head.w": (width, classes),
+              "head.b": (classes,), "log_temperature": (1,)}
+    path.write_text("FIXBI-CKPT v1\n" + "".join(
+        f"name {name} shape {','.join(map(str, shape))}\n"
+        + " ".join(["0.5"] * math.prod(shape)) + "\n" for name, shape in shapes.items()))
+
+
+def _one_class(path):
+    # and a one-class CSV beside it, so that the class counts agree
+    _hand_checkpoint(path, 4, 1)
+    (path.parent / "d.csv").write_text("# classes=1 dim=1\n0.1,0\n0.2,0\n")
+
+
 # (file, what is wrong with it, how to make it so, what the message says
 # besides the path); each row reaches every command that reads that file:
 # run the config and the CSV, eval the CSV and the checkpoint
@@ -396,6 +417,11 @@ _MANGLED = [
      "negative dimension in the shape at line 2"),
     ("ckpt", "wrong-rank-shape", lambda p: _replace(p, "shape 1,4", "shape 1,4,1"),
      "'ext.w0' has rank 3"),
+    # init_model's rules: a width-0 layer would leave only the head bias to
+    # score with, and a one-class head is right on a one-class CSV
+    ("ckpt", "zero-width", lambda p: _hand_checkpoint(p, 0, 2),
+     "tensor 'ext.w0': widths must be positive, got 0"),
+    ("ckpt", "one-class", _one_class, "tensor 'head.w': num_classes must be >= 2, got 1"),
     *[(kind, "missing", lambda p: p.unlink(), "No such file")
       for kind in ("config", "csv", "ckpt")],
     *[(kind, "directory", _directory, "Is a directory")

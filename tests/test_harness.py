@@ -33,7 +33,9 @@ PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cf
 
 
 def test_presets_ship():
-    assert "default.cfg" in [p.name for p in PRESETS]
+    # every shipped preset, not just default.cfg: a lost glob would make
+    # test_shipped_preset_loads pass on no files
+    assert "default.cfg" in [p.name for p in PRESETS] and len(PRESETS) >= 12
 
 
 @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import fixbi
+import fixbi.data
 import fixbi.harness
 from fixbi.config import DatasetSpec, TrainConfig
 
@@ -65,15 +66,14 @@ def test_wrappers_with_named_arguments_match_their_targets():
 
 
 def test_by_name_imports_are_wrapped():
-    # core and baseline call backward, and baseline forward, through names
-    # they imported; the tracer must wrap those copies too, and put them back
+    # core calls backward, and baseline forward, through names they
+    # imported; the tracer must wrap those copies too, and put them back
     spans = _spans()
     originals = fixbi.numerics.backward, fixbi.models.forward
     tracer = spans.Tracer()
     tracer.install(fixbi)
     try:
         for wrapped, original in ((fixbi.core.backward, originals[0]),
-                                  (fixbi.baseline.backward, originals[0]),
                                   (fixbi.baseline.forward, originals[1])):
             assert wrapped is not original and wrapped.__wrapped__ is original
     finally:
@@ -89,6 +89,8 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     cfg = TrainConfig(dataset=DatasetSpec(kind="blobs", num_classes=2, per_class=16),
                       arch=(8, 4), batch_size=8, epochs=2, warmup_epochs=1,
                       baseline_epochs=1, seed=3)
+    n_batches = fixbi.data.batches_per_epoch(*fixbi.harness.load_dataset_pair(cfg),
+                                             cfg.batch_size)
     tracer = spans.Tracer()
     tracer.install(fixbi)
     try:
@@ -110,6 +112,20 @@ def test_traced_run_yields_json_records_and_layer_metrics(tmp_path):
     names = [s.name for s in tracer.spans]
     calls = {f: names.count(f"harness.{f}") for f in writers}
     assert calls == dict.fromkeys(writers, 1), f"harness spans per run: {calls}"
+    # each phase opens one iteration span per batch under its own name, and
+    # every walk and SGD step runs inside one of its phase: a training loop
+    # that fetched the baselines' batches from core would move pretraining
+    # time into core.dual_ms_per_iter, and fails here
+    phase_iters = {"baseline.iter": cfg.baseline_epochs * n_batches,
+                   "core.dual_iter": cfg.epochs * n_batches}
+    assert {it: names.count(it) for it in phase_iters} == phase_iters
+    inside: dict[tuple, int] = {}
+    for s in tracer.spans:
+        if s.name in ("numerics.backward", "numerics.sgd_step"):
+            key = (s.name, None if s.iteration is None else tracer.spans[s.iteration].name)
+            inside[key] = inside.get(key, 0) + 1
+    assert inside == {(f, it): n for f in ("numerics.backward", "numerics.sgd_step")
+                      for it, n in phase_iters.items()}, inside
     # each enabled loss opens exactly one span per dual iteration (fm and sp
     # from the first, bim and cr once matching opens), so core.loss_ms
     # times one call of each and a fused branch that skips or repeats a
