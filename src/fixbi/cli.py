@@ -1,26 +1,29 @@
 """Command-line entry point: ``run`` an experiment from a config file,
-``eval`` a checkpoint against a dataset CSV, ``gen`` a synthetic domain pair."""
+``eval`` a checkpoint against a dataset CSV, ``gen`` a config's domain pair as CSV."""
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
 
-from .data import gen_blobs_shift, gen_moons_shift, load_csv, save_csv
-from .harness import classwise_accuracy, run_experiment
+from .config import ConfigError, load_config
+from .data import CsvFormatError, load_labeled_csv, save_csv
+from .harness import classwise_accuracy, load_dataset_pair, run_experiment
 from .models import accuracy, ensemble_predict, load_checkpoint, predict_labels
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """'1..5' or '0,3,7' -> explicit seed list; ``ValueError`` unless it
-    names at least one seed, every seed is non-negative and none repeats
-    (each seed runs into its own ``seed_<n>`` directory)."""
+def _parse_seeds(spec: str) -> range | list[int]:
+    """'1..5' or '0,3,7' -> the seeds (a range is left unbuilt); ``ValueError``
+    unless it names at least one seed, every seed is non-negative and none
+    repeats (each seed runs into its own ``seed_<n>`` directory)."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
+        seeds = range(int(lo), int(hi) + 1)  # repeats no seed
+        bad = not seeds or seeds[0] < 0
     else:
         seeds = [int(s) for s in spec.split(",") if s]
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        bad = not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds)
+    if bad:
         raise ValueError(f"no seeds, a negative seed or a repeated seed in {spec!r}")
     return seeds
 
@@ -58,7 +61,7 @@ def _cmd_eval(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
         second = load_checkpoint(args.ensemble_with) if args.ensemble_with else None
-        ds = load_csv(args.dataset)
+        ds = load_labeled_csv(args.dataset, "evaluation")
     except ValueError as exc:  # each loader's error names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -66,12 +69,7 @@ def _cmd_eval(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    try:
-        truth = ds.eval_labels()
-    except ValueError:
-        print("error: dataset has unlabeled rows; evaluation needs ground truth",
-              file=sys.stderr)
-        return 2
+    truth = ds.eval_labels()
     if second is not None:
         pred = ensemble_predict(model, second, ds.features)
         what = "ensemble"
@@ -90,20 +88,9 @@ def _target_path(out: Path) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.generator == "blobs":
-            source, target = gen_blobs_shift(
-                3 if args.num_classes is None else args.num_classes, args.per_class,
-                2 if args.dim is None else args.dim, args.rotation_deg,
-                tuple(args.translation or ()), args.noise_sigma, args.seed)
-        else:
-            for flag in ("num_classes", "dim", "translation"):
-                if getattr(args, flag) is not None:
-                    raise ValueError(f"--{flag.replace('_', '-')} does not apply to "
-                                     "moons (2 classes in 2 dims, rotated only)")
-            source, target = gen_moons_shift(
-                args.per_class, args.rotation_deg, args.noise_sigma, args.seed)
-    except ValueError as exc:
+    try:  # the pair a run of the config trains on, checked as the run checks it
+        source, target = load_dataset_pair(load_config(args.config))
+    except (ConfigError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -142,19 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="second checkpoint; predict from summed softmax")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic domain pair as CSV")
-    p_gen.add_argument("generator", choices=("blobs", "moons"))
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen = sub.add_parser("gen", help="write a config's domain pair as CSV")
+    p_gen.add_argument("config")
     p_gen.add_argument("--out", required=True,
                        help="source CSV path; the target goes to <stem>_target.csv")
-    # blobs only; moons rejects them
-    p_gen.add_argument("--num-classes", type=int, default=None, help="default 3")
-    p_gen.add_argument("--per-class", type=int, default=100)
-    p_gen.add_argument("--dim", type=int, default=None, help="default 2")
-    p_gen.add_argument("--rotation-deg", type=float, default=0.0)
-    p_gen.add_argument("--translation", type=float, nargs="*", default=None,
-                       help="default none")
-    p_gen.add_argument("--noise-sigma", type=float, default=0.15)
     p_gen.set_defaults(func=_cmd_gen)
     return parser
 

@@ -258,6 +258,20 @@ def load_csv(path) -> Dataset:
     return Dataset(features, labels_arr, num_classes, tag)
 
 
+def load_labeled_csv(path, use: str) -> Dataset:
+    """:func:`load_csv` for a file whose every label is read (``use`` says
+    what for): it must declare at least 2 classes and label every row."""
+    ds = load_csv(path)
+    if ds.num_classes < 2:
+        raise CsvFormatError(f"{path}: line 1: classes={ds.num_classes}, but "
+                             f"{use} needs at least 2 classes")
+    unlabeled = ds.labels < 0
+    if unlabeled.any():
+        raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "
+                             f"label -1, but {use} needs the ground truth of every row")
+    return ds
+
+
 @dataclass
 class PairedBatch:
     """One training step's worth of source and target samples (equal size)."""

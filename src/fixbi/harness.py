@@ -22,10 +22,10 @@ import numpy as np
 
 from .baseline import BaselineResult, BaselineRow, train_baseline
 from .config import (ConfigError, METRICS_COLUMNS, MetricsRow, TrainConfig,
-                     load_config, validate_config)
+                     _read_text, load_config, validate_config)
 from .core import NonFiniteLossError, train_fixbi
 from .data import (Array, CsvFormatError, Dataset, as_target_view,
-                   gen_blobs_shift, gen_moons_shift, load_csv)
+                   gen_blobs_shift, gen_moons_shift, load_labeled_csv)
 from .models import (DualState, ThresholdRow, ensemble_labels, predict_features,
                      predict_probs, save_checkpoint)
 
@@ -66,30 +66,27 @@ def load_dataset_pair(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
 
 def _materialize(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     ds = cfg.dataset
+    if ds.kind == "csv":  # training reads every source label and evaluation every target one
+        source = load_labeled_csv(ds.source, "training")
+        target = as_target_view(load_labeled_csv(ds.target, "evaluation"))
+        if source.num_classes != target.num_classes:
+            raise ConfigError("dataset.source/target: class counts differ")
+        if source.dim != target.dim:
+            raise ConfigError("dataset.source/target: feature dims differ")
+        return source, target
     seed = cfg.dataset_seed()
-    if ds.kind == "blobs":
-        return gen_blobs_shift(ds.num_classes, ds.per_class, ds.dim,
-                               ds.rotation_deg, ds.translation, ds.noise_sigma, seed)
-    if ds.kind == "moons":
-        return gen_moons_shift(ds.per_class, ds.rotation_deg, ds.noise_sigma, seed)
-    # kind == "csv" (validate_config admits no other)
-    source, target = load_csv(ds.source), load_csv(ds.target)
-    # training reads every source label and evaluation every target one
-    for path, d, use in ((ds.source, source, "training"),
-                         (ds.target, target, "evaluation")):
-        if d.num_classes < 2:
-            raise CsvFormatError(f"{path}: line 1: classes={d.num_classes}, but "
-                                 f"{use} needs at least 2 classes")
-        unlabeled = d.labels < 0
-        if unlabeled.any():
-            raise CsvFormatError(f"{path}: line {int(np.argmax(unlabeled)) + 2}: "
-                                 f"label -1, but {use} needs every row's class")
-    target = as_target_view(target)
-    if source.num_classes != target.num_classes:
-        raise ConfigError("dataset.source/target: class counts differ")
-    if source.dim != target.dim:
-        raise ConfigError("dataset.source/target: feature dims differ")
-    return source, target
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing draw is rejected below
+        if ds.kind == "blobs":
+            pair = gen_blobs_shift(ds.num_classes, ds.per_class, ds.dim,
+                                   ds.rotation_deg, ds.translation, ds.noise_sigma, seed)
+        else:  # moons (validate_config admits no other kind)
+            pair = gen_moons_shift(ds.per_class, ds.rotation_deg, ds.noise_sigma, seed)
+    keys = "noise_sigma/translation" if ds.kind == "blobs" else "noise_sigma"
+    for d in pair:
+        if not np.isfinite(d.features).all():
+            raise ConfigError(f"dataset.{keys}: the generated {d.domain_tag} domain "
+                              "holds a non-finite feature")
+    return pair
 
 
 # -- metrics.csv -------------------------------------------------------------
@@ -108,7 +105,7 @@ def emit_report(rows: list[MetricsRow], out_dir) -> Path:
 def load_metrics_csv(path) -> list[MetricsRow]:
     """Parse metrics.csv; every error is a ``ValueError`` that starts with
     ``path``, and a bad row's names its line."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, ValueError)
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines:
         raise ValueError(f"{path}: empty metrics file")

@@ -6,6 +6,7 @@ softmax temperature parameterized as ``T = exp(theta)`` so it stays positive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -326,7 +327,7 @@ def load_checkpoint(path) -> ClassifierModel:
                              f"{name!r} at line {i + 1}") from None
         if min(shape) < 0:
             raise ValueError(f"{path}: negative dimension in the shape at line {i + 1}")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)  # a Python int: no int64 wrap
         if values.size != expected:
             raise ValueError(
                 f"{path}: tensor {name!r}: expected {expected} values, got {values.size}")

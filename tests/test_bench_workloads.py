@@ -1,7 +1,8 @@
 """The benchmark (perfbench/run.py) writes a config file for each of its
 workloads; a renamed or removed config key, or a new rule about which keys
 go together, would make its runs fail. This writes each workload's inputs
-the way the benchmark does and parses the config it wrote."""
+the way the benchmark does, parses the config it wrote and checks that
+``fixbi gen`` on that config writes the same dataset CSVs."""
 from __future__ import annotations
 
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fixbi
+from fixbi.cli import main as cli_main
 from fixbi.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,3 +45,16 @@ def test_workload_config_parses(bench_run, tmp_path, name):
     cfg = parse_config(config.read_text(encoding="utf-8"))
     assert cfg.seed == 1
     assert cfg.dataset.kind == ("csv" if name == "variants" else "blobs")
+
+
+@pytest.mark.parametrize("name", ["desk", "wide", "variants"])
+def test_gen_writes_the_pair_prepare_wrote(bench_run, tmp_path, capsys, name):
+    # the benchmark's input step is the same as ``fixbi gen`` on its config
+    config, target_csv = bench_run.Bench(bench_run.WORKLOADS[name], 1, tmp_path).prepare(
+        fixbi, tmp_path / name)
+    out = tmp_path / "gen" / "source.csv"
+    assert cli_main(["gen", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.with_name("source_target.csv").read_bytes() == target_csv.read_bytes()
+    if name == "variants":  # the one workload whose source is a file
+        assert out.read_bytes() == (config.parent / "source.csv").read_bytes()

@@ -98,12 +98,24 @@ def test_eval_with_missing_checkpoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _argv(command, config, out):
+    """``run`` into ``out``, or ``gen`` the pair to ``out/pair.csv``."""
+    return ([command, str(config), str(out)] if command == "run"
+            else [command, str(config), "--out", str(out / "pair.csv")])
+
+
 def test_gen_with_bad_arguments(tmp_path, capsys):
-    assert cli_main(["gen", "blobs", "--seed", "1", "--out",
-                     str(tmp_path / "x.csv"), "--per-class", "0"]) == 2
-    assert "error" in capsys.readouterr().err
+    # gen's arguments are a config's keys, checked as run checks them
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset.per_class = 0\n")
+    out = tmp_path / "out"
+    assert cli_main(_argv("gen", cfg, out)) == 2
+    assert capsys.readouterr().err == "error: dataset.per_class: must be >= 1, got 0\n"
+    assert not out.exists()
 
 
+# the generator flags are gone: each value is now a dataset.* config key,
+# and gen rejects it as run does
 @pytest.mark.parametrize("args,name", [
     (["blobs", "--noise-sigma", "nan"], "noise_sigma"),
     (["moons", "--noise-sigma", "inf"], "noise_sigma"),
@@ -111,20 +123,33 @@ def test_gen_with_bad_arguments(tmp_path, capsys):
     (["blobs", "--translation", "nan", "0"], "translation"),
 ])
 def test_gen_with_non_finite_argument(tmp_path, capsys, args, name):
-    out = tmp_path / "x.csv"
-    assert cli_main(["gen", *args, "--out", str(out)]) == 2
+    kind, flag, *values = args
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset.kind = {kind}\ndataset.{name} = {', '.join(values)}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        cli_main(["gen", str(cfg), flag, *values, "--out", str(out / "pair.csv")])
+    capsys.readouterr()
+    assert cli_main(_argv("gen", cfg, out)) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be finite")
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: dataset.{name}: expected a finite number")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,values", [("--num-classes", ["7"]), ("--dim", ["5"]),
-                                         ("--translation", ["nan", "0"])])
+                                         ("--translation", ["1", "0"])])
 def test_gen_moons_rejects_blobs_only_flag(tmp_path, capsys, flag, values):
-    out = tmp_path / "m.csv"
-    assert cli_main(["gen", "moons", flag, *values, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {flag} does not apply")
+    # the flag is gone; its key in a moons config meets the config's rule
+    key = "dataset." + flag[2:].replace("-", "_")
+    cfg = tmp_path / "moons.cfg"
+    cfg.write_text(f"dataset.kind = moons\n{key} = {', '.join(values)}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        cli_main(["gen", str(cfg), flag, *values, "--out", str(out / "pair.csv")])
+    capsys.readouterr()
+    assert cli_main(_argv("gen", cfg, out)) == 2
+    assert capsys.readouterr().err == f"error: line 2: {key} does not apply to kind = moons\n"
     assert not out.exists()
 
 
@@ -132,7 +157,8 @@ def test_gen_with_unwritable_out(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "sub" / "x.csv"
-    assert cli_main(["gen", "blobs", "--out", str(out)]) == 1
+    cfg = _blobs_config(tmp_path / "exp.cfg")
+    assert cli_main(["gen", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(blocker) in err
     assert blocker.read_text() == ""
@@ -241,7 +267,7 @@ def _blobs_config(path, *extra, batch_size=8):
 _REASONS = {"dataset.translation = 1, 2, 3": "3 components for dim 2"}
 
 
-@pytest.mark.parametrize("line,key", [
+_NON_FINITE = [
     ("grl_lambda = nan", "grl_lambda"),
     ("dataset.noise_sigma = nan", "dataset.noise_sigma"),
     ("dataset.translation = 0.5, nan", "dataset.translation"),
@@ -250,13 +276,40 @@ _REASONS = {"dataset.translation = 1, 2, 3": "3 components for dim 2"}
     ("dataset.rotation_deg = inf", "dataset.rotation_deg"),
     ("lambda_sd = -inf", "lambda_sd"),
     ("dataset.translation = 1, 2, 3", "dataset.translation"),
-])
-def test_run_with_non_finite_config_number(tmp_path, capsys, line, key):
+]
+
+
+# gen validates the whole config, so it rejects even a key it does not read
+@pytest.mark.parametrize("command,line,key", [
+    pytest.param(command, line, key, id=f"{line}-{key}" if command == "run"
+                 else f"{command}-{line}-{key}")
+    for command in ("run", "gen") for line, key in _NON_FINITE])
+def test_run_with_non_finite_config_number(tmp_path, capsys, command, line, key):
     cfg = _blobs_config(tmp_path / "exp.cfg", line)
-    assert cli_main(["run", cfg, str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert cli_main(_argv(command, cfg, out)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{key}: {_REASONS.get(line, 'expected a finite number')}" in err
+    assert not out.exists()
+
+
+# a finite noise_sigma whose draws overflow; numpy's overflow warnings
+# would be errors here
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("kind,keys", [("blobs", "noise_sigma/translation"),
+                                       ("moons", "noise_sigma")])
+def test_generated_non_finite_feature_is_a_config_error(tmp_path, capsys, command,
+                                                        kind, keys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset.kind = {kind}\ndataset.noise_sigma = 1e308\n"
+                   "epochs = 2\nwarmup_epochs = 1\nbaseline_epochs = 1\n")
+    out = tmp_path / "out"
+    assert cli_main(_argv(command, cfg, out)) == 2
+    assert capsys.readouterr().err == (f"error: dataset.{keys}: the generated source "
+                                       "domain holds a non-finite feature\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("role", ["source", "target"])
@@ -330,6 +383,13 @@ def test_seed_sweep_must_name_non_negative_seeds(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_seed_range_is_checked_unbuilt():
+    from fixbi.cli import _parse_seeds
+
+    seeds = _parse_seeds("0..99999999999")  # a list of it would take ~800 GB
+    assert isinstance(seeds, range) and seeds == range(10 ** 11)
+
+
 def test_eval_with_non_finite_checkpoint_value(tmp_path, capsys):
     ckpt = tmp_path / "a.ckpt"
     save_checkpoint(init_model(1, (4,), 2, seed=0), ckpt)
@@ -397,6 +457,14 @@ def _hand_checkpoint(path, width, classes):
         + " ".join(["0.5"] * math.prod(shape)) + "\n" for name, shape in shapes.items()))
 
 
+def _overflowing_shape(path):
+    # 2**64 values, which an int64 product wraps to 0, and an empty value line
+    lines = path.read_text().split("\n")
+    at = lines.index("name ext.w0 shape 1,4")
+    lines[at:at + 2] = ["name ext.w0 shape 4294967296,4294967296", ""]
+    path.write_text("\n".join(lines))
+
+
 def _one_class(path):
     # and a one-class CSV beside it, so that the class counts agree
     _hand_checkpoint(path, 4, 1)
@@ -405,7 +473,7 @@ def _one_class(path):
 
 # (file, what is wrong with it, how to make it so, what the message says
 # besides the path); each row reaches every command that reads that file:
-# run the config and the CSV, eval the CSV and the checkpoint
+# run and gen the config and the CSV, eval the CSV and the checkpoint
 _MANGLED = [
     *[(kind, "non-utf8-byte", _append_bad_byte, r"line \d+: byte 0xff is not UTF-8")
       for kind in ("config", "csv", "ckpt")],
@@ -422,6 +490,9 @@ _MANGLED = [
     ("ckpt", "zero-width", lambda p: _hand_checkpoint(p, 0, 2),
      "tensor 'ext.w0': widths must be positive, got 0"),
     ("ckpt", "one-class", _one_class, "tensor 'head.w': num_classes must be >= 2, got 1"),
+    ("ckpt", "overflowing-shape", _overflowing_shape,
+     "tensor 'ext.w0': expected 18446744073709551616 values, got 0"),
+    ("csv", "unlabeled-row", lambda p: _replace(p, "0.2,1", "0.2,-1"), "line 3: label -1"),
     *[(kind, "missing", lambda p: p.unlink(), "No such file")
       for kind in ("config", "csv", "ckpt")],
     *[(kind, "directory", _directory, "Is a directory")
@@ -431,7 +502,8 @@ _MANGLED = [
 
 @pytest.mark.parametrize("command,kind,mangle,says", [
     pytest.param(command, kind, mangle, says, id=f"{command}-{kind}-{what}")
-    for command, reads in (("run", ("config", "csv")), ("eval", ("csv", "ckpt")))
+    for command, reads in (("run", ("config", "csv")), ("gen", ("config", "csv")),
+                           ("eval", ("csv", "ckpt")))
     for kind, what, mangle, says in _MANGLED if kind in reads])
 def test_mangled_input_exits_2_naming_the_file(tmp_path, capsys, command, kind, mangle, says):
     files = {"config": tmp_path / "exp.cfg", "csv": tmp_path / "d.csv",
@@ -443,8 +515,8 @@ def test_mangled_input_exits_2_naming_the_file(tmp_path, capsys, command, kind, 
     _checkpoint(files["ckpt"], 1, 2)
     mangle(files[kind])
     out = tmp_path / "out"
-    argv = ([command, str(files["config"]), str(out)] if command == "run"
-            else [command, str(files["ckpt"]), str(files["csv"])])
+    argv = ([command, str(files["ckpt"]), str(files["csv"])] if command == "eval"
+            else _argv(command, files["config"], out))
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {files[kind]}: ")

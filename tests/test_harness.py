@@ -284,6 +284,15 @@ class TestMetricsCsv:
                                              f"expected {len(METRICS_COLUMNS)} cells"):
             load_metrics_csv(path)
 
+    @pytest.mark.parametrize("content,says", [(None, "No such file"),
+                                              (b"# v2 epoch\n\xff\n", "line 2: byte 0xff")])
+    def test_unreadable_metrics_file_names_the_path(self, tmp_path, content, says):
+        path = tmp_path / "metrics.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {says}"):
+            load_metrics_csv(path)
+
     def test_metrics_non_numeric_cell_names_file_and_line(self, tmp_path):
         path, lines = self._two_rows(tmp_path)
         lines[1] = lines[1].replace("1,", "one,", 1)
@@ -748,15 +757,14 @@ class TestSplitFeatures:
 
 class TestCli:
     def test_gen_then_eval(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(seed=4))
         out_csv = tmp_path / "pair.csv"
-        assert cli_main(["gen", "blobs", "--seed", "4", "--out", str(out_csv),
-                         "--num-classes", "2", "--per-class", "10"]) == 0
+        assert cli_main(["gen", str(cfg_path), "--out", str(out_csv)]) == 0
         assert out_csv.exists()
         assert (tmp_path / "pair_target.csv").exists()
         capsys.readouterr()
 
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text())
         out_dir = tmp_path / "run"
         assert cli_main(["run", str(cfg_path), str(out_dir)]) == 0
         capsys.readouterr()
@@ -764,6 +772,33 @@ class TestCli:
         assert cli_main(["eval", str(out_dir / "sdm.ckpt"), str(out_csv)]) == 0
         printed = capsys.readouterr().out
         assert "accuracy" in printed
+
+    # a reduced blobs pair, and a moons pair with the variant branches
+    @pytest.mark.parametrize("dataset,training", [
+        ("dataset.num_classes = 3\ndataset.per_class = 20\ndataset.rotation_deg = 40\n",
+         "arch = 16,8\nseed = 3\n"),
+        ("dataset.kind = moons\ndataset.per_class = 30\ndataset.rotation_deg = 30\n"
+         "dataset.noise_sigma = 0.1\n",
+         "baseline = source-only\npseudo_label_source = frozen-baseline\n"
+         "ratio_rule = range\nseed = 2\n"),
+    ], ids=["blobs", "moons"])
+    def test_gen_pair_trains_as_the_config(self, tmp_path, capsys, dataset, training):
+        training += "batch_size = 8\nepochs = 4\nwarmup_epochs = 2\nbaseline_epochs = 2\n"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(dataset + training)
+        assert cli_main(["gen", str(cfg_path), "--out", str(tmp_path / "pair.csv")]) == 0
+        capsys.readouterr()
+        from_csv = parse_config(f"dataset.kind = csv\ndataset.source = {tmp_path / 'pair.csv'}\n"
+                                f"dataset.target = {tmp_path / 'pair_target.csv'}\n" + training)
+        summaries = [execute(cfg, tmp_path / out).summary for cfg, out in
+                     ((load_config(cfg_path), "config"), (from_csv, "csv"))]
+        for name in harness.ARTIFACTS:
+            if name != "summary.json":
+                assert (tmp_path / "csv" / name).read_bytes() == \
+                    (tmp_path / "config" / name).read_bytes(), name
+        for summary in summaries:
+            del summary["total_wall_ms"]
+        assert summaries[0] == summaries[1]
 
     def test_eval_ensemble_flag(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -795,9 +830,11 @@ class TestCli:
         assert "--seeds" in capsys.readouterr().err
 
     def test_gen_moons_cli(self, tmp_path, capsys):
+        cfg_path = tmp_path / "moons.cfg"
+        cfg_path.write_text("dataset.kind = moons\ndataset.per_class = 12\n"
+                            "dataset.rotation_deg = 30\nseed = 2\nbatch_size = 8\n")
         out_csv = tmp_path / "moons.csv"
-        assert cli_main(["gen", "moons", "--seed", "2", "--out", str(out_csv),
-                         "--per-class", "12", "--rotation-deg", "30"]) == 0
+        assert cli_main(["gen", str(cfg_path), "--out", str(out_csv)]) == 0
         from fixbi.data import load_csv
         ds = load_csv(out_csv)
         assert ds.n == 24 and ds.num_classes == 2
