@@ -93,6 +93,9 @@ def _cmd_gen(args) -> int:
     except (ConfigError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {args.config}: out of memory: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     tgt_path = _target_path(out)
     try:

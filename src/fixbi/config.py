@@ -72,16 +72,11 @@ class TrainConfig:
         return self.seed if self.dataset.seed < 0 else self.dataset.seed
 
 
-def validate_config(cfg: TrainConfig) -> TrainConfig:
-    """Check every field; raises :class:`ConfigError` naming the bad field.
-
-    A dataset field that the kind does not read (see :data:`DATASET_KEYS`)
-    must keep its default. Each value of a float field or tuple must be
-    finite, and each of an int field or tuple an integer (not a bool).
-    """
-    ds = cfg.dataset
-    for key, parse in _KEY_PARSERS.items():
-        value = getattr(ds if key.startswith("dataset.") else cfg, key.rpartition(".")[2])
+def _check_values(record, prefix: str) -> None:
+    """Each float of ``record``'s fields finite, each int an integer (not a bool)."""
+    for f in fields(record):
+        key, value = prefix + f.name, getattr(record, f.name)
+        parse = _KEY_PARSERS.get(key)  # None for TrainConfig.dataset
         values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
         if parse in (_TYPE_PARSERS[float], _TYPE_PARSERS[tuple[float, ...]]):
             if not all(map(math.isfinite, values)):
@@ -89,6 +84,12 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
         elif parse in (_TYPE_PARSERS[int], _TYPE_PARSERS[tuple[int, ...]]):
             if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values):
                 raise ConfigError(f"{key}: must be an integer, got {value!r}")
+
+
+def validate_dataset(ds: DatasetSpec) -> None:
+    """:func:`validate_config`'s checks of one pair, which the generators run too. A
+    field that the kind does not read (:data:`DATASET_KEYS`) must keep its default."""
+    _check_values(ds, "dataset.")
     if ds.kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind: must be one of {DATASET_KINDS}, got {ds.kind!r}")
     for f in fields(DatasetSpec):
@@ -112,7 +113,15 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
         if len(ds.translation) > ds.dim:
             raise ConfigError(f"dataset.translation: {len(ds.translation)} components "
                               f"for dim {ds.dim}")
+    if ds.seed < -1:
+        raise ConfigError(f"dataset.seed: must be >= 0 (or -1 for run seed), got {ds.seed}")
 
+
+def validate_config(cfg: TrainConfig) -> TrainConfig:
+    """Check every field, the dataset's by :func:`validate_dataset`; raises
+    :class:`ConfigError` naming the bad field."""
+    validate_dataset(cfg.dataset)
+    _check_values(cfg, "")
     if not cfg.arch or any(w < 1 for w in cfg.arch):
         raise ConfigError(f"arch: needs positive layer widths, got {cfg.arch}")
     if cfg.batch_size < 1:
@@ -158,8 +167,6 @@ def validate_config(cfg: TrainConfig) -> TrainConfig:
         raise ConfigError(f"baseline_epochs: must be >= 0, got {cfg.baseline_epochs}")
     if cfg.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.dataset.seed < -1:
-        raise ConfigError(f"dataset.seed: must be >= 0 (or -1 for run seed), got {ds.seed}")
     return cfg
 
 
@@ -193,7 +200,8 @@ def _parse_float(value: str, key: str) -> float:
 
 def _tuple_of(parse):
     def parse_tuple(value: str, key: str) -> tuple:
-        return tuple(parse(p, key) for p in value.replace(" ", "").split(",") if p)
+        # commas alone separate: "64 32" is one part, which fails to parse
+        return tuple(parse(p.strip(), key) for p in value.split(",")) if value.strip() else ()
     return parse_tuple
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _read_text
+from .config import DatasetSpec, _read_text, validate_dataset
 from .numerics import Array
 
 SOURCE = "source"
@@ -91,42 +91,22 @@ def _rotate_first_two(x: Array, degrees: float, center: tuple[float, float] = (0
     return out
 
 
-def _apply_translation(x: Array, translation) -> Array:
-    t = np.zeros(x.shape[1])
-    vals = np.atleast_1d(np.asarray(translation, dtype=np.float64))
-    if vals.size > x.shape[1]:
-        raise ValueError("translation has more components than feature dims")
-    t[: vals.size] = vals
-    return x + t
-
-
-def _check_finite(**values) -> None:
-    """Reject a generator argument holding NaN or inf, naming it: such a
-    value would run through the draws into every row."""
-    for name, value in values.items():
-        if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
-                    rotation_deg: float = 0.0, translation=(),
-                    noise_sigma: float = 0.15, seed: int = 0) -> tuple[Dataset, Dataset]:
+                    rotation_deg: float = DatasetSpec.rotation_deg,
+                    translation=DatasetSpec.translation,
+                    noise_sigma: float = DatasetSpec.noise_sigma,
+                    seed: int = 0) -> tuple[Dataset, Dataset]:
     """Gaussian clusters with unit-separated means plus a shifted target copy.
 
     Class means sit on a circle in the first two dimensions with adjacent
     means exactly one unit apart. The target is a fresh draw from the same
     clusters, rotated (first two dims) about the origin and translated.
+    The arguments and defaults are the config's (:class:`config.DatasetSpec`),
+    but ``translation`` may be any array-like and ``seed`` any numpy seed.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    _check_finite(noise_sigma=noise_sigma, rotation_deg=rotation_deg,
-                  translation=translation)
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
+    translation = tuple(np.ravel(np.asarray(translation, dtype=np.float64)).tolist())
+    validate_dataset(DatasetSpec("blobs", num_classes, per_class, dim, rotation_deg,
+                                 translation, noise_sigma))
 
     radius = 0.5 / math.sin(math.pi / num_classes)
     means = np.zeros((num_classes, dim))
@@ -140,7 +120,8 @@ def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
     n = labels.size
     src = means[labels] + rng.normal(0.0, noise_sigma, size=(n, dim))
     tgt_draw = means[labels] + rng.normal(0.0, noise_sigma, size=(n, dim))
-    tgt = _apply_translation(_rotate_first_two(tgt_draw, rotation_deg), translation)
+    tgt = (_rotate_first_two(tgt_draw, rotation_deg)
+           + np.pad(translation, (0, dim - len(translation))))
 
     source = Dataset(src, labels.copy(), num_classes, SOURCE)
     target = Dataset(tgt, np.full(n, -1, dtype=np.int64), num_classes, TARGET,
@@ -151,19 +132,17 @@ def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
 _MOONS_CENTER = (0.5, 0.25)  # midpoint of the two interleaved half-circles
 
 
-def gen_moons_shift(per_class: int, rotation_deg: float = 0.0,
-                    noise_sigma: float = 0.1, seed: int = 0) -> tuple[Dataset, Dataset]:
+def gen_moons_shift(per_class: int, rotation_deg: float = DatasetSpec.rotation_deg,
+                    noise_sigma: float = DatasetSpec.noise_sigma,
+                    seed: int = 0) -> tuple[Dataset, Dataset]:
     """Two interleaved half-circles plus a rotated fresh-draw target (2 classes).
 
     Rotation is about the moons' midpoint so the shifted target stays in
-    place while its class structure slides against the source's.
+    place while its class structure slides against the source's. The
+    arguments and defaults are the config's, as :func:`gen_blobs_shift`'s are.
     """
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    _check_finite(noise_sigma=noise_sigma, rotation_deg=rotation_deg)
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
-
+    validate_dataset(DatasetSpec("moons", per_class=per_class, rotation_deg=rotation_deg,
+                                 noise_sigma=noise_sigma))
     rng = np.random.default_rng(seed)
 
     def draw() -> Array:

@@ -409,6 +409,9 @@ def run_experiment(config_path, out_dir, seed: int | None = None) -> int:
     except (ConfigError, CsvFormatError) as exc:
         print(f"{tag}error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size, in the config or a CSV header, past this host
+        print(f"{tag}error: {config_path}: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"{tag}error: {exc}", file=sys.stderr)
         return 1

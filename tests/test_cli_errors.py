@@ -312,6 +312,30 @@ def test_generated_non_finite_feature_is_a_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+# each size needs more than 2^47 bytes, the x86-64 user address space, so
+# the allocation fails at once, whatever the overcommit setting, touching no page
+@pytest.mark.parametrize("command,lines", [
+    ("run", ["dataset.per_class = 1000000000000000"]),
+    ("gen", ["dataset.per_class = 1000000000000000"]),
+    ("gen", ["dataset.kind = moons", "dataset.per_class = 1000000000000000"]),
+    ("run", ["arch = 100000000000000"]),
+    ("run", ["dataset.kind = csv", "dataset.source = {csv}", "dataset.target = {csv}",
+             "batch_size = 2"]),
+], ids=["blobs", "gen-blobs", "gen-moons", "arch", "csv-classes"])
+def test_input_past_the_host_memory_exits_2(tmp_path, capsys, command, lines):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("# classes=1000000000000000 dim=2\n0.0,0.0,0\n1.0,1.0,1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("\n".join(lines + ["epochs = 1", "warmup_epochs = 0",
+                                      "baseline_epochs = 1"]).format(csv=csv) + "\n")
+    out = tmp_path / "out"
+    assert cli_main(_argv(command, cfg, out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: out of memory: ")
+    assert "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 @pytest.mark.parametrize("role", ["source", "target"])
 def test_run_with_unlabeled_csv_row(tmp_path, capsys, role):
     # a source row needs its label to train and a target row its ground

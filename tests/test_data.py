@@ -1,9 +1,15 @@
 """Generators, CSV interchange and deterministic paired batching."""
 from __future__ import annotations
 
+import inspect
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from fixbi.config import (DATASET_KEYS, ConfigError, DatasetSpec, TrainConfig, parse_config,
+                          serialize_config, validate_config)
 from fixbi.data import (CsvFormatError, Dataset, as_target_view,
                         gen_blobs_shift, gen_moons_shift, load_csv, one_hot, one_hot_table,
                         paired_minibatches, save_csv)
@@ -62,7 +68,7 @@ class TestBlobsShift:
         (dict(translation=(0.5, np.nan)), "translation"),
     ])
     def test_non_finite_argument_named(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^dataset\.{name}: must be finite"):
             gen_blobs_shift(3, 10, 2, seed=0, **kwargs)
 
     def test_rotation_creates_domain_gap(self, ordering_battery):
@@ -105,7 +111,7 @@ class TestMoonsShift:
         (dict(rotation_deg=np.nan), "rotation_deg"),
     ])
     def test_non_finite_argument_named(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^dataset\.{name}: must be finite"):
             gen_moons_shift(10, seed=0, **kwargs)
 
     def test_determinism(self):
@@ -113,6 +119,62 @@ class TestMoonsShift:
         b = gen_moons_shift(30, 30.0, 0.1, seed=6)
         assert a[0].features.tobytes() == b[0].features.tobytes()
         assert a[1].features.tobytes() == b[1].features.tobytes()
+
+
+_GENERATORS = {"blobs": gen_blobs_shift, "moons": gen_moons_shift}
+
+
+class TestConfigRules:
+    """A generator's arguments are a config's ``dataset.*`` keys, with the
+    config's checks and defaults."""
+
+    # (kind, bad argument, whether a config text can hold it): a text's
+    # number is finite and its integer an integer, or it fails to parse
+    @pytest.mark.parametrize("kind,bad,in_text", [
+        pytest.param(kind, bad, in_text, id="{}-{}={}".format(kind, *next(iter(bad.items()))))
+        for kind, bad, in_text in [
+            ("blobs", dict(per_class=0), True), ("moons", dict(per_class=0), True),
+            ("blobs", dict(noise_sigma=-0.1), True), ("moons", dict(noise_sigma=-0.1), True),
+            ("blobs", dict(num_classes=1), True), ("blobs", dict(dim=1), True),
+            ("blobs", dict(translation=(0.1, 0.2, 0.3)), True),
+            ("blobs", dict(noise_sigma=math.nan), False),
+            ("moons", dict(noise_sigma=math.inf), False),
+            ("blobs", dict(rotation_deg=-math.inf), False),
+            ("moons", dict(rotation_deg=math.nan), False),
+            ("blobs", dict(translation=(0.5, math.nan)), False),
+            ("blobs", dict(per_class=2.5), False), ("moons", dict(per_class=2.5), False),
+        ]])
+    def test_generator_rejects_as_the_config(self, kind, bad, in_text):
+        spec = DatasetSpec(kind, **bad)
+        with pytest.raises(ConfigError) as from_generator:
+            _GENERATORS[kind](**{k: getattr(spec, k) for k in DATASET_KEYS[kind] if k != "seed"})
+        message = str(from_generator.value)
+        assert message.startswith(f"dataset.{next(iter(bad))}: ")
+        with pytest.raises(ConfigError) as from_config:
+            validate_config(TrainConfig(dataset=spec))
+        assert str(from_config.value) == message
+        if in_text:
+            with pytest.raises(ConfigError) as from_text:
+                parse_config(serialize_config(TrainConfig(dataset=spec)))
+            assert str(from_text.value) == message
+
+    @pytest.mark.parametrize("kind", list(_GENERATORS))
+    def test_generator_signature_is_the_config_s(self, kind):
+        params = inspect.signature(_GENERATORS[kind]).parameters
+        assert tuple(params) == DATASET_KEYS[kind]
+        defaults = {f.name: f.default for f in fields(DatasetSpec)}
+        for name, param in params.items():
+            # a generator's seed is any numpy seed; the config's -1 means the run's
+            if param.default is not param.empty and name != "seed":
+                assert param.default == defaults[name], name
+        assert params["seed"].default == 0
+
+    def test_scalar_and_array_translation(self):
+        _, scalar = gen_blobs_shift(3, 10, 2, 0.0, 0.5, seed=1)
+        _, array = gen_blobs_shift(3, 10, 2, 0.0, np.array([0.5, 0.0]), seed=1)
+        _, none = gen_blobs_shift(3, 10, 2, 0.0, seed=1)
+        assert scalar.features.tobytes() == array.features.tobytes()
+        assert np.array_equal(scalar.features, none.features + [0.5, 0.0])
 
 
 class TestCsv:

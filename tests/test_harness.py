@@ -86,6 +86,40 @@ class TestConfig:
         twice = serialize_config(parse_config(once))
         assert once == twice
 
+    # commas alone separate a tuple's values; each part is stripped and must
+    # parse whole, and the error quotes it as written
+    @pytest.mark.parametrize("line,expected", [
+        ("arch = 64,32", (64, 32)),
+        ("arch = 1, 2, 3", (1, 2, 3)),
+        ("arch =  8 ", (8,)),
+        ("arch = 64 32", "arch: expected integer, got '64 32'"),
+        ("arch = 64,,32", "arch: expected integer, got ''"),
+        ("arch = 64,32,", "arch: expected integer, got ''"),
+        ("dataset.translation = 0.5, 0.25", (0.5, 0.25)),
+        ("dataset.translation =", ()),
+        ("dataset.translation = 0.5 0.25",
+         "dataset.translation: expected number, got '0.5 0.25'"),
+        ("dataset.translation = 0.5, 1 e3",
+         "dataset.translation: expected number, got '1 e3'"),
+    ])
+    def test_tuple_values(self, line, expected):
+        key = line.split("=")[0].strip()
+        if isinstance(expected, tuple):
+            cfg = parse_config(line + "\n")
+            assert getattr(cfg.dataset if "." in key else cfg, key.rpartition(".")[2]) == expected
+        else:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(line + "\n")
+            assert str(exc.value) == expected
+
+    def test_readme_config_block_is_the_defaults(self):
+        # README "Configuration format" documents every default; the block
+        # must parse to exactly TrainConfig()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+        assert len(blocks) == 1
+        assert parse_config(blocks[0]) == TrainConfig()
+
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("no_such_key = 1\n")
