@@ -6,9 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .data import CsvFormatError, load_labeled_csv, save_csv
-from .harness import classwise_accuracy, load_dataset_pair, run_experiment
+from .config import load_config
+from .data import load_labeled_csv, save_csv
+from .harness import (classwise_accuracy, exit_status, load_dataset_pair,
+                      run_experiment)
 from .models import accuracy, ensemble_predict, load_checkpoint, predict_labels
 
 
@@ -88,27 +89,19 @@ def _target_path(out: Path) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    try:  # the pair a run of the config trains on, checked as the run checks it
+    def gen() -> int:
+        # the pair a run of the config trains on, checked as the run checks it
         source, target = load_dataset_pair(load_config(args.config))
-    except (ConfigError, CsvFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: {args.config}: out of memory: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    tgt_path = _target_path(out)
-    try:
+        out = Path(args.out)
+        tgt_path = _target_path(out)
         out.parent.mkdir(parents=True, exist_ok=True)
         save_csv(source, out)
         # ground truth stays in the file; training loads quarantine it
         save_csv(target, tgt_path, with_eval_labels=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {out} ({source.n} source samples)")
-    print(f"wrote {tgt_path} ({target.n} target samples, labels for eval only)")
-    return 0
+        print(f"wrote {out} ({source.n} source samples)")
+        print(f"wrote {tgt_path} ({target.n} target samples, labels for eval only)")
+        return 0
+    return exit_status(args.config, gen)
 
 
 def build_parser() -> argparse.ArgumentParser:

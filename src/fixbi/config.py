@@ -24,16 +24,35 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _rule(default, test, phrase: str):
+    """A field whose value must pass ``test``; else the message is
+    ``<key>: <phrase>, got <value>``."""
+    return field(default=default, metadata={"rule": (test, phrase)})
+
+
+def _at_least(default, n, phrase: str = ""):
+    return _rule(default, lambda v: v >= n, phrase or f"must be >= {n}")
+
+
+def _within(default, lo, hi, closed: bool = True):
+    return _rule(default, lambda v: lo <= v <= hi and (closed or v < hi),
+                 f"must be in [{lo}, {hi}{']' if closed else ')'}")
+
+
+def _one_of(default, choices: tuple):
+    return _rule(default, lambda v: v in choices, f"must be one of {choices}")
+
+
 @dataclass
 class DatasetSpec:
-    kind: str = "blobs"
-    num_classes: int = 3
-    per_class: int = 100
-    dim: int = 2
+    kind: str = _one_of("blobs", DATASET_KINDS)
+    num_classes: int = _at_least(3, 2)
+    per_class: int = _at_least(100, 1)
+    dim: int = _at_least(2, 2)
     rotation_deg: float = 50.0
     translation: tuple[float, ...] = ()
-    noise_sigma: float = 0.15
-    seed: int = -1              # -1: fall back to the run seed
+    noise_sigma: float = _at_least(0.15, 0)
+    seed: int = _at_least(-1, -1, "must be >= 0 (or -1 for run seed)")
     source: str = ""            # csv paths, kind == "csv" only
     target: str = ""
 
@@ -43,130 +62,91 @@ class TrainConfig:
     """Everything needed to reproduce one experiment end to end."""
 
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    arch: tuple[int, ...] = (64, 64, 32)
-    batch_size: int = 32
-    epochs: int = 60
+    arch: tuple[int, ...] = _rule((64, 64, 32), lambda w: len(w) > 0 and min(w) >= 1,
+                                  "needs positive layer widths")
+    batch_size: int = _at_least(32, 1)
+    epochs: int = _at_least(60, 1)
     warmup_epochs: int = 30
     # at desk scale lr0 = 0.001 leaves the pretrained baseline too diffuse
     # (near-uniform confidences) and the mutual-teaching phase collapses;
     # 0.01 converges cleanly on the synthetic pairs
-    lr0: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.005
-    lambda_sd: float = 0.7
-    lambda_td: float = 0.3
-    lambda_cr: float = 0.5
-    ratio_rule: str = "fixed"
+    lr0: float = _rule(0.01, lambda v: v > 0, "must be positive")
+    momentum: float = _within(0.9, 0, 1, closed=False)
+    weight_decay: float = _at_least(0.005, 0)
+    lambda_sd: float = _within(0.7, 0, 1)
+    lambda_td: float = _within(0.3, 0, 1)
+    lambda_cr: float = _rule(0.5, lambda v: v == 0.5, "fixed at 0.5")
+    ratio_rule: str = _one_of("fixed", RATIO_RULES)
     alpha: float = 1.0
-    pseudo_label_source: str = "live"
+    pseudo_label_source: str = _one_of("live", PSEUDO_LABEL_SOURCES)
     loss_bim: bool = True
     loss_sp: bool = True
     loss_cr: bool = True
     allow_unnormalized_ratios: bool = False
-    grl_lambda: float = 1.0
-    baseline: str = "dann"
-    baseline_epochs: int = 100
-    seed: int = 0
+    grl_lambda: float = _at_least(1.0, 0)
+    baseline: str = _one_of("dann", BASELINES)
+    baseline_epochs: int = _at_least(100, 0)
+    seed: int = _at_least(0, 0)
 
     def dataset_seed(self) -> int:
         return self.seed if self.dataset.seed < 0 else self.dataset.seed
 
 
-def _check_values(record, prefix: str) -> None:
-    """Each float of ``record``'s fields finite, each int an integer (not a bool)."""
+_HINTS = {cls: get_type_hints(cls) for cls in (DatasetSpec, TrainConfig)}
+# the type rule each field's type hint picks, applied to each item of a tuple
+_TYPE_RULES = {float: ("must be finite", math.isfinite),
+               int: ("must be an integer",
+                     lambda v: isinstance(v, Integral) and not isinstance(v, bool))}
+_TYPE_RULES.update({tuple[t, ...]: rule for t, rule in _TYPE_RULES.items()})
+
+
+def _check_fields(record, prefix: str, reads=lambda name: True) -> None:
+    """Each field of ``record`` in order: its type rule, then that it keeps its default
+    if ``reads(name)`` is false, then its declared value rule (:func:`_rule`)."""
     for f in fields(record):
         key, value = prefix + f.name, getattr(record, f.name)
-        parse = _KEY_PARSERS.get(key)  # None for TrainConfig.dataset
-        values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
-        if parse in (_TYPE_PARSERS[float], _TYPE_PARSERS[tuple[float, ...]]):
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{key}: must be finite, got {value!r}")
-        elif parse in (_TYPE_PARSERS[int], _TYPE_PARSERS[tuple[int, ...]]):
-            if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values):
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+        phrase, test = _TYPE_RULES.get(_HINTS[type(record)][f.name], ("", None))
+        if test and not all(map(test, value if isinstance(value, (tuple, list)) else (value,))):
+            raise ConfigError(f"{key}: {phrase}, got {value!r}")
+        if not reads(f.name) and value != f.default:
+            raise ConfigError(f"{key}: does not apply to kind = {record.kind}, got {value!r}")
+        test, phrase = f.metadata.get("rule", (None, ""))
+        if test and not test(value):
+            raise ConfigError(f"{key}: {phrase}, got "
+                              f"{repr(value) if isinstance(value, str) else value}")
 
 
 def validate_dataset(ds: DatasetSpec) -> None:
     """:func:`validate_config`'s checks of one pair, which the generators run too. A
     field that the kind does not read (:data:`DATASET_KEYS`) must keep its default."""
-    _check_values(ds, "dataset.")
-    if ds.kind not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind: must be one of {DATASET_KINDS}, got {ds.kind!r}")
-    for f in fields(DatasetSpec):
-        value = getattr(ds, f.name)
-        if f.name not in ("kind",) + DATASET_KEYS[ds.kind] and value != f.default:
-            raise ConfigError(f"dataset.{f.name}: does not apply to kind = {ds.kind}, "
-                              f"got {value!r}")
-    if ds.kind == "csv":
-        if not ds.source or not ds.target:
-            raise ConfigError("dataset.source / dataset.target: required for kind=csv")
-    else:
-        if ds.per_class < 1:
-            raise ConfigError(f"dataset.per_class: must be >= 1, got {ds.per_class}")
-        if ds.noise_sigma < 0:
-            raise ConfigError(f"dataset.noise_sigma: must be >= 0, got {ds.noise_sigma}")
-    if ds.kind == "blobs":
-        if ds.num_classes < 2:
-            raise ConfigError(f"dataset.num_classes: must be >= 2, got {ds.num_classes}")
-        if ds.dim < 2:
-            raise ConfigError(f"dataset.dim: must be >= 2, got {ds.dim}")
-        if len(ds.translation) > ds.dim:
-            raise ConfigError(f"dataset.translation: {len(ds.translation)} components "
-                              f"for dim {ds.dim}")
-    if ds.seed < -1:
-        raise ConfigError(f"dataset.seed: must be >= 0 (or -1 for run seed), got {ds.seed}")
+    # kind, the first field, passes its rule before any other field asks what it reads
+    _check_fields(ds, "dataset.", lambda name: name == "kind" or name in DATASET_KEYS[ds.kind])
+    if ds.kind == "csv" and not (ds.source and ds.target):
+        raise ConfigError("dataset.source / dataset.target: required for kind=csv")
+    if len(ds.translation) > ds.dim:
+        raise ConfigError(f"dataset.translation: {len(ds.translation)} components "
+                          f"for dim {ds.dim}")
 
 
 def validate_config(cfg: TrainConfig) -> TrainConfig:
-    """Check every field, the dataset's by :func:`validate_dataset`; raises
-    :class:`ConfigError` naming the bad field."""
+    """Check every field, the dataset's by :func:`validate_dataset`, then the rules
+    that relate fields; raises :class:`ConfigError` naming the bad field."""
     validate_dataset(cfg.dataset)
-    _check_values(cfg, "")
-    if not cfg.arch or any(w < 1 for w in cfg.arch):
-        raise ConfigError(f"arch: needs positive layer widths, got {cfg.arch}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size: must be >= 1, got {cfg.batch_size}")
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs: must be >= 1, got {cfg.epochs}")
+    _check_fields(cfg, "")
     # warm-up may equal epochs: that is a warm-up-only run with the
     # matching/consistency phase never opening
     if not 0 <= cfg.warmup_epochs <= cfg.epochs:
         raise ConfigError(
             f"warmup_epochs: must be in [0, epochs], got {cfg.warmup_epochs} with "
             f"epochs={cfg.epochs}")
-    if not cfg.lr0 > 0:
-        raise ConfigError(f"lr0: must be positive, got {cfg.lr0}")
-    if not 0 <= cfg.momentum < 1:
-        raise ConfigError(f"momentum: must be in [0, 1), got {cfg.momentum}")
-    if cfg.weight_decay < 0:
-        raise ConfigError(f"weight_decay: must be >= 0, got {cfg.weight_decay}")
-    if cfg.ratio_rule not in RATIO_RULES:
-        raise ConfigError(f"ratio_rule: must be one of {RATIO_RULES}, got {cfg.ratio_rule!r}")
-    for name, lam in (("lambda_sd", cfg.lambda_sd), ("lambda_td", cfg.lambda_td)):
-        if not 0 <= lam <= 1:
-            raise ConfigError(f"{name}: must be in [0, 1], got {lam}")
     if (cfg.ratio_rule == "fixed" and not cfg.allow_unnormalized_ratios
             and abs(cfg.lambda_sd + cfg.lambda_td - 1.0) > 1e-12):
         raise ConfigError(
             "lambda_sd/lambda_td: must sum to 1 under the fixed rule "
             f"(got {cfg.lambda_sd} + {cfg.lambda_td}); set "
             "allow_unnormalized_ratios = true for single-perspective ablations")
-    if cfg.lambda_cr != 0.5:
-        raise ConfigError(f"lambda_cr: fixed at 0.5, got {cfg.lambda_cr}")
     if cfg.ratio_rule != "fixed" and not cfg.alpha > 0:
         raise ConfigError(f"alpha: must be positive for stochastic rules, got {cfg.alpha}")
-    if cfg.pseudo_label_source not in PSEUDO_LABEL_SOURCES:
-        raise ConfigError(
-            f"pseudo_label_source: must be one of {PSEUDO_LABEL_SOURCES}, "
-            f"got {cfg.pseudo_label_source!r}")
-    if cfg.grl_lambda < 0:
-        raise ConfigError(f"grl_lambda: must be >= 0, got {cfg.grl_lambda}")
-    if cfg.baseline not in BASELINES:
-        raise ConfigError(f"baseline: must be one of {BASELINES}, got {cfg.baseline!r}")
-    if cfg.baseline_epochs < 0:
-        raise ConfigError(f"baseline_epochs: must be >= 0, got {cfg.baseline_epochs}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -213,7 +193,7 @@ _TYPE_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool,
                  tuple[float, ...]: _tuple_of(_parse_float)}
 _KEY_PARSERS = {prefix + name: _TYPE_PARSERS[hint]
                 for cls, prefix in ((DatasetSpec, "dataset."), (TrainConfig, ""))
-                for name, hint in get_type_hints(cls).items() if name != "dataset"}
+                for name, hint in _HINTS[cls].items() if name != "dataset"}
 
 
 def parse_config(text: str) -> TrainConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DatasetSpec, _read_text, validate_dataset
-from .numerics import Array
+from .numerics import Array, check_size
 
 SOURCE = "source"
 TARGET = "target"
@@ -107,6 +107,7 @@ def gen_blobs_shift(num_classes: int, per_class: int, dim: int,
     translation = tuple(np.ravel(np.asarray(translation, dtype=np.float64)).tolist())
     validate_dataset(DatasetSpec("blobs", num_classes, per_class, dim, rotation_deg,
                                  translation, noise_sigma))
+    check_size(num_classes, per_class, dim)
 
     radius = 0.5 / math.sin(math.pi / num_classes)
     means = np.zeros((num_classes, dim))
@@ -143,6 +144,7 @@ def gen_moons_shift(per_class: int, rotation_deg: float = DatasetSpec.rotation_d
     """
     validate_dataset(DatasetSpec("moons", per_class=per_class, rotation_deg=rotation_deg,
                                  noise_sigma=noise_sigma))
+    check_size(2, per_class, 2)
     rng = np.random.default_rng(seed)
 
     def draw() -> Array:

@@ -387,34 +387,39 @@ def execute(cfg: TrainConfig, out_dir) -> ExperimentResult:
     return ExperimentResult(cfg, base, dual, rows, summary)
 
 
+def exit_status(config_path, work, tag: str = "") -> int:
+    """The exit status ``work()`` returns, or that of the error it raises, printed as one
+    ``<tag>error:`` line: 2 for a bad config, CSV or size, 1 for a failed write."""
+    try:
+        return work()
+    except (ConfigError, CsvFormatError) as exc:
+        message, status = exc, 2
+    except MemoryError as exc:  # a size, in the config or a CSV header, past this host
+        message, status = f"{config_path}: out of memory: {exc}", 2
+    except OSError as exc:
+        message, status = exc, 1
+    print(f"{tag}error: {message}", file=sys.stderr)
+    return status
+
+
 def run_experiment(config_path, out_dir, seed: int | None = None) -> int:
     """CLI-facing wrapper: returns a process exit status instead of raising.
 
     ``seed`` overrides the config's seed and prefixes every message line.
     """
     tag = "" if seed is None else f"seed {seed}: "
-    try:
+
+    def run() -> int:
         cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"{tag}error: {exc}", file=sys.stderr)
-        return 2
-    if seed is not None:
-        cfg.seed = seed
-    try:
-        result = execute(cfg, out_dir)
-    except NonFiniteLossError as exc:
-        print(f"{tag}error: {exc} (partial results preserved in {out_dir})",
-              file=sys.stderr)
-        return 1
-    except (ConfigError, CsvFormatError) as exc:
-        print(f"{tag}error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a size, in the config or a CSV header, past this host
-        print(f"{tag}error: {config_path}: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{tag}error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{tag}ensemble target accuracy: {result.summary['acc_tgt_ens']:.4f} "
-          f"(baseline {cfg.baseline}: {result.summary['baseline_target_acc']:.4f})")
-    return 0
+        if seed is not None:
+            cfg.seed = seed
+        try:
+            result = execute(cfg, out_dir)
+        except NonFiniteLossError as exc:
+            print(f"{tag}error: {exc} (partial results preserved in {out_dir})",
+                  file=sys.stderr)
+            return 1
+        print(f"{tag}ensemble target accuracy: {result.summary['acc_tgt_ens']:.4f} "
+              f"(baseline {cfg.baseline}: {result.summary['baseline_target_acc']:.4f})")
+        return 0
+    return exit_status(config_path, run, tag)

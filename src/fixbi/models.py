@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import _read_text
-from .numerics import Array, ParamSet, Tensor, _dense, mlp, softmax_vjp
+from .numerics import Array, ParamSet, Tensor, _dense, check_size, mlp, softmax_vjp
 
 LOG_TEMPERATURE = "log_temperature"
 
@@ -57,16 +57,19 @@ def _layout(input_dim: int, widths: tuple[int, ...],
             num_classes: int) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape map of a model's tensors: each extractor layer's weight
     and bias, input side first, then the head's, then the log-temperature. A
-    width below 1 or fewer than 2 classes is a ``ValueError`` naming the weight."""
+    width below 1 or fewer than 2 classes is a ``ValueError`` naming the weight, a
+    tensor past numpy's size limit a ``MemoryError`` (:func:`numerics.check_size`)."""
     layout: dict[str, tuple[int, ...]] = {}
     fan_in = input_dim
     for i, w in enumerate(widths):
         if w < 1:
             raise ValueError(f"'ext.w{i}': widths must be positive, got {w}")
+        check_size(fan_in, w)
         layout[f"ext.w{i}"], layout[f"ext.b{i}"] = (fan_in, w), (w,)
         fan_in = w
     if num_classes < 2:
         raise ValueError(f"'head.w': num_classes must be >= 2, got {num_classes}")
+    check_size(fan_in, num_classes)  # each weight bounds its bias
     return {**layout, "head.w": (fan_in, num_classes), "head.b": (num_classes,),
             LOG_TEMPERATURE: (1,)}
 

@@ -10,6 +10,8 @@ whole reverse, writing each gradient once.
 """
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +32,14 @@ class ShapeError(ValueError):
 
 def _as_array(values) -> Array:
     return np.asarray(values, dtype=np.float64)
+
+
+def check_size(*shape: int) -> None:
+    """``MemoryError`` (numpy raises a ``ValueError``) when a float64 array of ``shape``
+    passes numpy's limit of ``sys.maxsize`` bytes; counted in Python ints, allocating nothing."""
+    if math.prod(map(int, shape)) * 8 > sys.maxsize:
+        raise MemoryError(f"a {' x '.join(map(str, shape))} float64 array passes "
+                          f"numpy's limit of {sys.maxsize} bytes")
 
 
 class Tensor:

@@ -312,8 +312,12 @@ def test_generated_non_finite_feature_is_a_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+_PAST_NUMPY = "1000000000000000000"  # 10^18: times 8 bytes, past numpy's sys.maxsize limit
+
+
 # each size needs more than 2^47 bytes, the x86-64 user address space, so
-# the allocation fails at once, whatever the overcommit setting, touching no page
+# the allocation fails at once, whatever the overcommit setting, touching no page;
+# a size past numpy's own limit is refused before numpy is asked
 @pytest.mark.parametrize("command,lines", [
     ("run", ["dataset.per_class = 1000000000000000"]),
     ("gen", ["dataset.per_class = 1000000000000000"]),
@@ -321,13 +325,23 @@ def test_generated_non_finite_feature_is_a_config_error(tmp_path, capsys, comman
     ("run", ["arch = 100000000000000"]),
     ("run", ["dataset.kind = csv", "dataset.source = {csv}", "dataset.target = {csv}",
              "batch_size = 2"]),
-], ids=["blobs", "gen-blobs", "gen-moons", "arch", "csv-classes"])
+    ("run", [f"dataset.per_class = {_PAST_NUMPY}"]),
+    ("gen", [f"dataset.per_class = {_PAST_NUMPY}"]),
+    ("gen", ["dataset.kind = moons", f"dataset.per_class = {_PAST_NUMPY}"]),
+    ("run", [f"arch = {_PAST_NUMPY}"]),
+    ("run", ["dataset.kind = csv", "dataset.source = {past}", "dataset.target = {past}",
+             "batch_size = 2"]),
+], ids=["blobs", "gen-blobs", "gen-moons", "arch", "csv-classes", "blobs-past-numpy",
+        "gen-blobs-past-numpy", "gen-moons-past-numpy", "arch-past-numpy",
+        "csv-classes-past-numpy"])
 def test_input_past_the_host_memory_exits_2(tmp_path, capsys, command, lines):
-    csv = tmp_path / "huge.csv"
-    csv.write_text("# classes=1000000000000000 dim=2\n0.0,0.0,0\n1.0,1.0,1\n")
+    csv, past = tmp_path / "huge.csv", tmp_path / "past.csv"
+    for path, classes in ((csv, "1000000000000000"), (past, _PAST_NUMPY)):
+        path.write_text(f"# classes={classes} dim=2\n0.0,0.0,0\n1.0,1.0,1\n")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("\n".join(lines + ["epochs = 1", "warmup_epochs = 0",
-                                      "baseline_epochs = 1"]).format(csv=csv) + "\n")
+                                      "baseline_epochs = 1"]).format(csv=csv, past=past)
+                   + "\n")
     out = tmp_path / "out"
     assert cli_main(_argv(command, cfg, out)) == 2
     err = capsys.readouterr().err

@@ -16,9 +16,9 @@ import pytest
 
 from fixbi import harness
 from fixbi.cli import main as cli_main
-from fixbi.config import (METRICS_COLUMNS, ConfigError, DatasetSpec, MetricsRow,
-                          TrainConfig, load_config, parse_config, serialize_config,
-                          validate_config)
+from fixbi.config import (_KEY_PARSERS, METRICS_COLUMNS, ConfigError, DatasetSpec,
+                          MetricsRow, TrainConfig, load_config, parse_config,
+                          serialize_config, validate_config)
 from fixbi.harness import (METRICS_VERSION, ClasswiseRow, classwise_accuracy,
                            classwise_report, emit_report, execute, load_dataset_pair,
                            load_metrics_csv, rank_class_gaps, run_experiment)
@@ -66,6 +66,54 @@ def small_config_text(seed: int = 0, **extra) -> str:
     }
     keys.update(extra)
     return "\n".join(f"{k} = {v}" for k, v in keys.items()) + "\n"
+
+# the config keys with no rule of their own on their value: a new key gets a
+# declared rule, and rows in _ONE_FAULT, or joins this list
+_NO_VALUE_RULE = {"dataset.rotation_deg", "dataset.translation", "dataset.source",
+                  "dataset.target", "warmup_epochs", "alpha", "loss_bim", "loss_sp",
+                  "loss_cr", "allow_unnormalized_ratios"}
+_KINDS = "('blobs', 'moons', 'csv')"
+_FREE = {"allow_unnormalized_ratios": True}  # a lambda on its edge breaks no sum
+# (key, a value just past the key's rule, the exact message, a value on the
+# edge that passes, other keys), each on TrainConfig(warmup_epochs=0)
+_ONE_FAULT = [
+    ("dataset.kind", "cubes", f"dataset.kind: must be one of {_KINDS}, got 'cubes'",
+     "moons", {}),
+    ("dataset.num_classes", 1, "dataset.num_classes: must be >= 2, got 1", 2, {}),
+    ("dataset.per_class", 0, "dataset.per_class: must be >= 1, got 0", 1, {}),
+    ("dataset.dim", 1, "dataset.dim: must be >= 2, got 1", 2, {}),
+    ("dataset.noise_sigma", -0.001, "dataset.noise_sigma: must be >= 0, got -0.001",
+     0.0, {}),
+    ("dataset.seed", -2, "dataset.seed: must be >= 0 (or -1 for run seed), got -2", -1, {}),
+    ("arch", (8, 0), "arch: needs positive layer widths, got (8, 0)", (8, 1), {}),
+    ("arch", (), "arch: needs positive layer widths, got ()", (1,), {}),
+    ("batch_size", 0, "batch_size: must be >= 1, got 0", 1, {}),
+    ("epochs", 0, "epochs: must be >= 1, got 0", 1, {}),
+    ("lr0", 0.0, "lr0: must be positive, got 0.0", 5e-324, {}),
+    ("momentum", -0.001, "momentum: must be in [0, 1), got -0.001", 0.0, {}),
+    ("momentum", 1.0, "momentum: must be in [0, 1), got 1.0", 0.9999999999999999, {}),
+    ("weight_decay", -0.001, "weight_decay: must be >= 0, got -0.001", 0.0, {}),
+    ("lambda_sd", -0.001, "lambda_sd: must be in [0, 1], got -0.001", 0.0, _FREE),
+    ("lambda_sd", 1.001, "lambda_sd: must be in [0, 1], got 1.001", 1.0, _FREE),
+    ("lambda_td", -0.001, "lambda_td: must be in [0, 1], got -0.001", 0.0, _FREE),
+    ("lambda_td", 1.001, "lambda_td: must be in [0, 1], got 1.001", 1.0, _FREE),
+    ("lambda_cr", 0.4, "lambda_cr: fixed at 0.5, got 0.4", 0.5, {}),
+    ("lambda_cr", 0.6, "lambda_cr: fixed at 0.5, got 0.6", 0.5, {}),
+    ("ratio_rule", "banana",
+     "ratio_rule: must be one of ('fixed', 'random', 'range'), got 'banana'", "range", {}),
+    ("pseudo_label_source", "teacher", "pseudo_label_source: must be one of "
+     "('live', 'frozen-baseline'), got 'teacher'", "frozen-baseline", {}),
+    ("grl_lambda", -0.001, "grl_lambda: must be >= 0, got -0.001", 0.0, {}),
+    ("baseline", "mmd", "baseline: must be one of ('dann', 'source-only'), got 'mmd'",
+     "source-only", {}),
+    ("baseline_epochs", -1, "baseline_epochs: must be >= 0, got -1", 0, {}),
+    ("seed", -1, "seed: must be >= 0, got -1", 0, {}),
+]
+
+
+def _set(cfg: TrainConfig, key: str, value) -> None:
+    owner, _, name = key.rpartition(".")
+    setattr(cfg.dataset if owner else cfg, name, value)
 
 
 class TestConfig:
@@ -279,6 +327,54 @@ class TestConfig:
     def test_csv_kind_requires_paths(self):
         with pytest.raises(ConfigError, match="dataset.source"):
             validate_config(TrainConfig(dataset=DatasetSpec(kind="csv")))
+
+    @pytest.mark.parametrize("key,bad,message,edge,extra", _ONE_FAULT,
+                             ids=[f"{row[0]}={row[1]}" for row in _ONE_FAULT])
+    def test_one_fault_message(self, key, bad, message, edge, extra):
+        # a config built in code and its text meet the same rule with the
+        # same message; the value on the rule's edge passes both
+        keys = {"warmup_epochs": 0, **extra}
+        for value, fault in ((bad, message), (edge, None)):
+            cfg = TrainConfig(**keys)
+            _set(cfg, key, value)
+            text = "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                           for k, v in {**keys, key: value}.items())
+            for check in (lambda: validate_config(cfg), lambda: parse_config(text)):
+                if fault is None:
+                    check()
+                    continue
+                with pytest.raises(ConfigError) as exc:
+                    check()
+                assert str(exc.value) == fault
+
+    def test_every_value_rule_has_a_one_fault_row(self):
+        keys = {prefix + f.name: f for cls, prefix in ((DatasetSpec, "dataset."),
+                                                       (TrainConfig, ""))
+                for f in fields(cls) if f.name != "dataset"}
+        assert _NO_VALUE_RULE <= keys.keys()
+        assert {row[0] for row in _ONE_FAULT} == keys.keys() - _NO_VALUE_RULE
+        assert {k for k, f in keys.items() if "rule" not in f.metadata} == _NO_VALUE_RULE
+
+    @pytest.mark.parametrize("spec,message", [
+        (DatasetSpec(per_class=np.int64(0)), "dataset.per_class: must be >= 1, got 0"),
+        (DatasetSpec(kind="moons", num_classes=1),
+         "dataset.num_classes: does not apply to kind = moons, got 1"),
+        (DatasetSpec(kind="csv", source="s.csv", target="t.csv", per_class=0),
+         "dataset.per_class: does not apply to kind = csv, got 0"),
+        (DatasetSpec(kind="moons", dim=2.5), "dataset.dim: must be an integer, got 2.5"),
+    ], ids=["numpy-int", "moons-unread", "csv-unread", "type-first"])
+    def test_rule_order_and_value_format(self, spec, message):
+        # a numpy int prints as a number; an unread field is out of place
+        # before it is out of range, and of the wrong type before either
+        with pytest.raises(ConfigError) as exc:
+            validate_config(TrainConfig(dataset=spec))
+        assert str(exc.value) == message
+
+    def test_readme_configuration_format_names_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("\n## Configuration format\n", 1)[1].split("\n## ", 1)[0]
+        assert [key for key in _KEY_PARSERS
+                if not re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", section)] == []
 
 
 class TestMetricsCsv:
